@@ -9,14 +9,13 @@ drop imagery.  A forward synthetic renderer provides ground truth.
 
 from .core import (DropMask, HeightField, OpticalConfig, RasterGray, Vec3, divergence,
                    gradient, mask_centroid, normal_field, surface_normal)
-from .detect import detect_drops
+from .detect import DetectParams, detect_drops
 from .errors import (BehindCamera, DegenerateGeometry, DomainError, EmptyOutput,
                      InsufficientMatches, RingTooSmall, SolverDiverged, TotalReflection)
-from .formats import DetectParams, PipelineConfig, VolumeLoopParams, default_config
+from .formats import PipelineConfig, default_config
 from .masks import blob_mask, disk_mask
-from .optics import (DarkBandParams, FresnelResult, band_transmittance_linear,
-                     critical_normal_z, dark_band_mask, equivalent_camera,
-                     fresnel_transmittance, refract)
+from .optics import (FresnelResult, band_transmittance_linear, critical_normal_z,
+                     dark_band_mask, equivalent_camera, fresnel_transmittance, refract)
 from .raytrace import (DewarpedImage, Ray, ScenePlane, SceneSpec, angular_project,
                        dewarp_image, render_synthetic, trace_drop_pixel)
 from .rectify import RectifiedView, compensate_illuminance, rectify_drop
@@ -25,7 +24,7 @@ from .solver import (SolveReport, SolverParams, energy_of, gravity_step, init_me
                      volume_step)
 from .stereo import (BlockMatchParams, Correspondence, DepthResult, block_match,
                      depth_from_drops, triangulate)
-from .volume_loop import (estimate_shape, sample_band_brightness, target_brightness,
-                          volume_update)
+from .volume_loop import (VolumeLoopParams, estimate_shape, sample_band_brightness,
+                          target_brightness, volume_update)
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .core import OpticalConfig, RasterGray
+from .core import RasterGray
 from .detect import detect_drops
 from .errors import DomainError
 from .raytrace import render_depth_truth, render_synthetic
@@ -234,9 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dropstereo",
                                      description="Depth and rectification from adherent "
                                                  "water drops")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized tie-breaking (outputs are "
-                             "deterministic for a fixed seed)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="render a synthetic scene with ground truth")
@@ -295,7 +292,6 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    np.random.seed(args.seed)
     try:
         return args.func(args)
     except Exception as exc:  # surface a clean one-line failure

@@ -14,7 +14,7 @@ Conventions used everywhere:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -235,6 +235,8 @@ class MaskStencil:
         self.has_xp = _shifted(m, 0, 1) & m
         self.has_ym = _shifted(m, -1, 0) & m  # member with member at i-1
         self.has_yp = _shifted(m, 1, 0) & m
+        # members whose four neighbors are all members: DropMask.interior()
+        self.interior = self.has_xm & self.has_xp & self.has_ym & self.has_yp
 
     def diff_x(self, a: np.ndarray) -> np.ndarray:
         ap = _shifted(a, 0, 1)
@@ -296,11 +298,16 @@ def mask_centroid(hf: HeightField) -> tuple[float, float]:
     Implemented verbatim with the area B as the normalizer (not the volume),
     so the result scales with the mean height.
     """
-    b = hf.mask.area
+    return _centroid(hf.z, hf.mask.membership)
+
+
+def _centroid(z: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
+    """``mask_centroid`` on a height array and its boolean mask."""
+    ii, jj = np.nonzero(mask)
+    b = ii.size
     if b == 0:
         raise DomainError("centroid of an empty mask is undefined")
-    ii, jj = np.nonzero(hf.mask.membership)
-    zz = hf.z[ii, jj]
+    zz = z[ii, jj]
     return float((zz * jj).sum() / b), float((zz * ii).sum() / b)
 
 
@@ -309,3 +316,27 @@ def plate_coords(shape: tuple[int, int], config: OpticalConfig) -> tuple[np.ndar
     cx, cy = config.resolve_principal_point(shape)
     ii, jj = np.mgrid[0 : shape[0], 0 : shape[1]]
     return jj.astype(float) - cx, ii.astype(float) - cy
+
+
+def splat_bilinear(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                   shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Forward-splat samples at fractional (row, col) positions onto a grid.
+
+    Each sample spreads over its four neighbor cells (clipped to the grid)
+    with bilinear weights.  Returns the weight-normalized raster, zero where
+    no weight landed, and the mask of cells that received weight.
+    """
+    h, w = shape
+    r0 = np.floor(rows).astype(int)
+    c0 = np.floor(cols).astype(int)
+    fr = rows - r0
+    fc = cols - c0
+    corners = ((0, 0, (1 - fr) * (1 - fc)), (0, 1, (1 - fr) * fc),
+               (1, 0, fr * (1 - fc)), (1, 1, fr * fc))
+    cell = np.concatenate([np.clip(r0 + dr, 0, h - 1) * w + np.clip(c0 + dc, 0, w - 1)
+                           for dr, dc, _ in corners])
+    weight = np.concatenate([wq for _, _, wq in corners])
+    acc = np.bincount(cell, weights=weight * np.tile(vals, 4), minlength=h * w).reshape(h, w)
+    wgt = np.bincount(cell, weights=weight, minlength=h * w).reshape(h, w)
+    valid = wgt > 1e-9
+    return np.where(valid, acc / np.where(valid, wgt, 1.0), 0.0), valid

@@ -3,15 +3,35 @@ the defocus-blurred background."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy import ndimage
 from scipy.spatial import ConvexHull, QhullError
 
-from .core import DropMask, RasterGray
-from .formats import DetectParams
+from .core import _FOUR_CONNECTED, DropMask, RasterGray
+from .errors import DomainError
 
-_FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _EIGHT = np.ones((3, 3), dtype=bool)
+
+
+@dataclass(frozen=True)
+class DetectParams:
+    """Edge-based drop detection knobs."""
+
+    low_percentile: float = 70.0
+    high_percentile: float = 90.0
+    closing_radius: int = 5
+    min_diameter: float = 300.0
+    solidity_min: float = 0.85
+
+    def __post_init__(self):
+        if not 0 < self.low_percentile < self.high_percentile < 100:
+            raise DomainError("percentiles must satisfy 0 < low < high < 100")
+        if self.closing_radius < 0 or self.min_diameter <= 0:
+            raise DomainError("closing_radius must be >= 0 and min_diameter > 0")
+        if not 0 < self.solidity_min <= 1:
+            raise DomainError("solidity_min must be in (0, 1]")
 
 
 def _disk(radius: int) -> np.ndarray:
@@ -70,7 +90,7 @@ def _dark_band_region(pixels: np.ndarray, comp: np.ndarray, background: float) -
     if area == int(ring.sum()) or 2 * area < int(comp.sum()):
         return comp
     # pieces of an 8-connected ring may touch only at corners
-    return _largest(*ndimage.label(region, structure=_FOUR))
+    return _largest(*ndimage.label(region, structure=_FOUR_CONNECTED))
 
 
 def detect_drops(image: RasterGray, params: DetectParams | None = None) -> list[DropMask]:
@@ -107,7 +127,7 @@ def detect_drops(image: RasterGray, params: DetectParams | None = None) -> list[
                                        iterations=1)
     filled = ndimage.binary_fill_holes(edges)
 
-    comp_labels, _ = ndimage.label(filled, structure=_FOUR)
+    comp_labels, _ = ndimage.label(filled, structure=_FOUR_CONNECTED)
     outside = img[~filled]
     background = float(np.median(outside if outside.size else img))
     out: list[DropMask] = []

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -13,8 +12,10 @@ from typing import Any
 import numpy as np
 
 from .core import DropMask, HeightField, OpticalConfig
+from .detect import DetectParams
 from .errors import DomainError
 from .solver import SolverParams
+from .volume_loop import VolumeLoopParams
 
 
 # ---------------------------------------------------------------------------
@@ -154,48 +155,6 @@ def read_height_field(path: str | Path) -> HeightField:
 # ---------------------------------------------------------------------------
 # Pipeline configuration (JSON)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VolumeLoopParams:
-    """Knobs of the varying-volume outer loop."""
-
-    tau_r: float = 0.5
-    inner_iters_per_update: int = 400
-    max_outer_updates: int = 10
-    alpha_init: float = 0.30
-    rel_volume_tol: float = 1e-3
-    alpha_min: float = 0.05
-    alpha_max: float = 0.60
-    min_ring_pixels: int = 8
-
-    def __post_init__(self):
-        for name in ("tau_r", "inner_iters_per_update", "max_outer_updates",
-                     "alpha_init", "rel_volume_tol", "alpha_min", "alpha_max"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
-        if not (self.alpha_min <= self.alpha_init <= self.alpha_max):
-            raise DomainError(
-                f"alpha_init {self.alpha_init} outside [{self.alpha_min}, {self.alpha_max}]")
-
-
-@dataclass(frozen=True)
-class DetectParams:
-    """Edge-based drop detection knobs."""
-
-    low_percentile: float = 70.0
-    high_percentile: float = 90.0
-    closing_radius: int = 5
-    min_diameter: float = 300.0
-    solidity_min: float = 0.85
-
-    def __post_init__(self):
-        if not 0 < self.low_percentile < self.high_percentile < 100:
-            raise DomainError("percentiles must satisfy 0 < low < high < 100")
-        if self.closing_radius < 0 or self.min_diameter <= 0:
-            raise DomainError("closing_radius must be >= 0 and min_diameter > 0")
-        if not 0 < self.solidity_min <= 1:
-            raise DomainError("solidity_min must be in (0, 1]")
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from .core import DropMask
+from .core import _FOUR_CONNECTED, DropMask
 from .errors import DomainError
-
-_FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 def disk_mask(radius: int, shape: tuple[int, int] | None = None,
@@ -51,7 +49,7 @@ def blob_mask(radius: int, shape: tuple[int, int] | None = None,
     m = (ii - ci) ** 2 + (jj - cj) ** 2 <= rim**2
     # star-shaped rasterization can pinch off slivers; keep the main component
     m = ndimage.binary_fill_holes(m)
-    labels, n = ndimage.label(m, structure=_FOUR)
+    labels, n = ndimage.label(m, structure=_FOUR_CONNECTED)
     if n > 1:
         sizes = ndimage.sum(m, labels, index=np.arange(1, n + 1))
         m = labels == (1 + int(np.argmax(sizes)))

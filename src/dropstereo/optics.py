@@ -28,27 +28,6 @@ class FresnelResult:
     T: float
 
 
-@dataclass(frozen=True)
-class DarkBandParams:
-    """Critical normal-z threshold and the sampling half-width around it.
-
-    The critical value and the half-width are distinct quantities even though
-    the source material denotes both by the same symbol: ``n_crit`` is where
-    total reflection starts (about 0.661 for an axial ray and the 3/4 index
-    ratio), ``band_halfwidth`` is the N_z window sampled around it.
-    """
-
-    n_crit: float
-    band_halfwidth: float = 0.02 * math.pi
-    theta_cprime: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.n_crit < 1.0:
-            raise DomainError("n_crit must be in (0, 1)")
-        if self.band_halfwidth <= 0.0:
-            raise DomainError("band_halfwidth must be positive")
-
-
 def refract(direction: Vec3, normal: Vec3, eta_ratio: float) -> Vec3:
     """Bend a unit direction across an interface, scaling the tangential
     component by ``eta_ratio = n_from / n_to``.

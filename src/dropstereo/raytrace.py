@@ -17,10 +17,9 @@ import numpy as np
 from scipy import ndimage
 
 from .core import (DropMask, HeightField, MaskStencil, OpticalConfig, RasterGray, Vec3,
-                   normal_field, plate_coords)
+                   normal_field, plate_coords, splat_bilinear)
 from .errors import BehindCamera, DomainError, EmptyOutput, TotalReflection
-from .optics import (equivalent_camera_depth, fresnel_transmittance_arrays,
-                     incidence_directions, refract_arrays)
+from .optics import fresnel_transmittance_arrays, incidence_directions, refract_arrays
 
 _MIN_FORWARD_Z = 1e-9
 
@@ -256,21 +255,7 @@ def dewarp_image(image: RasterGray, hf: HeightField, config: OpticalConfig,
     if pu.size == 0:
         raise EmptyOutput("no drop pixels fall inside the angular window")
 
-    acc = np.zeros((r, r))
-    wgt = np.zeros((r, r))
-    c0 = np.floor(pu).astype(int)
-    r0 = np.floor(pv).astype(int)
-    fu = pu - c0
-    fv = pv - r0
-    for dr, dc, w in ((0, 0, (1 - fv) * (1 - fu)), (0, 1, (1 - fv) * fu),
-                      (1, 0, fv * (1 - fu)), (1, 1, fv * fu)):
-        rr = np.clip(r0 + dr, 0, r - 1)
-        cc = np.clip(c0 + dc, 0, r - 1)
-        np.add.at(acc, (rr, cc), w * vals)
-        np.add.at(wgt, (rr, cc), w)
-
-    valid_out = wgt > 1e-9
-    raster = np.where(valid_out, acc / np.where(valid_out, wgt, 1.0), 0.0)
+    raster, valid_out = splat_bilinear(pv, pu, vals, (r, r))
 
     # nearest-contributor table for mapping matches back to warped pixels
     cell_r = np.clip(np.rint(pv).astype(int), 0, r - 1)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HeightField, OpticalConfig, RasterGray
+from .core import HeightField, OpticalConfig, RasterGray, splat_bilinear
 from .errors import DomainError, EmptyOutput
 from .raytrace import trace_field, _transmittance_from_cos_w
 from .optics import fresnel_transmittance_arrays
@@ -95,22 +95,7 @@ def rectify_drop(image: RasterGray, hf: HeightField, config: OpticalConfig,
     w = int(math.floor((x1 - x0) * scale)) + 1
     h = int(math.floor((y1 - y0) * scale)) + 1
 
-    fc = (px - x0) * scale
-    fr = (py - y0) * scale
-    acc = np.zeros((h, w))
-    wgt = np.zeros((h, w))
-    c0 = np.floor(fc).astype(int)
-    r0 = np.floor(fr).astype(int)
-    du = fc - c0
-    dv = fr - r0
-    for dr, dc, wq in ((0, 0, (1 - dv) * (1 - du)), (0, 1, (1 - dv) * du),
-                       (1, 0, dv * (1 - du)), (1, 1, dv * du)):
-        rr = np.clip(r0 + dr, 0, h - 1)
-        cc = np.clip(c0 + dc, 0, w - 1)
-        np.add.at(acc, (rr, cc), wq * vals)
-        np.add.at(wgt, (rr, cc), wq)
-    valid = wgt > 1e-9
-    raster = np.where(valid, acc / np.where(valid, wgt, 1.0), 0.0)
+    raster, valid = splat_bilinear((py - y0) * scale, (px - x0) * scale, vals, (h, w))
 
     t_curved = _transmittance_from_cos_w(tf.cos_theta_w, config)
     _, _, t_flat = fresnel_transmittance_arrays(tf.theta_flat_air, config.n_air, config.n_water)

@@ -10,11 +10,11 @@ restoring the target volume exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DropMask, HeightField, MaskStencil, OpticalConfig, mask_centroid
+from .core import DropMask, HeightField, MaskStencil, OpticalConfig, _centroid
 from .errors import DomainError, SolverDiverged
 
 
@@ -93,64 +93,62 @@ def energy_of(hf: HeightField, config: OpticalConfig) -> tuple[float, float, flo
     return e_t, e_g, e_t + e_g
 
 
-def _as_field(mask: DropMask, z: np.ndarray) -> HeightField:
+def _checked(z: np.ndarray) -> np.ndarray:
     if not np.isfinite(z).all():
         raise SolverDiverged("surface update produced non-finite heights; reduce tau")
-    return HeightField(mask, np.maximum(z, 0.0))
+    return np.maximum(z, 0.0)
 
 
-def tension_step(hf: HeightField, params: SolverParams, config: OpticalConfig,
-                 pin_boundary: bool = True, stencil: MaskStencil | None = None) -> HeightField:
+def tension_step(z: np.ndarray, stencil: MaskStencil, params: SolverParams,
+                 config: OpticalConfig, pin_boundary: bool = True) -> np.ndarray:
     """One explicit curvature-flow step descending the tension energy.
 
-    With ``pin_boundary`` the mask boundary ring is held at zero (the fixed
-    contact line) and only interior pixels move; the free-boundary mode
-    updates every mask pixel and leaves a minimal surface unchanged.
+    ``z`` holds heights on the stencil's mask grid.  With ``pin_boundary``
+    the mask boundary ring is held at zero (the fixed contact line) and only
+    interior pixels move; the free-boundary mode updates every mask pixel and
+    leaves a minimal surface unchanged.  Heights outside the mask stay put.
     """
-    mask = hf.mask
-    st = stencil or MaskStencil(mask.membership)
-    z = np.array(hf.z)
     if pin_boundary:
-        rim = mask.boundary()
-        z[rim] = 0.0
-        movable = mask.interior()
+        movable = stencil.interior
+        z = np.where(stencil.mask & ~movable, 0.0, z)
     else:
-        movable = mask.membership
-    gx = st.diff_x(z)
-    gy = st.diff_y(z)
+        movable = stencil.mask
+    gx = stencil.diff_x(z)
+    gy = stencil.diff_y(z)
     denom = np.sqrt(1.0 + gx * gx + gy * gy)
-    flow = st.diff_x(gx / denom) + st.diff_y(gy / denom)
-    z = np.where(movable, z + params.tau * config.tension_weight * flow, z)
-    return _as_field(mask, z)
+    flow = stencil.diff_x(gx / denom) + stencil.diff_y(gy / denom)
+    return _checked(np.where(movable, z + params.tau * config.tension_weight * flow, z))
 
 
-def gravity_step(hf: HeightField, params: SolverParams, config: OpticalConfig) -> HeightField:
-    """Planar tilt about the height-weighted centroid driven by the in-plane
-    gravity components; gravity along +z leaves the field unchanged."""
+def gravity_step(z: np.ndarray, mask: np.ndarray, params: SolverParams,
+                 config: OpticalConfig) -> np.ndarray:
+    """Planar tilt of the heights on ``mask`` about their height-weighted
+    centroid, driven by the in-plane gravity components; gravity along +z
+    leaves the heights unchanged."""
     gcx, gcy, _ = config.gravity_cosines
     if gcx == 0.0 and gcy == 0.0:
-        return hf
-    x_g, y_g = mask_centroid(hf)
-    ii, jj = np.nonzero(hf.mask.membership)
+        return z
+    x_g, y_g = _centroid(z, mask)
+    ii, jj = np.nonzero(mask)
     delta = params.tau * config.gravity_weight * ((y_g - ii) * gcy + (x_g - jj) * gcx)
-    z = np.array(hf.z)
+    z = np.array(z)
     z[ii, jj] -= delta
-    return _as_field(hf.mask, z)
+    return _checked(z)
 
 
-def volume_step(hf: HeightField, target_volume: float) -> HeightField:
-    """Uniform shift restoring the target volume exactly.
+def volume_step(z: np.ndarray, mask: np.ndarray, target_volume: float) -> np.ndarray:
+    """Uniform shift of the heights on ``mask`` restoring the target volume
+    exactly.
 
     Heights pushed negative are clamped to zero and the deficit redistributed
     once; a multiplicative rescale guards the rare case where that still
     leaves negatives.
     """
-    mask = hf.mask
-    b = mask.area
+    m = mask
+    b = np.count_nonzero(m)
     if b == 0:
         raise DomainError("cannot adjust volume on an empty mask")
-    m = mask.membership
-    z = np.array(hf.z)
+    z = np.array(z)
     z[m] += (target_volume - z[m].sum()) / b
     if z[m].min() < 0.0:
         z[m] = np.maximum(z[m], 0.0)
@@ -160,7 +158,7 @@ def volume_step(hf: HeightField, target_volume: float) -> HeightField:
             total = z[m].sum()
             if total > 0.0:
                 z[m] *= target_volume / total
-    return _as_field(mask, z)
+    return _checked(z)
 
 
 def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParams,
@@ -179,47 +177,34 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     i1, j1 = min(i1 + 1, mask.height), min(j1 + 1, mask.width)
     sub_mask = DropMask(mask.membership[i0:i1, j0:j1])
     if init is None:
-        hf = init_mesh(sub_mask, target_volume / mask.area**1.5)
+        z = init_mesh(sub_mask, target_volume / mask.area**1.5).z
     else:
-        hf = HeightField(sub_mask, init.z[i0:i1, j0:j1])
-    sub_config = _cropped_config(config, mask.membership.shape, (i0, j0))
+        z = HeightField(sub_mask, init.z[i0:i1, j0:j1]).z
+    cx, cy = config.resolve_principal_point(mask.membership.shape)
+    sub_config = replace(config, principal_point=(cx - j0, cy - i0))
 
     st = MaskStencil(sub_mask.membership)
     threshold = params.convergence_rel * target_volume
-    prev = np.array(hf.z)
     history: list[tuple[int, float]] = []
     converged = False
     delta = math.inf
     iterations = 0
     for t in range(params.max_iters):
-        hf = tension_step(hf, params, sub_config, pin_boundary=True, stencil=st)
-        hf = gravity_step(hf, params, sub_config)
-        hf = volume_step(hf, target_volume)
+        prev = z
+        z = tension_step(z, st, params, sub_config)
+        z = gravity_step(z, st.mask, params, sub_config)
+        z = volume_step(z, st.mask, target_volume)
         iterations = t + 1
-        delta = float(np.abs(hf.z - prev).sum())
-        prev = np.array(hf.z)
+        delta = float(np.abs(z - prev).sum())
         if energy_every and (t % energy_every == 0):
-            history.append((iterations, energy_of(hf, sub_config)[2]))
+            history.append((iterations, energy_of(HeightField(sub_mask, z), sub_config)[2]))
         if delta < threshold:
             converged = True
             break
 
-    e_t, e_g, e = energy_of(hf, sub_config)
+    e_t, e_g, e = energy_of(HeightField(sub_mask, z), sub_config)
     history.append((iterations, e))
     full = np.zeros(mask.membership.shape)
-    full[i0:i1, j0:j1] = hf.z
+    full[i0:i1, j0:j1] = z
     report = SolveReport(iterations, e_t, e_g, e, delta, converged, tuple(history))
     return HeightField(mask, full), report
-
-
-def _cropped_config(config: OpticalConfig, shape: tuple[int, int],
-                    origin: tuple[int, int]) -> OpticalConfig:
-    """Config whose principal point refers to a cropped grid."""
-    cx, cy = config.resolve_principal_point(shape)
-    return OpticalConfig(
-        n_air=config.n_air, n_water=config.n_water, camera_z=config.camera_z,
-        gravity_cosines=config.gravity_cosines, tension_weight=config.tension_weight,
-        gravity_weight=config.gravity_weight, pixel_pitch=config.pixel_pitch,
-        principal_point=(cx - origin[1], cy - origin[0]),
-        band_halfwidth=config.band_halfwidth,
-    )

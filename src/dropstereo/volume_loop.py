@@ -15,9 +15,31 @@ import numpy as np
 
 from .core import DropMask, HeightField, MaskStencil, OpticalConfig, RasterGray
 from .errors import DomainError, RingTooSmall
-from .formats import VolumeLoopParams
 from .optics import critical_normal_z_field, normal_z_field
 from .solver import SolveReport, SolverParams, init_mesh, solve_fixed_volume
+
+
+@dataclass(frozen=True)
+class VolumeLoopParams:
+    """Knobs of the varying-volume outer loop."""
+
+    tau_r: float = 0.5
+    inner_iters_per_update: int = 400
+    max_outer_updates: int = 10
+    alpha_init: float = 0.30
+    rel_volume_tol: float = 1e-3
+    alpha_min: float = 0.05
+    alpha_max: float = 0.60
+    min_ring_pixels: int = 8
+
+    def __post_init__(self):
+        for name in ("tau_r", "inner_iters_per_update", "max_outer_updates",
+                     "alpha_init", "rel_volume_tol", "alpha_min", "alpha_max"):
+            if getattr(self, name) <= 0:
+                raise DomainError(f"{name} must be positive")
+        if not (self.alpha_min <= self.alpha_init <= self.alpha_max):
+            raise DomainError(
+                f"alpha_init {self.alpha_init} outside [{self.alpha_min}, {self.alpha_max}]")
 
 
 def band_ring(hf: HeightField, config: OpticalConfig) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 
 from dropstereo import DomainError, DropMask, HeightField, OpticalConfig, RasterGray, Vec3
 from dropstereo.core import divergence, gradient, mask_centroid, normal_field, surface_normal
-from dropstereo.masks import disk_mask
+from dropstereo.masks import blob_mask, disk_mask
 
 
 def square_mask(n=10, pad=2):
@@ -41,6 +41,28 @@ def test_raster_clamps_to_unit_interval():
     assert r.width == 2 and r.height == 2
 
 
+def test_splat_bilinear_matches_add_at_reference():
+    # oracle: the four corner passes accumulated with np.add.at, in order
+    from dropstereo.core import splat_bilinear
+
+    rng = np.random.default_rng(5)
+    h, w = 12, 9
+    rows = rng.uniform(-0.5, 7.5, 400)  # rows 9..11 get no weight
+    cols = rng.uniform(-0.5, w - 0.5, 400)  # some samples clip at the edges
+    vals = rng.uniform(0.0, 1.0, 400)
+    acc, wgt = np.zeros((h, w)), np.zeros((h, w))
+    r0, c0 = np.floor(rows).astype(int), np.floor(cols).astype(int)
+    fr, fc = rows - r0, cols - c0
+    for dr, dc, wq in ((0, 0, (1 - fr) * (1 - fc)), (0, 1, (1 - fr) * fc),
+                       (1, 0, fr * (1 - fc)), (1, 1, fr * fc)):
+        rr, cc = np.clip(r0 + dr, 0, h - 1), np.clip(c0 + dc, 0, w - 1)
+        np.add.at(acc, (rr, cc), wq * vals)
+        np.add.at(wgt, (rr, cc), wq)
+    raster, valid = splat_bilinear(rows, cols, vals, (h, w))
+    assert np.array_equal(valid, wgt > 1e-9) and not valid.all()
+    assert np.array_equal(raster, np.where(valid, acc / np.where(valid, wgt, 1.0), 0.0))
+
+
 def test_mask_area_counts_members():
     m = square_mask(10)
     assert m.area == 100
@@ -67,6 +89,24 @@ def test_mask_boundary_plus_interior_partition():
     b, i = m.boundary(), m.interior()
     assert not (b & i).any()
     assert ((b | i) == m.membership).all()
+
+
+def _edge_mask():
+    grid = np.zeros((9, 11), dtype=bool)
+    grid[0:6, 3:11] = True  # touches the top and right grid edges
+    grid[6:9, 5:8] = True  # and the bottom edge
+    return DropMask(grid)
+
+
+@pytest.mark.parametrize("make", [lambda: disk_mask(8), lambda: blob_mask(15, seed=4),
+                                  _edge_mask, lambda: DropMask(np.ones((4, 5), dtype=bool))],
+                         ids=["disk", "blob", "edge", "full_grid"])
+def test_stencil_interior_matches_mask_interior(make):
+    from dropstereo.core import MaskStencil
+
+    m = make()
+    assert m.interior().any() or m.membership.all()
+    assert np.array_equal(MaskStencil(m.membership).interior, m.interior())
 
 
 def test_height_field_zeroes_non_members_and_rejects_negatives():

@@ -118,21 +118,22 @@ def test_tension_step_matches_independent_stencil_and_pulls_rim_down():
     cfg = OpticalConfig()
     z = np.where(m.interior(), 2.0, 0.0)  # flat interior, pinned zero rim
     hf = HeightField(m, z)
-    stepped = tension_step(hf, params(), cfg)
+    stepped = tension_step(hf.z, MaskStencil(m.membership), params(), cfg)
     expected = _tension_oracle(z, m, 0.5, 1.0)
-    assert np.abs(stepped.z - expected).max() <= 1e-12
+    assert np.abs(stepped - expected).max() <= 1e-12
     ring = m.interior() & ~DropMask(m.interior()).interior()
-    assert (stepped.z[ring] < 2.0).all()  # curvature flow pulls the rim down
+    assert (stepped[ring] < 2.0).all()  # curvature flow pulls the rim down
     center = m.membership.shape[0] // 2
-    assert stepped.z[center, center] == pytest.approx(2.0)
+    assert stepped[center, center] == pytest.approx(2.0)
 
 
 def test_tension_step_planar_patch_free_boundary_fixed_point():
     m = square_mask(9)
     ii, jj = np.mgrid[0 : m.height, 0 : m.width]
     hf = HeightField(m, np.where(m.membership, 1.0 + 0.3 * jj, 0.0))
-    stepped = tension_step(hf, params(), OpticalConfig(), pin_boundary=False)
-    assert np.abs(stepped.z - hf.z).max() <= 1e-9
+    stepped = tension_step(hf.z, MaskStencil(m.membership), params(), OpticalConfig(),
+                           pin_boundary=False)
+    assert np.abs(stepped - hf.z).max() <= 1e-9
 
 
 def test_tension_descends_energy_from_pinned_cylinder():
@@ -141,9 +142,10 @@ def test_tension_descends_energy_from_pinned_cylinder():
     # contact line
     m = disk_mask(12)
     cfg = OpticalConfig()
+    st = MaskStencil(m.membership)
     hf0 = init_mesh(m, 0.30)
-    hf1 = tension_step(hf0, params(), cfg)  # pins the rim
-    hf2 = tension_step(hf1, params(), cfg)
+    hf1 = HeightField(m, tension_step(hf0.z, st, params(), cfg))  # pins the rim
+    hf2 = HeightField(m, tension_step(hf1.z, st, params(), cfg))
     e1 = energy_of(hf1, cfg)[0]
     e2 = energy_of(hf2, cfg)[0]
     assert e2 < e1
@@ -155,8 +157,8 @@ def test_tension_descends_energy_from_pinned_cylinder():
 def test_gravity_along_axis_is_identity():
     m = disk_mask(6)
     hf = init_mesh(m, 0.2)
-    out = gravity_step(hf, params(), OpticalConfig())
-    assert (out.z == hf.z).all()
+    out = gravity_step(hf.z, m.membership, params(), OpticalConfig())
+    assert (out == hf.z).all()
 
 
 def test_gravity_antisymmetric_about_centroid():
@@ -164,8 +166,8 @@ def test_gravity_antisymmetric_about_centroid():
     # unit height keeps the height-weighted centroid at the geometric center
     hf = HeightField(m, np.ones(m.membership.shape))
     cfg = OpticalConfig(gravity_cosines=(1.0, 0.0, 0.0), gravity_weight=1e-3)
-    out = gravity_step(hf, params(), cfg)
-    delta = out.z - hf.z
+    out = gravity_step(hf.z, m.membership, params(), cfg)
+    delta = out - hf.z
     xg = 5.0
     cols = np.arange(11)
     gained = delta[5, cols > xg]
@@ -180,7 +182,7 @@ def test_gravity_step_matches_manual_five_by_five():
     hf = HeightField(m, z)
     tau, g_w = 0.5, 1e-2
     cfg = OpticalConfig(gravity_cosines=(0.6, 0.8, 0.0), gravity_weight=g_w)
-    out = gravity_step(hf, params(tau=tau), cfg)
+    out = gravity_step(hf.z, m.membership, params(tau=tau), cfg)
     # oracle: evaluate the update by hand, term by term
     b = 25
     x_g = sum(z[i, j] * j for i in range(5) for j in range(5)) / b
@@ -188,7 +190,7 @@ def test_gravity_step_matches_manual_five_by_five():
     for i in range(5):
         for j in range(5):
             expect = max(z[i, j] - tau * g_w * ((y_g - i) * 0.8 + (x_g - j) * 0.6), 0.0)
-            assert out.z[i, j] == pytest.approx(expect, abs=1e-15)
+            assert out[i, j] == pytest.approx(expect, abs=1e-15)
 
 
 def test_gravity_tilts_symmetric_dome_downhill():
@@ -198,7 +200,8 @@ def test_gravity_tilts_symmetric_dome_downhill():
     dome = np.where(m.membership, np.maximum(100.0 - (ii - c) ** 2 - (jj - c) ** 2, 0.0) / 25.0, 0.0)
     hf = HeightField(m, dome)
     cfg = OpticalConfig(gravity_cosines=(0.5, 0.0, np.sqrt(0.75)), gravity_weight=1e-3)
-    out = volume_step(gravity_step(hf, params(), cfg), volume_of(hf))
+    out = HeightField(m, volume_step(gravity_step(hf.z, m.membership, params(), cfg),
+                                     m.membership, volume_of(hf)))
 
     def mass_centroid_x(f):
         iis, jjs = np.nonzero(f.mask.membership)
@@ -213,15 +216,15 @@ def test_gravity_tilts_symmetric_dome_downhill():
 def test_volume_step_uniform_shift():
     m = square_mask(10, pad=0)
     hf = HeightField(m, np.where(m.membership, 2.5, 0.0))  # sum 250
-    out = volume_step(hf, 300.0)
-    assert out.z[m.membership] == pytest.approx(3.0)
+    out = volume_step(hf.z, m.membership, 300.0)
+    assert out[m.membership] == pytest.approx(3.0)
 
 
 def test_volume_step_noop_at_target():
     m = square_mask(10, pad=0)
     hf = HeightField(m, np.where(m.membership, 3.0, 0.0))
-    out = volume_step(hf, 300.0)
-    assert np.abs(out.z - hf.z).max() == 0.0
+    out = volume_step(hf.z, m.membership, 300.0)
+    assert np.abs(out - hf.z).max() == 0.0
 
 
 def test_volume_step_restores_after_tension_and_gravity():
@@ -229,9 +232,9 @@ def test_volume_step_restores_after_tension_and_gravity():
     cfg = OpticalConfig(gravity_cosines=(0.3, 0.0, np.sqrt(0.91)), gravity_weight=1e-3)
     target = initial_volume(m, 0.3)
     hf = init_mesh(m, 0.3)
-    hf = tension_step(hf, params(), cfg)
-    hf = gravity_step(hf, params(), cfg)
-    out = volume_step(hf, target)
+    z = tension_step(hf.z, MaskStencil(m.membership), params(), cfg)
+    z = gravity_step(z, m.membership, params(), cfg)
+    out = HeightField(m, volume_step(z, m.membership, target))
     assert volume_of(out) == pytest.approx(target, rel=1e-9)
 
 
@@ -240,9 +243,9 @@ def test_volume_step_clamps_negative_heights():
     z = np.where(m.membership, 0.05, 0.0)
     z[0, 0] = 3.0
     hf = HeightField(m, z)
-    out = volume_step(hf, 1.0)  # shift is strongly negative
-    assert out.z.min() >= 0.0
-    assert volume_of(out) == pytest.approx(1.0, rel=1e-9)
+    out = volume_step(hf.z, m.membership, 1.0)  # shift is strongly negative
+    assert out.min() >= 0.0
+    assert volume_of(HeightField(m, out)) == pytest.approx(1.0, rel=1e-9)
 
 
 # --- energies -----------------------------------------------------------------
@@ -344,6 +347,26 @@ def test_solve_symmetric_mask_gives_symmetric_surface(config):
     hf, _ = solve_fixed_volume(m, initial_volume(m, 0.25), params(max_iters=1500), config)
     assert np.abs(hf.z - hf.z[:, ::-1]).max() <= 1e-6
     assert np.abs(hf.z - hf.z[::-1, :]).max() <= 1e-6
+
+
+@pytest.mark.parametrize("gravity", [(0.0, 0.0, 1.0), (0.3, 0.4, np.sqrt(0.75))],
+                         ids=["default", "in_plane"])
+def test_solve_equals_manual_sweeps(gravity):
+    # a one-pixel margin makes the solver's bounding-box crop the whole grid,
+    # so the manual sweeps see the same pixel coordinates
+    m = DropMask(disk_mask(12).membership[1:-1, 1:-1])
+    cfg = OpticalConfig(gravity_cosines=gravity, gravity_weight=1e-3)
+    target = initial_volume(m, 0.3)
+    n = 25
+    hf, report = solve_fixed_volume(m, target, params(max_iters=n), cfg)
+    st = MaskStencil(m.membership)
+    z = init_mesh(m, target / m.area**1.5).z
+    for _ in range(n):
+        z = tension_step(z, st, params(), cfg)
+        z = gravity_step(z, m.membership, params(), cfg)
+        z = volume_step(z, m.membership, target)
+    assert report.iterations_run == n
+    assert np.array_equal(hf.z, z)
 
 
 def test_solve_rejects_bad_inputs(config):
