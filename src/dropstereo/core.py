@@ -235,8 +235,6 @@ class MaskStencil:
         self.has_xp = _shifted(m, 0, 1) & m
         self.has_ym = _shifted(m, -1, 0) & m  # member with member at i-1
         self.has_yp = _shifted(m, 1, 0) & m
-        # members whose four neighbors are all members: DropMask.interior()
-        self.interior = self.has_xm & self.has_xp & self.has_ym & self.has_yp
 
     def diff_x(self, a: np.ndarray) -> np.ndarray:
         ap = _shifted(a, 0, 1)

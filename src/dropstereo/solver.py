@@ -99,20 +99,21 @@ def _checked(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
-def tension_step(z: np.ndarray, stencil: MaskStencil, params: SolverParams,
-                 config: OpticalConfig, pin_boundary: bool = True) -> np.ndarray:
+def tension_step(z: np.ndarray, stencil: MaskStencil, ring: np.ndarray | None,
+                 params: SolverParams, config: OpticalConfig) -> np.ndarray:
     """One explicit curvature-flow step descending the tension energy.
 
-    ``z`` holds heights on the stencil's mask grid.  With ``pin_boundary``
-    the mask boundary ring is held at zero (the fixed contact line) and only
-    interior pixels move; the free-boundary mode updates every mask pixel and
-    leaves a minimal surface unchanged.  Heights outside the mask stay put.
+    ``z`` holds heights on the stencil's mask grid.  ``ring``, the mask
+    boundary from ``DropMask.boundary()``, is held at zero (the fixed contact
+    line) and only the pixels inside it move; with ``ring=None`` (free
+    boundary) every mask pixel moves and a minimal surface stays unchanged.
+    Heights outside the mask stay put.
     """
-    if pin_boundary:
-        movable = stencil.interior
-        z = np.where(stencil.mask & ~movable, 0.0, z)
-    else:
+    if ring is None:
         movable = stencil.mask
+    else:
+        movable = stencil.mask & ~ring
+        z = np.where(ring, 0.0, z)
     gx = stencil.diff_x(z)
     gy = stencil.diff_y(z)
     denom = np.sqrt(1.0 + gx * gx + gy * gy)
@@ -144,20 +145,19 @@ def volume_step(z: np.ndarray, mask: np.ndarray, target_volume: float) -> np.nda
     once; a multiplicative rescale guards the rare case where that still
     leaves negatives.
     """
-    m = mask
-    b = np.count_nonzero(m)
+    b = np.count_nonzero(mask)
     if b == 0:
         raise DomainError("cannot adjust volume on an empty mask")
     z = np.array(z)
-    z[m] += (target_volume - z[m].sum()) / b
-    if z[m].min() < 0.0:
-        z[m] = np.maximum(z[m], 0.0)
-        z[m] += (target_volume - z[m].sum()) / b
-        if z[m].min() < 0.0:
-            z[m] = np.maximum(z[m], 0.0)
-            total = z[m].sum()
+    z[mask] += (target_volume - z[mask].sum()) / b
+    if z[mask].min() < 0.0:
+        z[mask] = np.maximum(z[mask], 0.0)
+        z[mask] += (target_volume - z[mask].sum()) / b
+        if z[mask].min() < 0.0:
+            z[mask] = np.maximum(z[mask], 0.0)
+            total = z[mask].sum()
             if total > 0.0:
-                z[m] *= target_volume / total
+                z[mask] *= target_volume / total
     return _checked(z)
 
 
@@ -184,6 +184,7 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     sub_config = replace(config, principal_point=(cx - j0, cy - i0))
 
     st = MaskStencil(sub_mask.membership)
+    ring = sub_mask.boundary()
     threshold = params.convergence_rel * target_volume
     history: list[tuple[int, float]] = []
     converged = False
@@ -191,7 +192,7 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     iterations = 0
     for t in range(params.max_iters):
         prev = z
-        z = tension_step(z, st, params, sub_config)
+        z = tension_step(z, st, ring, params, sub_config)
         z = gravity_step(z, st.mask, params, sub_config)
         z = volume_step(z, st.mask, target_volume)
         iterations = t + 1

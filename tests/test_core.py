@@ -3,7 +3,7 @@ import pytest
 
 from dropstereo import DomainError, DropMask, HeightField, OpticalConfig, RasterGray, Vec3
 from dropstereo.core import divergence, gradient, mask_centroid, normal_field, surface_normal
-from dropstereo.masks import blob_mask, disk_mask
+from dropstereo.masks import disk_mask
 
 
 def square_mask(n=10, pad=2):
@@ -89,24 +89,6 @@ def test_mask_boundary_plus_interior_partition():
     b, i = m.boundary(), m.interior()
     assert not (b & i).any()
     assert ((b | i) == m.membership).all()
-
-
-def _edge_mask():
-    grid = np.zeros((9, 11), dtype=bool)
-    grid[0:6, 3:11] = True  # touches the top and right grid edges
-    grid[6:9, 5:8] = True  # and the bottom edge
-    return DropMask(grid)
-
-
-@pytest.mark.parametrize("make", [lambda: disk_mask(8), lambda: blob_mask(15, seed=4),
-                                  _edge_mask, lambda: DropMask(np.ones((4, 5), dtype=bool))],
-                         ids=["disk", "blob", "edge", "full_grid"])
-def test_stencil_interior_matches_mask_interior(make):
-    from dropstereo.core import MaskStencil
-
-    m = make()
-    assert m.interior().any() or m.membership.all()
-    assert np.array_equal(MaskStencil(m.membership).interior, m.interior())
 
 
 def test_height_field_zeroes_non_members_and_rejects_negatives():

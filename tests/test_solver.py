@@ -118,7 +118,7 @@ def test_tension_step_matches_independent_stencil_and_pulls_rim_down():
     cfg = OpticalConfig()
     z = np.where(m.interior(), 2.0, 0.0)  # flat interior, pinned zero rim
     hf = HeightField(m, z)
-    stepped = tension_step(hf.z, MaskStencil(m.membership), params(), cfg)
+    stepped = tension_step(hf.z, MaskStencil(m.membership), m.boundary(), params(), cfg)
     expected = _tension_oracle(z, m, 0.5, 1.0)
     assert np.abs(stepped - expected).max() <= 1e-12
     ring = m.interior() & ~DropMask(m.interior()).interior()
@@ -131,8 +131,7 @@ def test_tension_step_planar_patch_free_boundary_fixed_point():
     m = square_mask(9)
     ii, jj = np.mgrid[0 : m.height, 0 : m.width]
     hf = HeightField(m, np.where(m.membership, 1.0 + 0.3 * jj, 0.0))
-    stepped = tension_step(hf.z, MaskStencil(m.membership), params(), OpticalConfig(),
-                           pin_boundary=False)
+    stepped = tension_step(hf.z, MaskStencil(m.membership), None, params(), OpticalConfig())
     assert np.abs(stepped - hf.z).max() <= 1e-9
 
 
@@ -144,8 +143,8 @@ def test_tension_descends_energy_from_pinned_cylinder():
     cfg = OpticalConfig()
     st = MaskStencil(m.membership)
     hf0 = init_mesh(m, 0.30)
-    hf1 = HeightField(m, tension_step(hf0.z, st, params(), cfg))  # pins the rim
-    hf2 = HeightField(m, tension_step(hf1.z, st, params(), cfg))
+    hf1 = HeightField(m, tension_step(hf0.z, st, m.boundary(), params(), cfg))  # pins the rim
+    hf2 = HeightField(m, tension_step(hf1.z, st, m.boundary(), params(), cfg))
     e1 = energy_of(hf1, cfg)[0]
     e2 = energy_of(hf2, cfg)[0]
     assert e2 < e1
@@ -232,7 +231,7 @@ def test_volume_step_restores_after_tension_and_gravity():
     cfg = OpticalConfig(gravity_cosines=(0.3, 0.0, np.sqrt(0.91)), gravity_weight=1e-3)
     target = initial_volume(m, 0.3)
     hf = init_mesh(m, 0.3)
-    z = tension_step(hf.z, MaskStencil(m.membership), params(), cfg)
+    z = tension_step(hf.z, MaskStencil(m.membership), m.boundary(), params(), cfg)
     z = gravity_step(z, m.membership, params(), cfg)
     out = HeightField(m, volume_step(z, m.membership, target))
     assert volume_of(out) == pytest.approx(target, rel=1e-9)
@@ -362,7 +361,7 @@ def test_solve_equals_manual_sweeps(gravity):
     st = MaskStencil(m.membership)
     z = init_mesh(m, target / m.area**1.5).z
     for _ in range(n):
-        z = tension_step(z, st, params(), cfg)
+        z = tension_step(z, st, m.boundary(), params(), cfg)
         z = gravity_step(z, m.membership, params(), cfg)
         z = volume_step(z, m.membership, target)
     assert report.iterations_run == n
