@@ -20,7 +20,7 @@ from .raytrace import render_depth_truth, render_synthetic
 from .rectify import rectify_drop
 from .scenes import read_scene
 from .solver import solve_fixed_volume
-from .stereo import BlockMatchParams, Correspondence, depth_from_drops
+from .stereo import Correspondence, depth_from_drops
 from .volume_loop import estimate_shape
 
 log = logging.getLogger("dropstereo")
@@ -147,8 +147,7 @@ def cmd_stereo(args) -> int:
         corr = [Correspondence(da, db, (ia, ja), (ib, jb), s)
                 for da, ia, ja, db, ib, jb, s
                 in formats.read_correspondences(args.correspondences)]
-    result = depth_from_drops(image, fields, cfg.optics, correspondences=corr,
-                              match_params=BlockMatchParams())
+    result = depth_from_drops(image, fields, cfg.optics, correspondences=corr)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for k, dm in enumerate(result.depth_maps):

@@ -226,7 +226,11 @@ def _shifted(a: np.ndarray, di: int, dj: int) -> np.ndarray:
 
 
 class MaskStencil:
-    """Precomputed neighbor availability for repeated masked differencing."""
+    """Precomputed neighbor availability for repeated masked differencing.
+
+    Every ``has_*`` mask lies inside the mask, so the differences are zero
+    outside it.
+    """
 
     def __init__(self, mask: np.ndarray):
         m = np.asarray(mask, dtype=bool)
@@ -235,24 +239,22 @@ class MaskStencil:
         self.has_xp = _shifted(m, 0, 1) & m
         self.has_ym = _shifted(m, -1, 0) & m  # member with member at i-1
         self.has_yp = _shifted(m, 1, 0) & m
+        self.both_x = self.has_xm & self.has_xp
+        self.both_y = self.has_ym & self.has_yp
 
     def diff_x(self, a: np.ndarray) -> np.ndarray:
         ap = _shifted(a, 0, 1)
         am = _shifted(a, 0, -1)
-        both = self.has_xm & self.has_xp
-        d = np.where(both, 0.5 * (ap - am),
-                     np.where(self.has_xp, ap - a,
-                              np.where(self.has_xm, a - am, 0.0)))
-        return np.where(self.mask, d, 0.0)
+        return np.where(self.both_x, 0.5 * (ap - am),
+                        np.where(self.has_xp, ap - a,
+                                 np.where(self.has_xm, a - am, 0.0)))
 
     def diff_y(self, a: np.ndarray) -> np.ndarray:
         ap = _shifted(a, 1, 0)
         am = _shifted(a, -1, 0)
-        both = self.has_ym & self.has_yp
-        d = np.where(both, 0.5 * (ap - am),
-                     np.where(self.has_yp, ap - a,
-                              np.where(self.has_ym, a - am, 0.0)))
-        return np.where(self.mask, d, 0.0)
+        return np.where(self.both_y, 0.5 * (ap - am),
+                        np.where(self.has_yp, ap - a,
+                                 np.where(self.has_ym, a - am, 0.0)))
 
 
 def gradient(hf: HeightField, stencil: MaskStencil | None = None) -> tuple[np.ndarray, np.ndarray]:

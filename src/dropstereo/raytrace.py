@@ -177,9 +177,8 @@ def angular_project(ray: Ray) -> tuple[float, float]:
     return ray.direction.x / ray.direction.z, ray.direction.y / ray.direction.z
 
 
-def uv_field(hf: HeightField, config: OpticalConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pixel angular coordinates (u, v) plus validity for a whole drop."""
-    tf = trace_field(hf, config)
+def uv_field(tf: TraceField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-pixel angular coordinates (u, v) plus validity of a traced drop."""
     with np.errstate(divide="ignore", invalid="ignore"):
         u = tf.directions[..., 0] / tf.directions[..., 2]
         v = tf.directions[..., 1] / tf.directions[..., 2]
@@ -216,21 +215,21 @@ class DewarpedImage:
         return self.u0 + pu * self.du, self.v0 + pv * self.dv
 
 
-def dewarp_image(image: RasterGray, hf: HeightField, config: OpticalConfig,
-                 out_resolution: int = 256,
+def dewarp_image(image: RasterGray, tf: TraceField, out_resolution: int = 256,
                  uv_bounds: tuple[float, float, float, float] | None = None) -> DewarpedImage:
-    """Resample drop pixels onto a regular (u, v) grid by bilinear splatting.
+    """Resample the pixels of a traced drop onto a regular (u, v) grid by
+    bilinear splatting.
 
     ``uv_bounds`` (u_min, u_max, v_min, v_max) must be shared by all drops
     that will be matched against each other; by default robust per-drop
     bounds are taken at the 2nd/98th percentiles to keep near-band grazing
     directions from dominating the grid.
     """
-    if image.pixels.shape != hf.mask.membership.shape:
-        raise DomainError("image and height field must share the pixel grid")
+    if image.pixels.shape != tf.valid.shape:
+        raise DomainError("image and traced drop must share the pixel grid")
     if out_resolution < 8:
         raise DomainError("output resolution must be at least 8")
-    u, v, valid = uv_field(hf, config)
+    u, v, valid = uv_field(tf)
     ii, jj = np.nonzero(valid)
     if ii.size == 0:
         raise EmptyOutput("no valid (non-dark, forward-going) drop pixels to dewarp")

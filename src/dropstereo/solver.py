@@ -17,6 +17,9 @@ import numpy as np
 from .core import DropMask, HeightField, MaskStencil, OpticalConfig, _centroid
 from .errors import DomainError, SolverDiverged
 
+# sweeps between the energy samples of a solve's history
+_ENERGY_EVERY = 50
+
 
 @dataclass(frozen=True)
 class SolverParams:
@@ -162,8 +165,8 @@ def volume_step(z: np.ndarray, mask: np.ndarray, target_volume: float) -> np.nda
 
 
 def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParams,
-                       config: OpticalConfig, init: HeightField | None = None,
-                       energy_every: int = 50) -> tuple[HeightField, SolveReport]:
+                       config: OpticalConfig, init: HeightField | None = None
+                       ) -> tuple[HeightField, SolveReport]:
     """Iterate tension/gravity/volume sweeps until the per-sweep absolute
     height change drops below convergence_rel * V or max_iters is reached."""
     if target_volume <= 0.0:
@@ -197,7 +200,7 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
         z = volume_step(z, st.mask, target_volume)
         iterations = t + 1
         delta = float(np.abs(z - prev).sum())
-        if energy_every and (t % energy_every == 0):
+        if t % _ENERGY_EVERY == 0:
             history.append((iterations, energy_of(HeightField(sub_mask, z), sub_config)[2]))
         if delta < threshold:
             converged = True

@@ -5,14 +5,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import HeightField, OpticalConfig, RasterGray, Vec3
 from .errors import DegenerateGeometry, DomainError, InsufficientMatches
-from .raytrace import DewarpedImage, Ray, dewarp_image, trace_field, uv_field
+from .raytrace import DewarpedImage, Ray, TraceField, dewarp_image, trace_field, uv_field
 
 _COND_LIMIT = 1e8
+# residuals above this multiple of the median mark a point invalid
+_OUTLIER_FACTOR = 3.0
 
 
 @dataclass(frozen=True)
@@ -69,27 +72,29 @@ class DepthResult:
 # ---------------------------------------------------------------------------
 
 
-def _zncc_scores(patch: np.ndarray, region: np.ndarray, region_ok: np.ndarray) -> np.ndarray:
-    """ZNCC of one template against every window of a search region.
+class _Windows(NamedTuple):
+    """One image's ZNCC windows with the statistics every template shares
+    (Lewis 1995): a template's scores then need only its cross term.
 
-    ``region_ok`` marks usable region pixels; windows touching an unusable
-    pixel score -inf.
+    The image is zero-padded by ``pad`` on each side so every search region
+    lies inside it; windows touching padding or an unusable pixel, or with
+    no variance, are not ``usable``.
     """
-    w = patch.shape[0]
-    pz = patch - patch.mean()
-    pn = np.sqrt((pz * pz).sum())
-    wins = np.lib.stride_tricks.sliding_window_view(region, (w, w))
-    ok = np.lib.stride_tricks.sliding_window_view(region_ok, (w, w)).all(axis=(2, 3))
-    if pn < 1e-12:
-        return np.full(wins.shape[:2], -np.inf)
-    sums = wins.sum(axis=(2, 3))
-    sumsq = (wins * wins).sum(axis=(2, 3))
-    cross = np.tensordot(wins, pz, axes=([2, 3], [0, 1]))
-    var = sumsq - sums * sums / (w * w)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        score = cross / (pn * np.sqrt(np.maximum(var, 0.0)))
-    score = np.where((var > 1e-12) & ok, score, -np.inf)
-    return score
+
+    pad: int
+    windows: np.ndarray  # (H', W', w, w) view of the padded image
+    norm: np.ndarray     # root of each window's centred sum of squares
+    usable: np.ndarray   # (H', W') bool
+
+
+def _window_stats(img: np.ndarray, ok: np.ndarray, w: int, pad: int) -> _Windows:
+    view = np.lib.stride_tricks.sliding_window_view
+    padded = np.pad(img, pad)
+    windows = view(padded, (w, w))
+    sums = windows.sum(axis=(2, 3))
+    var = view(padded * padded, (w, w)).sum(axis=(2, 3)) - sums * sums / (w * w)
+    full = view(np.pad(ok, pad), (w, w)).all(axis=(2, 3))
+    return _Windows(pad, windows, np.sqrt(np.maximum(var, 0.0)), full & (var > 1e-12))
 
 
 def _subpixel(score: np.ndarray, r: int, c: int) -> tuple[float, float]:
@@ -138,32 +143,28 @@ def _global_shift(img_a: np.ndarray, ok_a: np.ndarray, img_b: np.ndarray,
     return dr, dc
 
 
-def _best_match(img_a: np.ndarray, ok_a: np.ndarray, img_b: np.ndarray, ok_b: np.ndarray,
-                ra: int, ca: int, params: BlockMatchParams,
-                prior: tuple[int, int] = (0, 0)) -> tuple[float, float, float] | None:
+def _best_match(img_a: np.ndarray, ok_a: np.ndarray, b: _Windows, ra: int, ca: int,
+                params: BlockMatchParams, prior: tuple[int, int]
+                ) -> tuple[float, float, float] | None:
     """Best sub-pixel position in b for the window of a at (ra, ca), searched
     around (ra, ca) + prior."""
     hw = params.window // 2
     rad = params.search_radius
-    h, w = img_b.shape
     if not ok_a[ra - hw : ra + hw + 1, ca - hw : ca + hw + 1].all():
         return None
     patch = img_a[ra - hw : ra + hw + 1, ca - hw : ca + hw + 1]
+    pz = patch - patch.mean()
+    pn = np.sqrt((pz * pz).sum())
+    if pn < 1e-12:
+        return None
     rc, cc = ra + prior[0], ca + prior[1]
-    r0, r1 = rc - rad - hw, rc + rad + hw + 1
-    c0, c1 = cc - rad - hw, cc + rad + hw + 1
-    if r0 < 0 or c0 < 0 or r1 > h or c1 > w:
-        pad_r0, pad_c0 = max(-r0, 0), max(-c0, 0)
-        region = np.zeros((r1 - r0, c1 - c0))
-        region_ok = np.zeros((r1 - r0, c1 - c0), dtype=bool)
-        rr0, cc0 = max(r0, 0), max(c0, 0)
-        rr1, cc1 = min(r1, h), min(c1, w)
-        region[pad_r0 : pad_r0 + rr1 - rr0, pad_c0 : pad_c0 + cc1 - cc0] = img_b[rr0:rr1, cc0:cc1]
-        region_ok[pad_r0 : pad_r0 + rr1 - rr0, pad_c0 : pad_c0 + cc1 - cc0] = ok_b[rr0:rr1, cc0:cc1]
-    else:
-        region = img_b[r0:r1, c0:c1]
-        region_ok = ok_b[r0:r1, c0:c1]
-    score = _zncc_scores(patch, region, region_ok)
+    # padded-image windows whose centres lie within rad of (rc, cc)
+    r0, c0 = rc - rad - hw + b.pad, cc - rad - hw + b.pad
+    region = np.s_[r0 : r0 + 2 * rad + 1, c0 : c0 + 2 * rad + 1]
+    cross = np.tensordot(b.windows[region], pz, axes=([2, 3], [0, 1]))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        score = cross / (pn * b.norm[region])
+    score = np.where(b.usable[region], score, -np.inf)
     best = np.unravel_index(int(np.argmax(score)), score.shape)
     s = score[best]
     if not np.isfinite(s) or s < params.zncc_min:
@@ -182,17 +183,21 @@ def match_grids(img_a: np.ndarray, ok_a: np.ndarray, img_b: np.ndarray, ok_b: np
     hw = params.window // 2
     prior = _global_shift(img_a, ok_a, img_b, ok_b)
     rprior = (-prior[0], -prior[1])
+    # enough padding that every search region lies inside the padded images
+    pad = params.search_radius + hw + max(abs(prior[0]), abs(prior[1]))
+    wins_a = _window_stats(img_a, ok_a, params.window, pad)
+    wins_b = _window_stats(img_b, ok_b, params.window, pad)
     out = []
     for ra in range(hw, img_a.shape[0] - hw, params.stride):
         for ca in range(hw, img_a.shape[1] - hw, params.stride):
-            fwd = _best_match(img_a, ok_a, img_b, ok_b, ra, ca, params, prior)
+            fwd = _best_match(img_a, ok_a, wins_b, ra, ca, params, prior)
             if fwd is None:
                 continue
             rb, cb, score = fwd
             rbi, cbi = int(round(rb)), int(round(cb))
             if not (hw <= rbi < img_b.shape[0] - hw and hw <= cbi < img_b.shape[1] - hw):
                 continue
-            back = _best_match(img_b, ok_b, img_a, ok_a, rbi, cbi, params, rprior)
+            back = _best_match(img_b, ok_b, wins_a, rbi, cbi, params, rprior)
             if back is None:
                 continue
             if abs(back[0] - ra) > params.lr_tol + abs(rb - rbi) or \
@@ -275,41 +280,31 @@ def triangulate(rays: list[Ray]) -> tuple[Vec3, float]:
 # ---------------------------------------------------------------------------
 
 
-def _as_fields(drops) -> list[HeightField]:
-    fields = []
-    for d in drops:
-        fields.append(d if isinstance(d, HeightField) else d[1])
-    return fields
-
-
-def depth_from_drops(image: RasterGray, drops, config: OpticalConfig,
+def depth_from_drops(image: RasterGray, drops: list[HeightField], config: OpticalConfig,
                      correspondences: list[Correspondence] | None = None,
-                     match_params: BlockMatchParams | None = None,
-                     out_resolution: int | None = None,
-                     outlier_factor: float = 3.0) -> DepthResult:
+                     match_params: BlockMatchParams | None = None) -> DepthResult:
     """Triangulate scene points seen through two or more drops.
 
-    Without precomputed correspondences, every drop is angular-dewarped on a
-    shared (u, v) window and drop pairs are block-matched.  The dewarp
-    resolution defaults to the drop pixel density (about one input pixel per
-    angular cell) so the matching windows stay free of splat holes.  Matched
-    warped pixels are traced back through their drops and triangulated;
-    points whose residual exceeds ``outlier_factor`` times the median are
-    flagged invalid.
+    Each drop is traced once.  Without precomputed correspondences, every
+    drop is angular-dewarped on a shared (u, v) window and drop pairs are
+    block-matched.  The dewarp resolution is the drop pixel density (about
+    one input pixel per angular cell) so the matching windows stay free of
+    splat holes.  Matched warped pixels are traced back through their drops
+    and triangulated; points whose residual exceeds ``_OUTLIER_FACTOR``
+    (3) times the median are flagged invalid.
     """
-    fields = _as_fields(drops)
-    if len(fields) < 2:
+    if len(drops) < 2:
         raise DomainError("stereo needs at least two reconstructed drops")
+    traces = [trace_field(hf, config) for hf in drops]
 
     if correspondences is None:
-        bounds = _shared_uv_bounds(fields, config)
-        if out_resolution is None:
-            densest = max(int(hf.mask.area) for hf in fields)
-            out_resolution = int(np.clip(round(math.sqrt(densest)), 48, 256))
-        views = [dewarp_image(image, hf, config, out_resolution, bounds) for hf in fields]
+        bounds = _shared_uv_bounds(traces)
+        densest = max(int(hf.mask.area) for hf in drops)
+        resolution = int(np.clip(round(math.sqrt(densest)), 48, 256))
+        views = [dewarp_image(image, tf, resolution, bounds) for tf in traces]
         correspondences = []
-        for a in range(len(fields)):
-            for b in range(a + 1, len(fields)):
+        for a in range(len(drops)):
+            for b in range(a + 1, len(drops)):
                 try:
                     correspondences.extend(
                         block_match(views[a], views[b], match_params, drop_a=a, drop_b=b))
@@ -319,7 +314,6 @@ def depth_from_drops(image: RasterGray, drops, config: OpticalConfig,
             raise InsufficientMatches(
                 f"only {len(correspondences)} correspondences across all drop pairs")
 
-    traces = [trace_field(hf, config) for hf in fields]
     points: list[Vec3] = []
     residuals: list[float] = []
     kept: list[Correspondence] = []
@@ -327,7 +321,7 @@ def depth_from_drops(image: RasterGray, drops, config: OpticalConfig,
         rays = []
         for drop_id, (pi, pj), uv in ((corr.drop_a, corr.pixel_a, corr.uv_a),
                                       (corr.drop_b, corr.pixel_b, corr.uv_b)):
-            if not 0 <= drop_id < len(fields):
+            if not 0 <= drop_id < len(drops):
                 raise DomainError(f"correspondence names unknown drop {drop_id}")
             tf = traces[drop_id]
             i, j = int(round(pi)), int(round(pj))
@@ -358,10 +352,10 @@ def depth_from_drops(image: RasterGray, drops, config: OpticalConfig,
 
     res = np.array(residuals)
     med = float(np.median(res))
-    valid = res <= outlier_factor * med if med > 0 else np.ones(res.size, dtype=bool)
+    valid = res <= _OUTLIER_FACTOR * med if med > 0 else np.ones(res.size, dtype=bool)
 
-    shape = fields[0].mask.membership.shape
-    depth_maps = [np.full(shape, np.nan) for _ in fields]
+    shape = drops[0].mask.membership.shape
+    depth_maps = [np.full(shape, np.nan) for _ in drops]
     for corr, p, ok in zip(kept, points, valid):
         if not ok:
             continue
@@ -371,12 +365,11 @@ def depth_from_drops(image: RasterGray, drops, config: OpticalConfig,
     return DepthResult(tuple(points), res, valid, tuple(depth_maps), tuple(kept))
 
 
-def _shared_uv_bounds(fields: list[HeightField], config: OpticalConfig
-                      ) -> tuple[float, float, float, float]:
+def _shared_uv_bounds(traces: list[TraceField]) -> tuple[float, float, float, float]:
     """Robust angular window covering every drop's forward map."""
     u_lo, u_hi, v_lo, v_hi = [], [], [], []
-    for hf in fields:
-        u, v, valid = uv_field(hf, config)
+    for tf in traces:
+        u, v, valid = uv_field(tf)
         if not valid.any():
             raise DomainError("a drop has no valid transmitted pixels")
         uu, vv = u[valid], v[valid]

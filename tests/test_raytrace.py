@@ -211,7 +211,7 @@ def test_dewarp_straightens_edge(single_drop_render, config):
     i0, i1, j0, j1 = mask.bbox()
     warped_dev = edge_deviation(img.pixels[i0:i1, j0:j1],
                                 mask.membership[i0:i1, j0:j1] & (hf.z[i0:i1, j0:j1] > 1.0))
-    dw = dewarp_image(img, hf, config, 128)
+    dw = dewarp_image(img, trace_field(hf, config), 128)
     dewarp_dev = edge_deviation(dw.raster.pixels, dw.valid)
     assert np.isfinite(warped_dev) and np.isfinite(dewarp_dev)
     assert dewarp_dev <= warped_dev / 5.0
@@ -222,7 +222,7 @@ def test_dewarp_flat_drop_map_is_affine(config):
     # plate coordinates
     m = disk_mask(30)
     hf = HeightField(m, np.zeros(m.membership.shape))
-    u, v, valid = uv_field(hf, config)
+    u, v, valid = uv_field(trace_field(hf, config))
     ii, jj = np.nonzero(valid)
     c = (m.height - 1) / 2.0
     fit = np.polyfit(jj - c, u[ii, jj], 1)
@@ -235,7 +235,7 @@ def test_dewarp_jacobian_sign_constant(cap50, config):
     # one-to-one angular map: du/dx keeps one sign over the transmitted area
     # (negative: the drop inverts its imagery like a ball lens)
     mask, hf, _ = cap50
-    u, v, valid = uv_field(hf, config)
+    u, v, valid = uv_field(trace_field(hf, config))
     inner = valid & np.roll(valid, 1, axis=1) & np.roll(valid, -1, axis=1)
     du = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / 2.0
     assert (du[inner] < 0).all()
@@ -252,7 +252,7 @@ def test_dewarp_empty_drop_rejected(config):
     img = RasterGray(np.full(m.membership.shape, 0.5))
     if not trace_field(hf, config).valid.any():
         with pytest.raises(EmptyOutput):
-            dewarp_image(img, hf, config, 64)
+            dewarp_image(img, trace_field(hf, config), 64)
 
 
 # --- renderer --------------------------------------------------------------------

@@ -6,7 +6,7 @@ from dropstereo import (DegenerateGeometry, DomainError, InsufficientMatches, Ra
                         SolverParams, Vec3, block_match, depth_from_drops, disk_mask,
                         initial_volume, render_synthetic, solve_fixed_volume, triangulate)
 from dropstereo.raytrace import Ray, ScenePlane, SceneSpec
-from dropstereo.stereo import BlockMatchParams
+from dropstereo.stereo import BlockMatchParams, _global_shift, _subpixel, match_grids
 from dropstereo.scenes import make_texture
 
 
@@ -44,6 +44,92 @@ def test_block_match_textureless_rejected():
     flat = RasterGray(np.full((64, 64), 0.5))
     with pytest.raises(InsufficientMatches):
         block_match(flat, flat)
+
+
+def _oracle_zncc_scores(patch, region, region_ok):
+    # every window of the region reduced on its own
+    w = patch.shape[0]
+    pz = patch - patch.mean()
+    pn = np.sqrt((pz * pz).sum())
+    wins = np.lib.stride_tricks.sliding_window_view(region, (w, w))
+    ok = np.lib.stride_tricks.sliding_window_view(region_ok, (w, w)).all(axis=(2, 3))
+    if pn < 1e-12:
+        return np.full(wins.shape[:2], -np.inf)
+    sums = wins.sum(axis=(2, 3))
+    sumsq = (wins * wins).sum(axis=(2, 3))
+    cross = np.tensordot(wins, pz, axes=([2, 3], [0, 1]))
+    var = sumsq - sums * sums / (w * w)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        score = cross / (pn * np.sqrt(np.maximum(var, 0.0)))
+    return np.where((var > 1e-12) & ok, score, -np.inf)
+
+
+def _oracle_best_match(img_a, ok_a, img_b, ok_b, ra, ca, params, prior):
+    # the search region is copied out of b, zero-padded where it leaves b
+    hw, rad = params.window // 2, params.search_radius
+    h, w = img_b.shape
+    if not ok_a[ra - hw : ra + hw + 1, ca - hw : ca + hw + 1].all():
+        return None
+    patch = img_a[ra - hw : ra + hw + 1, ca - hw : ca + hw + 1]
+    rc, cc = ra + prior[0], ca + prior[1]
+    r0, r1 = rc - rad - hw, rc + rad + hw + 1
+    c0, c1 = cc - rad - hw, cc + rad + hw + 1
+    region = np.zeros((r1 - r0, c1 - c0))
+    region_ok = np.zeros((r1 - r0, c1 - c0), dtype=bool)
+    (rr0, rr1), (cc0, cc1) = np.clip([r0, r1], 0, h), np.clip([c0, c1], 0, w)
+    region[rr0 - r0 : rr1 - r0, cc0 - c0 : cc1 - c0] = img_b[rr0:rr1, cc0:cc1]
+    region_ok[rr0 - r0 : rr1 - r0, cc0 - c0 : cc1 - c0] = ok_b[rr0:rr1, cc0:cc1]
+    score = _oracle_zncc_scores(patch, region, region_ok)
+    best = np.unravel_index(int(np.argmax(score)), score.shape)
+    s = score[best]
+    if not np.isfinite(s) or s < params.zncc_min:
+        return None
+    dr, dc = _subpixel(score, *best)
+    return rc - rad + best[0] + dr, cc - rad + best[1] + dc, float(s)
+
+
+def _oracle_match_grids(img_a, ok_a, img_b, ok_b, params):
+    hw = params.window // 2
+    prior = _global_shift(img_a, ok_a, img_b, ok_b)
+    out = []
+    for ra in range(hw, img_a.shape[0] - hw, params.stride):
+        for ca in range(hw, img_a.shape[1] - hw, params.stride):
+            fwd = _oracle_best_match(img_a, ok_a, img_b, ok_b, ra, ca, params, prior)
+            if fwd is None:
+                continue
+            rb, cb, score = fwd
+            rbi, cbi = int(round(rb)), int(round(cb))
+            if not (hw <= rbi < img_b.shape[0] - hw and hw <= cbi < img_b.shape[1] - hw):
+                continue
+            back = _oracle_best_match(img_b, ok_b, img_a, ok_a, rbi, cbi, params,
+                                      (-prior[0], -prior[1]))
+            if back is None:
+                continue
+            if abs(back[0] - ra) > params.lr_tol + abs(rb - rbi) or \
+               abs(back[1] - ca) > params.lr_tol + abs(cb - cbi):
+                continue
+            out.append((float(ra), float(ca), rb, cb, score))
+    return out
+
+
+@pytest.mark.parametrize("shift", [(4, 20), (9, 37)])
+def test_match_grids_equals_region_copy_oracle_across_edges(shift):
+    # searches centred on the global prior run off the image edges, where
+    # the windows read padding; at (9, 37) some search regions lie wholly
+    # outside the image
+    base = _noise_image((110, 150), seed=3).pixels
+    img_a = base[:90, :110]
+    img_b = base[shift[0] : shift[0] + 90, shift[1] : shift[1] + 110]
+    ok_a = np.ones(img_a.shape, dtype=bool)
+    ok_a[30:45, 50:58] = False
+    ok_b = np.ones(img_b.shape, dtype=bool)
+    ok_b[60:70, 10:30] = False
+    params = BlockMatchParams(stride=5)
+    assert _global_shift(img_a, ok_a, img_b, ok_b) == (-shift[0], -shift[1])
+    got = match_grids(img_a, ok_a, img_b, ok_b, params)
+    want = _oracle_match_grids(img_a, ok_a, img_b, ok_b, params)
+    assert len(want) >= 20
+    assert got == want
 
 
 # --- triangulation ---------------------------------------------------------------
