@@ -207,9 +207,11 @@ class OpticalConfig:
 # ---------------------------------------------------------------------------
 # Discrete differential operators on masked grids.
 #
-# Central differences where both 4-neighbors are members, one-sided at the
-# mask boundary, zero where the pixel is isolated along an axis.  Values
-# outside the mask are never read.
+# A field on the mask is the vector of its member pixels in row-major order
+# (``a[mask]``).  Along each axis a pixel takes the central difference where
+# both 4-neighbors are members, the one-sided difference where only one is,
+# and zero where it is isolated along that axis.  Values outside the mask are
+# never read; the grid forms return zero there.
 # ---------------------------------------------------------------------------
 
 
@@ -225,36 +227,58 @@ def _shifted(a: np.ndarray, di: int, dj: int) -> np.ndarray:
     return out
 
 
-class MaskStencil:
-    """Precomputed neighbor availability for repeated masked differencing.
+# difference weight by the number of member neighbors along the axis
+_DIFF_WEIGHT = np.array([0.0, 1.0, 0.5])
 
-    Every ``has_*`` mask lies inside the mask, so the differences are zero
-    outside it.
+
+class MaskStencil:
+    """Neighbor indices of the member pixels, for repeated masked differencing.
+
+    Fields on the mask are pixel vectors (``gather``); ``rows``/``cols`` hold
+    the members' coordinates.  Per axis (0 = y along rows, 1 = x along
+    columns) the stencil keeps each pixel's forward and backward neighbor as
+    a position in the pixel vector, pointing at the pixel itself where that
+    neighbor is missing, and a weight of 0.5 (both present), 1 (one) or 0
+    (none), so every case of ``diff`` is ``wt * (v[ip] - v[im])``.
     """
 
     def __init__(self, mask: np.ndarray):
         m = np.asarray(mask, dtype=bool)
         self.mask = m
-        self.has_xm = _shifted(m, 0, -1) & m  # member with member at j-1
-        self.has_xp = _shifted(m, 0, 1) & m
-        self.has_ym = _shifted(m, -1, 0) & m  # member with member at i-1
-        self.has_yp = _shifted(m, 1, 0) & m
-        self.both_x = self.has_xm & self.has_xp
-        self.both_y = self.has_ym & self.has_yp
+        idx = np.flatnonzero(m)  # row-major, the order of ``m[m]``
+        self.rows, self.cols = np.divmod(idx, m.shape[1])
+        pos = np.zeros(m.size, dtype=np.intp)
+        pos[idx] = np.arange(idx.size)
+        self._axes = []
+        for di, dj in ((1, 0), (0, 1)):
+            # member neighbors only: no wrap across rows, nothing off the grid
+            has_p = self.gather(_shifted(m, di, dj) & m)
+            has_m = self.gather(_shifted(m, -di, -dj) & m)
+            step = di * m.shape[1] + dj
+            ip = pos[np.where(has_p, idx + step, idx)]
+            im = pos[np.where(has_m, idx - step, idx)]
+            self._axes.append((ip, im, _DIFF_WEIGHT[has_p.astype(np.intp) + has_m]))
+
+    def gather(self, a: np.ndarray) -> np.ndarray:
+        """The member pixels of a grid, as a vector."""
+        return a[self.mask]
+
+    def scatter(self, v: np.ndarray) -> np.ndarray:
+        """A pixel vector on the grid, zero outside the mask."""
+        out = np.zeros(self.mask.shape)
+        out[self.mask] = v
+        return out
+
+    def diff(self, v: np.ndarray, axis: int) -> np.ndarray:
+        """Masked difference of the pixel vector ``v`` along ``axis``."""
+        ip, im, wt = self._axes[axis]
+        return wt * (v[ip] - v[im])
 
     def diff_x(self, a: np.ndarray) -> np.ndarray:
-        ap = _shifted(a, 0, 1)
-        am = _shifted(a, 0, -1)
-        return np.where(self.both_x, 0.5 * (ap - am),
-                        np.where(self.has_xp, ap - a,
-                                 np.where(self.has_xm, a - am, 0.0)))
+        return self.scatter(self.diff(self.gather(a), 1))
 
     def diff_y(self, a: np.ndarray) -> np.ndarray:
-        ap = _shifted(a, 1, 0)
-        am = _shifted(a, -1, 0)
-        return np.where(self.both_y, 0.5 * (ap - am),
-                        np.where(self.has_yp, ap - a,
-                                 np.where(self.has_ym, a - am, 0.0)))
+        return self.scatter(self.diff(self.gather(a), 0))
 
 
 def gradient(hf: HeightField, stencil: MaskStencil | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -288,8 +312,15 @@ def surface_normal(hf: HeightField, i: int, j: int) -> Vec3:
     """Unit outward normal at mask pixel (i, j)."""
     if not (0 <= i < hf.mask.height and 0 <= j < hf.mask.width and hf.mask.membership[i, j]):
         raise DomainError(f"pixel ({i}, {j}) is outside the drop mask")
-    n = normal_field(hf)[i, j]
-    return Vec3.from_array(n)
+    # the differences at (i, j) read only its 4-neighbors, so its 3x3 window
+    # (cut at the grid edge) gives the same normal as the whole grid
+    i0, j0 = max(i - 1, 0), max(j - 1, 0)
+    window = (slice(i0, i + 2), slice(j0, j + 2))
+    st = MaskStencil(hf.mask.membership[window])
+    gx = st.diff_x(hf.z[window])[i - i0, j - j0]
+    gy = st.diff_y(hf.z[window])[i - i0, j - j0]
+    norm = np.sqrt(1.0 + gx * gx + gy * gy)
+    return Vec3(float(-gx / norm), float(-gy / norm), float(1.0 / norm))
 
 
 def mask_centroid(hf: HeightField) -> tuple[float, float]:
@@ -298,17 +329,16 @@ def mask_centroid(hf: HeightField) -> tuple[float, float]:
     Implemented verbatim with the area B as the normalizer (not the volume),
     so the result scales with the mean height.
     """
-    return _centroid(hf.z, hf.mask.membership)
+    ii, jj = np.nonzero(hf.mask.membership)
+    return _centroid(hf.z[ii, jj], ii, jj)
 
 
-def _centroid(z: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
-    """``mask_centroid`` on a height array and its boolean mask."""
-    ii, jj = np.nonzero(mask)
+def _centroid(z: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> tuple[float, float]:
+    """``mask_centroid`` on the heights ``z`` of the pixels (ii, jj)."""
     b = ii.size
     if b == 0:
         raise DomainError("centroid of an empty mask is undefined")
-    zz = z[ii, jj]
-    return float((zz * jj).sum() / b), float((zz * ii).sum() / b)
+    return float((z * jj).sum() / b), float((z * ii).sum() / b)
 
 
 def plate_coords(shape: tuple[int, int], config: OpticalConfig) -> tuple[np.ndarray, np.ndarray]:

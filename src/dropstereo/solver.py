@@ -5,6 +5,10 @@ at constant volume.  Each sweep runs three updates in order: a curvature-flow
 tension step with the contact line (the mask boundary ring) pinned to zero, a
 planar gravity tilt about the height-weighted centroid, and a uniform shift
 restoring the target volume exactly.
+
+The sweeps run on the vector of mask pixels in row-major order (``z[mask]``)
+over one ``MaskStencil`` and one contact ring per solve; the height grid is
+rebuilt only for the result.
 """
 
 from __future__ import annotations
@@ -82,14 +86,18 @@ def energy_of(hf: HeightField, config: OpticalConfig) -> tuple[float, float, flo
     taken relative to the principal point.
     """
     st = MaskStencil(hf.mask.membership)
-    gx = st.diff_x(hf.z)
-    gy = st.diff_y(hf.z)
-    m = hf.mask.membership
-    e_t = config.tension_weight * float(np.sqrt(1.0 + gx * gx + gy * gy)[m].sum())
+    return _energy(st.gather(hf.z), st, config)
 
-    cx, cy = config.resolve_principal_point(m.shape)
-    ii, jj = np.nonzero(m)
-    z = hf.z[ii, jj]
+
+def _energy(z: np.ndarray, stencil: MaskStencil,
+            config: OpticalConfig) -> tuple[float, float, float]:
+    """``energy_of`` on the pixel vector ``z`` of the stencil's mask."""
+    gx = stencil.diff(z, 1)
+    gy = stencil.diff(z, 0)
+    e_t = config.tension_weight * float(np.sqrt(1.0 + gx * gx + gy * gy).sum())
+
+    cx, cy = config.resolve_principal_point(stencil.mask.shape)
+    ii, jj = stencil.rows, stencil.cols
     gcx, gcy, gcz = config.gravity_cosines
     col = z * ((jj - cx) * gcx + (ii - cy) * gcy) + 0.5 * z * z * gcz
     e_g = config.gravity_weight * float(col.sum())
@@ -106,61 +114,55 @@ def tension_step(z: np.ndarray, stencil: MaskStencil, ring: np.ndarray | None,
                  params: SolverParams, config: OpticalConfig) -> np.ndarray:
     """One explicit curvature-flow step descending the tension energy.
 
-    ``z`` holds heights on the stencil's mask grid.  ``ring``, the mask
-    boundary from ``DropMask.boundary()``, is held at zero (the fixed contact
-    line) and only the pixels inside it move; with ``ring=None`` (free
-    boundary) every mask pixel moves and a minimal surface stays unchanged.
-    Heights outside the mask stay put.
+    ``z`` is the pixel vector of heights on the stencil's mask.  ``ring``,
+    the mask boundary (``DropMask.boundary()``) on the same pixels, is held
+    at zero (the fixed contact line) and only the pixels inside it move;
+    with ``ring=None`` (free boundary) every pixel moves and a minimal
+    surface stays unchanged.
     """
-    if ring is None:
-        movable = stencil.mask
-    else:
-        movable = stencil.mask & ~ring
+    if ring is not None:
         z = np.where(ring, 0.0, z)
-    gx = stencil.diff_x(z)
-    gy = stencil.diff_y(z)
+    gx = stencil.diff(z, 1)
+    gy = stencil.diff(z, 0)
     denom = np.sqrt(1.0 + gx * gx + gy * gy)
-    flow = stencil.diff_x(gx / denom) + stencil.diff_y(gy / denom)
-    return _checked(np.where(movable, z + params.tau * config.tension_weight * flow, z))
+    flow = stencil.diff(gx / denom, 1) + stencil.diff(gy / denom, 0)
+    moved = z + params.tau * config.tension_weight * flow
+    return _checked(moved if ring is None else np.where(ring, z, moved))
 
 
-def gravity_step(z: np.ndarray, mask: np.ndarray, params: SolverParams,
+def gravity_step(z: np.ndarray, stencil: MaskStencil, params: SolverParams,
                  config: OpticalConfig) -> np.ndarray:
-    """Planar tilt of the heights on ``mask`` about their height-weighted
+    """Planar tilt of the pixel vector ``z`` about its height-weighted
     centroid, driven by the in-plane gravity components; gravity along +z
     leaves the heights unchanged."""
     gcx, gcy, _ = config.gravity_cosines
     if gcx == 0.0 and gcy == 0.0:
         return z
-    x_g, y_g = _centroid(z, mask)
-    ii, jj = np.nonzero(mask)
-    delta = params.tau * config.gravity_weight * ((y_g - ii) * gcy + (x_g - jj) * gcx)
-    z = np.array(z)
-    z[ii, jj] -= delta
-    return _checked(z)
+    ii, jj = stencil.rows, stencil.cols
+    x_g, y_g = _centroid(z, ii, jj)
+    return _checked(z - params.tau * config.gravity_weight * ((y_g - ii) * gcy + (x_g - jj) * gcx))
 
 
-def volume_step(z: np.ndarray, mask: np.ndarray, target_volume: float) -> np.ndarray:
-    """Uniform shift of the heights on ``mask`` restoring the target volume
+def volume_step(z: np.ndarray, target_volume: float) -> np.ndarray:
+    """Uniform shift of the pixel vector ``z`` restoring the target volume
     exactly.
 
     Heights pushed negative are clamped to zero and the deficit redistributed
     once; a multiplicative rescale guards the rare case where that still
     leaves negatives.
     """
-    b = np.count_nonzero(mask)
+    b = z.size
     if b == 0:
         raise DomainError("cannot adjust volume on an empty mask")
-    z = np.array(z)
-    z[mask] += (target_volume - z[mask].sum()) / b
-    if z[mask].min() < 0.0:
-        z[mask] = np.maximum(z[mask], 0.0)
-        z[mask] += (target_volume - z[mask].sum()) / b
-        if z[mask].min() < 0.0:
-            z[mask] = np.maximum(z[mask], 0.0)
-            total = z[mask].sum()
+    z = z + (target_volume - z.sum()) / b
+    if z.min() < 0.0:
+        z = np.maximum(z, 0.0)
+        z += (target_volume - z.sum()) / b
+        if z.min() < 0.0:
+            z = np.maximum(z, 0.0)
+            total = z.sum()
             if total > 0.0:
-                z[mask] *= target_volume / total
+                z *= target_volume / total
     return _checked(z)
 
 
@@ -187,7 +189,9 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     sub_config = replace(config, principal_point=(cx - j0, cy - i0))
 
     st = MaskStencil(sub_mask.membership)
-    ring = sub_mask.boundary()
+    z = st.gather(z)
+    ring = st.gather(sub_mask.boundary())
+    change = np.zeros(st.mask.shape)
     threshold = params.convergence_rel * target_volume
     history: list[tuple[int, float]] = []
     converged = False
@@ -196,19 +200,22 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     for t in range(params.max_iters):
         prev = z
         z = tension_step(z, st, ring, params, sub_config)
-        z = gravity_step(z, st.mask, params, sub_config)
-        z = volume_step(z, st.mask, target_volume)
+        z = gravity_step(z, st, params, sub_config)
+        z = volume_step(z, target_volume)
         iterations = t + 1
-        delta = float(np.abs(z - prev).sum())
+        # summed over the crop grid, zeros off the mask included: the pixel
+        # vector's own sum groups the additions differently
+        change[st.mask] = np.abs(z - prev)
+        delta = float(change.sum())
         if t % _ENERGY_EVERY == 0:
-            history.append((iterations, energy_of(HeightField(sub_mask, z), sub_config)[2]))
+            history.append((iterations, _energy(z, st, sub_config)[2]))
         if delta < threshold:
             converged = True
             break
 
-    e_t, e_g, e = energy_of(HeightField(sub_mask, z), sub_config)
+    e_t, e_g, e = _energy(z, st, sub_config)
     history.append((iterations, e))
     full = np.zeros(mask.membership.shape)
-    full[i0:i1, j0:j1] = z
+    full[i0:i1, j0:j1] = st.scatter(z)
     report = SolveReport(iterations, e_t, e_g, e, delta, converged, tuple(history))
     return HeightField(mask, full), report

@@ -161,6 +161,17 @@ def test_normal_norms_are_unit_for_random_fields():
     assert np.abs(norms - 1.0).max() <= 1e-9
 
 
+def test_surface_normal_equals_normal_field_up_to_the_grid_edge():
+    # a disk cut by all four grid edges: the single-pixel window is clipped
+    # there and must still give the whole-grid normal exactly
+    m = DropMask(disk_mask(9).membership[3:-3, 3:-3])
+    rng = np.random.default_rng(4)
+    hf = HeightField(m, np.where(m.membership, rng.uniform(0, 5, m.membership.shape), 0.0))
+    nf = normal_field(hf)
+    for i, j in zip(*coords(m)):
+        assert tuple(surface_normal(hf, int(i), int(j))) == tuple(nf[i, j])
+
+
 def test_convex_dome_normals_tilt_outward():
     m = disk_mask(10)
     c = (m.height - 1) / 2.0
@@ -224,6 +235,57 @@ def test_operators_are_linear():
     combined = lap_raw(a * z1 + b * z2)
     separate = a * lap_raw(z1) + b * lap_raw(z2)
     assert np.abs(combined - separate).max() <= 1e-9
+
+
+def _shifted_oracle(a, di, dj):
+    out = np.zeros_like(a)
+    h, w = a.shape
+    out[max(-di, 0) : h + min(-di, 0), max(-dj, 0) : w + min(-dj, 0)] = \
+        a[max(di, 0) : h + min(di, 0), max(dj, 0) : w + min(dj, 0)]
+    return out
+
+
+def _diff_oracle(m, a, di, dj):
+    """The grid-shift differencing the pixel-vector stencil replaced: central
+    where both neighbors are members, one-sided at the rim, else zero."""
+    has_p = _shifted_oracle(m, di, dj) & m
+    has_m = _shifted_oracle(m, -di, -dj) & m
+    ap = _shifted_oracle(a, di, dj)
+    am = _shifted_oracle(a, -di, -dj)
+    return np.where(has_p & has_m, 0.5 * (ap - am),
+                    np.where(has_p, ap - a, np.where(has_m, a - am, 0.0)))
+
+
+def _oracle_masks():
+    # touches all four edges, with one-pixel rows and columns and isolated
+    # pixels along either axis and both
+    rows = ["1100000011",
+            "1000110001",
+            "1011111101",
+            "0010110100",
+            "1000100001",
+            "0100000010",
+            "1110001011"]
+    yield np.array([[c == "1" for c in r] for r in rows])
+    rng = np.random.default_rng(5)
+    for p in (0.3, 0.6, 0.9):
+        yield rng.random((9, 13)) < p
+    yield np.ones((5, 6), dtype=bool)
+    yield np.array([[1, 1, 0, 1, 0, 1, 1, 1]], dtype=bool)
+    yield np.array([[1], [0], [1], [1], [1], [0], [1]], dtype=bool)
+
+
+def test_stencil_matches_grid_shift_oracle_bit_for_bit():
+    from dropstereo.core import MaskStencil
+
+    rng = np.random.default_rng(8)
+    for m in _oracle_masks():
+        a = rng.choice([0.0, -0.0, 1.5, -2.25], size=m.shape) + np.where(
+            rng.random(m.shape) < 0.5, rng.normal(size=m.shape), 0.0)
+        a = np.where(m, a, np.nan)  # never read
+        st = MaskStencil(m)
+        assert st.diff_x(a).tobytes() == _diff_oracle(m, a, 0, 1).tobytes()
+        assert st.diff_y(a).tobytes() == _diff_oracle(m, a, 1, 0).tobytes()
 
 
 # --- centroid ---------------------------------------------------------------

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from dropstereo import (DomainError, DropMask, HeightField, OpticalConfig, SolverParams,
-                        disk_mask, energy_of, gravity_step, init_mesh, initial_volume,
-                        solve_fixed_volume, tension_step, volume_of, volume_step)
+from dropstereo import (DomainError, DropMask, HeightField, OpticalConfig, SolveReport,
+                        SolverParams, disk_mask, energy_of, gravity_step, init_mesh,
+                        initial_volume, solve_fixed_volume, tension_step, volume_of,
+                        volume_step)
 from dropstereo.core import MaskStencil
 
 from conftest import cap_field
@@ -118,7 +119,8 @@ def test_tension_step_matches_independent_stencil_and_pulls_rim_down():
     cfg = OpticalConfig()
     z = np.where(m.interior(), 2.0, 0.0)  # flat interior, pinned zero rim
     hf = HeightField(m, z)
-    stepped = tension_step(hf.z, MaskStencil(m.membership), m.boundary(), params(), cfg)
+    st = MaskStencil(m.membership)
+    stepped = st.scatter(tension_step(st.gather(hf.z), st, st.gather(m.boundary()), params(), cfg))
     expected = _tension_oracle(z, m, 0.5, 1.0)
     assert np.abs(stepped - expected).max() <= 1e-12
     ring = m.interior() & ~DropMask(m.interior()).interior()
@@ -131,7 +133,8 @@ def test_tension_step_planar_patch_free_boundary_fixed_point():
     m = square_mask(9)
     ii, jj = np.mgrid[0 : m.height, 0 : m.width]
     hf = HeightField(m, np.where(m.membership, 1.0 + 0.3 * jj, 0.0))
-    stepped = tension_step(hf.z, MaskStencil(m.membership), None, params(), OpticalConfig())
+    st = MaskStencil(m.membership)
+    stepped = st.scatter(tension_step(st.gather(hf.z), st, None, params(), OpticalConfig()))
     assert np.abs(stepped - hf.z).max() <= 1e-9
 
 
@@ -143,8 +146,10 @@ def test_tension_descends_energy_from_pinned_cylinder():
     cfg = OpticalConfig()
     st = MaskStencil(m.membership)
     hf0 = init_mesh(m, 0.30)
-    hf1 = HeightField(m, tension_step(hf0.z, st, m.boundary(), params(), cfg))  # pins the rim
-    hf2 = HeightField(m, tension_step(hf1.z, st, m.boundary(), params(), cfg))
+    ring = st.gather(m.boundary())
+    # the first step pins the rim
+    hf1 = HeightField(m, st.scatter(tension_step(st.gather(hf0.z), st, ring, params(), cfg)))
+    hf2 = HeightField(m, st.scatter(tension_step(st.gather(hf1.z), st, ring, params(), cfg)))
     e1 = energy_of(hf1, cfg)[0]
     e2 = energy_of(hf2, cfg)[0]
     assert e2 < e1
@@ -156,7 +161,8 @@ def test_tension_descends_energy_from_pinned_cylinder():
 def test_gravity_along_axis_is_identity():
     m = disk_mask(6)
     hf = init_mesh(m, 0.2)
-    out = gravity_step(hf.z, m.membership, params(), OpticalConfig())
+    st = MaskStencil(m.membership)
+    out = st.scatter(gravity_step(st.gather(hf.z), st, params(), OpticalConfig()))
     assert (out == hf.z).all()
 
 
@@ -165,7 +171,8 @@ def test_gravity_antisymmetric_about_centroid():
     # unit height keeps the height-weighted centroid at the geometric center
     hf = HeightField(m, np.ones(m.membership.shape))
     cfg = OpticalConfig(gravity_cosines=(1.0, 0.0, 0.0), gravity_weight=1e-3)
-    out = gravity_step(hf.z, m.membership, params(), cfg)
+    st = MaskStencil(m.membership)
+    out = st.scatter(gravity_step(st.gather(hf.z), st, params(), cfg))
     delta = out - hf.z
     xg = 5.0
     cols = np.arange(11)
@@ -181,7 +188,8 @@ def test_gravity_step_matches_manual_five_by_five():
     hf = HeightField(m, z)
     tau, g_w = 0.5, 1e-2
     cfg = OpticalConfig(gravity_cosines=(0.6, 0.8, 0.0), gravity_weight=g_w)
-    out = gravity_step(hf.z, m.membership, params(tau=tau), cfg)
+    st = MaskStencil(m.membership)
+    out = st.scatter(gravity_step(st.gather(hf.z), st, params(tau=tau), cfg))
     # oracle: evaluate the update by hand, term by term
     b = 25
     x_g = sum(z[i, j] * j for i in range(5) for j in range(5)) / b
@@ -199,8 +207,9 @@ def test_gravity_tilts_symmetric_dome_downhill():
     dome = np.where(m.membership, np.maximum(100.0 - (ii - c) ** 2 - (jj - c) ** 2, 0.0) / 25.0, 0.0)
     hf = HeightField(m, dome)
     cfg = OpticalConfig(gravity_cosines=(0.5, 0.0, np.sqrt(0.75)), gravity_weight=1e-3)
-    out = HeightField(m, volume_step(gravity_step(hf.z, m.membership, params(), cfg),
-                                     m.membership, volume_of(hf)))
+    st = MaskStencil(m.membership)
+    out = HeightField(m, st.scatter(volume_step(gravity_step(st.gather(hf.z), st, params(), cfg),
+                                                volume_of(hf))))
 
     def mass_centroid_x(f):
         iis, jjs = np.nonzero(f.mask.membership)
@@ -215,14 +224,14 @@ def test_gravity_tilts_symmetric_dome_downhill():
 def test_volume_step_uniform_shift():
     m = square_mask(10, pad=0)
     hf = HeightField(m, np.where(m.membership, 2.5, 0.0))  # sum 250
-    out = volume_step(hf.z, m.membership, 300.0)
+    out = MaskStencil(m.membership).scatter(volume_step(hf.z[m.membership], 300.0))
     assert out[m.membership] == pytest.approx(3.0)
 
 
 def test_volume_step_noop_at_target():
     m = square_mask(10, pad=0)
     hf = HeightField(m, np.where(m.membership, 3.0, 0.0))
-    out = volume_step(hf.z, m.membership, 300.0)
+    out = MaskStencil(m.membership).scatter(volume_step(hf.z[m.membership], 300.0))
     assert np.abs(out - hf.z).max() == 0.0
 
 
@@ -231,9 +240,10 @@ def test_volume_step_restores_after_tension_and_gravity():
     cfg = OpticalConfig(gravity_cosines=(0.3, 0.0, np.sqrt(0.91)), gravity_weight=1e-3)
     target = initial_volume(m, 0.3)
     hf = init_mesh(m, 0.3)
-    z = tension_step(hf.z, MaskStencil(m.membership), m.boundary(), params(), cfg)
-    z = gravity_step(z, m.membership, params(), cfg)
-    out = HeightField(m, volume_step(z, m.membership, target))
+    st = MaskStencil(m.membership)
+    z = tension_step(st.gather(hf.z), st, st.gather(m.boundary()), params(), cfg)
+    z = gravity_step(z, st, params(), cfg)
+    out = HeightField(m, st.scatter(volume_step(z, target)))
     assert volume_of(out) == pytest.approx(target, rel=1e-9)
 
 
@@ -242,7 +252,8 @@ def test_volume_step_clamps_negative_heights():
     z = np.where(m.membership, 0.05, 0.0)
     z[0, 0] = 3.0
     hf = HeightField(m, z)
-    out = volume_step(hf.z, m.membership, 1.0)  # shift is strongly negative
+    # the shift is strongly negative
+    out = MaskStencil(m.membership).scatter(volume_step(hf.z[m.membership], 1.0))
     assert out.min() >= 0.0
     assert volume_of(HeightField(m, out)) == pytest.approx(1.0, rel=1e-9)
 
@@ -348,24 +359,58 @@ def test_solve_symmetric_mask_gives_symmetric_surface(config):
     assert np.abs(hf.z - hf.z[::-1, :]).max() <= 1e-6
 
 
-@pytest.mark.parametrize("gravity", [(0.0, 0.0, 1.0), (0.3, 0.4, np.sqrt(0.75))],
-                         ids=["default", "in_plane"])
-def test_solve_equals_manual_sweeps(gravity):
-    # a one-pixel margin makes the solver's bounding-box crop the whole grid,
-    # so the manual sweeps see the same pixel coordinates
-    m = DropMask(disk_mask(12).membership[1:-1, 1:-1])
+def _spiked_init(m):
+    # low heights with a tall centre: the first volume restore shifts the low
+    # pixels below zero, so it runs both clamp branches
+    z = np.where(m.membership, 0.05, 0.0)
+    c = m.height // 2
+    z[c - 1 : c + 2, c - 1 : c + 2] = 400.0
+    return HeightField(m, z)
+
+
+_TILTED = (0.3, 0.4, np.sqrt(0.75))
+
+
+# a one-pixel margin, or a mask touching the grid edge where the crop is
+# clamped, makes the solver's bounding-box crop the whole grid, so the manual
+# sweeps see the same pixel coordinates and sum the change over the same grid
+@pytest.mark.parametrize("trim, gravity, spiked", [
+    (1, (0.0, 0.0, 1.0), False),
+    (1, _TILTED, False),
+    (2, _TILTED, False),
+    (1, (0.0, 0.0, 1.0), True),
+], ids=["default", "in_plane", "edge", "clamped"])
+def test_solve_equals_manual_sweeps(trim, gravity, spiked):
+    m = DropMask(disk_mask(12).membership[trim:-trim, trim:-trim])
     cfg = OpticalConfig(gravity_cosines=gravity, gravity_weight=1e-3)
     target = initial_volume(m, 0.3)
-    n = 25
-    hf, report = solve_fixed_volume(m, target, params(max_iters=n), cfg)
+    n = 26
+    init = _spiked_init(m) if spiked else None
+    hf, report = solve_fixed_volume(m, target, params(max_iters=n), cfg, init=init)
+
     st = MaskStencil(m.membership)
-    z = init_mesh(m, target / m.area**1.5).z
-    for _ in range(n):
-        z = tension_step(z, st, m.boundary(), params(), cfg)
-        z = gravity_step(z, m.membership, params(), cfg)
-        z = volume_step(z, m.membership, target)
-    assert report.iterations_run == n
-    assert np.array_equal(hf.z, z)
+    ring = st.gather(m.boundary())
+    z = st.gather(init.z if spiked else init_mesh(m, target / m.area**1.5).z)
+    history = []
+    for t in range(n):
+        prev = z
+        z = tension_step(z, st, ring, params(), cfg)
+        z = gravity_step(z, st, params(), cfg)
+        if t == 0:
+            # the clamp branches run exactly when the plain shift goes negative
+            assert ((z + (target - z.sum()) / z.size).min() < 0.0) == spiked
+        z = volume_step(z, target)
+        delta = float(np.abs(st.scatter(z) - st.scatter(prev)).sum())
+        if t % 50 == 0:
+            history.append((t + 1, energy_of(HeightField(m, st.scatter(z)), cfg)[2]))
+    e_t, e_g, e = energy_of(HeightField(m, st.scatter(z)), cfg)
+    history.append((n, e))
+    expected = SolveReport(n, e_t, e_g, e, delta, False, tuple(history))
+    assert hf.z.tobytes() == st.scatter(z).tobytes()
+    assert report == expected
+    if trim == 2:
+        assert m.membership[0].any() and m.membership[-1].any()
+        assert m.membership[:, 0].any() and m.membership[:, -1].any()
 
 
 def test_solve_rejects_bad_inputs(config):
