@@ -312,15 +312,8 @@ def surface_normal(hf: HeightField, i: int, j: int) -> Vec3:
     """Unit outward normal at mask pixel (i, j)."""
     if not (0 <= i < hf.mask.height and 0 <= j < hf.mask.width and hf.mask.membership[i, j]):
         raise DomainError(f"pixel ({i}, {j}) is outside the drop mask")
-    # the differences at (i, j) read only its 4-neighbors, so its 3x3 window
-    # (cut at the grid edge) gives the same normal as the whole grid
-    i0, j0 = max(i - 1, 0), max(j - 1, 0)
-    window = (slice(i0, i + 2), slice(j0, j + 2))
-    st = MaskStencil(hf.mask.membership[window])
-    gx = st.diff_x(hf.z[window])[i - i0, j - j0]
-    gy = st.diff_y(hf.z[window])[i - i0, j - j0]
-    norm = np.sqrt(1.0 + gx * gx + gy * gy)
-    return Vec3(float(-gx / norm), float(-gy / norm), float(1.0 / norm))
+    n = normal_field(hf)[i, j]
+    return Vec3.from_array(n)
 
 
 def mask_centroid(hf: HeightField) -> tuple[float, float]:

@@ -161,17 +161,6 @@ def test_normal_norms_are_unit_for_random_fields():
     assert np.abs(norms - 1.0).max() <= 1e-9
 
 
-def test_surface_normal_equals_normal_field_up_to_the_grid_edge():
-    # a disk cut by all four grid edges: the single-pixel window is clipped
-    # there and must still give the whole-grid normal exactly
-    m = DropMask(disk_mask(9).membership[3:-3, 3:-3])
-    rng = np.random.default_rng(4)
-    hf = HeightField(m, np.where(m.membership, rng.uniform(0, 5, m.membership.shape), 0.0))
-    nf = normal_field(hf)
-    for i, j in zip(*coords(m)):
-        assert tuple(surface_normal(hf, int(i), int(j))) == tuple(nf[i, j])
-
-
 def test_convex_dome_normals_tilt_outward():
     m = disk_mask(10)
     c = (m.height - 1) / 2.0
