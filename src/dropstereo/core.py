@@ -14,7 +14,7 @@ Conventions used everywhere:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -204,6 +204,48 @@ class OpticalConfig:
         return ((w - 1) / 2.0, (h - 1) / 2.0)
 
 
+@dataclass(frozen=True)
+class DropBox:
+    """The per-drop crop: the bounding box of a mask plus a one-pixel margin,
+    clamped to the grid.
+
+    Every per-pixel step of a drop reads only its mask pixels and their
+    4-neighbors, so the solver, the trace and the band fields run on this
+    box.  ``i0:i1, j0:j1`` are its raster rows and columns and ``shape`` is
+    the raster's; an empty mask has an empty box at the origin.
+    """
+
+    i0: int
+    i1: int
+    j0: int
+    j1: int
+    shape: tuple[int, int]
+
+    @staticmethod
+    def of(mask: DropMask) -> "DropBox":
+        h, w = mask.membership.shape
+        if mask.area == 0:
+            return DropBox(0, 0, 0, 0, (h, w))
+        i0, i1, j0, j1 = mask.bbox()
+        return DropBox(max(i0 - 1, 0), min(i1 + 1, h), max(j0 - 1, 0), min(j1 + 1, w), (h, w))
+
+    def crop(self, a: np.ndarray) -> np.ndarray:
+        """The box of a raster-sized array (a view)."""
+        return a[self.i0 : self.i1, self.j0 : self.j1]
+
+    def paste(self, a: np.ndarray, fill=0) -> np.ndarray:
+        """A box-sized array on the raster, ``fill`` outside the box."""
+        out = np.full(self.shape + a.shape[2:], fill, dtype=a.dtype)
+        out[self.i0 : self.i1, self.j0 : self.j1] = a
+        return out
+
+    def config(self, config: OpticalConfig) -> OpticalConfig:
+        """``config`` for box coordinates: the principal point shifted by the
+        box origin."""
+        cx, cy = config.resolve_principal_point(self.shape)
+        return replace(config, principal_point=(cx - self.j0, cy - self.i0))
+
+
 # ---------------------------------------------------------------------------
 # Discrete differential operators on masked grids.
 #
@@ -281,9 +323,9 @@ class MaskStencil:
         return self.scatter(self.diff(self.gather(a), 0))
 
 
-def gradient(hf: HeightField, stencil: MaskStencil | None = None) -> tuple[np.ndarray, np.ndarray]:
+def gradient(hf: HeightField) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel (dz/dx, dz/dy) on the mask; zero outside."""
-    st = stencil or MaskStencil(hf.mask.membership)
+    st = MaskStencil(hf.mask.membership)
     return st.diff_x(hf.z), st.diff_y(hf.z)
 
 
@@ -295,25 +337,30 @@ def divergence(fx: np.ndarray, fy: np.ndarray, mask: DropMask | np.ndarray,
     return st.diff_x(fx) + st.diff_y(fy)
 
 
-def normal_field(hf: HeightField, stencil: MaskStencil | None = None) -> np.ndarray:
-    """Unit surface normals, (H, W, 3), oriented into the +z hemisphere.
+def normal_field(hf: HeightField, box: DropBox | None = None) -> np.ndarray:
+    """Unit surface normals, (H, W, 3), oriented into the +z hemisphere; on
+    ``box``, the same values box-sized.
 
     The tangential sign is chosen so a convex drop has normals tilting
     outward: N' = (-dz/dx, -dz/dy, 1).  N_z is unaffected by that choice.
     Entries outside the mask are zero.
     """
-    gx, gy = gradient(hf, stencil)
+    mask, z = hf.mask.membership, hf.z
+    if box is not None:
+        mask, z = box.crop(mask), box.crop(z)
+    st = MaskStencil(mask)
+    gx, gy = st.diff_x(z), st.diff_y(z)
     norm = np.sqrt(1.0 + gx * gx + gy * gy)
     n = np.stack([-gx / norm, -gy / norm, 1.0 / norm], axis=-1)
-    return np.where(hf.mask.membership[..., None], n, 0.0)
+    return np.where(mask[..., None], n, 0.0)
 
 
 def surface_normal(hf: HeightField, i: int, j: int) -> Vec3:
     """Unit outward normal at mask pixel (i, j)."""
     if not (0 <= i < hf.mask.height and 0 <= j < hf.mask.width and hf.mask.membership[i, j]):
         raise DomainError(f"pixel ({i}, {j}) is outside the drop mask")
-    n = normal_field(hf)[i, j]
-    return Vec3.from_array(n)
+    box = DropBox.of(hf.mask)
+    return Vec3.from_array(normal_field(hf, box)[i - box.i0, j - box.j0])
 
 
 def mask_centroid(hf: HeightField) -> tuple[float, float]:
@@ -334,10 +381,13 @@ def _centroid(z: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> tuple[float, flo
     return float((z * jj).sum() / b), float((z * ii).sum() / b)
 
 
-def plate_coords(shape: tuple[int, int], config: OpticalConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel plate coordinates (x, y) relative to the principal point."""
+def plate_coords(shape: tuple[int, int], config: OpticalConfig,
+                 box: DropBox | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel plate coordinates (x, y) relative to the principal point of
+    the grid of ``shape``; on ``box``, the same values box-sized."""
     cx, cy = config.resolve_principal_point(shape)
-    ii, jj = np.mgrid[0 : shape[0], 0 : shape[1]]
+    box = box or DropBox(0, shape[0], 0, shape[1], shape)
+    ii, jj = np.mgrid[box.i0 : box.i1, box.j0 : box.j1]
     return jj.astype(float) - cx, ii.astype(float) - cy
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HeightField, MaskStencil, OpticalConfig, Vec3, gradient, plate_coords
+from .core import DropBox, HeightField, OpticalConfig, Vec3, normal_field, plate_coords
 from .errors import DomainError, TotalReflection
 
 
@@ -153,45 +153,47 @@ def equivalent_camera_depth(rho2: np.ndarray, config: OpticalConfig) -> np.ndarr
     return config.eta * z_c * np.sqrt(1.0 + k * np.asarray(rho2, dtype=float) / z_c**2)
 
 
-def incidence_directions(hf: HeightField, config: OpticalConfig) -> np.ndarray:
+def incidence_directions(hf: HeightField, config: OpticalConfig,
+                         box: DropBox | None = None) -> np.ndarray:
     """Unit in-water ray directions from the equivalent camera to every
-    surface point, (H, W, 3); the camera sits at z = -C'_z below the plate
-    so directions point toward the scene (positive z)."""
-    x, y = plate_coords(hf.mask.membership.shape, config)
+    surface point, (H, W, 3), or box-sized on ``box``; the camera sits at
+    z = -C'_z below the plate so directions point toward the scene
+    (positive z)."""
+    x, y = plate_coords(hf.mask.membership.shape, config, box)
+    z = hf.z if box is None else box.crop(hf.z)
     if math.isinf(config.camera_z):
-        d = np.zeros(hf.z.shape + (3,))
+        d = np.zeros(z.shape + (3,))
         d[..., 2] = 1.0
         return d
     cz = equivalent_camera_depth(x * x + y * y, config)
-    d = np.stack([x, y, hf.z + cz], axis=-1)
+    d = np.stack([x, y, z + cz], axis=-1)
     return d / np.linalg.norm(d, axis=-1, keepdims=True)
 
 
-def theta_cprime_field(hf: HeightField, config: OpticalConfig) -> np.ndarray:
-    """Per-pixel angle between the incident in-water ray and the z axis."""
-    d = incidence_directions(hf, config)
+def theta_cprime_field(hf: HeightField, config: OpticalConfig,
+                       box: DropBox | None = None) -> np.ndarray:
+    """Per-pixel angle between the incident in-water ray and the z axis
+    (box-sized on ``box``)."""
+    d = incidence_directions(hf, config, box)
     return np.arccos(np.clip(d[..., 2], -1.0, 1.0))
 
 
 def critical_normal_z_field(hf: HeightField, config: OpticalConfig) -> np.ndarray:
-    """Per-pixel critical normal-z threshold from the equivalent camera."""
-    arg = math.asin(config.n_air / config.n_water) + theta_cprime_field(hf, config)
-    return np.where(arg < math.pi / 2, np.cos(arg), 0.0)
+    """Per-pixel critical normal-z threshold from the equivalent camera,
+    computed on the drop's box and zero outside it."""
+    box = DropBox.of(hf.mask)
+    arg = math.asin(config.n_air / config.n_water) + theta_cprime_field(hf, config, box)
+    return box.paste(np.where(arg < math.pi / 2, np.cos(arg), 0.0))
 
 
 def dark_band_mask(hf: HeightField, config: OpticalConfig) -> np.ndarray:
     """Pixels predicted totally dark: N_z at or below the per-pixel critical
     value.  Returned as a boolean grid; a band may be empty or fragmented, so
     the single-component region invariant does not apply to it."""
-    st = MaskStencil(hf.mask.membership)
-    gx, gy = gradient(hf, st)
-    n_z = 1.0 / np.sqrt(1.0 + gx * gx + gy * gy)
-    dark = hf.mask.membership & (n_z <= critical_normal_z_field(hf, config))
-    return dark
+    return hf.mask.membership & (normal_z_field(hf) <= critical_normal_z_field(hf, config))
 
 
-def normal_z_field(hf: HeightField, stencil: MaskStencil | None = None) -> np.ndarray:
-    """N_z per pixel (1 outside the mask is suppressed to 0)."""
-    gx, gy = gradient(hf, stencil)
-    n_z = 1.0 / np.sqrt(1.0 + gx * gx + gy * gy)
-    return np.where(hf.mask.membership, n_z, 0.0)
+def normal_z_field(hf: HeightField) -> np.ndarray:
+    """N_z per mask pixel, zero elsewhere; computed on the drop's box."""
+    box = DropBox.of(hf.mask)
+    return box.paste(normal_field(hf, box)[..., 2])

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import ndimage
 
-from .core import (DropMask, HeightField, MaskStencil, OpticalConfig, RasterGray, Vec3,
+from .core import (DropBox, DropMask, HeightField, OpticalConfig, RasterGray, Vec3,
                    normal_field, plate_coords, splat_bilinear)
 from .errors import BehindCamera, DomainError, EmptyOutput, TotalReflection
 from .optics import fresnel_transmittance_arrays, incidence_directions, refract_arrays
@@ -119,36 +119,49 @@ def _bilinear_wrap(tex: np.ndarray, fi: np.ndarray, fj: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class TraceField:
-    """Vectorized trace of every mask pixel.
+    """Vectorized trace of every mask pixel, on the drop's box.
 
-    ``valid`` marks pixels with a transmitted, forward-going ray; the rest of
-    the mask is in the dark band (or exits backward at grazing angles).
+    The arrays cover ``box`` (h × w): raster pixel (i, j) is entry
+    (i - box.i0, j - box.j0), and ``box.paste`` puts an array back on the
+    raster.  ``valid`` marks pixels with a transmitted, forward-going ray;
+    the rest of the mask is in the dark band (or exits backward at grazing
+    angles).
     """
 
-    origins: np.ndarray       # (H, W, 3) surface points
-    directions: np.ndarray    # (H, W, 3) outbound unit directions
-    valid: np.ndarray         # (H, W) bool
-    tir: np.ndarray           # (H, W) bool
-    cos_theta_w: np.ndarray   # (H, W) water-side incidence cosine at the dome
-    theta_flat_air: np.ndarray  # (H, W) air-side angle at the flat plate
+    origins: np.ndarray       # (h, w, 3) surface points
+    directions: np.ndarray    # (h, w, 3) outbound unit directions
+    valid: np.ndarray         # (h, w) bool
+    tir: np.ndarray           # (h, w) bool
+    cos_theta_w: np.ndarray   # (h, w) water-side incidence cosine at the dome
+    theta_flat_air: np.ndarray  # (h, w) air-side angle at the flat plate
+    box: DropBox
 
 
 def trace_field(hf: HeightField, config: OpticalConfig) -> TraceField:
-    mask = hf.mask.membership
-    x, y = plate_coords(mask.shape, config)
-    r_i = incidence_directions(hf, config)
-    normals = normal_field(hf, MaskStencil(mask))
+    """Trace every pixel of the drop's box (``DropBox.of(hf.mask)``)."""
+    box = DropBox.of(hf.mask)
+    mask = box.crop(hf.mask.membership)
+    x, y = plate_coords(hf.mask.membership.shape, config, box)
+    r_i = incidence_directions(hf, config, box)
+    normals = normal_field(hf, box)
     r_o, tir = refract_arrays(r_i, np.where(mask[..., None], normals, [0.0, 0.0, 1.0]),
                               config.eta)
     tir &= mask
     cos_w = np.abs(np.sum(r_i * normals, axis=-1))
     valid = mask & ~tir & (r_o[..., 2] > _MIN_FORWARD_Z)
-    origins = np.stack([x, y, hf.z], axis=-1)
+    origins = np.stack([x, y, box.crop(hf.z)], axis=-1)
     if math.isinf(config.camera_z):
         theta_flat = np.zeros_like(x)
     else:
         theta_flat = np.arctan(np.hypot(x, y) / config.camera_z)
-    return TraceField(origins, r_o, valid, tir, np.clip(cos_w, 0.0, 1.0), theta_flat)
+    return TraceField(origins, r_o, valid, tir, np.clip(cos_w, 0.0, 1.0), theta_flat, box)
+
+
+def transmittance(tf: TraceField, config: OpticalConfig, radiance=1.0) -> np.ndarray:
+    """Two-interface Fresnel transmittance of each traced pixel (curved dome,
+    then flat plate), applied to ``radiance`` (a scalar or a box-sized array)."""
+    _, _, t_flat = fresnel_transmittance_arrays(tf.theta_flat_air, config.n_air, config.n_water)
+    return radiance * _transmittance_from_cos_w(tf.cos_theta_w, config) * t_flat
 
 
 def trace_drop_pixel(x_plate: Vec3, hf: HeightField, config: OpticalConfig) -> Ray:
@@ -163,11 +176,12 @@ def trace_drop_pixel(x_plate: Vec3, hf: HeightField, config: OpticalConfig) -> R
     if not (0 <= i < hf.mask.height and 0 <= j < hf.mask.width and hf.mask.membership[i, j]):
         raise DomainError(f"plate point ({x_plate.x}, {x_plate.y}) is outside the drop mask")
     tf = trace_field(hf, config)
-    if tf.tir[i, j]:
+    bi, bj = i - tf.box.i0, j - tf.box.j0
+    if tf.tir[bi, bj]:
         raise TotalReflection(f"pixel ({i}, {j}) lies in the dark band")
-    if not tf.valid[i, j]:
+    if not tf.valid[bi, bj]:
         raise BehindCamera(f"pixel ({i}, {j}) exits at a grazing or backward angle")
-    return Ray(Vec3.from_array(tf.origins[i, j]), Vec3.from_array(tf.directions[i, j]))
+    return Ray(Vec3.from_array(tf.origins[bi, bj]), Vec3.from_array(tf.directions[bi, bj]))
 
 
 def angular_project(ray: Ray) -> tuple[float, float]:
@@ -178,7 +192,8 @@ def angular_project(ray: Ray) -> tuple[float, float]:
 
 
 def uv_field(tf: TraceField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pixel angular coordinates (u, v) plus validity of a traced drop."""
+    """Per-pixel angular coordinates (u, v) plus validity of a traced drop,
+    box-sized like the trace."""
     with np.errstate(divide="ignore", invalid="ignore"):
         u = tf.directions[..., 0] / tf.directions[..., 2]
         v = tf.directions[..., 1] / tf.directions[..., 2]
@@ -225,7 +240,7 @@ def dewarp_image(image: RasterGray, tf: TraceField, out_resolution: int = 256,
     bounds are taken at the 2nd/98th percentiles to keep near-band grazing
     directions from dominating the grid.
     """
-    if image.pixels.shape != tf.valid.shape:
+    if image.pixels.shape != tf.box.shape:
         raise DomainError("image and traced drop must share the pixel grid")
     if out_resolution < 8:
         raise DomainError("output resolution must be at least 8")
@@ -249,7 +264,7 @@ def dewarp_image(image: RasterGray, tf: TraceField, out_resolution: int = 256,
     pv = (vv - v_min) / dv
     inside = (pu >= 0) & (pu <= r - 1) & (pv >= 0) & (pv <= r - 1)
     pu, pv = pu[inside], pv[inside]
-    src_i, src_j = ii[inside], jj[inside]
+    src_i, src_j = ii[inside] + tf.box.i0, jj[inside] + tf.box.j0
     vals = image.pixels[src_i, src_j]
     if pu.size == 0:
         raise EmptyOutput("no drop pixels fall inside the angular window")
@@ -347,15 +362,13 @@ def render_synthetic(scene: SceneSpec, drops: list[tuple[DropMask, HeightField]]
         tf = trace_field(hf, config)
         val, _, _, hit = _scene_hits(scene, tf)
         val = np.where(hit, val, scene.border if scene.border is not None else 0.0)
-        t_curved = _transmittance_from_cos_w(tf.cos_theta_w, config)
-        _, _, t_flat = fresnel_transmittance_arrays(tf.theta_flat_air, config.n_air,
-                                                    config.n_water)
         # zero water thickness carries no drop optics; only wetted pixels
         # leave the background path
-        wet = hf.mask.membership & (hf.z > 0.0)
+        wet = tf.box.crop(hf.mask.membership) & (tf.box.crop(hf.z) > 0.0)
         lit = tf.valid & wet
-        out[wet & ~lit] = scene.ambient_leak
-        out[lit] = (val * t_curved * t_flat)[lit]
+        drop = tf.box.crop(out)
+        drop[wet & ~lit] = scene.ambient_leak
+        drop[lit] = transmittance(tf, config, val)[lit]
     return RasterGray(np.clip(out, 0.0, 1.0))
 
 
@@ -364,7 +377,7 @@ def render_depth_truth(scene: SceneSpec, hf: HeightField,
     """Ground-truth scene depth per transmitted drop pixel (NaN elsewhere)."""
     tf = trace_field(hf, config)
     _, _, dep, hit = _scene_hits(scene, tf)
-    return np.where(hit, dep, np.nan)
+    return tf.box.paste(np.where(hit, dep, np.nan), np.nan)
 
 
 def _transmittance_from_cos_w(cos_w: np.ndarray, config: OpticalConfig) -> np.ndarray:

@@ -10,8 +10,7 @@ import numpy as np
 
 from .core import HeightField, OpticalConfig, RasterGray, splat_bilinear
 from .errors import DomainError, EmptyOutput
-from .raytrace import trace_field, _transmittance_from_cos_w
-from .optics import fresnel_transmittance_arrays
+from .raytrace import trace_field, transmittance
 from .stereo import DepthResult
 
 _MAX_OUTPUT = 1024
@@ -72,7 +71,7 @@ def rectify_drop(image: RasterGray, hf: HeightField, config: OpticalConfig,
     else:
         s = config.camera_z / (config.camera_z + d)
         px, py = hits_x * s, hits_y * s
-    vals = image.pixels[sel]
+    vals = tf.box.crop(image.pixels)[sel]
 
     # robust window: grazing near-band rays land arbitrarily far out and
     # would stretch a strict bounding box to the size cap
@@ -97,9 +96,7 @@ def rectify_drop(image: RasterGray, hf: HeightField, config: OpticalConfig,
 
     raster, valid = splat_bilinear((py - y0) * scale, (px - x0) * scale, vals, (h, w))
 
-    t_curved = _transmittance_from_cos_w(tf.cos_theta_w, config)
-    _, _, t_flat = fresnel_transmittance_arrays(tf.theta_flat_air, config.n_air, config.n_water)
-    tmap = np.where(sel, t_curved * t_flat, 0.0)
+    tmap = tf.box.paste(np.where(sel, transmittance(tf, config), 0.0))
     return RectifiedView(RasterGray(raster), valid, d, (x0, y0), scale, tmap)
 
 
@@ -114,10 +111,9 @@ def compensate_illuminance(image: RasterGray, hf: HeightField,
     if image.pixels.shape != hf.mask.membership.shape:
         raise DomainError("image and height field must share the pixel grid")
     tf = trace_field(hf, config)
-    t_curved = _transmittance_from_cos_w(tf.cos_theta_w, config)
-    _, _, t_flat = fresnel_transmittance_arrays(tf.theta_flat_air, config.n_air, config.n_water)
-    total = t_curved * t_flat
+    total = transmittance(tf, config)
     ok = tf.valid & (total > 1e-3)
     out = np.array(image.pixels)
-    out[ok] = np.clip(out[ok] / total[ok], 0.0, 1.0)
-    return RasterGray(out), ok
+    drop = tf.box.crop(out)
+    drop[ok] = np.clip(drop[ok] / total[ok], 0.0, 1.0)
+    return RasterGray(out), tf.box.paste(ok)

@@ -14,11 +14,11 @@ rebuilt only for the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DropMask, HeightField, MaskStencil, OpticalConfig, _centroid
+from .core import DropBox, DropMask, HeightField, MaskStencil, OpticalConfig, _centroid
 from .errors import DomainError, SolverDiverged
 
 # sweeps between the energy samples of a solve's history
@@ -176,17 +176,14 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     if mask.area == 0:
         raise DomainError("cannot solve on an empty mask")
 
-    # the sweeps only touch the mask; crop to its bounding box for speed
-    i0, i1, j0, j1 = mask.bbox()
-    i0, j0 = max(i0 - 1, 0), max(j0 - 1, 0)
-    i1, j1 = min(i1 + 1, mask.height), min(j1 + 1, mask.width)
-    sub_mask = DropMask(mask.membership[i0:i1, j0:j1])
+    # the sweeps only touch the mask; run them on the drop's box
+    box = DropBox.of(mask)
+    sub_mask = DropMask(box.crop(mask.membership))
     if init is None:
         z = init_mesh(sub_mask, target_volume / mask.area**1.5).z
     else:
-        z = HeightField(sub_mask, init.z[i0:i1, j0:j1]).z
-    cx, cy = config.resolve_principal_point(mask.membership.shape)
-    sub_config = replace(config, principal_point=(cx - j0, cy - i0))
+        z = HeightField(sub_mask, box.crop(init.z)).z
+    sub_config = box.config(config)
 
     st = MaskStencil(sub_mask.membership)
     z = st.gather(z)
@@ -215,7 +212,5 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
 
     e_t, e_g, e = _energy(z, st, sub_config)
     history.append((iterations, e))
-    full = np.zeros(mask.membership.shape)
-    full[i0:i1, j0:j1] = st.scatter(z)
     report = SolveReport(iterations, e_t, e_g, e, delta, converged, tuple(history))
-    return HeightField(mask, full), report
+    return HeightField(mask, box.paste(st.scatter(z))), report

@@ -324,7 +324,8 @@ def depth_from_drops(image: RasterGray, drops: list[HeightField], config: Optica
             if not 0 <= drop_id < len(drops):
                 raise DomainError(f"correspondence names unknown drop {drop_id}")
             tf = traces[drop_id]
-            i, j = int(round(pi)), int(round(pj))
+            # raster pixel -> the trace's box; a pixel off the box has no ray
+            i, j = int(round(pi)) - tf.box.i0, int(round(pj)) - tf.box.j0
             if not (0 <= i < tf.valid.shape[0] and 0 <= j < tf.valid.shape[1]) \
                     or not tf.valid[i, j]:
                 rays = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DropMask, HeightField, MaskStencil, OpticalConfig, RasterGray
+from .core import DropMask, HeightField, OpticalConfig, RasterGray
 from .errors import DomainError, RingTooSmall
 from .optics import critical_normal_z_field, normal_z_field
 from .solver import SolveReport, SolverParams, init_mesh, solve_fixed_volume
@@ -45,7 +45,7 @@ class VolumeLoopParams:
 def band_ring(hf: HeightField, config: OpticalConfig) -> np.ndarray:
     """Pixels whose normal-z lies within the band half-width of the critical
     value (computed per pixel from the equivalent camera)."""
-    n_z = normal_z_field(hf, MaskStencil(hf.mask.membership))
+    n_z = normal_z_field(hf)
     n_crit = critical_normal_z_field(hf, config)
     return hf.mask.membership & (np.abs(n_z - n_crit) <= config.band_halfwidth)
 

@@ -7,7 +7,12 @@ from dropstereo import (BehindCamera, DomainError, EmptyOutput, HeightField, Opt
                         RasterGray, SolverParams, TotalReflection, Vec3, angular_project,
                         dark_band_mask, dewarp_image, disk_mask, initial_volume,
                         render_synthetic, solve_fixed_volume, trace_drop_pixel)
-from dropstereo.raytrace import Ray, ScenePlane, SceneSpec, trace_field, uv_field
+from dropstereo.core import gradient
+from dropstereo.optics import (critical_normal_z_field, equivalent_camera_depth,
+                               fresnel_transmittance_arrays, normal_z_field, refract_arrays)
+from dropstereo.raytrace import (Ray, ScenePlane, SceneSpec, _transmittance_from_cos_w,
+                                 trace_field, transmittance, uv_field)
+from dropstereo.volume_loop import band_ring
 from dropstereo.scenes import make_texture
 
 from conftest import zncc
@@ -145,9 +150,122 @@ def test_trace_is_continuous_under_subpixel_perturbation(cap50, config):
     mask, hf, _ = cap50
     tf = trace_field(hf, config)
     c = int((mask.height - 1) / 2)
-    inner = tf.directions[c, c - 20 : c + 20]
+    inner = tf.box.paste(tf.directions)[c, c - 20 : c + 20]
     steps = np.linalg.norm(np.diff(inner, axis=0), axis=1)
     assert steps.max() < 0.05
+
+
+# --- the boxed trace against a full-raster reference ------------------------------
+#
+# The trace and the band fields run on the drop's box.  The reference below
+# is the full-raster version of the same per-pixel formulas: every pixel of
+# the grid, plate coordinates taken from the whole raster.  Box results must
+# equal it bit for bit on the box, and it must find no transmitted or dark
+# pixel off the box.
+
+_BOX_MASKS = {
+    # name: (grid shape, disk center, radius); steep caps so a dark band exists
+    "interior": ((64, 640), (30, 520), 20),
+    "top": ((64, 96), (4, 48), 20),
+    "bottom": ((64, 96), (59, 48), 20),
+    "left": ((64, 96), (32, 3), 20),
+    "right": ((64, 96), (32, 92), 20),
+    "all_edges": ((30, 34), (15, 16), 20),
+}
+_BOX_CONFIGS = {
+    "default": OpticalConfig(),
+    "pp_333.3_121.7": OpticalConfig(principal_point=(333.3, 121.7)),
+    "pp_0.1_299.9": OpticalConfig(principal_point=(0.1, 299.9)),
+    # a box origin right of this principal point rounds (cx - j0) inexactly
+    # for the "interior" mask, so shifting the principal point by the box
+    # origin would not reproduce the raster's plate coordinates there
+    "pp_0.333_12.34": OpticalConfig(principal_point=(0.333, 12.34)),
+    "orthographic": OpticalConfig(camera_z=math.inf),
+}
+
+
+def _box_case(mask_name):
+    shape, center, radius = _BOX_MASKS[mask_name]
+    return _cap_field(radius, radius + 2.0, shape, center)[1]
+
+
+def _full_raster_trace(hf, config):
+    mask = hf.mask.membership
+    cx, cy = config.resolve_principal_point(mask.shape)
+    ii, jj = np.mgrid[0 : mask.shape[0], 0 : mask.shape[1]]
+    x, y = jj.astype(float) - cx, ii.astype(float) - cy
+    if math.isinf(config.camera_z):
+        r_i = np.zeros(mask.shape + (3,))
+        r_i[..., 2] = 1.0
+        theta_flat = np.zeros_like(x)
+    else:
+        d = np.stack([x, y, hf.z + equivalent_camera_depth(x * x + y * y, config)], axis=-1)
+        r_i = d / np.linalg.norm(d, axis=-1, keepdims=True)
+        theta_flat = np.arctan(np.hypot(x, y) / config.camera_z)
+    gx, gy = gradient(hf)
+    norm = np.sqrt(1.0 + gx * gx + gy * gy)
+    normals = np.where(mask[..., None], np.stack([-gx / norm, -gy / norm, 1.0 / norm], axis=-1),
+                       0.0)
+    r_o, tir = refract_arrays(r_i, np.where(mask[..., None], normals, [0.0, 0.0, 1.0]),
+                              config.eta)
+    tir &= mask
+    arg = math.asin(config.n_air / config.n_water) + np.arccos(np.clip(r_i[..., 2], -1.0, 1.0))
+    return {
+        "origins": np.stack([x, y, hf.z], axis=-1),
+        "directions": r_o,
+        "valid": mask & ~tir & (r_o[..., 2] > 1e-9),
+        "tir": tir,
+        "cos_theta_w": np.clip(np.abs(np.sum(r_i * normals, axis=-1)), 0.0, 1.0),
+        "theta_flat_air": theta_flat,
+        "n_z": 1.0 / norm,
+        "n_crit": np.where(arg < math.pi / 2, np.cos(arg), 0.0),
+    }
+
+
+@pytest.mark.parametrize("config_name", _BOX_CONFIGS)
+@pytest.mark.parametrize("mask_name", _BOX_MASKS)
+def test_boxed_trace_equals_full_raster_trace(mask_name, config_name):
+    hf, config = _box_case(mask_name), _BOX_CONFIGS[config_name]
+    tf = trace_field(hf, config)
+    ref = _full_raster_trace(hf, config)
+    box = tf.box
+    i0, i1, j0, j1 = hf.mask.bbox()
+    assert (box.i0, box.i1, box.j0, box.j1) == (max(i0 - 1, 0), min(i1 + 1, hf.mask.height),
+                                                max(j0 - 1, 0), min(j1 + 1, hf.mask.width))
+    for name in ("origins", "directions", "valid", "tir", "cos_theta_w", "theta_flat_air"):
+        got = getattr(tf, name)
+        want = box.crop(ref[name])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    off_box = ~box.paste(np.ones(tf.valid.shape, dtype=bool))
+    assert not (ref["valid"] | ref["tir"])[off_box].any()
+    assert tf.valid.any() and tf.tir.any()
+
+
+@pytest.mark.parametrize("config_name", _BOX_CONFIGS)
+@pytest.mark.parametrize("mask_name", _BOX_MASKS)
+def test_band_fields_equal_full_raster_reference(mask_name, config_name):
+    hf, config = _box_case(mask_name), _BOX_CONFIGS[config_name]
+    ref = _full_raster_trace(hf, config)
+    mask = hf.mask.membership
+    n_z = np.where(mask, ref["n_z"], 0.0)
+    assert normal_z_field(hf).tobytes() == n_z.tobytes()
+    assert critical_normal_z_field(hf, config)[mask].tobytes() == ref["n_crit"][mask].tobytes()
+    dark = dark_band_mask(hf, config)
+    assert np.array_equal(dark, mask & (ref["n_z"] <= ref["n_crit"]))
+    ring = band_ring(hf, config)
+    assert np.array_equal(ring, mask & (np.abs(n_z - ref["n_crit"]) <= config.band_halfwidth))
+    assert dark.any() and ring.any()
+
+
+def test_transmittance_is_the_two_interface_product(config):
+    hf = _box_case("interior")
+    tf = trace_field(hf, config)
+    t_curved = _transmittance_from_cos_w(tf.cos_theta_w, config)
+    t_flat = fresnel_transmittance_arrays(tf.theta_flat_air, config.n_air, config.n_water)[2]
+    radiance = np.linspace(0.0, 1.0, tf.valid.size).reshape(tf.valid.shape)
+    assert transmittance(tf, config).tobytes() == (t_curved * t_flat).tobytes()
+    lit = transmittance(tf, config, radiance)
+    assert lit.tobytes() == (radiance * t_curved * t_flat).tobytes()
 
 
 # --- angular projection -------------------------------------------------------
@@ -277,12 +395,10 @@ def test_render_constant_scene_equals_texture_times_transmittance(config):
                       blur_radius=0.0)
     img = render_synthetic(scene, [(mask, hf)], config)
     tf = trace_field(hf, config)
-    from dropstereo.raytrace import _transmittance_from_cos_w
-    from dropstereo.optics import fresnel_transmittance_arrays
-
-    t = _transmittance_from_cos_w(tf.cos_theta_w, config) \
-        * fresnel_transmittance_arrays(tf.theta_flat_air, config.n_air, config.n_water)[2]
-    lit = tf.valid & (hf.z > 0)
+    t = tf.box.paste(_transmittance_from_cos_w(tf.cos_theta_w, config)
+                     * fresnel_transmittance_arrays(tf.theta_flat_air, config.n_air,
+                                                    config.n_water)[2])
+    lit = tf.box.paste(tf.valid) & (hf.z > 0)
     assert np.abs(img.pixels[lit] - 0.75 * t[lit]).max() <= 1e-3
     # compensation recovers the texture value
     from dropstereo import compensate_illuminance
@@ -294,7 +410,7 @@ def test_render_constant_scene_equals_texture_times_transmittance(config):
 def test_render_dark_annulus_agrees_with_band_mask(single_drop_render, config):
     scene, mask, hf, img = single_drop_render
     tf = trace_field(hf, config)
-    rendered_dark = mask.membership & (hf.z > 0) & ~tf.valid
+    rendered_dark = mask.membership & (hf.z > 0) & ~tf.box.paste(tf.valid)
     predicted = dark_band_mask(hf, config)
     wet = mask.membership & (hf.z > 0)
     agree = (rendered_dark == (predicted & wet)) & wet
@@ -312,7 +428,7 @@ def test_render_dark_annulus_grows_with_volume(config):
         hf, _ = solve_fixed_volume(m, initial_volume(m, alpha),
                                    SolverParams(max_iters=2500), config)
         tf = trace_field(hf, config)
-        counts.append(int((m.membership & (hf.z > 0) & ~tf.valid).sum()))
+        counts.append(int((m.membership & (hf.z > 0) & ~tf.box.paste(tf.valid)).sum()))
     assert counts[1] > counts[0]
 
 

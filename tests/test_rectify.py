@@ -160,7 +160,7 @@ def test_compensation_leaves_dark_and_background_alone(config, cap50):
     comp, ok = compensate_illuminance(img, hf, config)
     assert comp.pixels.max() <= 1.0
     tf = trace_field(hf, config)
-    dark = mask.membership & ~tf.valid
+    dark = mask.membership & ~tf.box.paste(tf.valid)
     assert not ok[dark].any()
     assert np.array_equal(comp.pixels[dark], img.pixels[dark])
     assert np.array_equal(comp.pixels[~mask.membership], img.pixels[~mask.membership])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -289,3 +291,34 @@ def test_depth_two_plane_scene_bimodal(config):
     assert near.size >= 5 and far.size >= 5
     assert abs(np.median(near) - 1500.0) / 1500.0 <= 0.03
     assert abs(np.median(far) - 3000.0) / 3000.0 <= 0.03
+
+
+def test_depth_file_correspondences_off_the_drop_box(two_drop_scene, config):
+    # file-loaded correspondences (no uv) may name raster pixels off a drop's
+    # box: one row or column past each side, or raster index 0, whose
+    # box-relative index would be negative.  Such pixels have no ray; the
+    # result must be the one the good correspondences give alone.
+    _, (m1, hf1), (m2, hf2), image = two_drop_scene
+    drops = [hf1, hf2]
+    matched = depth_from_drops(image, drops, config)
+    good = [replace(c, uv_a=None, uv_b=None) for c in matched.correspondences[:40]]
+    bad = []
+    for drop_id, m in enumerate((m1, m2)):
+        i0, i1, j0, j1 = m.bbox()
+        # the box is the bounding box plus one pixel; step one more outside
+        ci, cj = (i0 + i1) // 2, (j0 + j1) // 2
+        off = [(i0 - 2, cj), (i1 + 1, cj), (ci, j0 - 2), (ci, j1 + 1), (0, cj), (ci, 0), (0, 0)]
+        for c, pixel in zip(good, off):
+            if drop_id == c.drop_a:
+                bad.append(replace(c, pixel_a=pixel))
+            else:
+                bad.append(replace(c, pixel_b=pixel))
+    assert len(bad) == 14
+    result = depth_from_drops(image, drops, config, correspondences=bad + good)
+    expected = depth_from_drops(image, drops, config, correspondences=good)
+    assert result.correspondences == expected.correspondences
+    assert result.points == expected.points
+    assert result.residuals.tobytes() == expected.residuals.tobytes()
+    assert np.array_equal(result.valid, expected.valid)
+    for got, want in zip(result.depth_maps, expected.depth_maps):
+        assert got.tobytes() == want.tobytes()
