@@ -154,13 +154,13 @@ def equivalent_camera_depth(rho2: np.ndarray, config: OpticalConfig) -> np.ndarr
 
 
 def incidence_directions(hf: HeightField, config: OpticalConfig,
-                         box: DropBox | None = None) -> np.ndarray:
+                         box: DropBox) -> np.ndarray:
     """Unit in-water ray directions from the equivalent camera to every
-    surface point, (H, W, 3), or box-sized on ``box``; the camera sits at
+    surface point of ``box``, box-sized (h, w, 3); the camera sits at
     z = -C'_z below the plate so directions point toward the scene
     (positive z)."""
     x, y = plate_coords(hf.mask.membership.shape, config, box)
-    z = hf.z if box is None else box.crop(hf.z)
+    z = box.crop(hf.z)
     if math.isinf(config.camera_z):
         d = np.zeros(z.shape + (3,))
         d[..., 2] = 1.0
@@ -171,9 +171,9 @@ def incidence_directions(hf: HeightField, config: OpticalConfig,
 
 
 def theta_cprime_field(hf: HeightField, config: OpticalConfig,
-                       box: DropBox | None = None) -> np.ndarray:
-    """Per-pixel angle between the incident in-water ray and the z axis
-    (box-sized on ``box``)."""
+                       box: DropBox) -> np.ndarray:
+    """Per-pixel angle between the incident in-water ray and the z axis,
+    box-sized on ``box``."""
     d = incidence_directions(hf, config, box)
     return np.arccos(np.clip(d[..., 2], -1.0, 1.0))
 
