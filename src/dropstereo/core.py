@@ -329,11 +329,10 @@ def gradient(hf: HeightField) -> tuple[np.ndarray, np.ndarray]:
     return st.diff_x(hf.z), st.diff_y(hf.z)
 
 
-def divergence(fx: np.ndarray, fy: np.ndarray, mask: DropMask | np.ndarray,
-               stencil: MaskStencil | None = None) -> np.ndarray:
+def divergence(fx: np.ndarray, fy: np.ndarray, mask: DropMask | np.ndarray) -> np.ndarray:
     """Per-pixel divergence of a vector field defined on the mask."""
     m = mask.membership if isinstance(mask, DropMask) else np.asarray(mask, dtype=bool)
-    st = stencil or MaskStencil(m)
+    st = MaskStencil(m)
     return st.diff_x(fx) + st.diff_y(fy)
 
 

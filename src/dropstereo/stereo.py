@@ -78,7 +78,10 @@ class _Windows(NamedTuple):
 
     The image is zero-padded by ``pad`` on each side so every search region
     lies inside it; windows touching padding or an unusable pixel, or with
-    no variance, are not ``usable``.
+    no variance, are not ``usable``.  ``windows`` is a strided view, and no
+    search region is copied out of it: the templates whose regions start on
+    the same padded row share one window-major copy of the region rows over
+    the union of their columns (the band of ``_match_row``).
     """
 
     pad: int
@@ -87,14 +90,26 @@ class _Windows(NamedTuple):
     usable: np.ndarray   # (H', W') bool
 
 
+def _window_sums(a: np.ndarray, w: int) -> np.ndarray:
+    """Sum of every w x w window of ``a``: each row is summed over w columns,
+    then w row sums are added in order, which is the accumulation order of
+    ``sliding_window_view(a, (w, w)).sum(axis=(2, 3))`` bit for bit."""
+    rows = np.lib.stride_tricks.sliding_window_view(a, w, axis=1).sum(-1)
+    h = a.shape[0] - w + 1
+    acc = rows[0:h].copy()
+    for k in range(1, w):
+        acc += rows[k : k + h]
+    return acc
+
+
 def _window_stats(img: np.ndarray, ok: np.ndarray, w: int, pad: int) -> _Windows:
     view = np.lib.stride_tricks.sliding_window_view
     padded = np.pad(img, pad)
-    windows = view(padded, (w, w))
-    sums = windows.sum(axis=(2, 3))
-    var = view(padded * padded, (w, w)).sum(axis=(2, 3)) - sums * sums / (w * w)
+    sums = _window_sums(padded, w)
+    var = _window_sums(padded * padded, w) - sums * sums / (w * w)
     full = view(np.pad(ok, pad), (w, w)).all(axis=(2, 3))
-    return _Windows(pad, windows, np.sqrt(np.maximum(var, 0.0)), full & (var > 1e-12))
+    return _Windows(pad, view(padded, (w, w)), np.sqrt(np.maximum(var, 0.0)),
+                    full & (var > 1e-12))
 
 
 def _subpixel(score: np.ndarray, r: int, c: int) -> tuple[float, float]:
@@ -143,43 +158,68 @@ def _global_shift(img_a: np.ndarray, ok_a: np.ndarray, img_b: np.ndarray,
     return dr, dc
 
 
-def _best_match(img_a: np.ndarray, ok_a: np.ndarray, b: _Windows, ra: int, ca: int,
-                params: BlockMatchParams, prior: tuple[int, int]
-                ) -> tuple[float, float, float] | None:
+def _match_row(img_a: np.ndarray, ok_a: np.ndarray, b: _Windows, ra: int,
+               cols: list[int], params: BlockMatchParams, prior: tuple[int, int]
+               ) -> list[tuple[float, float, float] | None]:
     """Best sub-pixel position in b for the window of a at (ra, ca), searched
-    around (ra, ca) + prior."""
+    around (ra, ca) + prior, for each ca in ``cols``.
+
+    The search regions of one template row all start on the same padded row
+    of b, so the windows over the union of their columns are copied once
+    into a window-major band; each region (n = 2 * search_radius + 1
+    windows square) is then a contiguous (n * n, window * window) slice of
+    it, scored in one matrix-vector product, and its (column, row) scores
+    are transposed back.
+    """
     hw = params.window // 2
     rad = params.search_radius
-    if not ok_a[ra - hw : ra + hw + 1, ca - hw : ca + hw + 1].all():
-        return None
-    patch = img_a[ra - hw : ra + hw + 1, ca - hw : ca + hw + 1]
-    pz = patch - patch.mean()
-    pn = np.sqrt((pz * pz).sum())
-    if pn < 1e-12:
-        return None
-    rc, cc = ra + prior[0], ca + prior[1]
-    # padded-image windows whose centres lie within rad of (rc, cc)
-    r0, c0 = rc - rad - hw + b.pad, cc - rad - hw + b.pad
-    region = np.s_[r0 : r0 + 2 * rad + 1, c0 : c0 + 2 * rad + 1]
-    cross = np.tensordot(b.windows[region], pz, axes=([2, 3], [0, 1]))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        score = cross / (pn * b.norm[region])
-    score = np.where(b.usable[region], score, -np.inf)
-    best = np.unravel_index(int(np.argmax(score)), score.shape)
-    s = score[best]
-    if not np.isfinite(s) or s < params.zncc_min:
-        return None
-    dr, dc = _subpixel(score, *best)
-    rb = rc - rad + best[0] + dr
-    cb = cc - rad + best[1] + dc
-    return rb, cb, float(s)
+    n = 2 * rad + 1
+    # padded-image windows whose centres lie within rad of (rc, cc) start
+    # at (rc + off, cc + off)
+    off = b.pad - rad - hw
+    rc = ra + prior[0]
+    r0 = rc + off
+    templates = []
+    for k, ca in enumerate(cols):
+        if not ok_a[ra - hw : ra + hw + 1, ca - hw : ca + hw + 1].all():
+            continue
+        patch = img_a[ra - hw : ra + hw + 1, ca - hw : ca + hw + 1]
+        pz = patch - patch.mean()
+        pn = np.sqrt((pz * pz).sum())
+        if pn >= 1e-12:
+            templates.append((k, ca + prior[1], pz, pn))
+    out: list[tuple[float, float, float] | None] = [None] * len(cols)
+    if not templates:
+        return out
+    lo = min(t[1] for t in templates) + off
+    hi = max(t[1] for t in templates) + off + n
+    band = np.ascontiguousarray(b.windows[r0 : r0 + n, lo:hi].transpose(1, 0, 2, 3))
+    for k, cc, pz, pn in templates:
+        c0 = cc + off
+        region = np.s_[r0 : r0 + n, c0 : c0 + n]
+        cross = np.tensordot(band[c0 - lo : c0 - lo + n], pz, axes=([2, 3], [0, 1])).T
+        with np.errstate(invalid="ignore", divide="ignore"):
+            score = cross / (pn * b.norm[region])
+        score = np.where(b.usable[region], score, -np.inf)
+        best = np.unravel_index(int(np.argmax(score)), score.shape)
+        s = score[best]
+        if not np.isfinite(s) or s < params.zncc_min:
+            continue
+        dr, dc = _subpixel(score, *best)
+        out[k] = (rc - rad + best[0] + dr, cc - rad + best[1] + dc, float(s))
+    return out
 
 
 def match_grids(img_a: np.ndarray, ok_a: np.ndarray, img_b: np.ndarray, ok_b: np.ndarray,
                 params: BlockMatchParams) -> list[tuple[float, float, float, float, float]]:
     """Grid-sampled ZNCC matches (ra, ca, rb, cb, score) with left-right
     consistency filtering; the local search is centered on a coarse global
-    alignment prior."""
+    alignment prior.
+
+    The forward search runs one grid row at a time; the backward search runs
+    once the forward pass ends, one row of b at a time over the forward
+    matches that land on it.  Matches come out in forward raster order.
+    """
     hw = params.window // 2
     prior = _global_shift(img_a, ok_a, img_b, ok_b)
     rprior = (-prior[0], -prior[1])
@@ -187,23 +227,32 @@ def match_grids(img_a: np.ndarray, ok_a: np.ndarray, img_b: np.ndarray, ok_b: np
     pad = params.search_radius + hw + max(abs(prior[0]), abs(prior[1]))
     wins_a = _window_stats(img_a, ok_a, params.window, pad)
     wins_b = _window_stats(img_b, ok_b, params.window, pad)
-    out = []
+    cols = list(range(hw, img_a.shape[1] - hw, params.stride))
+    fwd = []
     for ra in range(hw, img_a.shape[0] - hw, params.stride):
-        for ca in range(hw, img_a.shape[1] - hw, params.stride):
-            fwd = _best_match(img_a, ok_a, wins_b, ra, ca, params, prior)
-            if fwd is None:
+        for ca, m in zip(cols, _match_row(img_a, ok_a, wins_b, ra, cols, params, prior)):
+            if m is None:
                 continue
-            rb, cb, score = fwd
+            rb, cb, score = m
             rbi, cbi = int(round(rb)), int(round(cb))
-            if not (hw <= rbi < img_b.shape[0] - hw and hw <= cbi < img_b.shape[1] - hw):
-                continue
-            back = _best_match(img_b, ok_b, wins_a, rbi, cbi, params, rprior)
-            if back is None:
-                continue
-            if abs(back[0] - ra) > params.lr_tol + abs(rb - rbi) or \
-               abs(back[1] - ca) > params.lr_tol + abs(cb - cbi):
-                continue
-            out.append((float(ra), float(ca), rb, cb, score))
+            if hw <= rbi < img_b.shape[0] - hw and hw <= cbi < img_b.shape[1] - hw:
+                fwd.append((ra, ca, rb, cb, score, rbi, cbi))
+    on_row: dict[int, list[int]] = {}
+    for k, (*_, rbi, _) in enumerate(fwd):
+        on_row.setdefault(rbi, []).append(k)
+    back: list[tuple[float, float, float] | None] = [None] * len(fwd)
+    for rbi, ks in on_row.items():
+        found = _match_row(img_b, ok_b, wins_a, rbi, [fwd[k][6] for k in ks], params, rprior)
+        for k, m in zip(ks, found):
+            back[k] = m
+    out = []
+    for (ra, ca, rb, cb, score, rbi, cbi), m in zip(fwd, back):
+        if m is None:
+            continue
+        if abs(m[0] - ra) > params.lr_tol + abs(rb - rbi) or \
+           abs(m[1] - ca) > params.lr_tol + abs(cb - cbi):
+            continue
+        out.append((float(ra), float(ca), rb, cb, score))
     return out
 
 

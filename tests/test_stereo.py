@@ -8,7 +8,8 @@ from dropstereo import (DegenerateGeometry, DomainError, InsufficientMatches, Ra
                         SolverParams, Vec3, block_match, depth_from_drops, disk_mask,
                         initial_volume, render_synthetic, solve_fixed_volume, triangulate)
 from dropstereo.raytrace import Ray, ScenePlane, SceneSpec
-from dropstereo.stereo import BlockMatchParams, _global_shift, _subpixel, match_grids
+from dropstereo.stereo import (BlockMatchParams, _global_shift, _subpixel, _window_sums,
+                               match_grids)
 from dropstereo.scenes import make_texture
 
 
@@ -114,24 +115,62 @@ def _oracle_match_grids(img_a, ok_a, img_b, ok_b, params):
     return out
 
 
-@pytest.mark.parametrize("shift", [(4, 20), (9, 37)])
-def test_match_grids_equals_region_copy_oracle_across_edges(shift):
+@pytest.mark.parametrize("shift, params, blank_rows, half_row", [
+    pytest.param((4, 20), BlockMatchParams(stride=5), None, False, id="shift0"),
+    pytest.param((9, 37), BlockMatchParams(stride=5), None, False, id="shift1"),
+    pytest.param((4, 20), BlockMatchParams(), None, False, id="stride3"),
+    pytest.param((9, 37), BlockMatchParams(window=7, search_radius=10), None, False,
+                 id="w7-r10"),
+    pytest.param((4, 20), BlockMatchParams(stride=5), slice(20, 61), False, id="blank-rows"),
+    pytest.param((4, 20), BlockMatchParams(window=7, search_radius=10, stride=1), None, True,
+                 id="shared-back-rows"),
+])
+def test_match_grids_equals_region_copy_oracle_across_edges(shift, params, blank_rows,
+                                                            half_row):
     # searches centred on the global prior run off the image edges, where
     # the windows read padding; at (9, 37) some search regions lie wholly
     # outside the image
     base = _noise_image((110, 150), seed=3).pixels
-    img_a = base[:90, :110]
-    img_b = base[shift[0] : shift[0] + 90, shift[1] : shift[1] + 110]
+    h, w = (50, 70) if half_row else (90, 110)
+    img_a = base[:h, :w]
+    img_b = base[shift[0] : shift[0] + h, shift[1] : shift[1] + w]
+    if half_row:
+        # b sits half a row lower, so at stride 1 the forward matches of
+        # neighbouring rows round to the same row of b
+        img_b = 0.5 * (img_b + base[shift[0] + 1 : shift[0] + 1 + h, shift[1] : shift[1] + w])
     ok_a = np.ones(img_a.shape, dtype=bool)
     ok_a[30:45, 50:58] = False
+    if blank_rows is not None:
+        # whole grid rows without a template
+        ok_a[blank_rows] = False
     ok_b = np.ones(img_b.shape, dtype=bool)
     ok_b[60:70, 10:30] = False
-    params = BlockMatchParams(stride=5)
     assert _global_shift(img_a, ok_a, img_b, ok_b) == (-shift[0], -shift[1])
     got = match_grids(img_a, ok_a, img_b, ok_b, params)
     want = _oracle_match_grids(img_a, ok_a, img_b, ok_b, params)
     assert len(want) >= 20
+    if half_row:
+        rows_of = {}
+        for ra, _, rb, _, _ in want:
+            rows_of.setdefault(int(round(rb)), set()).add(ra)
+        assert max(len(r) for r in rows_of.values()) >= 2
     assert got == want
+
+
+def test_window_sums_equal_the_4d_reduction():
+    rng = np.random.default_rng(5)
+    view = np.lib.stride_tricks.sliding_window_view
+    for w in (3, 7, 11):
+        for pad in (0, 4, 17):
+            img = rng.uniform(-3.0, 40.0, (29, 23))
+            for a in (np.pad(img, pad), np.pad(img * img, pad)):
+                want = view(a, (w, w)).sum(axis=(2, 3))
+                assert _window_sums(a, w).tobytes() == want.tobytes()
+        # a padded image exactly one window tall
+        a = np.pad(rng.uniform(0.0, 1.0, (3, 31)), (w - 3) // 2)
+        assert a.shape[0] == w
+        want = view(a, (w, w)).sum(axis=(2, 3))
+        assert _window_sums(a, w).tobytes() == want.tobytes()
 
 
 # --- triangulation ---------------------------------------------------------------
