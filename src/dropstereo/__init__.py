@@ -7,17 +7,17 @@ depth from the refracted rays of several drops, and rectifies the warped
 drop imagery.  A forward synthetic renderer provides ground truth.
 """
 
-from .core import (DropMask, HeightField, OpticalConfig, RasterGray, Vec3, divergence,
-                   gradient, mask_centroid, normal_field, surface_normal)
+from .core import (DropMask, HeightField, OpticalConfig, RasterGray, Vec3, mask_centroid,
+                   normal_field)
 from .detect import DetectParams, detect_drops
-from .errors import (BehindCamera, DegenerateGeometry, DomainError, EmptyOutput,
-                     InsufficientMatches, RingTooSmall, SolverDiverged, TotalReflection)
+from .errors import (DegenerateGeometry, DomainError, EmptyOutput, InsufficientMatches,
+                     RingTooSmall, SolverDiverged)
 from .formats import PipelineConfig, default_config
 from .masks import blob_mask, disk_mask
 from .optics import (FresnelResult, band_transmittance_linear, critical_normal_z,
-                     dark_band_mask, equivalent_camera, fresnel_transmittance, refract)
-from .raytrace import (DewarpedImage, Ray, ScenePlane, SceneSpec, angular_project,
-                       dewarp_image, render_synthetic, trace_drop_pixel)
+                     dark_band_mask, fresnel_transmittance)
+from .raytrace import (DewarpedImage, Ray, ScenePlane, SceneSpec, dewarp_image,
+                       render_synthetic)
 from .rectify import RectifiedView, compensate_illuminance, rectify_drop
 from .solver import (SolveReport, SolverParams, energy_of, gravity_step, init_mesh,
                      initial_volume, solve_fixed_volume, tension_step, volume_of,

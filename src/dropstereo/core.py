@@ -186,6 +186,8 @@ class OpticalConfig:
         if not self.camera_z > 0.0:
             raise DomainError("camera_z must be positive")
         g = np.asarray(self.gravity_cosines, dtype=float)
+        if g.shape != (3,):
+            raise DomainError("gravity direction cosines must have three components")
         if abs(np.linalg.norm(g) - 1.0) > 1e-6:
             raise DomainError("gravity direction cosines must have unit norm")
         if self.band_halfwidth <= 0.0:
@@ -253,7 +255,7 @@ class DropBox:
 # (``a[mask]``).  Along each axis a pixel takes the central difference where
 # both 4-neighbors are members, the one-sided difference where only one is,
 # and zero where it is isolated along that axis.  Values outside the mask are
-# never read; the grid forms return zero there.
+# never read.
 # ---------------------------------------------------------------------------
 
 
@@ -316,25 +318,6 @@ class MaskStencil:
         ip, im, wt = self._axes[axis]
         return wt * (v[ip] - v[im])
 
-    def diff_x(self, a: np.ndarray) -> np.ndarray:
-        return self.scatter(self.diff(self.gather(a), 1))
-
-    def diff_y(self, a: np.ndarray) -> np.ndarray:
-        return self.scatter(self.diff(self.gather(a), 0))
-
-
-def gradient(hf: HeightField) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel (dz/dx, dz/dy) on the mask; zero outside."""
-    st = MaskStencil(hf.mask.membership)
-    return st.diff_x(hf.z), st.diff_y(hf.z)
-
-
-def divergence(fx: np.ndarray, fy: np.ndarray, mask: DropMask | np.ndarray) -> np.ndarray:
-    """Per-pixel divergence of a vector field defined on the mask."""
-    m = mask.membership if isinstance(mask, DropMask) else np.asarray(mask, dtype=bool)
-    st = MaskStencil(m)
-    return st.diff_x(fx) + st.diff_y(fy)
-
 
 def normal_field(hf: HeightField, box: DropBox | None = None) -> np.ndarray:
     """Unit surface normals, (H, W, 3), oriented into the +z hemisphere; on
@@ -348,18 +331,12 @@ def normal_field(hf: HeightField, box: DropBox | None = None) -> np.ndarray:
     if box is not None:
         mask, z = box.crop(mask), box.crop(z)
     st = MaskStencil(mask)
-    gx, gy = st.diff_x(z), st.diff_y(z)
+    v = st.gather(z)
+    gx, gy = st.diff(v, 1), st.diff(v, 0)
     norm = np.sqrt(1.0 + gx * gx + gy * gy)
-    n = np.stack([-gx / norm, -gy / norm, 1.0 / norm], axis=-1)
-    return np.where(mask[..., None], n, 0.0)
-
-
-def surface_normal(hf: HeightField, i: int, j: int) -> Vec3:
-    """Unit outward normal at mask pixel (i, j)."""
-    if not (0 <= i < hf.mask.height and 0 <= j < hf.mask.width and hf.mask.membership[i, j]):
-        raise DomainError(f"pixel ({i}, {j}) is outside the drop mask")
-    box = DropBox.of(hf.mask)
-    return Vec3.from_array(normal_field(hf, box)[i - box.i0, j - box.j0])
+    n = np.zeros(mask.shape + (3,))
+    n[mask] = np.stack([-gx / norm, -gy / norm, 1.0 / norm], axis=-1)
+    return n
 
 
 def mask_centroid(hf: HeightField) -> tuple[float, float]:

@@ -7,10 +7,6 @@ class DomainError(ValueError):
     """An argument violates a documented precondition."""
 
 
-class TotalReflection(Exception):
-    """The refracted tangential component exceeds unit norm; no transmitted ray."""
-
-
 class SolverDiverged(RuntimeError):
     """A surface update produced non-finite heights (step size too large)."""
 
@@ -25,10 +21,6 @@ class InsufficientMatches(RuntimeError):
 
 class DegenerateGeometry(RuntimeError):
     """Triangulation normal matrix is singular or near-singular."""
-
-
-class BehindCamera(DomainError):
-    """A ray direction does not proceed toward the scene (z component <= 0)."""
 
 
 class EmptyOutput(RuntimeError):

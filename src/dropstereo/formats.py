@@ -46,6 +46,8 @@ def _read_pnm_header(data: bytes, path: str) -> tuple[bytes, int, int, int, int]
         width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError as exc:
         raise DomainError(f"{path}: malformed PNM header") from exc
+    if width <= 0 or height <= 0:
+        raise DomainError(f"{path}: PNM size {width}x{height} must be positive")
     return magic, width, height, maxval, pos
 
 
@@ -121,6 +123,8 @@ def read_pfm(path: str | Path) -> np.ndarray:
         scale = float(scale_s)
     except ValueError as exc:
         raise DomainError(f"{path}: malformed PFM header") from exc
+    if width <= 0 or height <= 0:
+        raise DomainError(f"{path}: PFM size {width}x{height} must be positive")
     if scale >= 0:
         raise DomainError(f"{path}: big-endian PFM (scale {scale}) is unsupported")
     if len(payload) < 4 * width * height:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DropBox, HeightField, OpticalConfig, Vec3, normal_field, plate_coords
-from .errors import DomainError, TotalReflection
+from .core import DropBox, HeightField, OpticalConfig, normal_field, plate_coords
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -28,33 +28,13 @@ class FresnelResult:
     T: float
 
 
-def refract(direction: Vec3, normal: Vec3, eta_ratio: float) -> Vec3:
-    """Bend a unit direction across an interface, scaling the tangential
-    component by ``eta_ratio = n_from / n_to``.
-
-    Raises TotalReflection when the scaled tangential component exceeds unit
-    norm.  The sign of the normal is immaterial; the transmitted ray keeps
-    the incoming ray's sense through the interface.
-    """
-    if not direction.is_unit():
-        raise DomainError("direction must be a unit vector")
-    if not normal.is_unit():
-        raise DomainError("normal must be a unit vector")
-    cos_i = direction.dot(normal)
-    parallel = normal.scaled(cos_i)
-    tangential = direction - parallel
-    t_out = tangential.scaled(eta_ratio)
-    t2 = t_out.dot(t_out)
-    if t2 > 1.0:
-        raise TotalReflection(f"tangential norm {math.sqrt(t2):.6f} exceeds 1")
-    sign = 1.0 if cos_i >= 0.0 else -1.0
-    out = t_out + normal.scaled(sign * math.sqrt(max(1.0 - t2, 0.0)))
-    return out.unit()
-
-
 def refract_arrays(directions: np.ndarray, normals: np.ndarray,
                    eta_ratio: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized refract over (..., 3) stacks: (out directions, TIR mask)."""
+    """Bend (..., 3) stacks of unit directions across an interface, scaling
+    the tangential component by ``eta_ratio = n_from / n_to``: (out
+    directions, TIR mask), the mask set where that component exceeds unit
+    norm.  The transmitted ray keeps the incoming ray's sense whatever the
+    sign of the normal."""
     cos_i = np.sum(directions * normals, axis=-1, keepdims=True)
     tang = directions - cos_i * normals
     t_out = eta_ratio * tang
@@ -119,26 +99,6 @@ def critical_normal_z(theta_cprime: float, n_a: float, n_w: float) -> float:
     if arg >= math.pi / 2:
         return 0.0
     return math.cos(arg)
-
-
-def equivalent_camera(camera: Vec3, x_plate: Vec3, n_a: float, n_w: float,
-                      paraxial: bool = False) -> Vec3:
-    """Virtual camera position absorbing the flat-interface refraction.
-
-    ``camera`` is the on-axis pinhole at height ``z_c > 0`` over the plate
-    ``z = 0``; ``x_plate`` is the point where the ray crosses the plate.  The
-    exact form scales with the crossing radius; ``paraxial`` selects the
-    small-angle approximation (n_w / n_a) * z_c.
-    """
-    z_c = camera.z
-    if not z_c > 0.0:
-        raise DomainError("camera must sit at positive height over the plate")
-    eta = n_w / n_a
-    if paraxial:
-        return Vec3(camera.x, camera.y, eta * z_c)
-    rho2 = (x_plate.x - camera.x) ** 2 + (x_plate.y - camera.y) ** 2
-    factor = math.sqrt(1.0 + ((n_w**2 - n_a**2) / n_w**2) * rho2 / (z_c**2))
-    return Vec3(camera.x, camera.y, eta * z_c * factor)
 
 
 def equivalent_camera_depth(rho2: np.ndarray, config: OpticalConfig) -> np.ndarray:

@@ -2,7 +2,7 @@
 forward synthetic renderer used as ground truth.
 
 Inverse rays run from the equivalent camera (below the plate at z = -C'_z)
-up to a surface point, refract once at the curved water-air interface with
+up to a surface point, bend once at the curved water-air interface with
 the tangential ratio n_w/n_a, and continue toward the scene at positive z.
 Pixels whose refraction totally reflects form the dark band.
 """
@@ -18,7 +18,7 @@ from scipy import ndimage
 
 from .core import (DropBox, DropMask, HeightField, OpticalConfig, RasterGray, Vec3,
                    normal_field, plate_coords, splat_bilinear)
-from .errors import BehindCamera, DomainError, EmptyOutput, TotalReflection
+from .errors import DomainError, EmptyOutput
 from .optics import fresnel_transmittance_arrays, incidence_directions, refract_arrays
 
 _MIN_FORWARD_Z = 1e-9
@@ -162,33 +162,6 @@ def transmittance(tf: TraceField, config: OpticalConfig, radiance=1.0) -> np.nda
     then flat plate), applied to ``radiance`` (a scalar or a box-sized array)."""
     _, _, t_flat = fresnel_transmittance_arrays(tf.theta_flat_air, config.n_air, config.n_water)
     return radiance * _transmittance_from_cos_w(tf.cos_theta_w, config) * t_flat
-
-
-def trace_drop_pixel(x_plate: Vec3, hf: HeightField, config: OpticalConfig) -> Ray:
-    """Outbound scene ray for the mask pixel at plate point ``x_plate``.
-
-    Raises TotalReflection for dark-band pixels and DomainError outside the
-    mask.
-    """
-    cx, cy = config.resolve_principal_point(hf.mask.membership.shape)
-    j = int(round(x_plate.x + cx))
-    i = int(round(x_plate.y + cy))
-    if not (0 <= i < hf.mask.height and 0 <= j < hf.mask.width and hf.mask.membership[i, j]):
-        raise DomainError(f"plate point ({x_plate.x}, {x_plate.y}) is outside the drop mask")
-    tf = trace_field(hf, config)
-    bi, bj = i - tf.box.i0, j - tf.box.j0
-    if tf.tir[bi, bj]:
-        raise TotalReflection(f"pixel ({i}, {j}) lies in the dark band")
-    if not tf.valid[bi, bj]:
-        raise BehindCamera(f"pixel ({i}, {j}) exits at a grazing or backward angle")
-    return Ray(Vec3.from_array(tf.origins[bi, bj]), Vec3.from_array(tf.directions[bi, bj]))
-
-
-def angular_project(ray: Ray) -> tuple[float, float]:
-    """Perspective division of the outbound direction: (dx/dz, dy/dz)."""
-    if ray.direction.z <= 0.0:
-        raise BehindCamera("ray does not proceed toward the scene (z component <= 0)")
-    return ray.direction.x / ray.direction.z, ray.direction.y / ray.direction.z
 
 
 def uv_field(tf: TraceField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -256,36 +256,24 @@ def match_grids(img_a: np.ndarray, ok_a: np.ndarray, img_b: np.ndarray, ok_b: np
     return out
 
 
-def block_match(dewarped_a, dewarped_b, params: BlockMatchParams | None = None,
-                drop_a: int = 0, drop_b: int = 1) -> list[Correspondence]:
-    """Correspondences between two drop views.
-
-    Accepts DewarpedImage objects (matches run on the angular grids and map
-    back to warped pixels through the forward-map table) or plain RasterGray
-    images (positions are reported on the given grids directly).
-    """
+def block_match(dewarped_a: DewarpedImage, dewarped_b: DewarpedImage,
+                params: BlockMatchParams | None = None, drop_a: int = 0,
+                drop_b: int = 1) -> list[Correspondence]:
+    """Correspondences between two drop views: matches run on the angular
+    grids and map back to warped pixels through the forward-map table."""
     p = params or BlockMatchParams()
-    if isinstance(dewarped_a, DewarpedImage):
-        img_a, ok_a = dewarped_a.raster.pixels, dewarped_a.valid
-        img_b, ok_b = dewarped_b.raster.pixels, dewarped_b.valid
-    else:
-        img_a, ok_a = dewarped_a.pixels, np.ones_like(dewarped_a.pixels, dtype=bool)
-        img_b, ok_b = dewarped_b.pixels, np.ones_like(dewarped_b.pixels, dtype=bool)
-    raw = match_grids(img_a, ok_a, img_b, ok_b, p)
+    raw = match_grids(dewarped_a.raster.pixels, dewarped_a.valid,
+                      dewarped_b.raster.pixels, dewarped_b.valid, p)
     matches = []
     for ra, ca, rb, cb, score in raw:
-        if isinstance(dewarped_a, DewarpedImage):
-            ia, ja = dewarped_a.source_ij[int(round(ra)), int(round(ca))]
-            ib, jb = dewarped_b.source_ij[int(round(rb)), int(round(cb))]
-            if ia < 0 or ib < 0:
-                continue
-            matches.append(Correspondence(drop_a, drop_b, (float(ia), float(ja)),
-                                          (float(ib), float(jb)), min(score, 1.0),
-                                          uv_a=dewarped_a.uv_of(ca, ra),
-                                          uv_b=dewarped_b.uv_of(cb, rb)))
-        else:
-            matches.append(Correspondence(drop_a, drop_b, (ra, ca), (rb, cb),
-                                          min(score, 1.0)))
+        ia, ja = dewarped_a.source_ij[int(round(ra)), int(round(ca))]
+        ib, jb = dewarped_b.source_ij[int(round(rb)), int(round(cb))]
+        if ia < 0 or ib < 0:
+            continue
+        matches.append(Correspondence(drop_a, drop_b, (float(ia), float(ja)),
+                                      (float(ib), float(jb)), min(score, 1.0),
+                                      uv_a=dewarped_a.uv_of(ca, ra),
+                                      uv_b=dewarped_b.uv_of(cb, rb)))
     if len(matches) < p.min_matches:
         raise InsufficientMatches(f"{len(matches)} matches survive "
                                   f"(need {p.min_matches})")

@@ -34,7 +34,8 @@ class VolumeLoopParams:
 
     def __post_init__(self):
         for name in ("tau_r", "inner_iters_per_update", "max_outer_updates",
-                     "alpha_init", "rel_volume_tol", "alpha_min", "alpha_max"):
+                     "alpha_init", "rel_volume_tol", "alpha_min", "alpha_max",
+                     "min_ring_pixels"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
         if not (self.alpha_min <= self.alpha_init <= self.alpha_max):

@@ -1,0 +1,29 @@
+"""The benchmark's tracer (``bench/tracing.py``) rebinds every name in its
+``ENTRY_POINTS`` when it installs, so each one must still exist in its
+module; a removed or renamed entry point breaks every traced benchmark run."""
+
+import importlib
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _entry_points():
+    # executed from its source, so nothing is written next to it
+    namespace = {"__name__": "_bench_tracing"}
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), namespace)
+    return namespace["ENTRY_POINTS"]
+
+
+def test_every_traced_entry_point_resolves():
+    entry_points = _entry_points()
+    assert entry_points
+    for layer, (modname, names) in entry_points.items():
+        home = importlib.import_module(modname)
+        for qual in names:
+            if "." in qual:
+                # a method: the tracer takes it from the class's own namespace
+                cls_name, attr = qual.split(".")
+                assert attr in vars(getattr(home, cls_name, object)), f"{layer}: {modname}.{qual}"
+            else:
+                assert callable(getattr(home, qual, None)), f"{layer}: {modname}.{qual}"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dropstereo import DomainError, DropMask, HeightField, OpticalConfig, RasterGray, Vec3
-from dropstereo.core import divergence, gradient, mask_centroid, normal_field, surface_normal
+from dropstereo.core import DropBox, MaskStencil, mask_centroid, normal_field
 from dropstereo.masks import disk_mask
 
 
@@ -117,7 +117,7 @@ def test_normal_flat_field_points_up():
     m = square_mask(8)
     hf = HeightField(m, np.where(m.membership, 3.0, 0.0))
     ii, jj = coords(m)
-    n = surface_normal(hf, int(ii[len(ii) // 2]), int(jj[len(jj) // 2]))
+    n = normal_field(hf)[int(ii[len(ii) // 2]), int(jj[len(jj) // 2])]
     assert n == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
 
 
@@ -125,9 +125,9 @@ def test_normal_unit_slope_plane():
     m = square_mask(10)
     ii, jj = np.mgrid[0 : m.height, 0 : m.width]
     hf = HeightField(m, np.where(m.membership, jj.astype(float), 0.0))
-    n = surface_normal(hf, 7, 7)
-    assert n.z == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
-    assert n.norm() == pytest.approx(1.0, abs=1e-12)
+    n = normal_field(hf)[7, 7]
+    assert n[2] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+    assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_normal_hemisphere_matches_analytic():
@@ -146,10 +146,16 @@ def test_normal_hemisphere_matches_analytic():
 
 
 def test_normal_outside_mask_rejected():
+    # pixels off the mask get no normal: the zero vector, on the raster and
+    # on the box
+    rng = np.random.default_rng(2)
     m = disk_mask(5)
-    hf = HeightField(m, np.zeros(m.membership.shape))
-    with pytest.raises(DomainError):
-        surface_normal(hf, 0, 0)
+    hf = HeightField(m, np.where(m.membership, rng.uniform(0, 3, m.membership.shape), 0.0))
+    box = DropBox.of(m)
+    for nf, mask in ((normal_field(hf), m.membership),
+                     (normal_field(hf, box), box.crop(m.membership))):
+        assert not nf[~mask].any()
+        assert np.abs(np.linalg.norm(nf[mask], axis=1) - 1.0).max() <= 1e-12
 
 
 def test_normal_norms_are_unit_for_random_fields():
@@ -172,54 +178,57 @@ def test_convex_dome_normals_tilt_outward():
     assert nf[i, j][2] > 0
 
 
-# --- gradient / divergence --------------------------------------------------
+# --- masked differences ------------------------------------------------------
+
+
+def _diff(m, a, axis):
+    """MaskStencil.diff of a grid, scattered back: zero off the mask."""
+    st = MaskStencil(m)
+    return st.scatter(st.diff(st.gather(a), axis))
 
 
 def test_gradient_of_constant_is_zero():
-    m = square_mask(8)
-    hf = HeightField(m, np.where(m.membership, 2.5, 0.0))
-    gx, gy = gradient(hf)
+    m = square_mask(8).membership
+    z = np.where(m, 2.5, 0.0)
+    gx, gy = _diff(m, z, 1), _diff(m, z, 0)
     assert np.abs(gx).max() == 0.0 and np.abs(gy).max() == 0.0
-    assert np.abs(divergence(gx, gy, m)).max() == 0.0
+    assert np.abs(_diff(m, gx, 1) + _diff(m, gy, 0)).max() == 0.0
 
 
 def test_gradient_of_plane_is_unit_x():
-    m = square_mask(10)
-    ii, jj = np.mgrid[0 : m.height, 0 : m.width]
-    hf = HeightField(m, np.where(m.membership, jj.astype(float), 0.0))
-    gx, gy = gradient(hf)
-    assert np.abs(gx[m.membership] - 1.0).max() <= 1e-12
-    assert np.abs(gy[m.membership]).max() <= 1e-12
+    m = square_mask(10).membership
+    ii, jj = np.mgrid[0 : m.shape[0], 0 : m.shape[1]]
+    z = np.where(m, jj.astype(float), 0.0)
+    assert np.abs(_diff(m, z, 1)[m] - 1.0).max() <= 1e-12
+    assert np.abs(_diff(m, z, 0)[m]).max() <= 1e-12
 
 
 def test_laplacian_of_quadratic_bowl():
     # oracle: div(grad((x^2+y^2)/2)) = 2 exactly
-    m = square_mask(16)
-    ii, jj = np.mgrid[0 : m.height, 0 : m.width]
-    z = np.where(m.membership, ((ii - 10.0) ** 2 + (jj - 10.0) ** 2) / 2.0, 0.0)
-    gx, gy = gradient(HeightField(m, z))
-    lap = divergence(gx, gy, m)
+    m = square_mask(16).membership
+    ii, jj = np.mgrid[0 : m.shape[0], 0 : m.shape[1]]
+    st = MaskStencil(m)
+    v = st.gather(((ii - 10.0) ** 2 + (jj - 10.0) ** 2) / 2.0)
+    lap = st.scatter(st.diff(st.diff(v, 1), 1) + st.diff(st.diff(v, 0), 0))
     # interior: two pixels clear of the mask rim so every stencil is central
     from scipy import ndimage
 
-    interior = ndimage.binary_erosion(m.membership, iterations=2)
+    interior = ndimage.binary_erosion(m, iterations=2)
     assert np.abs(lap[interior] - 2.0).max() <= 1e-6
 
 
 def test_operators_are_linear():
     # div(grad(.)) applied to a*z1 + b*z2 equals the same combination of the
     # individual results; raw stencils allow sign-indefinite combinations
-    from dropstereo.core import MaskStencil
-
     rng = np.random.default_rng(3)
     m = disk_mask(8)
-    z1 = np.where(m.membership, rng.uniform(0, 4, m.membership.shape), 0.0)
-    z2 = np.where(m.membership, rng.uniform(0, 4, m.membership.shape), 0.0)
-    a, b = 2.25, -1.5
     st = MaskStencil(m.membership)
+    z1 = rng.uniform(0, 4, m.area)
+    z2 = rng.uniform(0, 4, m.area)
+    a, b = 2.25, -1.5
 
-    def lap_raw(z):
-        return st.diff_x(st.diff_x(z)) + st.diff_y(st.diff_y(z))
+    def lap_raw(v):
+        return st.diff(st.diff(v, 1), 1) + st.diff(st.diff(v, 0), 0)
 
     combined = lap_raw(a * z1 + b * z2)
     separate = a * lap_raw(z1) + b * lap_raw(z2)
@@ -265,16 +274,35 @@ def _oracle_masks():
 
 
 def test_stencil_matches_grid_shift_oracle_bit_for_bit():
-    from dropstereo.core import MaskStencil
-
     rng = np.random.default_rng(8)
     for m in _oracle_masks():
         a = rng.choice([0.0, -0.0, 1.5, -2.25], size=m.shape) + np.where(
             rng.random(m.shape) < 0.5, rng.normal(size=m.shape), 0.0)
         a = np.where(m, a, np.nan)  # never read
-        st = MaskStencil(m)
-        assert st.diff_x(a).tobytes() == _diff_oracle(m, a, 0, 1).tobytes()
-        assert st.diff_y(a).tobytes() == _diff_oracle(m, a, 1, 0).tobytes()
+        assert _diff(m, a, 1).tobytes() == _diff_oracle(m, a, 0, 1).tobytes()
+        assert _diff(m, a, 0).tobytes() == _diff_oracle(m, a, 1, 0).tobytes()
+
+
+def test_normal_field_matches_grid_shift_oracle_bit_for_bit():
+    # the grid form of the normals: differences on the whole grid, the
+    # normal stacked everywhere, then zeroed off the mask
+    from dropstereo.masks import blob_mask
+
+    rng = np.random.default_rng(9)
+    masks = [disk_mask(r, (2 * r + 5, 2 * r + 9), (r + 1, r + 3)) for r in (3, 7, 12)]
+    masks.append(disk_mask(10, (18, 30), (3.0, 27.0)))  # clipped by two grid edges
+    masks += [blob_mask(14, seed=seed) for seed in (1, 2, 3)]
+    for m in masks:
+        z = np.where(m.membership, rng.uniform(0, 6, m.membership.shape), 0.0)
+        hf = HeightField(m, z)
+        box = DropBox.of(m)
+        for got, mask, zz in ((normal_field(hf), m.membership, hf.z),
+                              (normal_field(hf, box), box.crop(m.membership), box.crop(hf.z))):
+            gx, gy = _diff_oracle(mask, zz, 0, 1), _diff_oracle(mask, zz, 1, 0)
+            norm = np.sqrt(1.0 + gx * gx + gy * gy)
+            want = np.where(mask[..., None],
+                            np.stack([-gx / norm, -gy / norm, 1.0 / norm], axis=-1), 0.0)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # --- centroid ---------------------------------------------------------------

@@ -64,6 +64,14 @@ def test_pnm_rejects_truncated_payload(tmp_path):
         read_pnm(p)
 
 
+def test_pnm_rejects_nonpositive_size(tmp_path):
+    p = tmp_path / "neg.pgm"
+    for header in (b"P5\n-3 2\n255\n", b"P5\n0 2\n255\n", b"P5\n3 0\n255\n"):
+        p.write_bytes(header + bytes(6))
+        with pytest.raises(DomainError, match="size"):
+            read_pnm(p)
+
+
 def test_pnm_header_comments_are_skipped(tmp_path):
     p = tmp_path / "c.pgm"
     p.write_bytes(b"P5\n# a comment\n2 1\n255\n" + bytes([7, 9]))
@@ -105,6 +113,14 @@ def test_pfm_rejects_color(tmp_path):
     p.write_bytes(b"PF\n1 1\n-1.0\n" + bytes(12))
     with pytest.raises(DomainError, match="grayscale"):
         read_pfm(p)
+
+
+def test_pfm_rejects_nonpositive_size(tmp_path):
+    p = tmp_path / "neg.pfm"
+    for header in (b"Pf\n-1 2\n-1.0\n", b"Pf\n0 2\n-1.0\n", b"Pf\n3 -2\n-1.0\n"):
+        p.write_bytes(header + np.zeros(6, dtype="<f4").tobytes())
+        with pytest.raises(DomainError, match="size"):
+            read_pfm(p)
 
 
 def test_height_field_pfm_round_trip(tmp_path):
@@ -155,6 +171,28 @@ def test_config_alpha_out_of_range_rejected(tmp_path):
         read_config(p)
     with pytest.raises(DomainError):
         VolumeLoopParams(alpha_init=0.01)
+
+
+def test_config_gravity_cosines_need_three_components(tmp_path):
+    # [0, 1] has unit norm, but the solver unpacks three cosines
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"optics": {"n_water": 1.33, "camera_z": 300.0,
+                                        "gravity_cosines": [0, 1]}}))
+    with pytest.raises(DomainError, match="three"):
+        read_config(p)
+
+
+def test_volume_loop_min_ring_pixels_must_be_positive(tmp_path):
+    # an empty ring must raise RingTooSmall, not average to NaN
+    for n in (0, -3):
+        with pytest.raises(DomainError, match="min_ring_pixels"):
+            VolumeLoopParams(min_ring_pixels=n)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"optics": {"n_water": 1.33, "camera_z": 300.0},
+                             "volume_loop": {"min_ring_pixels": 0}}))
+    with pytest.raises(DomainError, match="min_ring_pixels"):
+        read_config(p)
+    assert VolumeLoopParams(min_ring_pixels=1).min_ring_pixels == 1
 
 
 def test_config_schema_lists_defaults_and_required():

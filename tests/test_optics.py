@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dropstereo import (DomainError, HeightField, OpticalConfig, SolverParams, TotalReflection,
-                        Vec3, band_transmittance_linear, critical_normal_z, dark_band_mask,
-                        disk_mask, equivalent_camera, fresnel_transmittance, initial_volume,
-                        refract, solve_fixed_volume)
+from dropstereo import (DomainError, HeightField, OpticalConfig, SolverParams,
+                        band_transmittance_linear, critical_normal_z, dark_band_mask,
+                        disk_mask, fresnel_transmittance, initial_volume, solve_fixed_volume)
+from dropstereo.optics import equivalent_camera_depth, refract_arrays
 
 N_A, N_W = 1.0, 4.0 / 3.0
 
@@ -14,47 +14,45 @@ N_A, N_W = 1.0, 4.0 / 3.0
 # --- refract ------------------------------------------------------------------
 
 
+def _refract(d, n, eta):
+    """refract_arrays on one direction: (out direction, TIR flag)."""
+    out, tir = refract_arrays(np.asarray(d, dtype=float), np.asarray(n, dtype=float), eta)
+    return out, bool(tir)
+
+
 def test_refract_normal_incidence_unchanged():
-    out = refract(Vec3(0, 0, 1), Vec3(0, 0, -1), 0.75)
+    out, tir = _refract((0, 0, 1), (0, 0, -1), 0.75)
+    assert not tir
     assert out == pytest.approx((0, 0, 1), abs=1e-12)
 
 
 def test_refract_grazing_at_exact_critical():
     theta_w = math.asin(N_A / N_W)
-    d = Vec3(math.sin(theta_w), 0.0, math.cos(theta_w))
-    out = refract(d, Vec3(0, 0, 1), N_W / N_A)
-    assert abs(out.dot(Vec3(0, 0, 1))) <= 1e-6  # grazing exit
-    assert out.norm() == pytest.approx(1.0, abs=1e-9)
+    d = (math.sin(theta_w), 0.0, math.cos(theta_w))
+    out, tir = _refract(d, (0, 0, 1), N_W / N_A)
+    assert not tir
+    assert abs(out[2]) <= 1e-6  # grazing exit
+    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_refract_total_reflection_beyond_critical():
     theta_w = math.radians(60.0)  # > 48.59 deg
-    d = Vec3(math.sin(theta_w), 0.0, math.cos(theta_w))
-    with pytest.raises(TotalReflection):
-        refract(d, Vec3(0, 0, 1), N_W / N_A)
-
-
-def test_refract_rejects_non_unit_inputs():
-    with pytest.raises(DomainError):
-        refract(Vec3(0, 0, 2), Vec3(0, 0, 1), 1.0)
-    with pytest.raises(DomainError):
-        refract(Vec3(0, 0, 1), Vec3(0, 0, 0.5), 1.0)
+    d = (math.sin(theta_w), 0.0, math.cos(theta_w))
+    assert _refract(d, (0, 0, 1), N_W / N_A)[1]
 
 
 def test_refract_round_trip_many_directions():
     rng = np.random.default_rng(4)
-    n = Vec3(0, 0, 1)
     eta = N_W / N_A
-    for _ in range(200):
-        v = rng.normal(size=3)
-        v[2] = abs(v[2]) + 0.1
-        d = Vec3.from_array(v / np.linalg.norm(v))
-        try:
-            out = refract(d, n, eta)
-        except TotalReflection:
-            continue
-        back = refract(out, n, 1.0 / eta)
-        assert np.abs(back.as_array() - d.as_array()).max() <= 1e-9
+    v = rng.normal(size=(200, 3))
+    v[:, 2] = np.abs(v[:, 2]) + 0.1
+    d = v / np.linalg.norm(v, axis=1, keepdims=True)
+    n = np.broadcast_to([0.0, 0.0, 1.0], d.shape)
+    out, tir = refract_arrays(d, n, eta)
+    assert tir.any() and not tir.all()
+    back, back_tir = refract_arrays(out[~tir], n[~tir], 1.0 / eta)
+    assert not back_tir.any()
+    assert np.abs(back - d[~tir]).max() <= 1e-9
 
 
 # --- Fresnel ------------------------------------------------------------------
@@ -143,33 +141,41 @@ def test_critical_normal_saturates_to_zero():
 # --- equivalent camera -----------------------------------------------------------
 
 
+def _camera_depth(rho2, z_c):
+    return float(equivalent_camera_depth(rho2, OpticalConfig(n_air=N_A, n_water=N_W,
+                                                              camera_z=z_c)))
+
+
 def test_equivalent_camera_paraxial():
-    c = equivalent_camera(Vec3(0, 0, 300.0), Vec3(0, 0, 0), N_A, N_W, paraxial=True)
-    assert c.z == pytest.approx(400.0, rel=1e-12)
+    # the small-angle limit (n_w / n_a) * z_c, approached quadratically in rho
+    for rho in (1e-3, 1e-2, 1.0):
+        c = _camera_depth(rho * rho, 300.0)
+        assert c - 400.0 == pytest.approx(400.0 * (7.0 / 32.0) * rho**2 / 300.0**2, rel=1e-3)
 
 
 def test_equivalent_camera_exact_on_axis_matches_paraxial():
-    c = equivalent_camera(Vec3(0, 0, 300.0), Vec3(0, 0, 0), N_A, N_W)
-    assert c.z == pytest.approx(400.0, rel=1e-12)
+    assert _camera_depth(0.0, 300.0) == pytest.approx(400.0, rel=1e-12)
 
 
 def test_equivalent_camera_exact_exceeds_paraxial_off_axis():
-    c = equivalent_camera(Vec3(0, 0, 300.0), Vec3(40.0, -25.0, 0), N_A, N_W)
-    assert c.z > 400.0
+    assert _camera_depth(40.0**2 + 25.0**2, 300.0) > 400.0
 
 
 def test_equivalent_camera_closed_form_value():
     # x = y = z_c/10: the radial factor is sqrt(1 + (7/16)*0.02)
     zc = 300.0
-    c = equivalent_camera(Vec3(0, 0, zc), Vec3(zc / 10, zc / 10, 0), N_A, N_W)
+    c = _camera_depth(2 * (zc / 10) ** 2, zc)
     expected = (N_W / N_A) * zc * math.sqrt(1 + (7.0 / 16.0) * 0.02)
-    assert c.z == pytest.approx(expected, rel=1e-12)
-    assert c.z == pytest.approx(401.75, abs=0.01)
+    assert c == pytest.approx(expected, rel=1e-12)
+    assert c == pytest.approx(401.75, abs=0.01)
 
 
 def test_equivalent_camera_rejects_nonpositive_height():
-    with pytest.raises(DomainError):
-        equivalent_camera(Vec3(0, 0, -1.0), Vec3(0, 0, 0), N_A, N_W)
+    # the camera height reaches equivalent_camera_depth through the config
+    for z_c in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            OpticalConfig(camera_z=z_c)
+    assert np.isinf(equivalent_camera_depth(np.zeros(2), OpticalConfig(camera_z=math.inf))).all()
 
 
 # --- dark band --------------------------------------------------------------------

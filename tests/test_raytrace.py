@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from dropstereo import (BehindCamera, DomainError, EmptyOutput, HeightField, OpticalConfig,
-                        RasterGray, SolverParams, TotalReflection, Vec3, angular_project,
-                        dark_band_mask, dewarp_image, disk_mask, initial_volume,
-                        render_synthetic, solve_fixed_volume, trace_drop_pixel)
-from dropstereo.core import gradient
+from dropstereo import (DomainError, EmptyOutput, HeightField, OpticalConfig, RasterGray,
+                        SolverParams, Vec3, dark_band_mask, dewarp_image, disk_mask,
+                        initial_volume, render_synthetic, solve_fixed_volume)
+from dropstereo.core import DropBox, MaskStencil, normal_field
 from dropstereo.optics import (critical_normal_z_field, equivalent_camera_depth,
                                fresnel_transmittance_arrays, normal_z_field, refract_arrays)
-from dropstereo.raytrace import (Ray, ScenePlane, SceneSpec, _transmittance_from_cos_w,
+from dropstereo.raytrace import (ScenePlane, SceneSpec, TraceField, _transmittance_from_cos_w,
                                  trace_field, transmittance, uv_field)
 from dropstereo.volume_loop import band_ring
 from dropstereo.scenes import make_texture
@@ -82,6 +81,12 @@ def _cap_field(radius, r_sphere, shape=None, center=None):
     return mask, HeightField(mask, np.maximum(z, 0.0))
 
 
+def _traced_pixel(tf, i, j):
+    """The trace's (valid, tir, direction) at raster pixel (i, j)."""
+    bi, bj = i - tf.box.i0, j - tf.box.j0
+    return bool(tf.valid[bi, bj]), bool(tf.tir[bi, bj]), tf.directions[bi, bj]
+
+
 def test_trace_matches_two_interface_oracle_far_camera():
     # a far camera keeps the equivalent-camera model within the oracle's
     # tolerance; the oracle independently exercises both refractions
@@ -89,17 +94,17 @@ def test_trace_matches_two_interface_oracle_far_camera():
     mask, hf = _cap_field(radius, r_sphere)
     cfg = OpticalConfig(camera_z=3000.0)
     c = (mask.height - 1) / 2.0
+    tf = trace_field(hf, cfg)
+    nf = normal_field(hf)
     worst = 0.0
     for (di, dj) in [(0, 20), (14, -14), (-20, 0), (10, 17), (-8, -12)]:
         i, j = int(c) + di, int(c) + dj
-        ray = trace_drop_pixel(Vec3(j - c, i - c, 0.0), hf, cfg)
-        tf = trace_field(hf, cfg)
-        from dropstereo.core import normal_field
-
-        n = normal_field(hf)[i, j]
+        valid, _, direction = _traced_pixel(tf, i, j)
+        assert valid
+        n = nf[i, j]
         oracle = two_interface_trace(
             (j - c, i - c, hf.z[i, j], n[0], n[1], n[2]), 3000.0, cfg.n_air, cfg.n_water)
-        worst = max(worst, float(np.abs(ray.direction.as_array() - oracle).max()))
+        worst = max(worst, float(np.abs(direction - oracle).max()))
     assert worst <= 1e-6
 
 
@@ -111,38 +116,46 @@ def test_trace_consistent_with_oracle_near_camera():
     cfg = OpticalConfig(camera_z=300.0)
     c = (mask.height - 1) / 2.0
     i, j = int(c) + 7, int(c) + 17
-    ray = trace_drop_pixel(Vec3(j - c, i - c, 0.0), hf, cfg)
-    from dropstereo.core import normal_field
-
+    valid, _, direction = _traced_pixel(trace_field(hf, cfg), i, j)
+    assert valid
     n = normal_field(hf)[i, j]
     oracle = two_interface_trace((j - c, i - c, hf.z[i, j], n[0], n[1], n[2]), 300.0,
                                  cfg.n_air, cfg.n_water)
-    assert np.abs(ray.direction.as_array() - oracle).max() <= 1e-3
+    assert np.abs(direction - oracle).max() <= 1e-3
 
 
 def test_trace_flat_region_goes_straight_up():
     m = disk_mask(10)
     hf = HeightField(m, np.zeros(m.membership.shape))
     cfg = OpticalConfig(camera_z=math.inf)
-    ray = trace_drop_pixel(Vec3(0, 0, 0), hf, cfg)
-    assert ray.direction == pytest.approx((0, 0, 1), abs=1e-12)
-    assert angular_project(ray) == pytest.approx((0.0, 0.0), abs=1e-12)
+    tf = trace_field(hf, cfg)
+    c = (m.height - 1) // 2
+    valid, tir, direction = _traced_pixel(tf, c, c)
+    assert valid and not tir
+    assert direction == pytest.approx((0, 0, 1), abs=1e-12)
+    u, v, _ = uv_field(tf)
+    assert (u[c - tf.box.i0, c - tf.box.j0], v[c - tf.box.i0, c - tf.box.j0]) == \
+        pytest.approx((0.0, 0.0), abs=1e-12)
 
 
 def test_trace_dark_band_pixel_totally_reflects(cap50, config):
     mask, hf, _ = cap50
     band = dark_band_mask(hf, config)
     ii, jj = np.nonzero(band)
-    c = (mask.height - 1) / 2.0
-    with pytest.raises(TotalReflection):
-        trace_drop_pixel(Vec3(jj[0] - c, ii[0] - c, 0.0), hf, config)
+    tf = trace_field(hf, config)
+    valid, tir, _ = _traced_pixel(tf, ii[0], jj[0])
+    assert tir and not valid
 
 
 def test_trace_outside_mask_rejected(config):
+    # off-mask pixels of the box carry no ray: neither transmitted nor dark
     m = disk_mask(5)
     hf = HeightField(m, np.zeros(m.membership.shape))
-    with pytest.raises(DomainError):
-        trace_drop_pixel(Vec3(40.0, 40.0, 0.0), hf, config)
+    tf = trace_field(hf, config)
+    off = ~tf.box.crop(m.membership)
+    assert off.any()
+    assert not (tf.valid | tf.tir)[off].any()
+    assert tf.valid[~off].all()
 
 
 def test_trace_is_continuous_under_subpixel_perturbation(cap50, config):
@@ -202,7 +215,9 @@ def _full_raster_trace(hf, config):
         d = np.stack([x, y, hf.z + equivalent_camera_depth(x * x + y * y, config)], axis=-1)
         r_i = d / np.linalg.norm(d, axis=-1, keepdims=True)
         theta_flat = np.arctan(np.hypot(x, y) / config.camera_z)
-    gx, gy = gradient(hf)
+    st = MaskStencil(mask)
+    z = st.gather(hf.z)
+    gx, gy = st.scatter(st.diff(z, 1)), st.scatter(st.diff(z, 0))
     norm = np.sqrt(1.0 + gx * gx + gy * gy)
     normals = np.where(mask[..., None], np.stack([-gx / norm, -gy / norm, 1.0 / norm], axis=-1),
                        0.0)
@@ -271,26 +286,40 @@ def test_transmittance_is_the_two_interface_product(config):
 # --- angular projection -------------------------------------------------------
 
 
+def _uv(directions, valid=None):
+    """uv_field of a hand-built one-row trace with the given directions."""
+    d = np.array(directions, dtype=float).reshape(1, -1, 3)
+    n = d.shape[1]
+    ok = np.ones((1, n), dtype=bool) if valid is None else np.array([valid])
+    zeros = np.zeros((1, n))
+    tf = TraceField(np.zeros_like(d), d, ok, ~ok, zeros, zeros, DropBox(0, 1, 0, n, (1, n)))
+    u, v, valid_out = uv_field(tf)
+    return u[0], v[0], valid_out[0]
+
+
 def test_angular_project_axis():
-    r = Ray(Vec3(0, 0, 0), Vec3(0, 0, 1))
-    assert angular_project(r) == (0.0, 0.0)
+    u, v, _ = _uv([(0, 0, 1)])
+    assert (u[0], v[0]) == (0.0, 0.0)
 
 
 def test_angular_project_diagonal():
-    r = Ray(Vec3(0, 0, 0), Vec3(1, 0, 1).unit())
-    u, v = angular_project(r)
-    assert (u, v) == pytest.approx((1.0, 0.0), abs=1e-12)
+    u, v, _ = _uv([Vec3(1, 0, 1).unit()])
+    assert (u[0], v[0]) == pytest.approx((1.0, 0.0), abs=1e-12)
 
 
 def test_angular_project_division():
-    d = Vec3(0.2, -0.1, 0.5).unit()
-    u, v = angular_project(Ray(Vec3(0, 0, 0), d))
-    assert (u, v) == pytest.approx((0.4, -0.2), abs=1e-12)
+    u, v, _ = _uv([Vec3(0.2, -0.1, 0.5).unit()])
+    assert (u[0], v[0]) == pytest.approx((0.4, -0.2), abs=1e-12)
 
 
-def test_angular_project_behind_camera_rejected():
-    with pytest.raises(BehindCamera):
-        angular_project(Ray(Vec3(0, 0, 0), Vec3(0, 0, -1)))
+def test_angular_project_behind_camera_rejected(cap50, config):
+    # the trace marks rays that do not proceed toward the scene invalid, and
+    # uv_field gives invalid pixels (0, 0), also where z is 0 or negative
+    tf = trace_field(cap50[1], config)
+    assert (tf.directions[tf.valid][:, 2] > 0.0).all()
+    u, v, valid = _uv([(0.6, 0, 0.8), (0, 0, -1), (1, 0, 0)], [True, False, False])
+    assert u == pytest.approx([0.75, 0.0, 0.0], abs=1e-12) and not v.any()
+    assert valid.tolist() == [True, False, False]
 
 
 # --- dewarp --------------------------------------------------------------------

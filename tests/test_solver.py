@@ -288,7 +288,8 @@ def test_energy_matches_quadrature_oracle():
     # oracle: per-pixel numeric quadrature of the column potential plus an
     # independent area-element sum
     st = MaskStencil(m.membership)
-    gx, gy = st.diff_x(hf.z), st.diff_y(hf.z)
+    v = st.gather(hf.z)
+    gx, gy = st.scatter(st.diff(v, 1)), st.scatter(st.diff(v, 0))
     e_t_oracle = cfg.tension_weight * sum(
         np.sqrt(1 + gx[i, j] ** 2 + gy[i, j] ** 2)
         for i in range(m.height) for j in range(m.width) if m.membership[i, j])

@@ -7,7 +7,7 @@ from scipy import optimize
 from dropstereo import (DegenerateGeometry, DomainError, InsufficientMatches, RasterGray,
                         SolverParams, Vec3, block_match, depth_from_drops, disk_mask,
                         initial_volume, render_synthetic, solve_fixed_volume, triangulate)
-from dropstereo.raytrace import Ray, ScenePlane, SceneSpec
+from dropstereo.raytrace import DewarpedImage, Ray, ScenePlane, SceneSpec
 from dropstereo.stereo import (BlockMatchParams, _global_shift, _subpixel, _window_sums,
                                match_grids)
 from dropstereo.scenes import make_texture
@@ -23,28 +23,41 @@ def _noise_image(shape, seed=0):
 # --- block matching ------------------------------------------------------------
 
 
+def _view(img):
+    """A raster as a dewarped view whose angular grid is its pixel grid:
+    (u, v) = (column, row), and every cell maps back to itself."""
+    h, w = img.pixels.shape
+    ii, jj = np.mgrid[0:h, 0:w]
+    return DewarpedImage(img, np.ones((h, w), dtype=bool), 0.0, 0.0, 1.0, 1.0,
+                         np.stack([ii, jj], axis=-1))
+
+
 def test_block_match_identity():
-    img = _noise_image((96, 96), seed=1)
-    matches = block_match(img, img, BlockMatchParams(stride=7))
+    view = _view(_noise_image((96, 96), seed=1))
+    matches = block_match(view, view, BlockMatchParams(stride=7))
     assert len(matches) >= 8
     for m in matches:
-        assert m.pixel_a == pytest.approx(m.pixel_b, abs=0.5)
+        assert m.pixel_a == m.pixel_b
+        assert m.uv_a == pytest.approx(m.uv_b, abs=0.5)
+        assert m.uv_a == (m.pixel_a[1], m.pixel_a[0])
         assert m.score >= 0.99
 
 
 def test_block_match_recovers_constant_shift():
     img = _noise_image((96, 96), seed=2)
     shifted = RasterGray(np.roll(img.pixels, 5, axis=1))
-    matches = block_match(img, shifted, BlockMatchParams(stride=7))
+    matches = block_match(_view(img), _view(shifted), BlockMatchParams(stride=7))
     assert len(matches) >= 8
+    du = np.array([m.uv_b[0] - m.uv_a[0] for m in matches])
+    dv = np.array([m.uv_b[1] - m.uv_a[1] for m in matches])
+    assert np.abs(du - 5.0).max() <= 0.5
+    assert np.abs(dv).max() <= 0.5
     dj = np.array([m.pixel_b[1] - m.pixel_a[1] for m in matches])
-    di = np.array([m.pixel_b[0] - m.pixel_a[0] for m in matches])
-    assert np.abs(dj - 5.0).max() <= 0.5
-    assert np.abs(di).max() <= 0.5
+    assert np.abs(dj - 5.0).max() <= 1.0
 
 
 def test_block_match_textureless_rejected():
-    flat = RasterGray(np.full((64, 64), 0.5))
+    flat = _view(RasterGray(np.full((64, 64), 0.5)))
     with pytest.raises(InsufficientMatches):
         block_match(flat, flat)
 
