@@ -72,8 +72,7 @@ def cmd_synth(args) -> int:
         log.info("drop solved: alpha=%.2f iters=%d", spec.alpha, rep.iterations_run)
         return hf
 
-    jobs = args.jobs or max(len(masks), 1)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=max(len(masks), 1)) as pool:
         fields = list(pool.map(solve_one, zip(masks, drop_specs)))
 
     drops = list(zip(masks, fields))
@@ -239,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("detect", help="find drop masks in an image")

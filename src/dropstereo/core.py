@@ -14,7 +14,7 @@ Conventions used everywhere:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -31,33 +31,6 @@ class Vec3(NamedTuple):
     x: float
     y: float
     z: float
-
-    def __add__(self, other):
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other):
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self):
-        return Vec3(-self.x, -self.y, -self.z)
-
-    def scaled(self, s: float) -> "Vec3":
-        return Vec3(self.x * s, self.y * s, self.z * s)
-
-    def dot(self, other) -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def norm(self) -> float:
-        return math.sqrt(self.dot(self))
-
-    def unit(self) -> "Vec3":
-        n = self.norm()
-        if n == 0.0:
-            raise DomainError("cannot normalize the zero vector")
-        return self.scaled(1.0 / n)
-
-    def is_unit(self, tol: float = 1e-6) -> bool:
-        return abs(self.norm() - 1.0) <= tol
 
     def as_array(self) -> np.ndarray:
         return np.array(self, dtype=float)
@@ -188,9 +161,13 @@ class OpticalConfig:
         g = np.asarray(self.gravity_cosines, dtype=float)
         if g.shape != (3,):
             raise DomainError("gravity direction cosines must have three components")
-        if abs(np.linalg.norm(g) - 1.0) > 1e-6:
-            raise DomainError("gravity direction cosines must have unit norm")
-        if self.band_halfwidth <= 0.0:
+        if not np.isfinite(g).all() or abs(np.linalg.norm(g) - 1.0) > 1e-6:
+            raise DomainError("gravity direction cosines must be finite with unit norm")
+        if self.principal_point is not None:
+            pp = np.asarray(self.principal_point, dtype=float)
+            if pp.shape != (2,) or not np.isfinite(pp).all():
+                raise DomainError("principal_point must be two finite values (cx, cy)")
+        if not self.band_halfwidth > 0.0:
             raise DomainError("band_halfwidth must be positive")
 
     @property
@@ -240,12 +217,6 @@ class DropBox:
         out = np.full(self.shape + a.shape[2:], fill, dtype=a.dtype)
         out[self.i0 : self.i1, self.j0 : self.j1] = a
         return out
-
-    def config(self, config: OpticalConfig) -> OpticalConfig:
-        """``config`` for box coordinates: the principal point shifted by the
-        box origin."""
-        cx, cy = config.resolve_principal_point(self.shape)
-        return replace(config, principal_point=(cx - self.j0, cy - self.i0))
 
 
 # ---------------------------------------------------------------------------

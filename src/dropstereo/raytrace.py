@@ -180,6 +180,24 @@ def uv_field(tf: TraceField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+def shared_uv_bounds(traces: list[TraceField]) -> tuple[float, float, float, float]:
+    """Robust angular window (u_min, u_max, v_min, v_max) covering every
+    drop's forward map: the 2nd/98th percentiles of each drop's (u, v), so
+    near-band grazing directions do not dominate the grid."""
+    u_lo, u_hi, v_lo, v_hi = [], [], [], []
+    for tf in traces:
+        u, v, valid = uv_field(tf)
+        if not valid.any():
+            raise DomainError("a drop has no valid transmitted pixels")
+        lo, hi = np.percentile(u[valid], [2.0, 98.0])
+        u_lo.append(lo)
+        u_hi.append(hi)
+        lo, hi = np.percentile(v[valid], [2.0, 98.0])
+        v_lo.append(lo)
+        v_hi.append(hi)
+    return float(min(u_lo)), float(max(u_hi)), float(min(v_lo)), float(max(v_hi))
+
+
 @dataclass(frozen=True)
 class DewarpedImage:
     """Drop imagery resampled on a regular angular grid.
@@ -209,9 +227,8 @@ def dewarp_image(image: RasterGray, tf: TraceField, out_resolution: int = 256,
     bilinear splatting.
 
     ``uv_bounds`` (u_min, u_max, v_min, v_max) must be shared by all drops
-    that will be matched against each other; by default robust per-drop
-    bounds are taken at the 2nd/98th percentiles to keep near-band grazing
-    directions from dominating the grid.
+    that will be matched against each other; by default they are
+    ``shared_uv_bounds`` of this drop alone.
     """
     if image.pixels.shape != tf.box.shape:
         raise DomainError("image and traced drop must share the pixel grid")
@@ -222,11 +239,7 @@ def dewarp_image(image: RasterGray, tf: TraceField, out_resolution: int = 256,
     if ii.size == 0:
         raise EmptyOutput("no valid (non-dark, forward-going) drop pixels to dewarp")
     uu, vv = u[ii, jj], v[ii, jj]
-    if uv_bounds is None:
-        u_min, u_max = np.percentile(uu, [2.0, 98.0])
-        v_min, v_max = np.percentile(vv, [2.0, 98.0])
-    else:
-        u_min, u_max, v_min, v_max = uv_bounds
+    u_min, u_max, v_min, v_max = shared_uv_bounds([tf]) if uv_bounds is None else uv_bounds
     if not (u_max > u_min and v_max > v_min):
         raise EmptyOutput("degenerate angular extent")
 

@@ -85,21 +85,24 @@ def energy_of(hf: HeightField, config: OpticalConfig) -> tuple[float, float, flo
     z*(x cos_x + y cos_y) + z^2/2 * cos_z per pixel.  Pixel coordinates are
     taken relative to the principal point.
     """
+    h, w = hf.mask.membership.shape
     st = MaskStencil(hf.mask.membership)
-    return _energy(st.gather(hf.z), st, config)
+    return _energy(st.gather(hf.z), st, config, DropBox(0, h, 0, w, (h, w)))
 
 
-def _energy(z: np.ndarray, stencil: MaskStencil,
-            config: OpticalConfig) -> tuple[float, float, float]:
-    """``energy_of`` on the pixel vector ``z`` of the stencil's mask."""
+def _energy(z: np.ndarray, stencil: MaskStencil, config: OpticalConfig,
+            box: DropBox) -> tuple[float, float, float]:
+    """``energy_of`` on the pixel vector ``z`` of the stencil's mask, which
+    covers ``box``; plate coordinates come from raster indices, as in
+    ``plate_coords``."""
     gx = stencil.diff(z, 1)
     gy = stencil.diff(z, 0)
     e_t = config.tension_weight * float(np.sqrt(1.0 + gx * gx + gy * gy).sum())
 
-    cx, cy = config.resolve_principal_point(stencil.mask.shape)
-    ii, jj = stencil.rows, stencil.cols
+    cx, cy = config.resolve_principal_point(box.shape)
+    x, y = stencil.cols + box.j0 - cx, stencil.rows + box.i0 - cy
     gcx, gcy, gcz = config.gravity_cosines
-    col = z * ((jj - cx) * gcx + (ii - cy) * gcy) + 0.5 * z * z * gcz
+    col = z * (x * gcx + y * gcy) + 0.5 * z * z * gcz
     e_g = config.gravity_weight * float(col.sum())
     return e_t, e_g, e_t + e_g
 
@@ -183,7 +186,6 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
         z = init_mesh(sub_mask, target_volume / mask.area**1.5).z
     else:
         z = HeightField(sub_mask, box.crop(init.z)).z
-    sub_config = box.config(config)
 
     st = MaskStencil(sub_mask.membership)
     z = st.gather(z)
@@ -196,8 +198,8 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     iterations = 0
     for t in range(params.max_iters):
         prev = z
-        z = tension_step(z, st, ring, params, sub_config)
-        z = gravity_step(z, st, params, sub_config)
+        z = tension_step(z, st, ring, params, config)
+        z = gravity_step(z, st, params, config)
         z = volume_step(z, target_volume)
         iterations = t + 1
         # summed over the crop grid, zeros off the mask included: the pixel
@@ -205,12 +207,12 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
         change[st.mask] = np.abs(z - prev)
         delta = float(change.sum())
         if t % _ENERGY_EVERY == 0:
-            history.append((iterations, _energy(z, st, sub_config)[2]))
+            history.append((iterations, _energy(z, st, config, box)[2]))
         if delta < threshold:
             converged = True
             break
 
-    e_t, e_g, e = _energy(z, st, sub_config)
+    e_t, e_g, e = _energy(z, st, config, box)
     history.append((iterations, e))
     report = SolveReport(iterations, e_t, e_g, e, delta, converged, tuple(history))
     return HeightField(mask, box.paste(st.scatter(z))), report

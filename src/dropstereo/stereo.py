@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import HeightField, OpticalConfig, RasterGray, Vec3
 from .errors import DegenerateGeometry, DomainError, InsufficientMatches
-from .raytrace import DewarpedImage, Ray, TraceField, dewarp_image, trace_field, uv_field
+from .raytrace import (DewarpedImage, Ray, dewarp_image, shared_uv_bounds, trace_field)
 
 _COND_LIMIT = 1e8
 # residuals above this multiple of the median mark a point invalid
@@ -285,31 +285,53 @@ def block_match(dewarped_a: DewarpedImage, dewarped_b: DewarpedImage,
 # ---------------------------------------------------------------------------
 
 
-def triangulate(rays: list[Ray]) -> tuple[Vec3, float]:
-    """Point minimizing the sum of squared distances to the rays.
+def _triangulate(origins: np.ndarray, directions: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares ray intersection (Hartley & Sturm 1997) of each row of
+    the (N, k, 3) stacks of ray origins and unit directions.
 
-    Solves [sum (I - d d^T)] p = sum (I - d d^T) x with a conditioning guard.
+    Row n's point solves [sum (I - d d^T)] p = sum (I - d d^T) x over its k
+    rays, and its residual is the sum of squared distances from the point to
+    the rays.  Rows whose normal matrix has a condition number above
+    ``_COND_LIMIT`` are not ``ok``; their point and residual are NaN.  Every
+    product is a ``np.matmul`` and the square of d.v a ``float_power``, so a
+    row computes what one ray at a time in scalar numpy computes, bit for bit.
+    Returns (points (N, 3), residuals (N,), ok (N,)).
     """
+    n, k, _ = directions.shape
+    norms = np.sqrt((directions[..., None, :] @ directions[..., None])[..., 0, 0])
+    if (np.abs(norms - 1.0) > 1e-6).any():
+        raise DomainError("ray directions must be unit vectors")
+    m = np.eye(3) - directions[..., None] * directions[..., None, :]
+    mx = m @ origins[..., None]
+    a = np.zeros((n, 3, 3))
+    b = np.zeros((n, 3, 1))
+    for r in range(k):
+        a += m[:, r]
+        b += mx[:, r]
+    ok = ~(np.linalg.cond(a) > _COND_LIMIT)
+    points = np.full((n, 3), np.nan)
+    points[ok] = np.linalg.solve(a[ok], b[ok])[..., 0]
+    v = points[:, None] - origins
+    dist2 = ((v[..., None, :] @ v[..., None])
+             - np.float_power(directions[..., None, :] @ v[..., None], 2.0))[..., 0, 0]
+    residuals = np.zeros(n)
+    for r in range(k):
+        residuals += dist2[:, r]
+    return points, np.maximum(residuals, 0.0), ok
+
+
+def triangulate(rays: list[Ray]) -> tuple[Vec3, float]:
+    """Point minimizing the sum of squared distances to the rays, and that
+    sum (``_triangulate`` on one row)."""
     if len(rays) < 2:
         raise DomainError("triangulation needs at least two rays")
-    a = np.zeros((3, 3))
-    b = np.zeros(3)
-    for ray in rays:
-        d = ray.direction.as_array()
-        if abs(np.linalg.norm(d) - 1.0) > 1e-6:
-            raise DomainError("ray directions must be unit vectors")
-        m = np.eye(3) - np.outer(d, d)
-        a += m
-        b += m @ ray.origin.as_array()
-    if np.linalg.cond(a) > _COND_LIMIT:
+    origins = np.array([[r.origin for r in rays]], dtype=float)
+    directions = np.array([[r.direction for r in rays]], dtype=float)
+    points, residuals, ok = _triangulate(origins, directions)
+    if not ok[0]:
         raise DegenerateGeometry("rays are (near-)parallel; normal matrix ill-conditioned")
-    p = np.linalg.solve(a, b)
-    residual = 0.0
-    for ray in rays:
-        d = ray.direction.as_array()
-        v = p - ray.origin.as_array()
-        residual += float(v @ v - (d @ v) ** 2)
-    return Vec3.from_array(p), max(residual, 0.0)
+    return Vec3(*points[0].tolist()), float(residuals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +349,17 @@ def depth_from_drops(image: RasterGray, drops: list[HeightField], config: Optica
     block-matched.  The dewarp resolution is the drop pixel density (about
     one input pixel per angular cell) so the matching windows stay free of
     splat holes.  Matched warped pixels are traced back through their drops
-    and triangulated; points whose residual exceeds ``_OUTLIER_FACTOR``
-    (3) times the median are flagged invalid.
+    and all matches are triangulated at once; a match whose pixel has no ray
+    (off its drop's box or in the dark band) or whose rays are near-parallel
+    is dropped.  Points whose residual exceeds ``_OUTLIER_FACTOR`` (3) times
+    the median are flagged invalid.
     """
     if len(drops) < 2:
         raise DomainError("stereo needs at least two reconstructed drops")
     traces = [trace_field(hf, config) for hf in drops]
 
     if correspondences is None:
-        bounds = _shared_uv_bounds(traces)
+        bounds = shared_uv_bounds(traces)
         densest = max(int(hf.mask.area) for hf in drops)
         resolution = int(np.clip(round(math.sqrt(densest)), 48, 256))
         views = [dewarp_image(image, tf, resolution, bounds) for tf in traces]
@@ -351,70 +375,60 @@ def depth_from_drops(image: RasterGray, drops: list[HeightField], config: Optica
             raise InsufficientMatches(
                 f"only {len(correspondences)} correspondences across all drop pairs")
 
-    points: list[Vec3] = []
-    residuals: list[float] = []
-    kept: list[Correspondence] = []
-    for corr in correspondences:
-        rays = []
-        for drop_id, (pi, pj), uv in ((corr.drop_a, corr.pixel_a, corr.uv_a),
-                                      (corr.drop_b, corr.pixel_b, corr.uv_b)):
-            if not 0 <= drop_id < len(drops):
-                raise DomainError(f"correspondence names unknown drop {drop_id}")
-            tf = traces[drop_id]
-            # raster pixel -> the trace's box; a pixel off the box has no ray
-            i, j = int(round(pi)) - tf.box.i0, int(round(pj)) - tf.box.j0
-            if not (0 <= i < tf.valid.shape[0] and 0 <= j < tf.valid.shape[1]) \
-                    or not tf.valid[i, j]:
-                rays = []
-                break
-            origin = Vec3.from_array(tf.origins[i, j])
-            if uv is not None:
-                # the matched angular coordinates give the direction exactly,
-                # avoiding re-quantization through the warped pixel grid
-                direction = Vec3(uv[0], uv[1], 1.0).unit()
-            else:
-                direction = Vec3.from_array(tf.directions[i, j])
-            rays.append(Ray(origin, direction))
-        if len(rays) < 2:
-            continue
-        try:
-            p, res = triangulate(rays)
-        except DegenerateGeometry:
-            continue
-        points.append(p)
-        residuals.append(res)
-        kept.append(corr)
+    # (match, side) arrays, side 0 = a, side 1 = b
+    n = len(correspondences)
+    ids = np.array([(c.drop_a, c.drop_b) for c in correspondences], dtype=int).reshape(n, 2)
+    unknown = ids[(ids < 0) | (ids >= len(drops))]
+    if unknown.size:
+        raise DomainError(f"correspondence names unknown drop {unknown[0]}")
+    pixels = np.array([(c.pixel_a, c.pixel_b) for c in correspondences],
+                      dtype=float).reshape(n, 2, 2)
+    if not np.isfinite(pixels).all():
+        raise DomainError("correspondence pixels must be finite")
+    ij = np.rint(pixels).astype(int)
+    origins = np.zeros((n, 2, 3))
+    directions = np.zeros((n, 2, 3))
+    has_ray = np.zeros((n, 2), dtype=bool)
+    for drop_id, tf in enumerate(traces):
+        rows, side = np.nonzero(ids == drop_id)
+        # raster pixel -> the trace's box; a pixel off the box has no ray
+        i, j = (ij[rows, side] - (tf.box.i0, tf.box.j0)).T
+        on = (0 <= i) & (i < tf.valid.shape[0]) & (0 <= j) & (j < tf.valid.shape[1])
+        on[on] = tf.valid[i[on], j[on]]
+        rows, side, i, j = rows[on], side[on], i[on], j[on]
+        has_ray[rows, side] = True
+        origins[rows, side] = tf.origins[i, j]
+        directions[rows, side] = tf.directions[i, j]
+    # the matched angular coordinates give the direction exactly, avoiding
+    # re-quantization through the warped pixel grid
+    has_uv = np.array([(c.uv_a is not None, c.uv_b is not None)
+                       for c in correspondences], dtype=bool).reshape(n, 2)
+    uv = np.array([(c.uv_a or (0.0, 0.0), c.uv_b or (0.0, 0.0)) for c in correspondences],
+                  dtype=float).reshape(n, 2, 2)
+    u, v = uv[..., 0], uv[..., 1]
+    inv = 1.0 / np.sqrt(u * u + v * v + 1.0)
+    directions = np.where(has_uv[..., None], np.stack([u * inv, v * inv, inv], axis=-1),
+                          directions)
 
-    if not points:
+    kept = np.flatnonzero(has_ray.all(axis=1))
+    points, res, ok = _triangulate(origins[kept], directions[kept])
+    kept, points, res = kept[ok], points[ok], res[ok]
+    if not kept.size:
         raise DegenerateGeometry("no correspondence produced a well-conditioned triangulation")
 
-    res = np.array(residuals)
     med = float(np.median(res))
     valid = res <= _OUTLIER_FACTOR * med if med > 0 else np.ones(res.size, dtype=bool)
 
+    # each valid point's depth at its two pixels, in match order: a later
+    # match overwrites an earlier one on the same pixel
     shape = drops[0].mask.membership.shape
     depth_maps = [np.full(shape, np.nan) for _ in drops]
-    for corr, p, ok in zip(kept, points, valid):
-        if not ok:
-            continue
-        for drop_id, (pi, pj) in ((corr.drop_a, corr.pixel_a), (corr.drop_b, corr.pixel_b)):
-            depth_maps[drop_id][int(round(pi)), int(round(pj))] = p.z
+    at = ij[kept[valid]].reshape(-1, 2)
+    on_drop = ids[kept[valid]].ravel()
+    z = np.repeat(points[valid, 2], 2)
+    for drop_id, dm in enumerate(depth_maps):
+        sel = on_drop == drop_id
+        dm[at[sel, 0], at[sel, 1]] = z[sel]
 
-    return DepthResult(tuple(points), res, valid, tuple(depth_maps), tuple(kept))
-
-
-def _shared_uv_bounds(traces: list[TraceField]) -> tuple[float, float, float, float]:
-    """Robust angular window covering every drop's forward map."""
-    u_lo, u_hi, v_lo, v_hi = [], [], [], []
-    for tf in traces:
-        u, v, valid = uv_field(tf)
-        if not valid.any():
-            raise DomainError("a drop has no valid transmitted pixels")
-        uu, vv = u[valid], v[valid]
-        lo, hi = np.percentile(uu, [2.0, 98.0])
-        u_lo.append(lo)
-        u_hi.append(hi)
-        lo, hi = np.percentile(vv, [2.0, 98.0])
-        v_lo.append(lo)
-        v_hi.append(hi)
-    return float(min(u_lo)), float(max(u_hi)), float(min(v_lo)), float(max(v_hi))
+    return DepthResult(tuple(Vec3(*p) for p in points.tolist()), res, valid,
+                       tuple(depth_maps), tuple(correspondences[k] for k in kept))

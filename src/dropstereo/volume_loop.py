@@ -9,7 +9,7 @@ too large.  Each update scales the volume by the relative brightness miss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class VolumeLoopParams:
     """Knobs of the varying-volume outer loop."""
 
     tau_r: float = 0.5
-    inner_iters_per_update: int = 400
     max_outer_updates: int = 10
     alpha_init: float = 0.30
     rel_volume_tol: float = 1e-3
@@ -33,9 +32,8 @@ class VolumeLoopParams:
     min_ring_pixels: int = 8
 
     def __post_init__(self):
-        for name in ("tau_r", "inner_iters_per_update", "max_outer_updates",
-                     "alpha_init", "rel_volume_tol", "alpha_min", "alpha_max",
-                     "min_ring_pixels"):
+        for name in ("tau_r", "max_outer_updates", "alpha_init", "rel_volume_tol",
+                     "alpha_min", "alpha_max", "min_ring_pixels"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
         if not (self.alpha_min <= self.alpha_init <= self.alpha_max):
@@ -131,11 +129,6 @@ def estimate_shape(image: RasterGray, mask: DropMask, config: OpticalConfig,
                                                  (), float("nan"), rep)
 
     target = target_brightness(image, [mask])
-    # each sampled brightness must describe a settled surface at its volume,
-    # or the update feedback acts on stale measurements and orbits; the
-    # per-update iteration count is a floor, with the solver's own
-    # convergence check allowed to run further
-    inner = replace(sp, max_iters=max(lp.inner_iters_per_update, sp.max_iters))
     v = lp.alpha_init * scale
     hf, _ = solve_fixed_volume(mask, v, sp, config, init=init_mesh(mask, lp.alpha_init))
     volumes = [v]
@@ -144,7 +137,7 @@ def estimate_shape(image: RasterGray, mask: DropMask, config: OpticalConfig,
     updates = 0
     for k in range(lp.max_outer_updates):
         if k > 0:
-            hf, _ = solve_fixed_volume(mask, v, inner, config, init=hf)
+            hf, _ = solve_fixed_volume(mask, v, sp, config, init=hf)
         try:
             sampled = sample_band_brightness(image, hf, config, lp.min_ring_pixels)
         except RingTooSmall:

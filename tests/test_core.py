@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dropstereo import DomainError, DropMask, HeightField, OpticalConfig, RasterGray, Vec3
+from dropstereo import DomainError, DropMask, HeightField, OpticalConfig, RasterGray
 from dropstereo.core import DropBox, MaskStencil, mask_centroid, normal_field
 from dropstereo.masks import disk_mask
 
@@ -14,22 +14,6 @@ def square_mask(n=10, pad=2):
 
 def coords(mask):
     return np.nonzero(mask.membership)
-
-
-# --- Vec3 -------------------------------------------------------------------
-
-
-def test_vec3_unit_and_dot():
-    v = Vec3(3.0, 0.0, 4.0)
-    assert v.norm() == pytest.approx(5.0)
-    u = v.unit()
-    assert u.norm() == pytest.approx(1.0, abs=1e-12)
-    assert u.dot(Vec3(0, 1, 0)) == 0.0
-
-
-def test_vec3_zero_unit_rejected():
-    with pytest.raises(DomainError):
-        Vec3(0, 0, 0).unit()
 
 
 # --- rasters and masks ------------------------------------------------------
@@ -108,6 +92,18 @@ def test_optical_config_invariants():
         OpticalConfig(camera_z=-1.0)
     with pytest.raises(DomainError):
         OpticalConfig(gravity_cosines=(1.0, 1.0, 1.0))
+    # NaN fails no plain comparison, so each field must reject it explicitly
+    nan = float("nan")
+    for g in ((nan, 0.0, 1.0), (0.0, 0.0, nan), (0.0, 0.0, float("inf"))):
+        with pytest.raises(DomainError, match="gravity"):
+            OpticalConfig(gravity_cosines=g)
+    with pytest.raises(DomainError, match="band_halfwidth"):
+        OpticalConfig(band_halfwidth=nan)
+    for pp in ((1.0,), (1.0, 2.0, 3.0), (nan, 2.0), (1.0, float("inf"))):
+        with pytest.raises(DomainError, match="principal_point"):
+            OpticalConfig(principal_point=pp)
+    cfg = OpticalConfig(principal_point=(1.5, 2.0))
+    assert cfg.resolve_principal_point((9, 9)) == (1.5, 2.0)
 
 
 # --- surface normals --------------------------------------------------------

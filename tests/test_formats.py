@@ -182,6 +182,21 @@ def test_config_gravity_cosines_need_three_components(tmp_path):
         read_config(p)
 
 
+def test_config_principal_point_and_nan_values_rejected(tmp_path):
+    # [1.0] later failed with an IndexError and a third value was dropped;
+    # NaN fails no plain comparison, so a NaN band or gravity passed
+    p = tmp_path / "cfg.json"
+    nan = float("nan")
+    for optics, field in (({"principal_point": [1.0]}, "principal_point"),
+                          ({"principal_point": [1.0, 2.0, 3.0]}, "principal_point"),
+                          ({"principal_point": [nan, 2.0]}, "principal_point"),
+                          ({"band_halfwidth": nan}, "band_halfwidth"),
+                          ({"gravity_cosines": [nan, 0.0, 1.0]}, "gravity")):
+        p.write_text(json.dumps({"optics": {"n_water": 1.33, "camera_z": 300.0, **optics}}))
+        with pytest.raises(DomainError, match=field):
+            read_config(p)
+
+
 def test_volume_loop_min_ring_pixels_must_be_positive(tmp_path):
     # an empty ring must raise RingTooSmall, not average to NaN
     for n in (0, -3):

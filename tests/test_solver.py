@@ -6,7 +6,7 @@ from dropstereo import (DomainError, DropMask, HeightField, OpticalConfig, Solve
                         SolverParams, disk_mask, energy_of, gravity_step, init_mesh,
                         initial_volume, solve_fixed_volume, tension_step, volume_of,
                         volume_step)
-from dropstereo.core import MaskStencil
+from dropstereo.core import DropBox, MaskStencil
 
 from conftest import cap_field
 
@@ -412,6 +412,20 @@ def test_solve_equals_manual_sweeps(trim, gravity, spiked):
     if trim == 2:
         assert m.membership[0].any() and m.membership[-1].any()
         assert m.membership[:, 0].any() and m.membership[:, -1].any()
+
+
+@pytest.mark.parametrize("principal_point", [None, (-50.3, -20.7)], ids=["centre", "off_grid"])
+def test_solve_reports_energy_of_its_result_on_offset_box(principal_point):
+    # the sweeps run on the drop's box, which starts away from the grid
+    # origin; the reported energy takes plate coordinates from raster
+    # indices, as energy_of does on the whole grid
+    m = disk_mask(10, shape=(48, 60), center=(30.0, 37.0))
+    box = DropBox.of(m)
+    assert box.i0 > 0 and box.j0 > 0
+    cfg = OpticalConfig(gravity_cosines=_TILTED, gravity_weight=1e-3,
+                        principal_point=principal_point)
+    hf, report = solve_fixed_volume(m, initial_volume(m, 0.3), params(max_iters=30), cfg)
+    assert report.final_energy == energy_of(hf, cfg)[2]
 
 
 def test_solve_rejects_bad_inputs(config):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy import optimize
 from dropstereo import (DegenerateGeometry, DomainError, InsufficientMatches, RasterGray,
                         SolverParams, Vec3, block_match, depth_from_drops, disk_mask,
                         initial_volume, render_synthetic, solve_fixed_volume, triangulate)
-from dropstereo.raytrace import DewarpedImage, Ray, ScenePlane, SceneSpec
+from dropstereo.raytrace import DewarpedImage, Ray, ScenePlane, SceneSpec, trace_field
 from dropstereo.stereo import (BlockMatchParams, _global_shift, _subpixel, _window_sums,
                                match_grids)
 from dropstereo.scenes import make_texture
@@ -374,3 +375,133 @@ def test_depth_file_correspondences_off_the_drop_box(two_drop_scene, config):
     assert np.array_equal(result.valid, expected.valid)
     for got, want in zip(result.depth_maps, expected.depth_maps):
         assert got.tobytes() == want.tobytes()
+
+
+def _scalar_triangulate(rays):
+    # one ray at a time in scalar numpy: the arithmetic the batched kernel
+    # must reproduce bit for bit
+    a = np.zeros((3, 3))
+    b = np.zeros(3)
+    for origin, d in rays:
+        if abs(np.linalg.norm(d) - 1.0) > 1e-6:
+            raise DomainError("ray directions must be unit vectors")
+        m = np.eye(3) - np.outer(d, d)
+        a += m
+        b += m @ origin
+    if np.linalg.cond(a) > 1e8:
+        raise DegenerateGeometry("rays are (near-)parallel")
+    p = np.linalg.solve(a, b)
+    residual = 0.0
+    for origin, d in rays:
+        v = p - origin
+        residual += float(v @ v - (d @ v) ** 2)
+    return Vec3.from_array(p), max(residual, 0.0)
+
+
+def _loop_depth(drops, config, correspondences):
+    """Depth assembly one correspondence at a time: a match whose pixel is
+    off its drop's box or not transmitted, or whose rays are near-parallel,
+    is skipped."""
+    traces = [trace_field(hf, config) for hf in drops]
+    points, residuals, kept = [], [], []
+    for corr in correspondences:
+        rays = []
+        for drop_id, (pi, pj), uv in ((corr.drop_a, corr.pixel_a, corr.uv_a),
+                                      (corr.drop_b, corr.pixel_b, corr.uv_b)):
+            tf = traces[drop_id]
+            i, j = int(round(pi)) - tf.box.i0, int(round(pj)) - tf.box.j0
+            if not (0 <= i < tf.valid.shape[0] and 0 <= j < tf.valid.shape[1]) \
+                    or not tf.valid[i, j]:
+                rays = []
+                break
+            if uv is None:
+                d = tf.directions[i, j]
+            else:
+                # (u, v, 1) scaled to unit length in Python floats
+                n = math.sqrt(uv[0] * uv[0] + uv[1] * uv[1] + 1.0 * 1.0)
+                d = np.array([uv[0] * (1.0 / n), uv[1] * (1.0 / n), 1.0 * (1.0 / n)])
+            rays.append((tf.origins[i, j], d))
+        if not rays:
+            continue
+        try:
+            p, res = _scalar_triangulate(rays)
+        except DegenerateGeometry:
+            continue
+        points.append(p)
+        residuals.append(res)
+        kept.append(corr)
+    res = np.array(residuals)
+    med = float(np.median(res))
+    valid = res <= 3.0 * med if med > 0 else np.ones(res.size, dtype=bool)
+    depth_maps = [np.full(drops[0].mask.membership.shape, np.nan) for _ in drops]
+    for corr, p, ok in zip(kept, points, valid):
+        if ok:
+            for drop_id, (pi, pj) in ((corr.drop_a, corr.pixel_a), (corr.drop_b, corr.pixel_b)):
+                depth_maps[drop_id][int(round(pi)), int(round(pj))] = p.z
+    return tuple(points), res, valid, depth_maps, tuple(kept)
+
+
+def _assert_same_depth(result, want):
+    points, res, valid, depth_maps, kept = want
+    assert result.points == points
+    assert result.residuals.tobytes() == res.tobytes()
+    assert result.valid.tobytes() == valid.tobytes()
+    assert len(result.depth_maps) == len(depth_maps)
+    for got, exp in zip(result.depth_maps, depth_maps):
+        assert got.tobytes() == exp.tobytes()
+    assert result.correspondences == kept
+
+
+def test_depth_equals_scalar_loop_on_matched_correspondences(two_drop_scene, config):
+    _, (_, hf1), (_, hf2), image = two_drop_scene
+    drops = [hf1, hf2]
+    matched = depth_from_drops(image, drops, config)
+    assert len(matched.correspondences) >= 100
+    assert all(c.uv_a is not None and c.uv_b is not None for c in matched.correspondences)
+    _assert_same_depth(matched, _loop_depth(drops, config, matched.correspondences))
+    # a pair whose directions differ by 1e-7 in u: the rays are near-parallel
+    c = matched.correspondences[3]
+    parallel = replace(c, uv_b=(c.uv_a[0] + 1e-7, c.uv_a[1]))
+    corr = list(matched.correspondences[:60]) + [parallel] + list(matched.correspondences[60:])
+    want = _loop_depth(drops, config, corr)
+    assert parallel not in want[4] and len(want[4]) == len(matched.correspondences)
+    _assert_same_depth(depth_from_drops(image, drops, config, correspondences=corr), want)
+
+
+def test_depth_equals_scalar_loop_on_file_correspondences(two_drop_scene, config):
+    # file-loaded correspondences carry no uv, and may name pixels without a
+    # ray: off the drop's box or in the dark band
+    _, (m1, hf1), (_, hf2), image = two_drop_scene
+    drops = [hf1, hf2]
+    matched = depth_from_drops(image, drops, config)
+    good = [replace(c, uv_a=None, uv_b=None) for c in matched.correspondences[:50]]
+    tf = trace_field(hf1, config)
+    di, dj = np.argwhere(tf.tir)[0] + (tf.box.i0, tf.box.j0)
+    assert m1.membership[di, dj]
+    i0, _, j0, _ = m1.bbox()
+    c = good[7]
+    # on drop 0: off its box, in its dark band, and one pixel paired with
+    # itself (two identical rays)
+    off_box = replace(c, pixel_a=(float(i0 - 2), c.pixel_a[1]))
+    dark = replace(c, pixel_a=(float(di), float(dj)))
+    self_pair = replace(c, drop_b=c.drop_a, pixel_b=c.pixel_a)
+    assert c.drop_a == 0
+    corr = good[:10] + [off_box] + good[10:20] + [dark] + good[20:30] + [self_pair] + good[30:]
+    want = _loop_depth(drops, config, corr)
+    assert want[4] == tuple(good)
+    _assert_same_depth(depth_from_drops(image, drops, config, correspondences=corr), want)
+
+
+def test_depth_bad_correspondence_rejected(two_drop_scene, config):
+    _, (m1, hf1), (_, hf2), image = two_drop_scene
+    matched = depth_from_drops(image, [hf1, hf2], config)
+    c = matched.correspondences[0]
+    # side a has no ray, so a bad side b must still be named
+    off_box = replace(c, pixel_a=(0.0, 0.0))
+    for bad, what in ((replace(c, drop_a=2), "unknown drop"),
+                      (replace(c, drop_b=-1), "unknown drop"),
+                      (replace(off_box, drop_b=5), "unknown drop"),
+                      (replace(c, pixel_b=(float("nan"), 3.0)), "finite")):
+        with pytest.raises(DomainError, match=what):
+            depth_from_drops(image, [hf1, hf2], config,
+                             correspondences=list(matched.correspondences) + [bad])
