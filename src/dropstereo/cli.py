@@ -19,9 +19,9 @@ from .errors import DomainError
 from .raytrace import render_depth_truth, render_synthetic
 from .rectify import rectify_drop
 from .scenes import read_scene
-from .solver import solve_fixed_volume
+from .solver import initial_volume, solve_fixed_volume
 from .stereo import Correspondence, depth_from_drops
-from .volume_loop import estimate_shape
+from .volume_loop import ALPHA_MAX, ALPHA_MIN, estimate_shape
 
 log = logging.getLogger("dropstereo")
 
@@ -51,8 +51,6 @@ def _load_gray(path: str) -> RasterGray:
 
 
 def _solve_drop(mask, alpha, cfg):
-    from .solver import initial_volume
-
     return solve_fixed_volume(mask, initial_volume(mask, alpha), cfg.solver, cfg.optics)
 
 
@@ -112,9 +110,9 @@ def cmd_reconstruct(args) -> int:
                   "volume_history": list(loop.volume_history)}
     else:
         alpha_est = args.alpha if args.alpha is not None else cfg.volume_loop.alpha_init
-        hf, _, loop = estimate_shape(image, mask, cfg.optics, cfg.solver,
-                                     cfg.volume_loop, fixed_alpha=alpha_est)
-        rep = loop.solve
+        if not ALPHA_MIN <= alpha_est <= ALPHA_MAX:
+            raise DomainError(f"alpha {alpha_est} outside [{ALPHA_MIN}, {ALPHA_MAX}]")
+        hf, rep = _solve_drop(mask, alpha_est, cfg)
         extras = {}
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -139,8 +139,7 @@ class OpticalConfig:
     plate in pixels (``math.inf`` selects the orthographic camera-at-infinity
     mode).  ``tension_weight`` and ``gravity_weight`` are the dimensionless
     solver weights standing in for the physical sigma/rho-g constants, which
-    are not dimensionally meaningful at pixel scale.  ``pixel_pitch`` (meters
-    per pixel) is carried as metadata only.
+    are not dimensionally meaningful at pixel scale.
     """
 
     n_air: float = 1.0
@@ -149,7 +148,6 @@ class OpticalConfig:
     gravity_cosines: tuple[float, float, float] = (0.0, 0.0, 1.0)
     tension_weight: float = 1.0
     gravity_weight: float = 1.0e-4
-    pixel_pitch: float = 6.0e-6
     principal_point: tuple[float, float] | None = None
     band_halfwidth: float = 0.02 * math.pi
 

@@ -13,6 +13,10 @@ from .core import _FOUR_CONNECTED, DropMask, RasterGray
 from .errors import DomainError
 
 _EIGHT = np.ones((3, 3), dtype=bool)
+# radius of the disk that closes edge gaps into candidate regions
+_CLOSING_RADIUS = 5
+# drops are convex: a candidate below this pixel-to-hull area ratio is rejected
+_SOLIDITY_MIN = 0.85
 
 
 @dataclass(frozen=True)
@@ -21,22 +25,16 @@ class DetectParams:
 
     low_percentile: float = 70.0
     high_percentile: float = 90.0
-    closing_radius: int = 5
     min_diameter: float = 300.0
-    solidity_min: float = 0.85
 
     def __post_init__(self):
         if not 0 < self.low_percentile < self.high_percentile < 100:
             raise DomainError("percentiles must satisfy 0 < low < high < 100")
-        if self.closing_radius < 0 or self.min_diameter <= 0:
-            raise DomainError("closing_radius must be >= 0 and min_diameter > 0")
-        if not 0 < self.solidity_min <= 1:
-            raise DomainError("solidity_min must be in (0, 1]")
+        if self.min_diameter <= 0:
+            raise DomainError("min_diameter must be positive")
 
 
 def _disk(radius: int) -> np.ndarray:
-    if radius < 1:
-        return np.ones((1, 1), dtype=bool)
     n = 2 * radius + 1
     ii, jj = np.mgrid[0:n, 0:n] - radius
     return ii * ii + jj * jj <= radius * radius
@@ -122,9 +120,7 @@ def detect_drops(image: RasterGray, params: DetectParams | None = None) -> list[
     keep[0] = False
     edges = keep[labels]
 
-    if p.closing_radius > 0:
-        edges = ndimage.binary_closing(edges, structure=_disk(p.closing_radius),
-                                       iterations=1)
+    edges = ndimage.binary_closing(edges, structure=_disk(_CLOSING_RADIUS), iterations=1)
     filled = ndimage.binary_fill_holes(edges)
 
     comp_labels, _ = ndimage.label(filled, structure=_FOUR_CONNECTED)
@@ -137,7 +133,7 @@ def detect_drops(image: RasterGray, params: DetectParams | None = None) -> list[
         if _diameter(comp) < p.min_diameter:
             continue
         comp = _dark_band_region(img[box], comp, background)
-        if _diameter(comp) < p.min_diameter or _solidity(comp) < p.solidity_min:
+        if _diameter(comp) < p.min_diameter or _solidity(comp) < _SOLIDITY_MIN:
             continue
         member = np.zeros(img.shape, dtype=bool)
         member[box] = comp

@@ -7,7 +7,7 @@ import csv
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -152,7 +152,10 @@ def write_height_field(path: str | Path, hf: HeightField) -> None:
 
 def read_height_field(path: str | Path) -> HeightField:
     arr = read_pfm(path).astype(float)
-    mask = DropMask(np.isfinite(arr) & ~np.isnan(arr))
+    if np.isinf(arr).any():
+        raise DomainError(f"{path}: height field has infinite heights "
+                          "(NaN marks non-member pixels)")
+    mask = DropMask(np.isfinite(arr))
     return HeightField(mask, np.nan_to_num(arr, nan=0.0))
 
 
@@ -183,20 +186,45 @@ def default_config() -> PipelineConfig:
     return PipelineConfig(OpticalConfig(), SolverParams(), VolumeLoopParams(), DetectParams())
 
 
-def _build_section(name: str, cls, payload: dict[str, Any]):
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(payload) - known)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_KINDS = {int: "an integer", float: "a number", tuple: "a list of numbers"}
+
+
+def _typed(value, hint, what: str):
+    """``value`` as a field of type ``hint`` takes it: an int field takes a
+    JSON integer, a float field any JSON number, a tuple field a list of
+    numbers (as a tuple); a boolean is none of these."""
+    if type(None) in get_args(hint):  # ``X | None``
+        if value is None:
+            return None
+        (hint,) = set(get_args(hint)) - {type(None)}
+    kind = get_origin(hint) or hint
+    if kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif kind is float:
+        ok = _is_number(value)
+    else:
+        ok = isinstance(value, list) and all(_is_number(v) for v in value)
+        value = tuple(value) if ok else value
+    if not ok:
+        raise DomainError(f"{what} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _build_section(path: str | Path, name: str, cls, payload: dict[str, Any]):
+    where = f"{path}: config section '{name}'"
+    hints = get_type_hints(cls)
+    unknown = sorted(set(payload) - set(hints))
     if unknown:
-        raise DomainError(f"config section '{name}': unknown keys {unknown}")
+        raise DomainError(f"{where}: unknown keys {unknown}")
     for key in _REQUIRED.get(name, ()):
         if key not in payload:
-            raise DomainError(f"config section '{name}': missing required field '{key}'")
-    kwargs = dict(payload)
-    if name == "optics":
-        for tup in ("gravity_cosines", "principal_point"):
-            if kwargs.get(tup) is not None:
-                kwargs[tup] = tuple(kwargs[tup])
-    return cls(**kwargs)
+            raise DomainError(f"{where}: missing required field '{key}'")
+    return cls(**{key: _typed(value, hints[key], f"{where}: field '{key}'")
+                  for key, value in payload.items()})
 
 
 def read_config(path: str | Path) -> PipelineConfig:
@@ -216,7 +244,7 @@ def read_config(path: str | Path) -> PipelineConfig:
         payload = doc.get(name, {})
         if not isinstance(payload, dict):
             raise DomainError(f"{path}: section '{name}' must be a JSON object")
-        built[name] = _build_section(name, cls, payload)
+        built[name] = _build_section(path, name, cls, payload)
     return PipelineConfig(**built)
 
 

@@ -30,7 +30,6 @@ class RectifiedView:
     plane_depth: float
     origin: tuple[float, float]
     scale: float
-    transmittance: np.ndarray
 
 
 def _resolve_depth(depth) -> float:
@@ -95,9 +94,7 @@ def rectify_drop(image: RasterGray, hf: HeightField, config: OpticalConfig,
     h = int(math.floor((y1 - y0) * scale)) + 1
 
     raster, valid = splat_bilinear((py - y0) * scale, (px - x0) * scale, vals, (h, w))
-
-    tmap = tf.box.paste(np.where(sel, transmittance(tf, config), 0.0))
-    return RectifiedView(RasterGray(raster), valid, d, (x0, y0), scale, tmap)
+    return RectifiedView(RasterGray(raster), valid, d, (x0, y0), scale)
 
 
 def compensate_illuminance(image: RasterGray, hf: HeightField,

@@ -16,14 +16,17 @@ from .raytrace import (DewarpedImage, Ray, dewarp_image, shared_uv_bounds, trace
 _COND_LIMIT = 1e8
 # residuals above this multiple of the median mark a point invalid
 _OUTLIER_FACTOR = 3.0
+# a match needs at least this ZNCC score
+_ZNCC_MIN = 0.7
+# left-right check: the backward match may land this many pixels (plus the
+# rounding of the forward match) from where the forward search started
+_LR_TOL = 1.0
 
 
 @dataclass(frozen=True)
 class BlockMatchParams:
     window: int = 11
     search_radius: int = 24
-    zncc_min: float = 0.7
-    lr_tol: float = 1.0
     stride: int = 3
     min_matches: int = 8
 
@@ -203,7 +206,7 @@ def _match_row(img_a: np.ndarray, ok_a: np.ndarray, b: _Windows, ra: int,
         score = np.where(b.usable[region], score, -np.inf)
         best = np.unravel_index(int(np.argmax(score)), score.shape)
         s = score[best]
-        if not np.isfinite(s) or s < params.zncc_min:
+        if not np.isfinite(s) or s < _ZNCC_MIN:
             continue
         dr, dc = _subpixel(score, *best)
         out[k] = (rc - rad + best[0] + dr, cc - rad + best[1] + dc, float(s))
@@ -249,8 +252,8 @@ def match_grids(img_a: np.ndarray, ok_a: np.ndarray, img_b: np.ndarray, ok_b: np
     for (ra, ca, rb, cb, score, rbi, cbi), m in zip(fwd, back):
         if m is None:
             continue
-        if abs(m[0] - ra) > params.lr_tol + abs(rb - rbi) or \
-           abs(m[1] - ca) > params.lr_tol + abs(cb - cbi):
+        if abs(m[0] - ra) > _LR_TOL + abs(rb - rbi) or \
+           abs(m[1] - ca) > _LR_TOL + abs(cb - cbi):
             continue
         out.append((float(ra), float(ca), rb, cb, score))
     return out
@@ -340,8 +343,7 @@ def triangulate(rays: list[Ray]) -> tuple[Vec3, float]:
 
 
 def depth_from_drops(image: RasterGray, drops: list[HeightField], config: OpticalConfig,
-                     correspondences: list[Correspondence] | None = None,
-                     match_params: BlockMatchParams | None = None) -> DepthResult:
+                     correspondences: list[Correspondence] | None = None) -> DepthResult:
     """Triangulate scene points seen through two or more drops.
 
     Each drop is traced once.  Without precomputed correspondences, every
@@ -368,10 +370,10 @@ def depth_from_drops(image: RasterGray, drops: list[HeightField], config: Optica
             for b in range(a + 1, len(drops)):
                 try:
                     correspondences.extend(
-                        block_match(views[a], views[b], match_params, drop_a=a, drop_b=b))
+                        block_match(views[a], views[b], drop_a=a, drop_b=b))
                 except InsufficientMatches:
                     continue
-        if len(correspondences) < (match_params or BlockMatchParams()).min_matches:
+        if len(correspondences) < BlockMatchParams().min_matches:
             raise InsufficientMatches(
                 f"only {len(correspondences)} correspondences across all drop pairs")
 

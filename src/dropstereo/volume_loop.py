@@ -19,26 +19,28 @@ from .optics import critical_normal_z_field, normal_z_field
 from .solver import SolveReport, SolverParams, init_mesh, solve_fixed_volume
 
 
+# range of the volume coefficient alpha = V / B^(3/2) that the loop explores
+ALPHA_MIN = 0.05
+ALPHA_MAX = 0.60
+# relaxation of each volume update, and the relative volume step that ends the loop
+_TAU_R = 0.5
+_REL_VOLUME_TOL = 1e-3
+
+
 @dataclass(frozen=True)
 class VolumeLoopParams:
     """Knobs of the varying-volume outer loop."""
 
-    tau_r: float = 0.5
     max_outer_updates: int = 10
     alpha_init: float = 0.30
-    rel_volume_tol: float = 1e-3
-    alpha_min: float = 0.05
-    alpha_max: float = 0.60
     min_ring_pixels: int = 8
 
     def __post_init__(self):
-        for name in ("tau_r", "max_outer_updates", "alpha_init", "rel_volume_tol",
-                     "alpha_min", "alpha_max", "min_ring_pixels"):
+        for name in ("max_outer_updates", "alpha_init", "min_ring_pixels"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
-        if not (self.alpha_min <= self.alpha_init <= self.alpha_max):
-            raise DomainError(
-                f"alpha_init {self.alpha_init} outside [{self.alpha_min}, {self.alpha_max}]")
+        if not ALPHA_MIN <= self.alpha_init <= ALPHA_MAX:
+            raise DomainError(f"alpha_init {self.alpha_init} outside [{ALPHA_MIN}, {ALPHA_MAX}]")
 
 
 def band_ring(hf: HeightField, config: OpticalConfig) -> np.ndarray:
@@ -104,14 +106,12 @@ class VolumeLoopReport:
 def estimate_shape(image: RasterGray, mask: DropMask, config: OpticalConfig,
                    solver_params: SolverParams | None = None,
                    loop_params: VolumeLoopParams | None = None,
-                   fixed_alpha: float | None = None,
                    ) -> tuple[HeightField, float, VolumeLoopReport]:
     """Reconstruct one drop, estimating its volume from the dark band.
 
-    ``fixed_alpha`` skips the band loop entirely (mirror mode, or a known
-    volume coefficient) and runs a single fixed-volume solve to convergence.
     Returns (surface, alpha_est, report); the surface carries exactly the
-    final volume.
+    final volume.  A drop of known volume coefficient needs no loop: solve it
+    directly with ``solve_fixed_volume`` at ``initial_volume(mask, alpha)``.
     """
     sp = solver_params or SolverParams()
     lp = loop_params or VolumeLoopParams()
@@ -119,14 +119,6 @@ def estimate_shape(image: RasterGray, mask: DropMask, config: OpticalConfig,
     if b == 0:
         raise DomainError("cannot reconstruct on an empty mask")
     scale = b**1.5
-
-    if fixed_alpha is not None:
-        if not lp.alpha_min <= fixed_alpha <= lp.alpha_max:
-            raise DomainError(f"alpha {fixed_alpha} outside "
-                              f"[{lp.alpha_min}, {lp.alpha_max}]")
-        hf, rep = solve_fixed_volume(mask, fixed_alpha * scale, sp, config)
-        return hf, fixed_alpha, VolumeLoopReport(fixed_alpha, 0, (fixed_alpha * scale,),
-                                                 (), float("nan"), rep)
 
     target = target_brightness(image, [mask])
     v = lp.alpha_init * scale
@@ -148,11 +140,11 @@ def estimate_shape(image: RasterGray, mask: DropMask, config: OpticalConfig,
         samples.append(sampled)
         if best is None or abs(sampled - target) < best[0]:
             best = (abs(sampled - target), v)
-        v_new = volume_update(v, sampled, target, lp.tau_r,
-                              v_min=lp.alpha_min * scale, v_max=lp.alpha_max * scale)
+        v_new = volume_update(v, sampled, target, _TAU_R,
+                              v_min=ALPHA_MIN * scale, v_max=ALPHA_MAX * scale)
         updates += 1
         volumes.append(v_new)
-        done = abs(v_new - v) / v < lp.rel_volume_tol
+        done = abs(v_new - v) / v < _REL_VOLUME_TOL
         v = v_new
         if done:
             best = (0.0, v)

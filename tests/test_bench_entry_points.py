@@ -3,6 +3,7 @@
 module; a removed or renamed entry point breaks every traced benchmark run."""
 
 import importlib
+import inspect
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -27,3 +28,24 @@ def test_every_traced_entry_point_resolves():
                 assert attr in vars(getattr(home, cls_name, object)), f"{layer}: {modname}.{qual}"
             else:
                 assert callable(getattr(home, qual, None)), f"{layer}: {modname}.{qual}"
+
+
+# arguments that the tracer's probes (``_probe`` in bench/tracing.py) read by
+# name from a call's bound arguments; a renamed one fails only inside a
+# traced run
+PROBED_ARGUMENTS = {
+    ("dropstereo.solver", "solve_fixed_volume"): ("mask", "target_volume", "params"),
+    ("dropstereo.volume_loop", "estimate_shape"): ("loop_params",),
+    ("dropstereo.stereo", "match_grids"): ("params", "ok_a"),
+}
+
+
+def test_probed_arguments_keep_their_names():
+    probed = dict(PROBED_ARGUMENTS)
+    # every reader and writer of the formats layer is probed for its file size
+    modname, names = _entry_points()["formats"]
+    probed.update({(modname, name): ("path",) for name in names})
+    for (modname, name), args in probed.items():
+        params = inspect.signature(getattr(importlib.import_module(modname), name)).parameters
+        for arg in args:
+            assert arg in params, f"{modname}.{name} has no argument '{arg}'"

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dropstereo import formats
+from dropstereo import disk_mask, formats, initial_volume, volume_of
 from dropstereo.cli import main
 
 from conftest import _write_config
@@ -71,6 +71,27 @@ def test_alpha_and_estimate_volume_conflict(tmp_path):
         main(["reconstruct", "--image", "x.pgm", "--mask", "m.pgm", "--config", "c.json",
               "--out", "o.pfm", "--alpha", "0.3", "--estimate-volume"])
     assert exc.value.code == 2
+
+
+def test_reconstruct_fixed_alpha_mirror_mode(tmp_path, capsys):
+    # no dark band available: --alpha solves at the given volume directly
+    # (0.40 is the mirror-dataset setting)
+    m = disk_mask(30)
+    cfg, image, mask = tmp_path / "cfg.json", tmp_path / "image.pgm", tmp_path / "mask.pgm"
+    _write_config(cfg)
+    formats.write_pnm(image, np.full(m.membership.shape, 0.5))
+    formats.write_mask(mask, m)
+    args = ["reconstruct", "--image", str(image), "--mask", str(mask), "--config", str(cfg)]
+    out = tmp_path / "drop.pfm"
+    assert main(args + ["--out", str(out), "--alpha", "0.40"]) == 0
+    hf = formats.read_height_field(out)
+    assert np.array_equal(hf.mask.membership, m.membership)
+    assert volume_of(hf) == pytest.approx(initial_volume(m, 0.40), rel=1e-6)
+    assert json.loads(out.with_suffix(".json").read_text())["alpha_est"] == 0.40
+    capsys.readouterr()
+    for alpha in ("0.9", "0.01"):
+        assert main(args + ["--out", str(tmp_path / "bad.pfm"), "--alpha", alpha]) == 1
+        assert "alpha" in capsys.readouterr().err
 
 
 def test_eval_normalize_by_depth(tmp_path):

@@ -136,6 +136,20 @@ def test_height_field_pfm_round_trip(tmp_path):
     assert np.abs(again.z - hf.z).max() <= 1e-6
 
 
+def test_height_field_pfm_rejects_infinite_heights(tmp_path):
+    # NaN marks a non-member pixel; an infinite height is a corrupt file, not
+    # a hole in the drop
+    p = tmp_path / "h.pfm"
+    for hole in (np.s_[3, 4], np.s_[2, :]):
+        for sign in (1.0, -1.0):
+            z = np.full((8, 8), np.nan, dtype=np.float32)
+            z[2:6, 2:6] = 1.5
+            z[hole] = sign * np.inf
+            write_pfm(p, z)
+            with pytest.raises(DomainError, match="h.pfm"):
+                read_height_field(p)
+
+
 # --- config -------------------------------------------------------------------
 
 
@@ -155,12 +169,47 @@ def test_config_missing_n_water_names_field(tmp_path):
 
 def test_config_unknown_keys_rejected(tmp_path):
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"optics": {"n_water": 1.33, "camera_z": 300.0, "bogus": 1}}))
-    with pytest.raises(DomainError, match="bogus"):
-        read_config(p)
+    for section, key, value in [("optics", "bogus", 1),
+                                # algorithm constants, not settable
+                                ("optics", "pixel_pitch", 6.0e-6),
+                                ("volume_loop", "tau_r", 0.5),
+                                ("volume_loop", "rel_volume_tol", 1e-3),
+                                ("volume_loop", "alpha_min", 0.05),
+                                ("volume_loop", "alpha_max", 0.60),
+                                ("detect", "closing_radius", 5),
+                                ("detect", "solidity_min", 0.85)]:
+        doc = {"optics": {"n_water": 1.33, "camera_z": 300.0}}
+        doc.setdefault(section, {})[key] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DomainError, match=key):
+            read_config(p)
     p.write_text(json.dumps({"optics": {"n_water": 1.33, "camera_z": 300.0}, "extra": {}}))
     with pytest.raises(DomainError, match="extra"):
         read_config(p)
+
+
+def test_config_wrong_value_types_name_section_field_and_file(tmp_path):
+    p = tmp_path / "cfg.json"
+    for section, key, value in [("optics", "band_halfwidth", "0.1"),
+                                ("optics", "camera_z", "300"),
+                                ("detect", "min_diameter", "80"),
+                                ("optics", "principal_point", ["a", 2]),
+                                ("solver", "max_iters", 10.5),
+                                ("volume_loop", "max_outer_updates", True)]:
+        doc = {"optics": {"n_water": 1.33, "camera_z": 300.0}}
+        doc.setdefault(section, {})[key] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DomainError) as exc:
+            read_config(p)
+        msg = str(exc.value)
+        assert section in msg and key in msg and "cfg.json" in msg, msg
+    # integers are numbers, lists become tuples, and an optional field takes null
+    p.write_text(json.dumps({"optics": {"n_water": 1.33, "camera_z": 300,
+                                        "principal_point": [3, 4.5]},
+                             "detect": {"min_diameter": 80}}))
+    cfg = read_config(p)
+    assert cfg.optics.camera_z == 300 and cfg.optics.principal_point == (3, 4.5)
+    assert cfg.detect.min_diameter == 80
 
 
 def test_config_alpha_out_of_range_rejected(tmp_path):

@@ -9,8 +9,8 @@ from dropstereo import (DegenerateGeometry, DomainError, InsufficientMatches, Ra
                         SolverParams, Vec3, block_match, depth_from_drops, disk_mask,
                         initial_volume, render_synthetic, solve_fixed_volume, triangulate)
 from dropstereo.raytrace import DewarpedImage, Ray, ScenePlane, SceneSpec, trace_field
-from dropstereo.stereo import (BlockMatchParams, _global_shift, _subpixel, _window_sums,
-                               match_grids)
+from dropstereo.stereo import (_LR_TOL, _ZNCC_MIN, BlockMatchParams, _global_shift, _subpixel,
+                               _window_sums, match_grids)
 from dropstereo.scenes import make_texture
 
 
@@ -99,7 +99,7 @@ def _oracle_best_match(img_a, ok_a, img_b, ok_b, ra, ca, params, prior):
     score = _oracle_zncc_scores(patch, region, region_ok)
     best = np.unravel_index(int(np.argmax(score)), score.shape)
     s = score[best]
-    if not np.isfinite(s) or s < params.zncc_min:
+    if not np.isfinite(s) or s < _ZNCC_MIN:
         return None
     dr, dc = _subpixel(score, *best)
     return rc - rad + best[0] + dr, cc - rad + best[1] + dc, float(s)
@@ -122,8 +122,8 @@ def _oracle_match_grids(img_a, ok_a, img_b, ok_b, params):
                                       (-prior[0], -prior[1]))
             if back is None:
                 continue
-            if abs(back[0] - ra) > params.lr_tol + abs(rb - rbi) or \
-               abs(back[1] - ca) > params.lr_tol + abs(cb - cbi):
+            if abs(back[0] - ra) > _LR_TOL + abs(rb - rbi) or \
+               abs(back[1] - ca) > _LR_TOL + abs(cb - cbi):
                 continue
             out.append((float(ra), float(ca), rb, cb, score))
     return out

@@ -157,19 +157,6 @@ def test_estimate_shape_deterministic(single_drop_render, config):
     assert a1 == a2
 
 
-def test_estimate_shape_fixed_alpha_mirror_mode(config):
-    # no dark band available: the fixed-coefficient path solves at the given
-    # volume directly (0.40 is the mirror-dataset setting)
-    m = disk_mask(30)
-    img = RasterGray(np.full(m.membership.shape, 0.5))
-    hf, alpha_est, rep = estimate_shape(img, m, config, fixed_alpha=0.40)
-    assert alpha_est == 0.40
-    assert rep.outer_updates == 0
-    from dropstereo import volume_of
-
-    assert volume_of(hf) == pytest.approx(initial_volume(m, 0.40), rel=1e-9)
-
-
 def test_estimate_shape_final_volume_exact(single_drop_render, config):
     scene, mask, hf_true, image = single_drop_render
     lp = VolumeLoopParams(alpha_init=0.25, max_outer_updates=2)
