@@ -107,13 +107,18 @@ def cmd_reconstruct(args) -> int:
                                              cfg.volume_loop)
         rep = loop.solve
         extras = {"outer_updates": loop.outer_updates,
-                  "volume_history": list(loop.volume_history)}
+                  "volume_history": list(loop.volume_history),
+                  "sampled_history": list(loop.sampled_history),
+                  "target": loop.target,
+                  "solve_sweeps": list(loop.solve_sweeps)}
+        work = f"sweeps={sum(loop.solve_sweeps)} in {len(loop.solve_sweeps)} solves"
     else:
         alpha_est = args.alpha if args.alpha is not None else cfg.volume_loop.alpha_init
         if not ALPHA_MIN <= alpha_est <= ALPHA_MAX:
             raise DomainError(f"alpha {alpha_est} outside [{ALPHA_MIN}, {ALPHA_MAX}]")
         hf, rep = _solve_drop(mask, alpha_est, cfg)
         extras = {}
+        work = f"iters={rep.iterations_run}"
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     formats.write_height_field(out, hf)
@@ -127,7 +132,7 @@ def cmd_reconstruct(args) -> int:
         **extras,
     }
     out.with_suffix(".json").write_text(json.dumps(report, indent=2) + "\n")
-    print(f"reconstruct: alpha={alpha_est:.4f} iters={rep.iterations_run} -> {out}")
+    print(f"reconstruct: alpha={alpha_est:.4f} {work} -> {out}")
     return 0
 
 

@@ -5,6 +5,13 @@ The band near the critical normal is half dark, half dimly transmitting, so
 its mean brightness falls when the estimated volume is too small (the
 sampling ring slides outward into truly dark pixels) and rises when it is
 too large.  Each update scales the volume by the relative brightness miss.
+
+The update can orbit its fixed point, so consecutive probes may lie far
+apart while an earlier probe sits close to the next one.  The loop therefore
+keeps every solved surface, as its drop-box crop keyed by its volume, and
+starts each solve after the first from the stored surface whose volume is
+nearest the new target (the earlier one on a tie).  Only the first solve
+starts from the cylinder ``init_mesh(mask, alpha_init)``.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DropMask, HeightField, OpticalConfig, RasterGray
+from .core import DropBox, DropMask, HeightField, OpticalConfig, RasterGray
 from .errors import DomainError, RingTooSmall
 from .optics import critical_normal_z_field, normal_z_field
 from .solver import SolveReport, SolverParams, init_mesh, solve_fixed_volume
@@ -101,6 +108,8 @@ class VolumeLoopReport:
     sampled_history: tuple[float, ...]
     target: float
     solve: SolveReport
+    # iterations_run of every solve in order, the final solve included
+    solve_sweeps: tuple[int, ...]
 
 
 def estimate_shape(image: RasterGray, mask: DropMask, config: OpticalConfig,
@@ -112,6 +121,11 @@ def estimate_shape(image: RasterGray, mask: DropMask, config: OpticalConfig,
     Returns (surface, alpha_est, report); the surface carries exactly the
     final volume.  A drop of known volume coefficient needs no loop: solve it
     directly with ``solve_fixed_volume`` at ``initial_volume(mask, alpha)``.
+
+    The first solve starts from ``init_mesh(mask, alpha_init)``; every later
+    one, the final solve at the best visited volume included, starts from the
+    already solved surface whose volume is nearest its target, the earliest
+    on a tie.  Surfaces are kept as drop-box crops, not raster-sized fields.
     """
     sp = solver_params or SolverParams()
     lp = loop_params or VolumeLoopParams()
@@ -119,17 +133,30 @@ def estimate_shape(image: RasterGray, mask: DropMask, config: OpticalConfig,
     if b == 0:
         raise DomainError("cannot reconstruct on an empty mask")
     scale = b**1.5
+    box = DropBox.of(mask)
+    solved: list[tuple[float, np.ndarray]] = []  # (volume, box crop of its surface)
+    sweeps: list[int] = []
+
+    def solve(v: float) -> tuple[HeightField, SolveReport]:
+        if solved:
+            # min keeps the first of equal keys, so the earlier surface wins a tie
+            _, z = min(solved, key=lambda s: abs(s[0] - v))
+            init = HeightField(mask, box.paste(z))
+        else:
+            init = init_mesh(mask, lp.alpha_init)
+        hf, rep = solve_fixed_volume(mask, v, sp, config, init=init)
+        solved.append((v, box.crop(hf.z).copy()))
+        sweeps.append(rep.iterations_run)
+        return hf, rep
 
     target = target_brightness(image, [mask])
     v = lp.alpha_init * scale
-    hf, _ = solve_fixed_volume(mask, v, sp, config, init=init_mesh(mask, lp.alpha_init))
     volumes = [v]
     samples: list[float] = []
     best: tuple[float, float] | None = None  # (|I_t - I_r|, volume)
     updates = 0
-    for k in range(lp.max_outer_updates):
-        if k > 0:
-            hf, _ = solve_fixed_volume(mask, v, sp, config, init=hf)
+    for _ in range(lp.max_outer_updates):
+        hf, _ = solve(v)
         try:
             sampled = sample_band_brightness(image, hf, config, lp.min_ring_pixels)
         except RingTooSmall:
@@ -154,9 +181,9 @@ def estimate_shape(image: RasterGray, mask: DropMask, config: OpticalConfig,
     # the volume whose sampled brightness came closest to the target is the
     # best-supported estimate among the visited iterates
     v = best[1]
-    hf, rep = solve_fixed_volume(mask, v, sp, config, init=hf)
+    hf, rep = solve(v)
     # surface must expose a ring at the end; otherwise the estimate is moot
     sample_band_brightness(image, hf, config, lp.min_ring_pixels)
     alpha_est = v / scale
     return hf, alpha_est, VolumeLoopReport(alpha_est, updates, tuple(volumes),
-                                           tuple(samples), target, rep)
+                                           tuple(samples), target, rep, tuple(sweeps))

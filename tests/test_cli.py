@@ -104,3 +104,40 @@ def test_eval_normalize_by_depth(tmp_path):
                  "--out", str(out), "--normalize", "depth"]) == 0
     report = json.loads(out.read_text())
     assert report["rms_pct"] == pytest.approx(1.0, rel=1e-6)
+
+
+def test_pipeline_estimate_volume_route(pipeline_runs, tmp_path, capsys):
+    # the paper's route: the volume of each detected drop comes from its dark
+    # band, not from a given alpha
+    run, _ = pipeline_runs
+    image = run["image"]
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg)
+    drops = []
+    for k, mask in enumerate(sorted(run["masks"].glob("mask_*.pgm"))):
+        out = tmp_path / f"drop_{k}.pfm"
+        assert main(["reconstruct", "--image", str(image), "--mask", str(mask),
+                     "--config", str(cfg), "--out", str(out), "--estimate-volume"]) == 0
+        report = json.loads(out.with_suffix(".json").read_text())
+        assert len(report["solve_sweeps"]) == report["outer_updates"] + 1
+        assert len(report["sampled_history"]) == report["outer_updates"]
+        assert report["target"] > 0.0
+        assert f"sweeps={sum(report['solve_sweeps'])} in" in capsys.readouterr().out
+        drops.append((out, report["alpha_est"]))
+
+    stereo = tmp_path / "depth"
+    assert main(["stereo", "--image", str(image), "--drops", ",".join(str(d) for d, _ in drops),
+                 "--config", str(cfg), "--out", str(stereo)]) == 0
+    stats = json.loads((stereo / "residuals.json").read_text())
+    assert stats["valid_points"] >= 8
+    assert abs(stats["median_depth"] - 2000.0) / 2000.0 <= 0.05
+
+    for k, (drop, alpha) in enumerate(drops):
+        out = tmp_path / f"eval_{k}.json"
+        assert main(["eval", "--pred", str(drop), "--truth",
+                     str(run["synth"] / f"height_{k}.pfm"), "--out", str(out)]) == 0
+        rms_pct = json.loads(out.read_text())["rms_pct"]
+        with capsys.disabled():
+            print(f"\n    drop {k}: alpha {alpha:.4f} (error {100 * abs(alpha - 0.30) / 0.30:.1f}% "
+                  f"of the true 0.30), height rms {rms_pct:.2f}% of diameter")
+        assert rms_pct <= 3.0

@@ -4,7 +4,8 @@ import pytest
 from dropstereo import (DomainError, DropMask, OpticalConfig, RasterGray, RingTooSmall,
                         SolverParams, disk_mask, initial_volume, render_synthetic,
                         sample_band_brightness, solve_fixed_volume, target_brightness,
-                        volume_update, estimate_shape)
+                        volume_of, volume_update, estimate_shape)
+from dropstereo import volume_loop
 from dropstereo.formats import VolumeLoopParams
 from dropstereo.raytrace import ScenePlane, SceneSpec
 from dropstereo.scenes import make_texture
@@ -152,15 +153,83 @@ def test_estimate_shape_contracts_from_both_sides(single_drop_render, config):
 def test_estimate_shape_deterministic(single_drop_render, config):
     scene, mask, hf_true, image = single_drop_render
     lp = VolumeLoopParams(alpha_init=0.25, max_outer_updates=3)
-    _, a1, _ = estimate_shape(image, mask, config, loop_params=lp)
-    _, a2, _ = estimate_shape(image, mask, config, loop_params=lp)
+    hf1, a1, rep1 = estimate_shape(image, mask, config, loop_params=lp)
+    hf2, a2, rep2 = estimate_shape(image, mask, config, loop_params=lp)
     assert a1 == a2
+    assert hf1.z.tobytes() == hf2.z.tobytes()
+    assert rep1.solve_sweeps == rep2.solve_sweeps
 
 
 def test_estimate_shape_final_volume_exact(single_drop_render, config):
     scene, mask, hf_true, image = single_drop_render
     lp = VolumeLoopParams(alpha_init=0.25, max_outer_updates=2)
     hf, alpha_est, _ = estimate_shape(image, mask, config, loop_params=lp)
-    from dropstereo import volume_of
-
     assert volume_of(hf) == pytest.approx(alpha_est * mask.area**1.5, rel=1e-9)
+
+
+# --- warm start ---------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_drop_render(config):
+    """One r=24 drop at alpha 0.30 over noise on a 100x100 raster."""
+    mask = disk_mask(24, shape=(100, 100), center=(50, 50))
+    hf, _ = solve_fixed_volume(mask, initial_volume(mask, 0.30), SolverParams(), config)
+    tex = make_texture("noise", 256, 2, seed=7, low=0.05, high=0.95)
+    scene = SceneSpec(width=100, height=100,
+                      planes=(ScenePlane(depth=2000.0, texture=tex, scale=16.0),))
+    return mask, render_synthetic(scene, [(mask, hf)], config)
+
+
+def _recorded_loop(monkeypatch, image, mask, config, lp):
+    """Run ``estimate_shape`` with every fixed-volume solve recorded as
+    (target volume, init surface, solved surface)."""
+    calls = []
+
+    def recording_solve(mask, target_volume, params, config, init=None):
+        hf, rep = solve_fixed_volume(mask, target_volume, params, config, init=init)
+        calls.append((target_volume, init, hf))
+        return hf, rep
+
+    monkeypatch.setattr(volume_loop, "solve_fixed_volume", recording_solve)
+    _, _, rep = estimate_shape(image, mask, config, SolverParams(max_iters=1500), lp)
+    return calls, rep
+
+
+def _assert_nearest_surface_rule(calls, mask, lp):
+    first_volume = lp.alpha_init * mask.area**1.5
+    assert volume_of(calls[0][1]) == pytest.approx(first_volume, rel=1e-12)
+    for k in range(1, len(calls)):
+        target, init, _ = calls[k]
+        # the earliest of the visited probes nearest the target
+        nearest = min(range(k), key=lambda j: abs(calls[j][0] - target))
+        assert volume_of(init) == pytest.approx(calls[nearest][0], rel=1e-9)
+        assert np.array_equal(init.z, calls[nearest][2].z), f"solve {k}"
+
+
+def test_estimate_shape_warm_starts_from_nearest_solved_surface(monkeypatch, small_drop_render,
+                                                                config):
+    mask, image = small_drop_render
+    lp = VolumeLoopParams(alpha_init=0.20, max_outer_updates=6)
+    calls, rep = _recorded_loop(monkeypatch, image, mask, config, lp)
+    _assert_nearest_surface_rule(calls, mask, lp)
+    assert len(rep.solve_sweeps) == rep.outer_updates + 1 == len(calls)
+    assert all(n >= 1 for n in rep.solve_sweeps)
+
+
+def test_estimate_shape_warm_start_tie_takes_earlier_surface(monkeypatch, small_drop_render,
+                                                             config):
+    # scripted probes v0, v0 + 256, v0 + 128: the third lies exactly 128 from
+    # both earlier ones (sums of a power of two stay exact at this size)
+    mask, image = small_drop_render
+    steps = iter((256.0, -128.0, 0.0))
+    monkeypatch.setattr(volume_loop, "volume_update",
+                        lambda v, *args, **kwargs: v + next(steps))
+    lp = VolumeLoopParams(alpha_init=0.30, max_outer_updates=3)
+    calls, rep = _recorded_loop(monkeypatch, image, mask, config, lp)
+    v0 = calls[0][0]
+    assert [c[0] for c in calls[:3]] == [v0, v0 + 256.0, v0 + 128.0]
+    assert abs(calls[2][0] - calls[0][0]) == abs(calls[2][0] - calls[1][0])
+    _assert_nearest_surface_rule(calls, mask, lp)
+    assert volume_of(calls[2][1]) == pytest.approx(v0, rel=1e-9)
+    assert len(rep.solve_sweeps) == rep.outer_updates + 1
