@@ -113,7 +113,7 @@ def cmd_reconstruct(args) -> int:
                   "solve_sweeps": list(loop.solve_sweeps)}
         work = f"sweeps={sum(loop.solve_sweeps)} in {len(loop.solve_sweeps)} solves"
     else:
-        alpha_est = args.alpha if args.alpha is not None else cfg.volume_loop.alpha_init
+        alpha_est = args.alpha
         if not ALPHA_MIN <= alpha_est <= ALPHA_MAX:
             raise DomainError(f"alpha {alpha_est} outside [{ALPHA_MIN}, {ALPHA_MAX}]")
         hf, rep = _solve_drop(mask, alpha_est, cfg)
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    g = p.add_mutually_exclusive_group()
+    g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--alpha", type=float, default=None,
                    help="fixed volume coefficient")
     g.add_argument("--estimate-volume", action="store_true",

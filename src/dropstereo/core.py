@@ -101,9 +101,6 @@ class DropMask:
         er = ndimage.binary_erosion(self.membership, structure=_FOUR_CONNECTED, border_value=0)
         return self.membership & ~er
 
-    def interior(self) -> np.ndarray:
-        return self.membership & ~self.boundary()
-
     def bbox(self) -> tuple[int, int, int, int]:
         """(i0, i1, j0, j1) half-open bounds of the member pixels."""
         if self.area == 0:

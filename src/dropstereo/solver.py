@@ -23,17 +23,16 @@ from .errors import DomainError, SolverDiverged
 
 # sweeps between the energy samples of a solve's history
 _ENERGY_EVERY = 50
+# step size of the tension and gravity updates
+_TAU = 0.5
 
 
 @dataclass(frozen=True)
 class SolverParams:
-    tau: float = 0.5
     max_iters: int = 4000
     convergence_rel: float = 1e-6
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise DomainError("tau must be positive")
         if self.max_iters < 1:
             raise DomainError("max_iters must be at least 1")
         if self.convergence_rel <= 0.0:
@@ -109,12 +108,12 @@ def _energy(z: np.ndarray, stencil: MaskStencil, config: OpticalConfig,
 
 def _checked(z: np.ndarray) -> np.ndarray:
     if not np.isfinite(z).all():
-        raise SolverDiverged("surface update produced non-finite heights; reduce tau")
+        raise SolverDiverged("surface update produced non-finite heights")
     return np.maximum(z, 0.0)
 
 
 def tension_step(z: np.ndarray, stencil: MaskStencil, ring: np.ndarray | None,
-                 params: SolverParams, config: OpticalConfig) -> np.ndarray:
+                 config: OpticalConfig) -> np.ndarray:
     """One explicit curvature-flow step descending the tension energy.
 
     ``z`` is the pixel vector of heights on the stencil's mask.  ``ring``,
@@ -129,12 +128,11 @@ def tension_step(z: np.ndarray, stencil: MaskStencil, ring: np.ndarray | None,
     gy = stencil.diff(z, 0)
     denom = np.sqrt(1.0 + gx * gx + gy * gy)
     flow = stencil.diff(gx / denom, 1) + stencil.diff(gy / denom, 0)
-    moved = z + params.tau * config.tension_weight * flow
+    moved = z + _TAU * config.tension_weight * flow
     return _checked(moved if ring is None else np.where(ring, z, moved))
 
 
-def gravity_step(z: np.ndarray, stencil: MaskStencil, params: SolverParams,
-                 config: OpticalConfig) -> np.ndarray:
+def gravity_step(z: np.ndarray, stencil: MaskStencil, config: OpticalConfig) -> np.ndarray:
     """Planar tilt of the pixel vector ``z`` about its height-weighted
     centroid, driven by the in-plane gravity components; gravity along +z
     leaves the heights unchanged."""
@@ -143,7 +141,7 @@ def gravity_step(z: np.ndarray, stencil: MaskStencil, params: SolverParams,
         return z
     ii, jj = stencil.rows, stencil.cols
     x_g, y_g = _centroid(z, ii, jj)
-    return _checked(z - params.tau * config.gravity_weight * ((y_g - ii) * gcy + (x_g - jj) * gcx))
+    return _checked(z - _TAU * config.gravity_weight * ((y_g - ii) * gcy + (x_g - jj) * gcx))
 
 
 def volume_step(z: np.ndarray, target_volume: float) -> np.ndarray:
@@ -198,8 +196,8 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     iterations = 0
     for t in range(params.max_iters):
         prev = z
-        z = tension_step(z, st, ring, params, config)
-        z = gravity_step(z, st, params, config)
+        z = tension_step(z, st, ring, config)
+        z = gravity_step(z, st, config)
         z = volume_step(z, target_volume)
         iterations = t + 1
         # summed over the crop grid, zeros off the mask included: the pixel

@@ -6,12 +6,13 @@ its mean brightness falls when the estimated volume is too small (the
 sampling ring slides outward into truly dark pixels) and rises when it is
 too large.  Each update scales the volume by the relative brightness miss.
 
-The update can orbit its fixed point, so consecutive probes may lie far
-apart while an earlier probe sits close to the next one.  The loop therefore
-keeps every solved surface, as its drop-box crop keyed by its volume, and
-starts each solve after the first from the stored surface whose volume is
-nearest the new target (the earlier one on a tie).  Only the first solve
-starts from the cylinder ``init_mesh(mask, alpha_init)``.
+The update can orbit its fixed point rather than settle, so the loop keeps
+one record per probe: its volume, its sampled brightness, its solved surface
+(as a drop-box crop) and its solve report.  Each solve after the first starts
+from the stored surface whose volume is nearest the new target (the earlier
+one on a tie); only the first starts from the cylinder
+``init_mesh(mask, alpha_init)``.  The answer is the probe whose sample came
+closest to the target.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ ALPHA_MAX = 0.60
 # relaxation of each volume update, and the relative volume step that ends the loop
 _TAU_R = 0.5
 _REL_VOLUME_TOL = 1e-3
+# fewest band-ring pixels that make a brightness sample
+_MIN_RING_PIXELS = 8
 
 
 @dataclass(frozen=True)
@@ -40,10 +43,9 @@ class VolumeLoopParams:
 
     max_outer_updates: int = 10
     alpha_init: float = 0.30
-    min_ring_pixels: int = 8
 
     def __post_init__(self):
-        for name in ("max_outer_updates", "alpha_init", "min_ring_pixels"):
+        for name in ("max_outer_updates", "alpha_init"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
         if not ALPHA_MIN <= self.alpha_init <= ALPHA_MAX:
@@ -58,15 +60,14 @@ def band_ring(hf: HeightField, config: OpticalConfig) -> np.ndarray:
     return hf.mask.membership & (np.abs(n_z - n_crit) <= config.band_halfwidth)
 
 
-def sample_band_brightness(image: RasterGray, hf: HeightField, config: OpticalConfig,
-                           min_pixels: int = 8) -> float:
+def sample_band_brightness(image: RasterGray, hf: HeightField, config: OpticalConfig) -> float:
     """Mean image intensity over the estimated band ring."""
     if image.pixels.shape != hf.mask.membership.shape:
         raise DomainError("image and height field must share the pixel grid")
     ring = band_ring(hf, config)
     n = int(ring.sum())
-    if n < min_pixels:
-        raise RingTooSmall(f"band ring has {n} pixels (need {min_pixels}); "
+    if n < _MIN_RING_PIXELS:
+        raise RingTooSmall(f"band ring has {n} pixels (need {_MIN_RING_PIXELS}); "
                            "volume estimate far off or drop too small")
     return float(image.pixels[ring].mean())
 
@@ -81,7 +82,11 @@ def target_brightness(image: RasterGray, drop_masks: list[DropMask]) -> float:
         outside &= ~m.membership
     if not outside.any():
         raise DomainError("no background pixels outside the drop masks")
-    return 0.241 * float(image.pixels[outside].mean())
+    background = float(image.pixels[outside].mean())
+    if background == 0.0:
+        raise DomainError("background outside the drop masks is black; "
+                          "the band has no target brightness")
+    return 0.241 * background
 
 
 def volume_update(volume: float, sampled: float, target: float, tau_r: float,
@@ -104,11 +109,13 @@ def volume_update(volume: float, sampled: float, target: float, tau_r: float,
 class VolumeLoopReport:
     alpha_est: float
     outer_updates: int
+    # one entry per probe, in order
     volume_history: tuple[float, ...]
     sampled_history: tuple[float, ...]
     target: float
+    # the chosen probe's own solve
     solve: SolveReport
-    # iterations_run of every solve in order, the final solve included
+    # iterations_run of every probe's solve
     solve_sweeps: tuple[int, ...]
 
 
@@ -118,14 +125,14 @@ def estimate_shape(image: RasterGray, mask: DropMask, config: OpticalConfig,
                    ) -> tuple[HeightField, float, VolumeLoopReport]:
     """Reconstruct one drop, estimating its volume from the dark band.
 
-    Returns (surface, alpha_est, report); the surface carries exactly the
-    final volume.  A drop of known volume coefficient needs no loop: solve it
-    directly with ``solve_fixed_volume`` at ``initial_volume(mask, alpha)``.
+    Returns (surface, alpha_est, report): the surface and solve report of
+    the probe whose sampled brightness came closest to the target (the
+    earliest on a tie); the surface carries exactly that probe's volume.  A
+    drop of known volume coefficient needs no loop: solve it directly with
+    ``solve_fixed_volume`` at ``initial_volume(mask, alpha)``.
 
-    The first solve starts from ``init_mesh(mask, alpha_init)``; every later
-    one, the final solve at the best visited volume included, starts from the
-    already solved surface whose volume is nearest its target, the earliest
-    on a tie.  Surfaces are kept as drop-box crops, not raster-sized fields.
+    The loop stops when a volume update moves less than ``_REL_VOLUME_TOL``
+    of the volume, or after ``max_outer_updates`` probes.
     """
     sp = solver_params or SolverParams()
     lp = loop_params or VolumeLoopParams()
@@ -134,56 +141,36 @@ def estimate_shape(image: RasterGray, mask: DropMask, config: OpticalConfig,
         raise DomainError("cannot reconstruct on an empty mask")
     scale = b**1.5
     box = DropBox.of(mask)
-    solved: list[tuple[float, np.ndarray]] = []  # (volume, box crop of its surface)
-    sweeps: list[int] = []
-
-    def solve(v: float) -> tuple[HeightField, SolveReport]:
-        if solved:
+    target = target_brightness(image, [mask])
+    # (volume, sampled brightness, box crop of the solved surface, solve report)
+    probes: list[tuple[float, float, np.ndarray, SolveReport]] = []
+    v = lp.alpha_init * scale
+    for _ in range(lp.max_outer_updates):
+        if probes:
             # min keeps the first of equal keys, so the earlier surface wins a tie
-            _, z = min(solved, key=lambda s: abs(s[0] - v))
-            init = HeightField(mask, box.paste(z))
+            init = HeightField(mask, box.paste(min(probes, key=lambda p: abs(p[0] - v))[2]))
         else:
             init = init_mesh(mask, lp.alpha_init)
         hf, rep = solve_fixed_volume(mask, v, sp, config, init=init)
-        solved.append((v, box.crop(hf.z).copy()))
-        sweeps.append(rep.iterations_run)
-        return hf, rep
-
-    target = target_brightness(image, [mask])
-    v = lp.alpha_init * scale
-    volumes = [v]
-    samples: list[float] = []
-    best: tuple[float, float] | None = None  # (|I_t - I_r|, volume)
-    updates = 0
-    for _ in range(lp.max_outer_updates):
-        hf, _ = solve(v)
         try:
-            sampled = sample_band_brightness(image, hf, config, lp.min_ring_pixels)
+            sampled = sample_band_brightness(image, hf, config)
         except RingTooSmall:
             # an empty ring means the estimated surface is too flat to reach
             # the critical slope anywhere; treat it as a fully dark sample so
             # the volume grows back into the observable range
             sampled = 0.0
-        samples.append(sampled)
-        if best is None or abs(sampled - target) < best[0]:
-            best = (abs(sampled - target), v)
+        probes.append((v, sampled, box.crop(hf.z).copy(), rep))
         v_new = volume_update(v, sampled, target, _TAU_R,
                               v_min=ALPHA_MIN * scale, v_max=ALPHA_MAX * scale)
-        updates += 1
-        volumes.append(v_new)
-        done = abs(v_new - v) / v < _REL_VOLUME_TOL
-        v = v_new
-        if done:
-            best = (0.0, v)
+        if abs(v_new - v) / v < _REL_VOLUME_TOL:
             break
+        v = v_new
 
-    # the multiplicative update can orbit its fixed point rather than settle;
-    # the volume whose sampled brightness came closest to the target is the
-    # best-supported estimate among the visited iterates
-    v = best[1]
-    hf, rep = solve(v)
+    v, _, z, rep = min(probes, key=lambda p: abs(p[1] - target))
+    hf = HeightField(mask, box.paste(z))
     # surface must expose a ring at the end; otherwise the estimate is moot
-    sample_band_brightness(image, hf, config, lp.min_ring_pixels)
+    sample_band_brightness(image, hf, config)
     alpha_est = v / scale
-    return hf, alpha_est, VolumeLoopReport(alpha_est, updates, tuple(volumes),
-                                           tuple(samples), target, rep, tuple(sweeps))
+    volumes, samples, _, reports = zip(*probes)
+    return hf, alpha_est, VolumeLoopReport(alpha_est, len(probes), volumes, samples, target,
+                                           rep, tuple(r.iterations_run for r in reports))

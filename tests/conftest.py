@@ -170,7 +170,8 @@ def _write_config(path: Path) -> None:
 
 
 def run_pipeline(root: Path) -> dict:
-    """synth -> detect -> reconstruct (both drops) -> stereo -> rectify -> eval."""
+    """synth -> detect -> reconstruct (both drops) -> stereo -> rectify -> eval
+    (both drops)."""
     scene = root / "scene.json"
     cfg = root / "cfg.json"
     _write_scene(scene)
@@ -203,11 +204,14 @@ def run_pipeline(root: Path) -> dict:
                      "--config", str(cfg), "--depth", str(stereo / "depth_0.pfm"),
                      "--out", str(rect)]) == 0
 
-    report = root / "eval.json"
-    assert cli_main(["eval", "--pred", str(drops[0]), "--truth", str(synth / "height_0.pfm"),
-                     "--out", str(report)]) == 0
+    reports = []
+    for k, drop in enumerate(drops):
+        report = root / f"eval_{k}.json"
+        assert cli_main(["eval", "--pred", str(drop), "--truth", str(synth / f"height_{k}.pfm"),
+                         "--out", str(report)]) == 0
+        reports.append(report)
     return {"synth": synth, "masks": det, "drops": drops, "stereo": stereo,
-            "rect": rect, "eval": report, "image": image}
+            "rect": rect, "eval": reports, "image": image}
 
 
 @pytest.fixture(scope="session")

@@ -31,11 +31,13 @@ def test_pipeline_stereo_depth_sane(pipeline_runs):
 
 def test_pipeline_eval_report(pipeline_runs):
     run, _ = pipeline_runs
-    report = json.loads(run["eval"].read_text())
-    assert report["normalize_by"] == "diameter"
-    assert report["n_valid"] > 5000
-    # reconstruction at the true volume on a detected mask stays tight
-    assert report["rms_pct"] <= 3.0
+    assert len(run["eval"]) == 2
+    for path in run["eval"]:
+        report = json.loads(path.read_text())
+        assert report["normalize_by"] == "diameter"
+        assert report["n_valid"] > 5000
+        # reconstruction at the true volume on a detected mask stays tight
+        assert report["rms_pct"] <= 3.0, path.name
 
 
 def test_pipeline_rectified_sidecar(pipeline_runs):
@@ -71,6 +73,15 @@ def test_alpha_and_estimate_volume_conflict(tmp_path):
         main(["reconstruct", "--image", "x.pgm", "--mask", "m.pgm", "--config", "c.json",
               "--out", "o.pfm", "--alpha", "0.3", "--estimate-volume"])
     assert exc.value.code == 2
+
+
+def test_reconstruct_needs_alpha_or_estimate_volume(capsys):
+    # no silent default volume: the caller chooses a route
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", "--image", "x.pgm", "--mask", "m.pgm", "--config", "c.json",
+              "--out", "o.pfm"])
+    assert exc.value.code == 2
+    assert "--alpha" in capsys.readouterr().err
 
 
 def test_reconstruct_fixed_alpha_mirror_mode(tmp_path, capsys):
@@ -119,9 +130,17 @@ def test_pipeline_estimate_volume_route(pipeline_runs, tmp_path, capsys):
         assert main(["reconstruct", "--image", str(image), "--mask", str(mask),
                      "--config", str(cfg), "--out", str(out), "--estimate-volume"]) == 0
         report = json.loads(out.with_suffix(".json").read_text())
-        assert len(report["solve_sweeps"]) == report["outer_updates"] + 1
-        assert len(report["sampled_history"]) == report["outer_updates"]
+        n = report["outer_updates"]
+        assert len(report["solve_sweeps"]) == len(report["sampled_history"]) \
+            == len(report["volume_history"]) == n
         assert report["target"] > 0.0
+        # the top-level solve fields are the chosen probe's own
+        sampled = report["sampled_history"]
+        chosen = min(range(n), key=lambda j: abs(sampled[j] - report["target"]))
+        assert report["iterations"] == report["solve_sweeps"][chosen]
+        area = formats.read_mask(mask).area
+        assert report["alpha_est"] * area**1.5 == pytest.approx(report["volume_history"][chosen],
+                                                                rel=1e-12)
         assert f"sweeps={sum(report['solve_sweeps'])} in" in capsys.readouterr().out
         drops.append((out, report["alpha_est"]))
 

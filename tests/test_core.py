@@ -69,10 +69,16 @@ def test_mask_rejects_diagonal_only_connectivity():
 
 
 def test_mask_boundary_plus_interior_partition():
+    from scipy import ndimage
+
     m = disk_mask(8)
-    b, i = m.boundary(), m.interior()
-    assert not (b & i).any()
-    assert ((b | i) == m.membership).all()
+    b = m.boundary()
+    i = m.membership & ~b
+    assert not (b & ~m.membership).any()
+    # the interior is what a 4-connected erosion of the mask keeps
+    four = ndimage.generate_binary_structure(2, 1)
+    assert (i == ndimage.binary_erosion(m.membership, structure=four)).all()
+    assert b.any() and i.any()
 
 
 def test_height_field_zeroes_non_members_and_rejects_negatives():

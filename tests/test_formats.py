@@ -172,6 +172,8 @@ def test_config_unknown_keys_rejected(tmp_path):
     for section, key, value in [("optics", "bogus", 1),
                                 # algorithm constants, not settable
                                 ("optics", "pixel_pitch", 6.0e-6),
+                                ("solver", "tau", 0.5),
+                                ("volume_loop", "min_ring_pixels", 8),
                                 ("volume_loop", "tau_r", 0.5),
                                 ("volume_loop", "rel_volume_tol", 1e-3),
                                 ("volume_loop", "alpha_min", 0.05),
@@ -246,24 +248,11 @@ def test_config_principal_point_and_nan_values_rejected(tmp_path):
             read_config(p)
 
 
-def test_volume_loop_min_ring_pixels_must_be_positive(tmp_path):
-    # an empty ring must raise RingTooSmall, not average to NaN
-    for n in (0, -3):
-        with pytest.raises(DomainError, match="min_ring_pixels"):
-            VolumeLoopParams(min_ring_pixels=n)
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"optics": {"n_water": 1.33, "camera_z": 300.0},
-                             "volume_loop": {"min_ring_pixels": 0}}))
-    with pytest.raises(DomainError, match="min_ring_pixels"):
-        read_config(p)
-    assert VolumeLoopParams(min_ring_pixels=1).min_ring_pixels == 1
-
-
 def test_config_schema_lists_defaults_and_required():
     schema = config_schema()
     assert schema["optics"]["n_water"]["required"] is True
     assert schema["optics"]["n_air"]["default"] == 1.0
-    assert schema["solver"]["tau"]["default"] == 0.5
+    assert schema["solver"]["max_iters"]["default"] == 4000
     assert schema["volume_loop"]["alpha_init"]["default"] == 0.30
     assert schema["detect"]["min_diameter"]["default"] == 300.0
 

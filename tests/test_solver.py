@@ -7,6 +7,7 @@ from dropstereo import (DomainError, DropMask, HeightField, OpticalConfig, Solve
                         initial_volume, solve_fixed_volume, tension_step, volume_of,
                         volume_step)
 from dropstereo.core import DropBox, MaskStencil
+from dropstereo.solver import _TAU
 
 from conftest import cap_field
 
@@ -106,7 +107,7 @@ def _tension_oracle(z, mask, tau, sigma):
     den = np.sqrt(1 + gx**2 + gy**2)
     fx, fy = gx / den, gy / den
     out = zp.copy()
-    interior = mask.interior()
+    interior = mask.membership & ~rim
     for i in range(h):
         for j in range(w):
             if interior[i, j]:
@@ -117,13 +118,14 @@ def _tension_oracle(z, mask, tau, sigma):
 def test_tension_step_matches_independent_stencil_and_pulls_rim_down():
     m = disk_mask(7)
     cfg = OpticalConfig()
-    z = np.where(m.interior(), 2.0, 0.0)  # flat interior, pinned zero rim
+    inner = m.membership & ~m.boundary()
+    z = np.where(inner, 2.0, 0.0)  # flat interior, pinned zero rim
     hf = HeightField(m, z)
     st = MaskStencil(m.membership)
-    stepped = st.scatter(tension_step(st.gather(hf.z), st, st.gather(m.boundary()), params(), cfg))
-    expected = _tension_oracle(z, m, 0.5, 1.0)
+    stepped = st.scatter(tension_step(st.gather(hf.z), st, st.gather(m.boundary()), cfg))
+    expected = _tension_oracle(z, m, _TAU, 1.0)
     assert np.abs(stepped - expected).max() <= 1e-12
-    ring = m.interior() & ~DropMask(m.interior()).interior()
+    ring = inner & DropMask(inner).boundary()
     assert (stepped[ring] < 2.0).all()  # curvature flow pulls the rim down
     center = m.membership.shape[0] // 2
     assert stepped[center, center] == pytest.approx(2.0)
@@ -134,7 +136,7 @@ def test_tension_step_planar_patch_free_boundary_fixed_point():
     ii, jj = np.mgrid[0 : m.height, 0 : m.width]
     hf = HeightField(m, np.where(m.membership, 1.0 + 0.3 * jj, 0.0))
     st = MaskStencil(m.membership)
-    stepped = st.scatter(tension_step(st.gather(hf.z), st, None, params(), OpticalConfig()))
+    stepped = st.scatter(tension_step(st.gather(hf.z), st, None, OpticalConfig()))
     assert np.abs(stepped - hf.z).max() <= 1e-9
 
 
@@ -148,8 +150,8 @@ def test_tension_descends_energy_from_pinned_cylinder():
     hf0 = init_mesh(m, 0.30)
     ring = st.gather(m.boundary())
     # the first step pins the rim
-    hf1 = HeightField(m, st.scatter(tension_step(st.gather(hf0.z), st, ring, params(), cfg)))
-    hf2 = HeightField(m, st.scatter(tension_step(st.gather(hf1.z), st, ring, params(), cfg)))
+    hf1 = HeightField(m, st.scatter(tension_step(st.gather(hf0.z), st, ring, cfg)))
+    hf2 = HeightField(m, st.scatter(tension_step(st.gather(hf1.z), st, ring, cfg)))
     e1 = energy_of(hf1, cfg)[0]
     e2 = energy_of(hf2, cfg)[0]
     assert e2 < e1
@@ -162,7 +164,7 @@ def test_gravity_along_axis_is_identity():
     m = disk_mask(6)
     hf = init_mesh(m, 0.2)
     st = MaskStencil(m.membership)
-    out = st.scatter(gravity_step(st.gather(hf.z), st, params(), OpticalConfig()))
+    out = st.scatter(gravity_step(st.gather(hf.z), st, OpticalConfig()))
     assert (out == hf.z).all()
 
 
@@ -172,7 +174,7 @@ def test_gravity_antisymmetric_about_centroid():
     hf = HeightField(m, np.ones(m.membership.shape))
     cfg = OpticalConfig(gravity_cosines=(1.0, 0.0, 0.0), gravity_weight=1e-3)
     st = MaskStencil(m.membership)
-    out = st.scatter(gravity_step(st.gather(hf.z), st, params(), cfg))
+    out = st.scatter(gravity_step(st.gather(hf.z), st, cfg))
     delta = out - hf.z
     xg = 5.0
     cols = np.arange(11)
@@ -186,10 +188,10 @@ def test_gravity_step_matches_manual_five_by_five():
     m = square_mask(5, pad=0)
     z = np.arange(25, dtype=float).reshape(5, 5) / 10.0
     hf = HeightField(m, z)
-    tau, g_w = 0.5, 1e-2
+    tau, g_w = _TAU, 1e-2
     cfg = OpticalConfig(gravity_cosines=(0.6, 0.8, 0.0), gravity_weight=g_w)
     st = MaskStencil(m.membership)
-    out = st.scatter(gravity_step(st.gather(hf.z), st, params(tau=tau), cfg))
+    out = st.scatter(gravity_step(st.gather(hf.z), st, cfg))
     # oracle: evaluate the update by hand, term by term
     b = 25
     x_g = sum(z[i, j] * j for i in range(5) for j in range(5)) / b
@@ -208,7 +210,7 @@ def test_gravity_tilts_symmetric_dome_downhill():
     hf = HeightField(m, dome)
     cfg = OpticalConfig(gravity_cosines=(0.5, 0.0, np.sqrt(0.75)), gravity_weight=1e-3)
     st = MaskStencil(m.membership)
-    out = HeightField(m, st.scatter(volume_step(gravity_step(st.gather(hf.z), st, params(), cfg),
+    out = HeightField(m, st.scatter(volume_step(gravity_step(st.gather(hf.z), st, cfg),
                                                 volume_of(hf))))
 
     def mass_centroid_x(f):
@@ -241,8 +243,8 @@ def test_volume_step_restores_after_tension_and_gravity():
     target = initial_volume(m, 0.3)
     hf = init_mesh(m, 0.3)
     st = MaskStencil(m.membership)
-    z = tension_step(st.gather(hf.z), st, st.gather(m.boundary()), params(), cfg)
-    z = gravity_step(z, st, params(), cfg)
+    z = tension_step(st.gather(hf.z), st, st.gather(m.boundary()), cfg)
+    z = gravity_step(z, st, cfg)
     out = HeightField(m, st.scatter(volume_step(z, target)))
     assert volume_of(out) == pytest.approx(target, rel=1e-9)
 
@@ -395,8 +397,8 @@ def test_solve_equals_manual_sweeps(trim, gravity, spiked):
     history = []
     for t in range(n):
         prev = z
-        z = tension_step(z, st, ring, params(), cfg)
-        z = gravity_step(z, st, params(), cfg)
+        z = tension_step(z, st, ring, cfg)
+        z = gravity_step(z, st, cfg)
         if t == 0:
             # the clamp branches run exactly when the plain shift goes negative
             assert ((z + (target - z.sum()) / z.size).min() < 0.0) == spiked

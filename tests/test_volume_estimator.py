@@ -26,10 +26,11 @@ def test_target_brightness_scales_background_mean():
     assert target_brightness(img, [m]) == pytest.approx(48.2 / 255.0, abs=1e-9)
 
 
-def test_target_brightness_black_background_is_zero():
+def test_target_brightness_black_background_rejected():
     img = RasterGray(np.zeros((10, 10)))
     m = DropMask(np.zeros((10, 10), dtype=bool))
-    assert target_brightness(img, [m]) == 0.0
+    with pytest.raises(DomainError, match="black"):
+        target_brightness(img, [m])
 
 
 def test_target_brightness_mixed_background():
@@ -118,7 +119,7 @@ def test_sample_band_at_true_volume_near_target(single_drop_render, config):
 
 def test_estimate_shape_update_direction_matches_formula(single_drop_render, config):
     scene, mask, hf_true, image = single_drop_render
-    lp = VolumeLoopParams(max_outer_updates=1, alpha_init=0.20)
+    lp = VolumeLoopParams(max_outer_updates=2, alpha_init=0.20)
     _, _, rep = estimate_shape(image, mask, config, loop_params=lp)
     sampled = rep.sampled_history[0]
     target = rep.target
@@ -181,18 +182,36 @@ def small_drop_render(config):
     return mask, render_synthetic(scene, [(mask, hf)], config)
 
 
-def _recorded_loop(monkeypatch, image, mask, config, lp):
-    """Run ``estimate_shape`` with every fixed-volume solve recorded as
-    (target volume, init surface, solved surface)."""
+def _record_solves(monkeypatch):
+    """Record every fixed-volume solve of ``estimate_shape`` as
+    (target volume, init surface, solved surface, report)."""
     calls = []
 
     def recording_solve(mask, target_volume, params, config, init=None):
         hf, rep = solve_fixed_volume(mask, target_volume, params, config, init=init)
-        calls.append((target_volume, init, hf))
+        calls.append((target_volume, init, hf, rep))
         return hf, rep
 
     monkeypatch.setattr(volume_loop, "solve_fixed_volume", recording_solve)
-    _, _, rep = estimate_shape(image, mask, config, SolverParams(max_iters=1500), lp)
+    return calls
+
+
+def _recorded_loop(monkeypatch, image, mask, config, lp):
+    """Run ``estimate_shape`` with its solves recorded; check that it
+    answers with the probe whose sample came closest to the target, and
+    solves nothing after its last probe."""
+    calls = _record_solves(monkeypatch)
+    hf, alpha, rep = estimate_shape(image, mask, config, SolverParams(max_iters=1500), lp)
+    assert len(calls) == rep.outer_updates
+    assert len(rep.volume_history) == len(rep.sampled_history) == len(rep.solve_sweeps) \
+        == rep.outer_updates
+    assert rep.volume_history == tuple(c[0] for c in calls)
+    assert rep.solve_sweeps == tuple(c[3].iterations_run for c in calls)
+    # the earliest of the probes whose sample is nearest the target
+    k = min(range(len(calls)), key=lambda j: abs(rep.sampled_history[j] - rep.target))
+    assert hf.z.tobytes() == calls[k][2].z.tobytes()
+    assert rep.solve is calls[k][3]
+    assert alpha * mask.area**1.5 == pytest.approx(calls[k][0], rel=1e-12)
     return calls, rep
 
 
@@ -200,7 +219,7 @@ def _assert_nearest_surface_rule(calls, mask, lp):
     first_volume = lp.alpha_init * mask.area**1.5
     assert volume_of(calls[0][1]) == pytest.approx(first_volume, rel=1e-12)
     for k in range(1, len(calls)):
-        target, init, _ = calls[k]
+        target, init = calls[k][:2]
         # the earliest of the visited probes nearest the target
         nearest = min(range(k), key=lambda j: abs(calls[j][0] - target))
         assert volume_of(init) == pytest.approx(calls[nearest][0], rel=1e-9)
@@ -213,7 +232,6 @@ def test_estimate_shape_warm_starts_from_nearest_solved_surface(monkeypatch, sma
     lp = VolumeLoopParams(alpha_init=0.20, max_outer_updates=6)
     calls, rep = _recorded_loop(monkeypatch, image, mask, config, lp)
     _assert_nearest_surface_rule(calls, mask, lp)
-    assert len(rep.solve_sweeps) == rep.outer_updates + 1 == len(calls)
     assert all(n >= 1 for n in rep.solve_sweeps)
 
 
@@ -232,4 +250,12 @@ def test_estimate_shape_warm_start_tie_takes_earlier_surface(monkeypatch, small_
     assert abs(calls[2][0] - calls[0][0]) == abs(calls[2][0] - calls[1][0])
     _assert_nearest_surface_rule(calls, mask, lp)
     assert volume_of(calls[2][1]) == pytest.approx(v0, rel=1e-9)
-    assert len(rep.solve_sweeps) == rep.outer_updates + 1
+
+
+def test_estimate_shape_black_background_rejected_before_any_solve(monkeypatch):
+    # a zero target leaves the update nothing to aim at; no solve is spent on it
+    mask = disk_mask(12, shape=(40, 40), center=(20, 20))
+    calls = _record_solves(monkeypatch)
+    with pytest.raises(DomainError, match="black"):
+        estimate_shape(RasterGray(np.zeros((40, 40))), mask, OpticalConfig())
+    assert calls == []
