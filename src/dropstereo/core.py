@@ -164,6 +164,12 @@ class OpticalConfig:
                 raise DomainError("principal_point must be two finite values (cx, cy)")
         if not self.band_halfwidth > 0.0:
             raise DomainError("band_halfwidth must be positive")
+        # a non-positive tension runs the flow backwards and an infinite
+        # weight makes every energy infinite
+        if not (math.isfinite(self.tension_weight) and self.tension_weight > 0.0):
+            raise DomainError("tension_weight must be finite and positive")
+        if not (math.isfinite(self.gravity_weight) and self.gravity_weight >= 0.0):
+            raise DomainError("gravity_weight must be finite and non-negative")
 
     @property
     def eta(self) -> float:
@@ -217,11 +223,15 @@ class DropBox:
 # ---------------------------------------------------------------------------
 # Discrete differential operators on masked grids.
 #
-# A field on the mask is the vector of its member pixels in row-major order
-# (``a[mask]``).  Along each axis a pixel takes the central difference where
-# both 4-neighbors are members, the one-sided difference where only one is,
-# and zero where it is isolated along that axis.  Values outside the mask are
-# never read.
+# Along each axis a pixel takes the central difference where both 4-neighbors
+# are members, the one-sided difference where only one is, and zero where it
+# is isolated along that axis.  No member's difference reads a value outside
+# the mask.
+#
+# A field on a drop's box lives in one flat buffer: the box grid in row-major
+# order, with one zero row above and below it and one spare cell at each
+# end.  A pixel's x-neighbors then sit at +-1 and its y-neighbors at +-w, so
+# the central difference of every pixel comes from two shifted slices.
 # ---------------------------------------------------------------------------
 
 
@@ -237,37 +247,57 @@ def _shifted(a: np.ndarray, di: int, dj: int) -> np.ndarray:
     return out
 
 
-# difference weight by the number of member neighbors along the axis
-_DIFF_WEIGHT = np.array([0.0, 1.0, 0.5])
-
-
 class MaskStencil:
-    """Neighbor indices of the member pixels, for repeated masked differencing.
+    """Masked differencing on one mask grid, in the padded buffer layout.
 
-    Fields on the mask are pixel vectors (``gather``); ``rows``/``cols`` hold
-    the members' coordinates.  Per axis (0 = y along rows, 1 = x along
-    columns) the stencil keeps each pixel's forward and backward neighbor as
-    a position in the pixel vector, pointing at the pixel itself where that
-    neighbor is missing, and a weight of 0.5 (both present), 1 (one) or 0
-    (none), so every case of ``diff`` is ``wt * (v[ip] - v[im])``.
+    A buffer has ``size`` cells; pixel [i, j] sits at ``origin + i * w + j``
+    and ``cells`` is the grid's (h, w) view of it.  ``members`` are the
+    buffer cells of the member pixels in row-major order (the order of
+    ``a[mask]``) and ``rows``/``cols`` their coordinates; ``inside`` is the
+    buffer holding 1 on the members and 0 elsewhere.
+
+    ``diff_into`` writes the central difference of every cell, then rewrites
+    the members that lack a neighbor along the axis, all on the rim, from a
+    precomputed list: the neighbor's cell, or the pixel's own where it is
+    missing, and a weight of 1 (one neighbor) or 0 (none), so those cases are
+    ``wt * (v[ip] - v[im])``.  Cells off the mask get values no member reads.
+
+    ``gather``, ``scatter`` and ``diff`` keep the pixel-vector form of a field
+    (``a[mask]``); ``pad`` puts a pixel vector in a buffer.
     """
 
     def __init__(self, mask: np.ndarray):
         m = np.asarray(mask, dtype=bool)
         self.mask = m
-        idx = np.flatnonzero(m)  # row-major, the order of ``m[m]``
-        self.rows, self.cols = np.divmod(idx, m.shape[1])
-        pos = np.zeros(m.size, dtype=np.intp)
-        pos[idx] = np.arange(idx.size)
+        h, w = m.shape
+        self.origin = w + 1
+        self.size = h * w + 2 * w + 2
+        idx = np.flatnonzero(m)
+        self.rows, self.cols = np.divmod(idx, w)
+        self.members = idx + self.origin
+        self.inside = self.pad(np.ones(idx.size))
         self._axes = []
         for di, dj in ((1, 0), (0, 1)):
             # member neighbors only: no wrap across rows, nothing off the grid
             has_p = self.gather(_shifted(m, di, dj) & m)
             has_m = self.gather(_shifted(m, -di, -dj) & m)
-            step = di * m.shape[1] + dj
-            ip = pos[np.where(has_p, idx + step, idx)]
-            im = pos[np.where(has_m, idx - step, idx)]
-            self._axes.append((ip, im, _DIFF_WEIGHT[has_p.astype(np.intp) + has_m]))
+            rim = ~(has_p & has_m)
+            step = di * w + dj
+            cell = self.members[rim]
+            ip = np.where(has_p[rim], cell + step, cell)
+            im = np.where(has_m[rim], cell - step, cell)
+            self._axes.append((step, cell, ip, im, (has_p | has_m)[rim].astype(float)))
+
+    def cells(self, buf: np.ndarray) -> np.ndarray:
+        """The (h, w) grid of a buffer, as a view."""
+        n = self.mask.size
+        return buf[self.origin : self.origin + n].reshape(self.mask.shape)
+
+    def pad(self, v: np.ndarray) -> np.ndarray:
+        """A pixel vector in a new buffer, zero off the mask."""
+        buf = np.zeros(self.size)
+        buf[self.members] = v
+        return buf
 
     def gather(self, a: np.ndarray) -> np.ndarray:
         """The member pixels of a grid, as a vector."""
@@ -279,10 +309,21 @@ class MaskStencil:
         out[self.mask] = v
         return out
 
+    def diff_into(self, buf: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+        """Masked difference of the buffer ``buf`` along ``axis``, written
+        into the grid cells of the buffer ``out`` (which must not be ``buf``);
+        returns ``out``."""
+        step, cell, ip, im, wt = self._axes[axis]
+        o, n = self.origin, self.mask.size
+        d = out[o : o + n]
+        np.subtract(buf[o + step : o + step + n], buf[o - step : o - step + n], out=d)
+        d *= 0.5
+        out[cell] = wt * (buf[ip] - buf[im])
+        return out
+
     def diff(self, v: np.ndarray, axis: int) -> np.ndarray:
         """Masked difference of the pixel vector ``v`` along ``axis``."""
-        ip, im, wt = self._axes[axis]
-        return wt * (v[ip] - v[im])
+        return self.diff_into(self.pad(v), axis, np.zeros(self.size)).take(self.members)
 
 
 def normal_field(hf: HeightField, box: DropBox | None = None) -> np.ndarray:
@@ -297,11 +338,11 @@ def normal_field(hf: HeightField, box: DropBox | None = None) -> np.ndarray:
     if box is not None:
         mask, z = box.crop(mask), box.crop(z)
     st = MaskStencil(mask)
-    v = st.gather(z)
-    gx, gy = st.diff(v, 1), st.diff(v, 0)
+    v = st.pad(st.gather(z))
+    gx, gy = (st.cells(st.diff_into(v, axis, np.zeros(st.size))) for axis in (1, 0))
     norm = np.sqrt(1.0 + gx * gx + gy * gy)
-    n = np.zeros(mask.shape + (3,))
-    n[mask] = np.stack([-gx / norm, -gy / norm, 1.0 / norm], axis=-1)
+    n = np.stack([-gx / norm, -gy / norm, 1.0 / norm], axis=-1)
+    n[~mask] = 0.0
     return n
 
 

@@ -223,8 +223,12 @@ def _build_section(path: str | Path, name: str, cls, payload: dict[str, Any]):
     for key in _REQUIRED.get(name, ()):
         if key not in payload:
             raise DomainError(f"{where}: missing required field '{key}'")
-    return cls(**{key: _typed(value, hints[key], f"{where}: field '{key}'")
-                  for key, value in payload.items()})
+    kwargs = {key: _typed(value, hints[key], f"{where}: field '{key}'")
+              for key, value in payload.items()}
+    try:
+        return cls(**kwargs)
+    except DomainError as exc:
+        raise DomainError(f"{where}: {exc}") from exc
 
 
 def read_config(path: str | Path) -> PipelineConfig:

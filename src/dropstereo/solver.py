@@ -6,9 +6,13 @@ tension step with the contact line (the mask boundary ring) pinned to zero, a
 planar gravity tilt about the height-weighted centroid, and a uniform shift
 restoring the target volume exactly.
 
-The sweeps run on the vector of mask pixels in row-major order (``z[mask]``)
-over one ``MaskStencil`` and one contact ring per solve; the height grid is
-rebuilt only for the result.
+A solve keeps its heights in one ``MaskStencil`` buffer of the drop's box
+(the box grid with a zero row above and below) and updates it in place; its
+work buffers are allocated once per solve and the contact ring is found
+once.  Sums that set the result's bytes keep their grouping: the volume
+restore and the energies sum the pixel vector (``z[mask]``), the per-sweep
+change sums the box grid.  The public steps take pixel vectors and run the
+same kernels.
 """
 
 from __future__ import annotations
@@ -84,32 +88,57 @@ def energy_of(hf: HeightField, config: OpticalConfig) -> tuple[float, float, flo
     z*(x cos_x + y cos_y) + z^2/2 * cos_z per pixel.  Pixel coordinates are
     taken relative to the principal point.
     """
-    h, w = hf.mask.membership.shape
-    st = MaskStencil(hf.mask.membership)
-    return _energy(st.gather(hf.z), st, config, DropBox(0, h, 0, w, (h, w)))
+    box = DropBox.of(hf.mask)
+    st = MaskStencil(box.crop(hf.mask.membership))
+    return _energy(st.pad(st.gather(box.crop(hf.z))), st, config, box)
 
 
 def _energy(z: np.ndarray, stencil: MaskStencil, config: OpticalConfig,
             box: DropBox) -> tuple[float, float, float]:
-    """``energy_of`` on the pixel vector ``z`` of the stencil's mask, which
-    covers ``box``; plate coordinates come from raster indices, as in
-    ``plate_coords``."""
-    gx = stencil.diff(z, 1)
-    gy = stencil.diff(z, 0)
+    """``energy_of`` on the buffer ``z`` of the stencil's mask, which covers
+    ``box``; plate coordinates come from raster indices, as in
+    ``plate_coords``.  The sums run over the pixel vectors."""
+    gx, gy = (stencil.diff_into(z, axis, np.zeros(stencil.size)).take(stencil.members)
+              for axis in (1, 0))
     e_t = config.tension_weight * float(np.sqrt(1.0 + gx * gx + gy * gy).sum())
 
     cx, cy = config.resolve_principal_point(box.shape)
     x, y = stencil.cols + box.j0 - cx, stencil.rows + box.i0 - cy
     gcx, gcy, gcz = config.gravity_cosines
+    z = z.take(stencil.members)
     col = z * (x * gcx + y * gcy) + 0.5 * z * z * gcz
     e_g = config.gravity_weight * float(col.sum())
     return e_t, e_g, e_t + e_g
 
 
-def _checked(z: np.ndarray) -> np.ndarray:
+def _checked(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if not np.isfinite(z).all():
         raise SolverDiverged("surface update produced non-finite heights")
-    return np.maximum(z, 0.0)
+    return np.maximum(z, 0.0, out=out)
+
+
+def _tension(z: np.ndarray, stencil: MaskStencil, interior: np.ndarray, weight: float,
+             work: np.ndarray) -> None:
+    """``tension_step`` on the buffer ``z``, in place: the cells where
+    ``interior`` is 1 move and every other cell ends at zero.  ``work`` holds
+    four zeroed buffers, which keep their padding at zero."""
+    gx, gy, den, flow = work
+    z *= interior
+    stencil.diff_into(z, 1, gx)
+    stencil.diff_into(z, 0, gy)
+    np.multiply(gx, gx, out=den)
+    den += 1.0
+    np.multiply(gy, gy, out=flow)
+    den += flow
+    np.sqrt(den, out=den)
+    gx /= den
+    gy /= den
+    stencil.diff_into(gx, 1, flow)
+    flow += stencil.diff_into(gy, 0, den)
+    flow *= _TAU * weight
+    z += flow
+    z *= interior
+    _checked(z, out=z)
 
 
 def tension_step(z: np.ndarray, stencil: MaskStencil, ring: np.ndarray | None,
@@ -122,14 +151,10 @@ def tension_step(z: np.ndarray, stencil: MaskStencil, ring: np.ndarray | None,
     with ``ring=None`` (free boundary) every pixel moves and a minimal
     surface stays unchanged.
     """
-    if ring is not None:
-        z = np.where(ring, 0.0, z)
-    gx = stencil.diff(z, 1)
-    gy = stencil.diff(z, 0)
-    denom = np.sqrt(1.0 + gx * gx + gy * gy)
-    flow = stencil.diff(gx / denom, 1) + stencil.diff(gy / denom, 0)
-    moved = z + _TAU * config.tension_weight * flow
-    return _checked(moved if ring is None else np.where(ring, z, moved))
+    buf = stencil.pad(z)
+    interior = stencil.inside if ring is None else stencil.pad(~ring)
+    _tension(buf, stencil, interior, config.tension_weight, np.zeros((4, stencil.size)))
+    return buf.take(stencil.members)
 
 
 def gravity_step(z: np.ndarray, stencil: MaskStencil, config: OpticalConfig) -> np.ndarray:
@@ -144,6 +169,30 @@ def gravity_step(z: np.ndarray, stencil: MaskStencil, config: OpticalConfig) -> 
     return _checked(z - _TAU * config.gravity_weight * ((y_g - ii) * gcy + (x_g - jj) * gcx))
 
 
+def _restore_volume(z: np.ndarray, zm: np.ndarray, target_volume: float,
+                    inside: np.ndarray | None = None, members=slice(None)) -> np.ndarray:
+    """``volume_step`` in place on ``z``, whose member values are the pixel
+    vector ``zm`` at ``members``; ``inside`` (1 on the members, 0 elsewhere)
+    keeps the other cells at zero.  Returns ``z``."""
+    b = zm.size
+    shift = (target_volume - zm.sum()) / b
+    # rounding is monotone, so this is the smallest of zm + shift
+    if math.isfinite(shift) and zm.min() + shift >= 0.0:
+        z += shift
+        if inside is not None:
+            z *= inside
+        return z
+    zm = np.maximum(zm + shift, 0.0)
+    zm += (target_volume - zm.sum()) / b
+    if zm.min() < 0.0:
+        zm = np.maximum(zm, 0.0)
+        total = zm.sum()
+        if total > 0.0:
+            zm *= target_volume / total
+    z[members] = _checked(zm)
+    return z
+
+
 def volume_step(z: np.ndarray, target_volume: float) -> np.ndarray:
     """Uniform shift of the pixel vector ``z`` restoring the target volume
     exactly.
@@ -152,19 +201,10 @@ def volume_step(z: np.ndarray, target_volume: float) -> np.ndarray:
     once; a multiplicative rescale guards the rare case where that still
     leaves negatives.
     """
-    b = z.size
-    if b == 0:
+    if z.size == 0:
         raise DomainError("cannot adjust volume on an empty mask")
-    z = z + (target_volume - z.sum()) / b
-    if z.min() < 0.0:
-        z = np.maximum(z, 0.0)
-        z += (target_volume - z.sum()) / b
-        if z.min() < 0.0:
-            z = np.maximum(z, 0.0)
-            total = z.sum()
-            if total > 0.0:
-                z *= target_volume / total
-    return _checked(z)
+    z = np.array(z, dtype=float)
+    return _restore_volume(z, z, target_volume)
 
 
 def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParams,
@@ -185,25 +225,32 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     else:
         z = HeightField(sub_mask, box.crop(init.z)).z
 
+    # the state and every work array are buffers, allocated once per solve
     st = MaskStencil(sub_mask.membership)
-    z = st.gather(z)
-    ring = st.gather(sub_mask.boundary())
-    change = np.zeros(st.mask.shape)
+    z = st.pad(st.gather(z))
+    interior = st.pad(~st.gather(sub_mask.boundary()))
+    prev = np.empty(st.size)
+    work = np.zeros((4, st.size))
+    gcx, gcy, _ = config.gravity_cosines
+    tilted = gcx != 0.0 or gcy != 0.0
     threshold = params.convergence_rel * target_volume
     history: list[tuple[int, float]] = []
     converged = False
     delta = math.inf
     iterations = 0
     for t in range(params.max_iters):
-        prev = z
-        z = tension_step(z, st, ring, config)
-        z = gravity_step(z, st, config)
-        z = volume_step(z, target_volume)
+        np.copyto(prev, z)
+        _tension(z, st, interior, config.tension_weight, work)
+        zm = z.take(st.members)
+        if tilted:
+            zm = gravity_step(zm, st, config)
+            z[st.members] = zm
+        _restore_volume(z, zm, target_volume, st.inside, st.members)
         iterations = t + 1
-        # summed over the crop grid, zeros off the mask included: the pixel
+        # summed over the box grid, zeros off the mask included: the pixel
         # vector's own sum groups the additions differently
-        change[st.mask] = np.abs(z - prev)
-        delta = float(change.sum())
+        np.subtract(z, prev, out=prev)
+        delta = float(np.abs(st.cells(prev), out=st.cells(prev)).sum())
         if t % _ENERGY_EVERY == 0:
             history.append((iterations, _energy(z, st, config, box)[2]))
         if delta < threshold:
@@ -213,4 +260,4 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     e_t, e_g, e = _energy(z, st, config, box)
     history.append((iterations, e))
     report = SolveReport(iterations, e_t, e_g, e, delta, converged, tuple(history))
-    return HeightField(mask, box.paste(st.scatter(z))), report
+    return HeightField(mask, box.paste(st.cells(z))), report

@@ -112,6 +112,20 @@ def test_optical_config_invariants():
     assert cfg.resolve_principal_point((9, 9)) == (1.5, 2.0)
 
 
+def test_optical_config_rejects_bad_solver_weights():
+    # a negative tension runs the flow backwards (anti-diffusion), an
+    # infinite weight makes every energy infinite, and NaN used to fail only
+    # inside the sweep
+    nan, inf = float("nan"), float("inf")
+    for bad in (0.0, -1.0, nan, inf):
+        with pytest.raises(DomainError, match="tension_weight"):
+            OpticalConfig(tension_weight=bad)
+    for bad in (-1e-4, nan, inf):
+        with pytest.raises(DomainError, match="gravity_weight"):
+            OpticalConfig(gravity_weight=bad)
+    assert OpticalConfig(gravity_weight=0.0).gravity_weight == 0.0
+
+
 # --- surface normals --------------------------------------------------------
 
 

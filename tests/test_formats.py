@@ -248,6 +248,17 @@ def test_config_principal_point_and_nan_values_rejected(tmp_path):
             read_config(p)
 
 
+def test_config_bad_solver_weights_name_section_and_field(tmp_path):
+    p = tmp_path / "cfg.json"
+    for key, value in (("tension_weight", -1.0), ("tension_weight", 0),
+                       ("gravity_weight", -1.0), ("gravity_weight", 1e400)):
+        p.write_text(json.dumps({"optics": {"n_water": 1.33, "camera_z": 300.0, key: value}}))
+        with pytest.raises(DomainError) as exc:
+            read_config(p)
+        msg = str(exc.value)
+        assert "'optics'" in msg and key in msg and "cfg.json" in msg, msg
+
+
 def test_config_schema_lists_defaults_and_required():
     schema = config_schema()
     assert schema["optics"]["n_water"]["required"] is True

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, ndimage
 
 from dropstereo import (DomainError, DropMask, HeightField, OpticalConfig, SolveReport,
                         SolverParams, disk_mask, energy_of, gravity_step, init_mesh,
                         initial_volume, solve_fixed_volume, tension_step, volume_of,
                         volume_step)
 from dropstereo.core import DropBox, MaskStencil
+from dropstereo.masks import blob_mask
 from dropstereo.solver import _TAU
 
 from conftest import cap_field
+from test_core import _oracle_masks, _shifted_oracle
 
 
 def square_mask(n, pad=2):
@@ -414,6 +416,160 @@ def test_solve_equals_manual_sweeps(trim, gravity, spiked):
     if trim == 2:
         assert m.membership[0].any() and m.membership[-1].any()
         assert m.membership[:, 0].any() and m.membership[:, -1].any()
+
+
+class _GatherStencil:
+    """The pixel-vector stencil of the sweep before the buffer layout: per
+    axis, each member's neighbors as positions in the pixel vector (its own
+    where one is missing) and a weight of 0.5, 1 or 0."""
+
+    def __init__(self, m):
+        idx = np.flatnonzero(m)
+        self.rows, self.cols = np.divmod(idx, m.shape[1])
+        pos = np.zeros(m.size, dtype=np.intp)
+        pos[idx] = np.arange(idx.size)
+        self.axes = []
+        for di, dj in ((1, 0), (0, 1)):
+            has_p = (_shifted_oracle(m, di, dj) & m)[m]
+            has_m = (_shifted_oracle(m, -di, -dj) & m)[m]
+            step = di * m.shape[1] + dj
+            self.axes.append((pos[np.where(has_p, idx + step, idx)],
+                              pos[np.where(has_m, idx - step, idx)],
+                              np.array([0.0, 1.0, 0.5])[has_p.astype(int) + has_m]))
+
+    def diff(self, v, axis):
+        ip, im, wt = self.axes[axis]
+        return wt * (v[ip] - v[im])
+
+
+def _oracle_solve(mask, target, n, cfg, init=None):
+    """``solve_fixed_volume`` as the pixel-vector sweep ran it, independent of
+    the solver's kernel: the three steps on the vector of the box's member
+    pixels, and the change summed over the box grid."""
+    box = DropBox.of(mask)
+    m = box.crop(mask.membership)
+    st = _GatherStencil(m)
+    z0 = init.z if init is not None else init_mesh(mask, target / mask.area**1.5).z
+    z = box.crop(z0)[m]
+    ring = DropMask(m).boundary()[m]
+    ii, jj = st.rows, st.cols
+    b = z.size
+    gcx, gcy, gcz = cfg.gravity_cosines
+    cx, cy = cfg.resolve_principal_point(mask.membership.shape)
+    x, y = jj + box.j0 - cx, ii + box.i0 - cy
+
+    def checked(v):
+        assert np.isfinite(v).all()
+        return np.maximum(v, 0.0)
+
+    def energy(v):
+        gx, gy = st.diff(v, 1), st.diff(v, 0)
+        e_t = cfg.tension_weight * float(np.sqrt(1.0 + gx * gx + gy * gy).sum())
+        e_g = cfg.gravity_weight * float((v * (x * gcx + y * gcy) + 0.5 * v * v * gcz).sum())
+        return e_t, e_g, e_t + e_g
+
+    threshold = SolverParams().convergence_rel * target
+    change = np.zeros(m.shape)
+    history, converged, t = [], False, 0
+    for t in range(1, n + 1):
+        prev = z
+        # tension, with the contact ring pinned at zero
+        z = np.where(ring, 0.0, z)
+        gx, gy = st.diff(z, 1), st.diff(z, 0)
+        denom = np.sqrt(1.0 + gx * gx + gy * gy)
+        flow = st.diff(gx / denom, 1) + st.diff(gy / denom, 0)
+        z = checked(np.where(ring, z, z + _TAU * cfg.tension_weight * flow))
+        # tilt about the height-weighted centroid
+        if gcx != 0.0 or gcy != 0.0:
+            x_g, y_g = float((z * jj).sum() / b), float((z * ii).sum() / b)
+            z = checked(z - _TAU * cfg.gravity_weight * ((y_g - ii) * gcy + (x_g - jj) * gcx))
+        # volume restore, with both clamp branches
+        z = z + (target - z.sum()) / b
+        if z.min() < 0.0:
+            z = np.maximum(z, 0.0)
+            z += (target - z.sum()) / b
+            if z.min() < 0.0:
+                z = np.maximum(z, 0.0)
+                if z.sum() > 0.0:
+                    z *= target / z.sum()
+        z = checked(z)
+        change[m] = np.abs(z - prev)
+        delta = float(change.sum())
+        if (t - 1) % 50 == 0:
+            history.append((t, energy(z)[2]))
+        if delta < threshold:
+            converged = True
+            break
+    e = energy(z)
+    history.append((t, e[2]))
+    grid = np.zeros(m.shape)
+    grid[m] = z
+    return HeightField(mask, box.paste(grid)), SolveReport(t, *e, delta, converged,
+                                                          tuple(history))
+
+
+def _largest_component(m):
+    labels, n = ndimage.label(m)
+    sizes = np.bincount(labels.ravel())[1:]
+    return DropMask(labels == 1 + int(np.argmax(sizes)))
+
+
+def _assert_solve_matches_oracle(m, cfg, init=None, n=64):
+    target = initial_volume(m, 0.3)
+    hf, report = solve_fixed_volume(m, target, params(max_iters=n), cfg, init=init)
+    hf_o, report_o = _oracle_solve(m, target, n, cfg, init)
+    assert hf.z.tobytes() == hf_o.z.tobytes()
+    assert report == report_o
+
+
+@pytest.mark.parametrize("gravity", [(0.0, 0.0, 1.0), _TILTED], ids=["plumb", "tilted"])
+def test_solve_matches_pixel_vector_oracle_on_clamped_blob(gravity):
+    # cut by the top and right raster edges: the box is clamped on both
+    m = blob_mask(14, shape=(30, 40), center=(3.0, 36.0), seed=1)
+    box = DropBox.of(m)
+    assert box.i0 == 0 and box.j1 == 40 and m.membership[0].any() and m.membership[:, -1].any()
+    cfg = OpticalConfig(gravity_cosines=gravity, gravity_weight=1e-3)
+    _assert_solve_matches_oracle(m, cfg)
+    _assert_solve_matches_oracle(m, cfg, init=_spiked_init(m))
+
+
+def test_solve_matches_pixel_vector_oracle_on_one_pixel_arms():
+    # the largest component of each oracle mask; together they hold pixels
+    # with one member neighbor and with none along an axis
+    masks = [_largest_component(m) for m in _oracle_masks()]
+    lone = 0
+    for m in masks:
+        for di, dj in ((1, 0), (0, 1)):
+            mm = m.membership
+            lone += int((mm & ~_shifted_oracle(mm, di, dj) & ~_shifted_oracle(mm, -di, -dj)).sum())
+    assert lone > 0
+    for m in masks:
+        for gravity in ((0.0, 0.0, 1.0), _TILTED):
+            _assert_solve_matches_oracle(m, OpticalConfig(gravity_cosines=gravity,
+                                                          gravity_weight=1e-3))
+
+
+def test_solve_matches_pixel_vector_oracle_from_spiked_start():
+    # the first volume restore runs both clamp branches
+    m = disk_mask(12)
+    for gravity in ((0.0, 0.0, 1.0), _TILTED):
+        cfg = OpticalConfig(gravity_cosines=gravity, gravity_weight=1e-3)
+        _assert_solve_matches_oracle(m, cfg, init=_spiked_init(m), n=80)
+
+
+def test_solve_aliases_nothing(config):
+    # the sweep updates its buffers in place; none of them is the caller's
+    m = disk_mask(10)
+    target = initial_volume(m, 0.3)
+    init = _spiked_init(m)
+    before = init.z.tobytes()
+    a, _ = solve_fixed_volume(m, target, params(max_iters=20), config, init=init)
+    b, _ = solve_fixed_volume(m, target, params(max_iters=20), config, init=init)
+    assert init.z.tobytes() == before
+    assert not a.z.flags.writeable and not b.z.flags.writeable
+    assert not np.shares_memory(a.z, b.z)
+    assert not np.shares_memory(a.z, init.z) and not np.shares_memory(b.z, init.z)
+    assert a.z.tobytes() == b.z.tobytes()
 
 
 @pytest.mark.parametrize("principal_point", [None, (-50.3, -20.7)], ids=["centre", "off_grid"])

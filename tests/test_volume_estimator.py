@@ -252,6 +252,32 @@ def test_estimate_shape_warm_start_tie_takes_earlier_surface(monkeypatch, small_
     assert volume_of(calls[2][1]) == pytest.approx(v0, rel=1e-9)
 
 
+def test_estimate_shape_stored_surfaces_keep_their_bytes(monkeypatch, small_drop_render,
+                                                        config):
+    # every solve works in place on buffers of its own: the surface each probe
+    # stored is, byte for byte, what its solve returned, whenever a later
+    # probe starts from it or the loop answers with it
+    mask, image = small_drop_render
+    seen = []
+
+    def snapshot_solve(mask, target_volume, params, config, init=None):
+        init_bytes = init.z.tobytes()
+        hf, rep = solve_fixed_volume(mask, target_volume, params, config, init=init)
+        assert init.z.tobytes() == init_bytes
+        seen.append((target_volume, init, hf.z.tobytes()))
+        return hf, rep
+
+    monkeypatch.setattr(volume_loop, "solve_fixed_volume", snapshot_solve)
+    lp = VolumeLoopParams(alpha_init=0.20, max_outer_updates=4)
+    hf, alpha, rep = estimate_shape(image, mask, config, SolverParams(max_iters=300), lp)
+    assert len(seen) == rep.outer_updates >= 3
+    for k in range(1, len(seen)):
+        nearest = min(range(k), key=lambda j: abs(seen[j][0] - seen[k][0]))
+        assert seen[k][1].z.tobytes() == seen[nearest][2], f"solve {k}"
+    chosen = min(range(len(seen)), key=lambda j: abs(rep.sampled_history[j] - rep.target))
+    assert hf.z.tobytes() == seen[chosen][2]
+
+
 def test_estimate_shape_black_background_rejected_before_any_solve(monkeypatch):
     # a zero target leaves the update nothing to aim at; no solve is spent on it
     mask = disk_mask(12, shape=(40, 40), center=(20, 20))
