@@ -19,9 +19,8 @@ from .optics import (FresnelResult, band_transmittance_linear, critical_normal_z
 from .raytrace import (DewarpedImage, Ray, ScenePlane, SceneSpec, dewarp_image,
                        render_synthetic)
 from .rectify import RectifiedView, compensate_illuminance, rectify_drop
-from .solver import (SolveReport, SolverParams, energy_of, gravity_step, init_mesh,
-                     initial_volume, solve_fixed_volume, tension_step, volume_of,
-                     volume_step)
+from .solver import (SolveReport, SolverParams, energy_of, init_mesh, initial_volume,
+                     solve_fixed_volume, volume_of)
 from .stereo import (BlockMatchParams, Correspondence, DepthResult, block_match,
                      depth_from_drops, triangulate)
 from .volume_loop import (VolumeLoopParams, estimate_shape, sample_band_brightness,

@@ -3,6 +3,7 @@ the defocus-blurred background."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ class DetectParams:
     def __post_init__(self):
         if not 0 < self.low_percentile < self.high_percentile < 100:
             raise DomainError("percentiles must satisfy 0 < low < high < 100")
-        if self.min_diameter <= 0:
-            raise DomainError("min_diameter must be positive")
+        if not (math.isfinite(self.min_diameter) and self.min_diameter > 0):
+            raise DomainError("min_diameter must be finite and positive")
 
 
 def _disk(radius: int) -> np.ndarray:

@@ -190,13 +190,13 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-_KINDS = {int: "an integer", float: "a number", tuple: "a list of numbers"}
+_KINDS = {int: "an integer", float: "a number", str: "a string", tuple: "a list of numbers"}
 
 
 def _typed(value, hint, what: str):
     """``value`` as a field of type ``hint`` takes it: an int field takes a
-    JSON integer, a float field any JSON number, a tuple field a list of
-    numbers (as a tuple); a boolean is none of these."""
+    JSON integer, a float field any JSON number, a str field a JSON string, a
+    tuple field a list of numbers (as a tuple); a boolean is none of these."""
     if type(None) in get_args(hint):  # ``X | None``
         if value is None:
             return None
@@ -206,6 +206,8 @@ def _typed(value, hint, what: str):
         ok = isinstance(value, int) and not isinstance(value, bool)
     elif kind is float:
         ok = _is_number(value)
+    elif kind is str:
+        ok = isinstance(value, str)
     else:
         ok = isinstance(value, list) and all(_is_number(v) for v in value)
         value = tuple(value) if ok else value

@@ -39,8 +39,8 @@ def _resolve_depth(depth) -> float:
             raise DomainError("depth result has no valid points")
         return float(np.median(d))
     d = float(depth)
-    if d <= 0:
-        raise DomainError("rectification depth must be positive")
+    if not (math.isfinite(d) and d > 0):
+        raise DomainError(f"rectification depth must be finite and positive, got {d}")
     return d
 
 

@@ -11,8 +11,7 @@ A solve keeps its heights in one ``MaskStencil`` buffer of the drop's box
 work buffers are allocated once per solve and the contact ring is found
 once.  Sums that set the result's bytes keep their grouping: the volume
 restore and the energies sum the pixel vector (``z[mask]``), the per-sweep
-change sums the box grid.  The public steps take pixel vectors and run the
-same kernels.
+change sums the box grid.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ class SolverParams:
     def __post_init__(self):
         if self.max_iters < 1:
             raise DomainError("max_iters must be at least 1")
-        if self.convergence_rel <= 0.0:
-            raise DomainError("convergence_rel must be positive")
+        if not (math.isfinite(self.convergence_rel) and self.convergence_rel > 0.0):
+            raise DomainError("convergence_rel must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -56,8 +55,8 @@ class SolveReport:
 
 def initial_volume(mask: DropMask, alpha: float) -> float:
     """Scale-invariant volume guess alpha * B^(3/2)."""
-    if alpha <= 0.0:
-        raise DomainError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise DomainError("alpha must be finite and positive")
     b = mask.area
     if b == 0:
         raise DomainError("cannot size a drop on an empty mask")
@@ -67,8 +66,8 @@ def initial_volume(mask: DropMask, alpha: float) -> float:
 def init_mesh(mask: DropMask, alpha: float) -> HeightField:
     """Constant-height cylinder z = alpha * B^(1/2); its volume is exactly
     alpha * B^(3/2)."""
-    if alpha <= 0.0:
-        raise DomainError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise DomainError("alpha must be finite and positive")
     b = mask.area
     if b == 0:
         raise DomainError("cannot initialize on an empty mask")
@@ -119,9 +118,11 @@ def _checked(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def _tension(z: np.ndarray, stencil: MaskStencil, interior: np.ndarray, weight: float,
              work: np.ndarray) -> None:
-    """``tension_step`` on the buffer ``z``, in place: the cells where
-    ``interior`` is 1 move and every other cell ends at zero.  ``work`` holds
-    four zeroed buffers, which keep their padding at zero."""
+    """One explicit curvature-flow step descending the tension energy, in
+    place on the buffer ``z``: the cells where ``interior`` is 1 move and
+    every other cell ends at zero, so a ring left out of ``interior`` is the
+    pinned contact line.  ``work`` holds four zeroed buffers, which keep
+    their padding at zero."""
     gx, gy, den, flow = work
     z *= interior
     stencil.diff_into(z, 1, gx)
@@ -141,47 +142,32 @@ def _tension(z: np.ndarray, stencil: MaskStencil, interior: np.ndarray, weight: 
     _checked(z, out=z)
 
 
-def tension_step(z: np.ndarray, stencil: MaskStencil, ring: np.ndarray | None,
-                 config: OpticalConfig) -> np.ndarray:
-    """One explicit curvature-flow step descending the tension energy.
-
-    ``z`` is the pixel vector of heights on the stencil's mask.  ``ring``,
-    the mask boundary (``DropMask.boundary()``) on the same pixels, is held
-    at zero (the fixed contact line) and only the pixels inside it move;
-    with ``ring=None`` (free boundary) every pixel moves and a minimal
-    surface stays unchanged.
-    """
-    buf = stencil.pad(z)
-    interior = stencil.inside if ring is None else stencil.pad(~ring)
-    _tension(buf, stencil, interior, config.tension_weight, np.zeros((4, stencil.size)))
-    return buf.take(stencil.members)
-
-
-def gravity_step(z: np.ndarray, stencil: MaskStencil, config: OpticalConfig) -> np.ndarray:
-    """Planar tilt of the pixel vector ``z`` about its height-weighted
-    centroid, driven by the in-plane gravity components; gravity along +z
-    leaves the heights unchanged."""
+def _tilt(zm: np.ndarray, stencil: MaskStencil, config: OpticalConfig) -> np.ndarray:
+    """Planar tilt of the pixel vector ``zm`` about its height-weighted
+    centroid, driven by the in-plane gravity components."""
     gcx, gcy, _ = config.gravity_cosines
-    if gcx == 0.0 and gcy == 0.0:
-        return z
     ii, jj = stencil.rows, stencil.cols
-    x_g, y_g = _centroid(z, ii, jj)
-    return _checked(z - _TAU * config.gravity_weight * ((y_g - ii) * gcy + (x_g - jj) * gcx))
+    x_g, y_g = _centroid(zm, ii, jj)
+    return _checked(zm - _TAU * config.gravity_weight * ((y_g - ii) * gcy + (x_g - jj) * gcx))
 
 
 def _restore_volume(z: np.ndarray, zm: np.ndarray, target_volume: float,
-                    inside: np.ndarray | None = None, members=slice(None)) -> np.ndarray:
-    """``volume_step`` in place on ``z``, whose member values are the pixel
-    vector ``zm`` at ``members``; ``inside`` (1 on the members, 0 elsewhere)
-    keeps the other cells at zero.  Returns ``z``."""
+                    stencil: MaskStencil) -> None:
+    """Uniform shift restoring the target volume exactly, in place on the
+    buffer ``z``, whose member values are the pixel vector ``zm``; the cells
+    off the mask stay at zero.
+
+    Heights pushed negative are clamped to zero and the deficit redistributed
+    once; a multiplicative rescale guards the rare case where that still
+    leaves negatives.
+    """
     b = zm.size
     shift = (target_volume - zm.sum()) / b
     # rounding is monotone, so this is the smallest of zm + shift
     if math.isfinite(shift) and zm.min() + shift >= 0.0:
         z += shift
-        if inside is not None:
-            z *= inside
-        return z
+        z *= stencil.inside
+        return
     zm = np.maximum(zm + shift, 0.0)
     zm += (target_volume - zm.sum()) / b
     if zm.min() < 0.0:
@@ -189,22 +175,7 @@ def _restore_volume(z: np.ndarray, zm: np.ndarray, target_volume: float,
         total = zm.sum()
         if total > 0.0:
             zm *= target_volume / total
-    z[members] = _checked(zm)
-    return z
-
-
-def volume_step(z: np.ndarray, target_volume: float) -> np.ndarray:
-    """Uniform shift of the pixel vector ``z`` restoring the target volume
-    exactly.
-
-    Heights pushed negative are clamped to zero and the deficit redistributed
-    once; a multiplicative rescale guards the rare case where that still
-    leaves negatives.
-    """
-    if z.size == 0:
-        raise DomainError("cannot adjust volume on an empty mask")
-    z = np.array(z, dtype=float)
-    return _restore_volume(z, z, target_volume)
+    z[stencil.members] = _checked(zm)
 
 
 def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParams,
@@ -243,9 +214,9 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
         _tension(z, st, interior, config.tension_weight, work)
         zm = z.take(st.members)
         if tilted:
-            zm = gravity_step(zm, st, config)
+            zm = _tilt(zm, st, config)
             z[st.members] = zm
-        _restore_volume(z, zm, target_volume, st.inside, st.members)
+        _restore_volume(z, zm, target_volume, st)
         iterations = t + 1
         # summed over the box grid, zeros off the mask included: the pixel
         # vector's own sum groups the additions differently

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from dropstereo import disk_mask, formats, initial_volume, volume_of
+from dropstereo import HeightField, disk_mask, formats, initial_volume, volume_of
 from dropstereo.cli import main
 
-from conftest import _write_config
+from conftest import _write_config, cap_field
 
 
 def test_full_pipeline_emits_all_artifacts(pipeline_runs):
@@ -103,6 +103,18 @@ def test_reconstruct_fixed_alpha_mirror_mode(tmp_path, capsys):
     for alpha in ("0.9", "0.01"):
         assert main(args + ["--out", str(tmp_path / "bad.pfm"), "--alpha", alpha]) == 1
         assert "alpha" in capsys.readouterr().err
+
+
+def test_rectify_rejects_non_finite_plane_depth(tmp_path, capsys):
+    m = disk_mask(20)
+    cfg, image, drop = tmp_path / "cfg.json", tmp_path / "image.pgm", tmp_path / "drop.pfm"
+    _write_config(cfg)
+    formats.write_pnm(image, np.full(m.membership.shape, 0.5))
+    formats.write_height_field(drop, HeightField(m, cap_field(m, initial_volume(m, 0.30))))
+    for depth in ("nan", "inf"):
+        assert main(["rectify", "--image", str(image), "--drop", str(drop), "--config", str(cfg),
+                     "--plane-depth", depth, "--out", str(tmp_path / "rect.pgm")]) == 1
+        assert "depth" in capsys.readouterr().err
 
 
 def test_eval_normalize_by_depth(tmp_path):

@@ -259,6 +259,19 @@ def test_config_bad_solver_weights_name_section_and_field(tmp_path):
         assert "'optics'" in msg and key in msg and "cfg.json" in msg, msg
 
 
+def test_config_non_finite_values_name_section_and_field(tmp_path):
+    # Python's json reads the NaN and Infinity literals
+    p = tmp_path / "cfg.json"
+    for section, key in (("solver", "convergence_rel"), ("detect", "min_diameter")):
+        for value in (float("nan"), float("inf")):
+            p.write_text(json.dumps({"optics": {"n_water": 1.33, "camera_z": 300.0},
+                                     section: {key: value}}))
+            with pytest.raises(DomainError) as exc:
+                read_config(p)
+            msg = str(exc.value)
+            assert f"'{section}'" in msg and key in msg and "cfg.json" in msg, msg
+
+
 def test_config_schema_lists_defaults_and_required():
     schema = config_schema()
     assert schema["optics"]["n_water"]["required"] is True

@@ -1,30 +1,15 @@
 import numpy as np
 import pytest
 
-from dropstereo import (EmptyOutput, HeightField, OpticalConfig, RasterGray, compensate_illuminance,
-                        disk_mask, render_synthetic, rectify_drop)
+from dropstereo import (DomainError, EmptyOutput, HeightField, OpticalConfig, RasterGray,
+                        compensate_illuminance, disk_mask, initial_volume, render_synthetic,
+                        rectify_drop)
 from dropstereo.raytrace import ScenePlane, SceneSpec, trace_field
 from dropstereo.scenes import make_texture
 
-from conftest import zncc
+from conftest import cap_field, rectified_truth, zncc
 
 DEPTH = 2000.0
-
-
-def _truth_at_view(view, scene, config, supersample=3):
-    """Pinhole ground truth averaged over each rectified cell's footprint
-    (the rectified grid is coarser than the scene plane)."""
-    h, w = view.raster.pixels.shape
-    offs = (np.arange(supersample) + 0.5) / supersample - 0.5
-    acc = np.zeros((h, w))
-    s = (config.camera_z + view.plane_depth) / config.camera_z
-    rr, cc = np.mgrid[0:h, 0:w]
-    for oi in offs:
-        for oj in offs:
-            px = view.origin[0] + (cc + oj) / view.scale
-            py = view.origin[1] + (rr + oi) / view.scale
-            acc += scene.planes[0].sample(px * s, py * s, None)
-    return acc / supersample**2
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +25,7 @@ def checker_render(config, cap50):
 def test_rectified_checkerboard_matches_truth(checker_render, config):
     scene, mask, hf, image = checker_render
     view = rectify_drop(image, hf, config, DEPTH)
-    truth = _truth_at_view(view, scene, config)
+    truth = rectified_truth(view, scene, config)
     v = view.valid
     assert v.sum() > 200
     assert zncc(view.raster.pixels[v], truth[v]) >= 0.9
@@ -52,7 +37,7 @@ def test_rectification_depth_consistency(checker_render, config):
     scores = {}
     for d in (0.8 * DEPTH, DEPTH, 1.2 * DEPTH):
         view = rectify_drop(image, hf, config, d)
-        truth = _truth_at_view(view, scene, config)
+        truth = rectified_truth(view, scene, config)
         scores[d] = zncc(view.raster.pixels[view.valid], truth[view.valid])
     assert scores[DEPTH] >= scores[0.8 * DEPTH]
     assert scores[DEPTH] >= scores[1.2 * DEPTH]
@@ -125,6 +110,16 @@ def test_rectify_empty_field_rejected(config):
     if not trace_field(hf, config).valid.any():
         with pytest.raises(EmptyOutput):
             rectify_drop(img, hf, config, DEPTH)
+
+
+def test_rectify_rejects_non_finite_depth(config):
+    # a NaN or infinite plane depth is the caller's error, not the drop's
+    m = disk_mask(20)
+    hf = HeightField(m, cap_field(m, initial_volume(m, 0.30)))
+    img = RasterGray(np.full(m.membership.shape, 0.5))
+    for depth in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="depth"):
+            rectify_drop(img, hf, config, depth)
 
 
 # --- illuminance compensation ----------------------------------------------------

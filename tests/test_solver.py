@@ -3,12 +3,11 @@ import pytest
 from scipy import integrate, ndimage
 
 from dropstereo import (DomainError, DropMask, HeightField, OpticalConfig, SolveReport,
-                        SolverParams, disk_mask, energy_of, gravity_step, init_mesh,
-                        initial_volume, solve_fixed_volume, tension_step, volume_of,
-                        volume_step)
+                        SolverParams, disk_mask, energy_of, init_mesh, initial_volume,
+                        solve_fixed_volume, volume_of)
 from dropstereo.core import DropBox, MaskStencil
 from dropstereo.masks import blob_mask
-from dropstereo.solver import _TAU
+from dropstereo.solver import _TAU, _restore_volume, _tension, _tilt
 
 from conftest import cap_field
 from test_core import _oracle_masks, _shifted_oracle
@@ -22,6 +21,30 @@ def square_mask(n, pad=2):
 
 def params(**kw):
     return SolverParams(**kw)
+
+
+# The solve's kernels work in place on a stencil buffer (``MaskStencil``);
+# these run one of them on a grid and return the grid.
+
+
+def _buffer(st, grid):
+    """The member pixels of a grid in a new buffer of ``st``, zero elsewhere."""
+    return st.pad(st.gather(grid))
+
+
+def _tension_once(st, z, interior, cfg):
+    """The grid ``z`` after one ``_tension`` step, which moves the cells where
+    the buffer ``interior`` is 1."""
+    buf = _buffer(st, z)
+    _tension(buf, st, interior, cfg.tension_weight, np.zeros((4, st.size)))
+    return st.cells(buf)
+
+
+def _volume_restored(st, zm, target):
+    """The grid of the pixel vector ``zm`` after ``_restore_volume``."""
+    buf = st.pad(zm)
+    _restore_volume(buf, zm, target, st)
+    return st.cells(buf)
 
 
 # --- initialization ---------------------------------------------------------
@@ -38,6 +61,15 @@ def test_initial_volume_cubic_in_scale():
 def test_initial_volume_empty_mask_rejected():
     with pytest.raises(DomainError):
         initial_volume(DropMask(np.zeros((3, 3), dtype=bool)), 0.30)
+
+
+def test_initial_volume_non_finite_alpha_rejected():
+    m = square_mask(10, pad=0)
+    for alpha in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="alpha"):
+            initial_volume(m, alpha)
+        with pytest.raises(DomainError, match="alpha"):
+            init_mesh(m, alpha)
 
 
 def test_init_mesh_height_and_volume_consistency():
@@ -124,7 +156,7 @@ def test_tension_step_matches_independent_stencil_and_pulls_rim_down():
     z = np.where(inner, 2.0, 0.0)  # flat interior, pinned zero rim
     hf = HeightField(m, z)
     st = MaskStencil(m.membership)
-    stepped = st.scatter(tension_step(st.gather(hf.z), st, st.gather(m.boundary()), cfg))
+    stepped = _tension_once(st, hf.z, _buffer(st, inner), cfg)
     expected = _tension_oracle(z, m, _TAU, 1.0)
     assert np.abs(stepped - expected).max() <= 1e-12
     ring = inner & DropMask(inner).boundary()
@@ -138,7 +170,8 @@ def test_tension_step_planar_patch_free_boundary_fixed_point():
     ii, jj = np.mgrid[0 : m.height, 0 : m.width]
     hf = HeightField(m, np.where(m.membership, 1.0 + 0.3 * jj, 0.0))
     st = MaskStencil(m.membership)
-    stepped = st.scatter(tension_step(st.gather(hf.z), st, None, OpticalConfig()))
+    # a free boundary: every member moves
+    stepped = _tension_once(st, hf.z, st.inside, OpticalConfig())
     assert np.abs(stepped - hf.z).max() <= 1e-9
 
 
@@ -150,10 +183,10 @@ def test_tension_descends_energy_from_pinned_cylinder():
     cfg = OpticalConfig()
     st = MaskStencil(m.membership)
     hf0 = init_mesh(m, 0.30)
-    ring = st.gather(m.boundary())
+    interior = _buffer(st, m.membership & ~m.boundary())
     # the first step pins the rim
-    hf1 = HeightField(m, st.scatter(tension_step(st.gather(hf0.z), st, ring, cfg)))
-    hf2 = HeightField(m, st.scatter(tension_step(st.gather(hf1.z), st, ring, cfg)))
+    hf1 = HeightField(m, _tension_once(st, hf0.z, interior, cfg))
+    hf2 = HeightField(m, _tension_once(st, hf1.z, interior, cfg))
     e1 = energy_of(hf1, cfg)[0]
     e2 = energy_of(hf2, cfg)[0]
     assert e2 < e1
@@ -163,10 +196,11 @@ def test_tension_descends_energy_from_pinned_cylinder():
 
 
 def test_gravity_along_axis_is_identity():
+    # the solve tilts only under tilted gravity; plumb gravity tilts by zero
     m = disk_mask(6)
     hf = init_mesh(m, 0.2)
     st = MaskStencil(m.membership)
-    out = st.scatter(gravity_step(st.gather(hf.z), st, OpticalConfig()))
+    out = st.scatter(_tilt(st.gather(hf.z), st, OpticalConfig()))
     assert (out == hf.z).all()
 
 
@@ -176,7 +210,7 @@ def test_gravity_antisymmetric_about_centroid():
     hf = HeightField(m, np.ones(m.membership.shape))
     cfg = OpticalConfig(gravity_cosines=(1.0, 0.0, 0.0), gravity_weight=1e-3)
     st = MaskStencil(m.membership)
-    out = st.scatter(gravity_step(st.gather(hf.z), st, cfg))
+    out = st.scatter(_tilt(st.gather(hf.z), st, cfg))
     delta = out - hf.z
     xg = 5.0
     cols = np.arange(11)
@@ -193,7 +227,7 @@ def test_gravity_step_matches_manual_five_by_five():
     tau, g_w = _TAU, 1e-2
     cfg = OpticalConfig(gravity_cosines=(0.6, 0.8, 0.0), gravity_weight=g_w)
     st = MaskStencil(m.membership)
-    out = st.scatter(gravity_step(st.gather(hf.z), st, cfg))
+    out = st.scatter(_tilt(st.gather(hf.z), st, cfg))
     # oracle: evaluate the update by hand, term by term
     b = 25
     x_g = sum(z[i, j] * j for i in range(5) for j in range(5)) / b
@@ -212,8 +246,7 @@ def test_gravity_tilts_symmetric_dome_downhill():
     hf = HeightField(m, dome)
     cfg = OpticalConfig(gravity_cosines=(0.5, 0.0, np.sqrt(0.75)), gravity_weight=1e-3)
     st = MaskStencil(m.membership)
-    out = HeightField(m, st.scatter(volume_step(gravity_step(st.gather(hf.z), st, cfg),
-                                                volume_of(hf))))
+    out = HeightField(m, _volume_restored(st, _tilt(st.gather(hf.z), st, cfg), volume_of(hf)))
 
     def mass_centroid_x(f):
         iis, jjs = np.nonzero(f.mask.membership)
@@ -228,14 +261,14 @@ def test_gravity_tilts_symmetric_dome_downhill():
 def test_volume_step_uniform_shift():
     m = square_mask(10, pad=0)
     hf = HeightField(m, np.where(m.membership, 2.5, 0.0))  # sum 250
-    out = MaskStencil(m.membership).scatter(volume_step(hf.z[m.membership], 300.0))
+    out = _volume_restored(MaskStencil(m.membership), hf.z[m.membership], 300.0)
     assert out[m.membership] == pytest.approx(3.0)
 
 
 def test_volume_step_noop_at_target():
     m = square_mask(10, pad=0)
     hf = HeightField(m, np.where(m.membership, 3.0, 0.0))
-    out = MaskStencil(m.membership).scatter(volume_step(hf.z[m.membership], 300.0))
+    out = _volume_restored(MaskStencil(m.membership), hf.z[m.membership], 300.0)
     assert np.abs(out - hf.z).max() == 0.0
 
 
@@ -245,9 +278,9 @@ def test_volume_step_restores_after_tension_and_gravity():
     target = initial_volume(m, 0.3)
     hf = init_mesh(m, 0.3)
     st = MaskStencil(m.membership)
-    z = tension_step(st.gather(hf.z), st, st.gather(m.boundary()), cfg)
-    z = gravity_step(z, st, cfg)
-    out = HeightField(m, st.scatter(volume_step(z, target)))
+    z = st.gather(_tension_once(st, hf.z, _buffer(st, m.membership & ~m.boundary()), cfg))
+    z = _tilt(z, st, cfg)
+    out = HeightField(m, _volume_restored(st, z, target))
     assert volume_of(out) == pytest.approx(target, rel=1e-9)
 
 
@@ -257,7 +290,7 @@ def test_volume_step_clamps_negative_heights():
     z[0, 0] = 3.0
     hf = HeightField(m, z)
     # the shift is strongly negative
-    out = MaskStencil(m.membership).scatter(volume_step(hf.z[m.membership], 1.0))
+    out = _volume_restored(MaskStencil(m.membership), hf.z[m.membership], 1.0)
     assert out.min() >= 0.0
     assert volume_of(HeightField(m, out)) == pytest.approx(1.0, rel=1e-9)
 
@@ -376,48 +409,6 @@ def _spiked_init(m):
 _TILTED = (0.3, 0.4, np.sqrt(0.75))
 
 
-# a one-pixel margin, or a mask touching the grid edge where the crop is
-# clamped, makes the solver's bounding-box crop the whole grid, so the manual
-# sweeps see the same pixel coordinates and sum the change over the same grid
-@pytest.mark.parametrize("trim, gravity, spiked", [
-    (1, (0.0, 0.0, 1.0), False),
-    (1, _TILTED, False),
-    (2, _TILTED, False),
-    (1, (0.0, 0.0, 1.0), True),
-], ids=["default", "in_plane", "edge", "clamped"])
-def test_solve_equals_manual_sweeps(trim, gravity, spiked):
-    m = DropMask(disk_mask(12).membership[trim:-trim, trim:-trim])
-    cfg = OpticalConfig(gravity_cosines=gravity, gravity_weight=1e-3)
-    target = initial_volume(m, 0.3)
-    n = 26
-    init = _spiked_init(m) if spiked else None
-    hf, report = solve_fixed_volume(m, target, params(max_iters=n), cfg, init=init)
-
-    st = MaskStencil(m.membership)
-    ring = st.gather(m.boundary())
-    z = st.gather(init.z if spiked else init_mesh(m, target / m.area**1.5).z)
-    history = []
-    for t in range(n):
-        prev = z
-        z = tension_step(z, st, ring, cfg)
-        z = gravity_step(z, st, cfg)
-        if t == 0:
-            # the clamp branches run exactly when the plain shift goes negative
-            assert ((z + (target - z.sum()) / z.size).min() < 0.0) == spiked
-        z = volume_step(z, target)
-        delta = float(np.abs(st.scatter(z) - st.scatter(prev)).sum())
-        if t % 50 == 0:
-            history.append((t + 1, energy_of(HeightField(m, st.scatter(z)), cfg)[2]))
-    e_t, e_g, e = energy_of(HeightField(m, st.scatter(z)), cfg)
-    history.append((n, e))
-    expected = SolveReport(n, e_t, e_g, e, delta, False, tuple(history))
-    assert hf.z.tobytes() == st.scatter(z).tobytes()
-    assert report == expected
-    if trim == 2:
-        assert m.membership[0].any() and m.membership[-1].any()
-        assert m.membership[:, 0].any() and m.membership[:, -1].any()
-
-
 class _GatherStencil:
     """The pixel-vector stencil of the sweep before the buffer layout: per
     axis, each member's neighbors as positions in the pixel vector (its own
@@ -445,7 +436,9 @@ class _GatherStencil:
 def _oracle_solve(mask, target, n, cfg, init=None):
     """``solve_fixed_volume`` as the pixel-vector sweep ran it, independent of
     the solver's kernel: the three steps on the vector of the box's member
-    pixels, and the change summed over the box grid."""
+    pixels, and the change summed over the box grid.  Also returns, per
+    sweep, whether the plain volume shift went negative (the clamp
+    branches ran)."""
     box = DropBox.of(mask)
     m = box.crop(mask.membership)
     st = _GatherStencil(m)
@@ -470,7 +463,7 @@ def _oracle_solve(mask, target, n, cfg, init=None):
 
     threshold = SolverParams().convergence_rel * target
     change = np.zeros(m.shape)
-    history, converged, t = [], False, 0
+    history, clamped, converged, t = [], [], False, 0
     for t in range(1, n + 1):
         prev = z
         # tension, with the contact ring pinned at zero
@@ -485,7 +478,8 @@ def _oracle_solve(mask, target, n, cfg, init=None):
             z = checked(z - _TAU * cfg.gravity_weight * ((y_g - ii) * gcy + (x_g - jj) * gcx))
         # volume restore, with both clamp branches
         z = z + (target - z.sum()) / b
-        if z.min() < 0.0:
+        clamped.append(bool(z.min() < 0.0))
+        if clamped[-1]:
             z = np.maximum(z, 0.0)
             z += (target - z.sum()) / b
             if z.min() < 0.0:
@@ -504,8 +498,8 @@ def _oracle_solve(mask, target, n, cfg, init=None):
     history.append((t, e[2]))
     grid = np.zeros(m.shape)
     grid[m] = z
-    return HeightField(mask, box.paste(grid)), SolveReport(t, *e, delta, converged,
-                                                          tuple(history))
+    return (HeightField(mask, box.paste(grid)),
+            SolveReport(t, *e, delta, converged, tuple(history)), clamped)
 
 
 def _largest_component(m):
@@ -517,9 +511,10 @@ def _largest_component(m):
 def _assert_solve_matches_oracle(m, cfg, init=None, n=64):
     target = initial_volume(m, 0.3)
     hf, report = solve_fixed_volume(m, target, params(max_iters=n), cfg, init=init)
-    hf_o, report_o = _oracle_solve(m, target, n, cfg, init)
+    hf_o, report_o, clamped = _oracle_solve(m, target, n, cfg, init)
     assert hf.z.tobytes() == hf_o.z.tobytes()
     assert report == report_o
+    return clamped
 
 
 @pytest.mark.parametrize("gravity", [(0.0, 0.0, 1.0), _TILTED], ids=["plumb", "tilted"])
@@ -529,8 +524,14 @@ def test_solve_matches_pixel_vector_oracle_on_clamped_blob(gravity):
     box = DropBox.of(m)
     assert box.i0 == 0 and box.j1 == 40 and m.membership[0].any() and m.membership[:, -1].any()
     cfg = OpticalConfig(gravity_cosines=gravity, gravity_weight=1e-3)
-    _assert_solve_matches_oracle(m, cfg)
+    assert not _assert_solve_matches_oracle(m, cfg)[0]
     _assert_solve_matches_oracle(m, cfg, init=_spiked_init(m))
+    if gravity == _TILTED:
+        # a disk touching all four grid edges: its box is the whole grid
+        edge = DropMask(disk_mask(12).membership[2:-2, 2:-2])
+        mm = edge.membership
+        assert mm[0].any() and mm[-1].any() and mm[:, 0].any() and mm[:, -1].any()
+        assert not _assert_solve_matches_oracle(edge, cfg)[0]
 
 
 def test_solve_matches_pixel_vector_oracle_on_one_pixel_arms():
@@ -554,7 +555,8 @@ def test_solve_matches_pixel_vector_oracle_from_spiked_start():
     m = disk_mask(12)
     for gravity in ((0.0, 0.0, 1.0), _TILTED):
         cfg = OpticalConfig(gravity_cosines=gravity, gravity_weight=1e-3)
-        _assert_solve_matches_oracle(m, cfg, init=_spiked_init(m), n=80)
+        clamped = _assert_solve_matches_oracle(m, cfg, init=_spiked_init(m), n=80)
+        assert clamped[0]
 
 
 def test_solve_aliases_nothing(config):
