@@ -216,6 +216,9 @@ def cmd_eval(args) -> int:
         normalizer = 2.0 * float(np.sqrt(np.isfinite(truth).sum() / np.pi))
     else:
         normalizer = float(np.median(truth[np.isfinite(truth)]))
+        if not normalizer > 0.0:
+            raise DomainError(f"{args.truth}: median truth depth {normalizer} must be "
+                              "positive to normalize by depth")
     report = {
         "rms": rms,
         "median_abs": median_abs,

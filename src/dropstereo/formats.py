@@ -4,7 +4,9 @@ correspondence CSVs, and scene descriptions."""
 from __future__ import annotations
 
 import csv
+import inspect
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
@@ -195,8 +197,9 @@ _KINDS = {int: "an integer", float: "a number", str: "a string", tuple: "a list 
 
 def _typed(value, hint, what: str):
     """``value`` as a field of type ``hint`` takes it: an int field takes a
-    JSON integer, a float field any JSON number, a str field a JSON string, a
-    tuple field a list of numbers (as a tuple); a boolean is none of these."""
+    JSON integer, a float field any JSON number (as a float), a str field a
+    JSON string, a tuple field a list of numbers (as a tuple); a boolean is
+    none of these."""
     if type(None) in get_args(hint):  # ``X | None``
         if value is None:
             return None
@@ -206,6 +209,11 @@ def _typed(value, hint, what: str):
         ok = isinstance(value, int) and not isinstance(value, bool)
     elif kind is float:
         ok = _is_number(value)
+        if ok:
+            try:
+                value = float(value)
+            except OverflowError:  # an integer past the float range reads as 1e400 does
+                value = math.inf if value > 0 else -math.inf
     elif kind is str:
         ok = isinstance(value, str)
     else:
@@ -216,16 +224,22 @@ def _typed(value, hint, what: str):
     return value
 
 
-def _build_section(path: str | Path, name: str, cls, payload: dict[str, Any]):
-    where = f"{path}: config section '{name}'"
-    hints = get_type_hints(cls)
-    unknown = sorted(set(payload) - set(hints))
+def _build(cls, payload: dict[str, Any], where: str, required=(), **convert):
+    """``cls`` called with the JSON object ``payload``: its keys are the
+    parameters of ``cls`` and its types their hints, and a parameter without
+    a default is required, as is each of ``required``.  A key in ``convert``
+    takes its value from that function instead of ``_typed``.  Every error,
+    also one that ``cls`` raises, is prefixed with ``where``."""
+    params = inspect.signature(cls).parameters
+    unknown = sorted(set(payload) - set(params))
     if unknown:
         raise DomainError(f"{where}: unknown keys {unknown}")
-    for key in _REQUIRED.get(name, ()):
+    for key in [k for k, p in params.items() if p.default is p.empty] + list(required):
         if key not in payload:
             raise DomainError(f"{where}: missing required field '{key}'")
-    kwargs = {key: _typed(value, hints[key], f"{where}: field '{key}'")
+    hints = get_type_hints(cls)
+    kwargs = {key: convert[key](value) if key in convert
+              else _typed(value, hints[key], f"{where}: field '{key}'")
               for key, value in payload.items()}
     try:
         return cls(**kwargs)
@@ -233,13 +247,18 @@ def _build_section(path: str | Path, name: str, cls, payload: dict[str, Any]):
         raise DomainError(f"{where}: {exc}") from exc
 
 
-def read_config(path: str | Path) -> PipelineConfig:
+def _read_json_object(path: str | Path, what: str) -> dict[str, Any]:
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
-        raise DomainError(f"{path}: config must be a JSON object")
+        raise DomainError(f"{path}: {what} must be a JSON object")
+    return doc
+
+
+def read_config(path: str | Path) -> PipelineConfig:
+    doc = _read_json_object(path, "config")
     unknown = sorted(set(doc) - set(_SECTIONS))
     if unknown:
         raise DomainError(f"{path}: unknown config sections {unknown}")
@@ -250,7 +269,8 @@ def read_config(path: str | Path) -> PipelineConfig:
         payload = doc.get(name, {})
         if not isinstance(payload, dict):
             raise DomainError(f"{path}: section '{name}' must be a JSON object")
-        built[name] = _build_section(path, name, cls, payload)
+        built[name] = _build(cls, payload, f"{path}: config section '{name}'",
+                             _REQUIRED.get(name, ()))
     return PipelineConfig(**built)
 
 

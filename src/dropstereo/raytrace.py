@@ -49,10 +49,16 @@ class ScenePlane:
 
     def __post_init__(self):
         tex = np.asarray(self.texture, dtype=float)
-        if tex.ndim != 2 or tex.size == 0:
-            raise DomainError("plane texture must be a non-empty 2D array")
-        if self.depth <= 0.0 or self.scale <= 0.0:
-            raise DomainError("plane depth and scale must be positive")
+        if tex.ndim != 2 or tex.size == 0 or not np.isfinite(tex).all():
+            raise DomainError("plane texture must be a non-empty finite 2D array")
+        for name, value in (("depth", self.depth), ("scale", self.scale)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise DomainError(f"plane {name} must be finite and positive")
+        if len(self.offset) != 2 or not np.isfinite(self.offset).all():
+            raise DomainError(f"field 'offset' must hold two finite numbers, "
+                              f"got {list(self.offset)!r}")
+        if not all(x is None or math.isfinite(x) for x in (self.x_min, self.x_max)):
+            raise DomainError("plane x_min and x_max must be finite or null")
         object.__setattr__(self, "texture", np.clip(tex, 0.0, 1.0))
 
     def covers(self, x: np.ndarray) -> np.ndarray:
@@ -93,10 +99,12 @@ class SceneSpec:
             raise DomainError("scene raster must be non-empty")
         if not self.planes:
             raise DomainError("scene needs at least one plane")
-        if self.blur_radius < 0:
-            raise DomainError("blur radius must be non-negative")
+        if not (math.isfinite(self.blur_radius) and self.blur_radius >= 0):
+            raise DomainError("blur_radius must be finite and non-negative")
         if not 0.0 <= self.ambient_leak <= 1.0:
-            raise DomainError("ambient leak must be in [0, 1]")
+            raise DomainError("ambient_leak must be in [0, 1]")
+        if self.border is not None and not math.isfinite(self.border):
+            raise DomainError("border must be finite or null")
         object.__setattr__(self, "planes", tuple(self.planes))
 
 

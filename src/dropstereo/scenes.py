@@ -3,16 +3,16 @@ textures, and drop placement specs."""
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, get_type_hints
+from typing import Any
 
 import numpy as np
 
 from .core import DropMask
 from .errors import DomainError
-from .formats import _typed, read_pnm
+from .formats import _build, _read_json_object, read_pnm
 from .masks import blob_mask, disk_mask
 from .raytrace import ScenePlane, SceneSpec
 
@@ -48,39 +48,26 @@ class DropSpec:
     irregularity: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        if len(self.center) != 2 or not np.isfinite(self.center).all():
+            raise DomainError(f"field 'center' must hold two finite numbers, "
+                              f"got {list(self.center)!r}")
+        if self.radius < 1:
+            raise DomainError("radius must be at least 1")
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise DomainError("alpha must be finite and positive")
+        if not 0.0 <= self.irregularity < 0.5:
+            raise DomainError("irregularity must be in [0, 0.5)")
+
     def build_mask(self, shape: tuple[int, int]) -> DropMask:
         if self.irregularity > 0:
             return blob_mask(self.radius, shape, self.center, self.irregularity, self.seed)
         return disk_mask(self.radius, shape, self.center)
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise DomainError(f"{where}: unknown keys {unknown}")
-
-
-def _field(obj: dict, key: str, hint, where: str, default=None):
-    """``obj[key]`` checked as a field of type ``hint``, or ``default`` when
-    the key is absent."""
-    if key not in obj:
-        return default
-    return _typed(obj[key], hint, f"{where}: field '{key}'")
-
-
-def _pair(obj: dict, key: str, where: str, default=None):
-    """``obj[key]`` as a tuple of exactly two numbers."""
-    value = _field(obj, key, tuple, where, default)
-    if value is not None and len(value) != 2:
-        raise DomainError(f"{where}: field '{key}' must hold two numbers, got {list(value)!r}")
-    return value
-
-
-def _objects(doc: dict, key: str, where: str) -> list[dict]:
-    """The list of JSON objects under ``key``; empty when the key is absent."""
-    items = doc.get(key, [])
+def _objects(items: Any, where: str) -> list[dict]:
     if not (isinstance(items, list) and all(isinstance(item, dict) for item in items)):
-        raise DomainError(f"{where}: field '{key}' must be a list of objects")
+        raise DomainError(f"{where} must be a list of objects")
     return items
 
 
@@ -89,61 +76,24 @@ def _load_texture(spec: Any, base_dir: Path, where: str) -> np.ndarray:
         tex = read_pnm(base_dir / spec)
         return tex if tex.ndim == 2 else tex.mean(axis=2)
     if isinstance(spec, dict):
-        hints = get_type_hints(make_texture)
-        _check_keys(spec, set(hints) - {"return"}, where)
-        if "kind" not in spec:
-            raise DomainError(f"{where}: missing required field 'kind'")
-        return make_texture(**{key: _field(spec, key, hints[key], where) for key in spec})
+        return _build(make_texture, spec, where)
     raise DomainError(f"{where}: plane texture must be a file path or a generator object")
 
 
 def read_scene(path: str | Path) -> tuple[SceneSpec, list[DropSpec]]:
     """Load a scene JSON: raster size, planes, and optional synthetic drops.
-    Each value must have its field's type, as in ``read_config``."""
+    Each object's keys, defaults and types are those of the record it builds
+    (``SceneSpec``, ``ScenePlane``, ``make_texture``, ``DropSpec``), read as
+    ``read_config`` reads a section."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise DomainError(f"{path}: scene must be a JSON object")
-    where = str(path)
-    _check_keys(doc, {"width", "height", "planes", "blur_radius", "ambient_leak",
-                      "border", "drops"}, where)
-    for key in ("width", "height", "planes"):
-        if key not in doc:
-            raise DomainError(f"{path}: missing required field '{key}'")
-    planes = []
-    for k, pd in enumerate(_objects(doc, "planes", where)):
+    doc = _read_json_object(path, "scene")
+    drops = _objects(doc.pop("drops", []), f"{path}: field 'drops'")
+
+    def plane(k: int, obj: dict) -> ScenePlane:
         at = f"{path}: planes[{k}]"
-        _check_keys(pd, {"depth", "texture", "scale", "offset", "x_min", "x_max"}, at)
-        if "depth" not in pd or "texture" not in pd:
-            raise DomainError(f"{at} needs 'depth' and 'texture'")
-        planes.append(ScenePlane(
-            depth=float(_field(pd, "depth", float, at)),
-            texture=_load_texture(pd["texture"], path.parent, f"{at}: texture"),
-            scale=float(_field(pd, "scale", float, at, 1.0)),
-            offset=_pair(pd, "offset", at, (0.0, 0.0)),
-            x_min=_field(pd, "x_min", float | None, at),
-            x_max=_field(pd, "x_max", float | None, at),
-        ))
-    scene = SceneSpec(
-        width=_field(doc, "width", int, where), height=_field(doc, "height", int, where),
-        planes=tuple(planes),
-        blur_radius=float(_field(doc, "blur_radius", float, where, 6.0)),
-        ambient_leak=float(_field(doc, "ambient_leak", float, where, 0.02)),
-        border=_field(doc, "border", float | None, where),
-    )
-    drops = []
-    for k, dd in enumerate(_objects(doc, "drops", where)):
-        at = f"{path}: drops[{k}]"
-        _check_keys(dd, {"center", "radius", "alpha", "irregularity", "seed"}, at)
-        if "center" not in dd or "radius" not in dd:
-            raise DomainError(f"{at} needs 'center' and 'radius'")
-        drops.append(DropSpec(
-            center=_pair(dd, "center", at), radius=_field(dd, "radius", int, at),
-            alpha=float(_field(dd, "alpha", float, at, 0.30)),
-            irregularity=float(_field(dd, "irregularity", float, at, 0.0)),
-            seed=_field(dd, "seed", int, at, 0),
-        ))
-    return scene, drops
+        return _build(ScenePlane, obj, at, texture=lambda spec: _load_texture(
+            spec, path.parent, f"{at}: texture"))
+
+    scene = _build(SceneSpec, doc, str(path), planes=lambda items: tuple(
+        plane(k, obj) for k, obj in enumerate(_objects(items, f"{path}: field 'planes'"))))
+    return scene, [_build(DropSpec, obj, f"{path}: drops[{k}]") for k, obj in enumerate(drops)]

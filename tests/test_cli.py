@@ -68,6 +68,18 @@ def test_missing_input_file_fails_with_path(tmp_path, capsys):
     assert "nope.pgm" in capsys.readouterr().err
 
 
+def test_synth_bad_drop_names_scene_file(tmp_path, capsys):
+    cfg, scene = tmp_path / "cfg.json", tmp_path / "scene.json"
+    _write_config(cfg)
+    scene.write_text(json.dumps({"width": 64, "height": 48,
+                                 "planes": [{"depth": 2000.0, "texture": {"kind": "checker"}}],
+                                 "drops": [{"center": [20, 30], "radius": 0}]}))
+    assert main(["synth", "--scene", str(scene), "--config", str(cfg),
+                 "--out", str(tmp_path / "synth")]) == 1
+    err = capsys.readouterr().err
+    assert "scene.json" in err and "drops[0]" in err and "radius" in err, err
+
+
 def test_alpha_and_estimate_volume_conflict(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["reconstruct", "--image", "x.pgm", "--mask", "m.pgm", "--config", "c.json",
@@ -127,6 +139,18 @@ def test_eval_normalize_by_depth(tmp_path):
                  "--out", str(out), "--normalize", "depth"]) == 0
     report = json.loads(out.read_text())
     assert report["rms_pct"] == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("median", [0.0, -1000.0], ids=["zero", "negative"])
+def test_eval_normalize_by_depth_rejects_non_positive_median(tmp_path, capsys, median):
+    truth = np.full((20, 20), median, dtype=np.float32)
+    formats.write_pfm(tmp_path / "t.pfm", truth)
+    formats.write_pfm(tmp_path / "p.pfm", truth + 10.0)
+    assert main(["eval", "--pred", str(tmp_path / "p.pfm"), "--truth", str(tmp_path / "t.pfm"),
+                 "--out", str(tmp_path / "r.json"), "--normalize", "depth"]) == 1
+    err = capsys.readouterr().err
+    assert "t.pfm" in err and "depth" in err, err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_pipeline_estimate_volume_route(pipeline_runs, tmp_path, capsys):

@@ -251,7 +251,8 @@ def test_config_principal_point_and_nan_values_rejected(tmp_path):
 def test_config_bad_solver_weights_name_section_and_field(tmp_path):
     p = tmp_path / "cfg.json"
     for key, value in (("tension_weight", -1.0), ("tension_weight", 0),
-                       ("gravity_weight", -1.0), ("gravity_weight", 1e400)):
+                       ("gravity_weight", -1.0), ("gravity_weight", 1e400),
+                       ("gravity_weight", 10**400)):
         p.write_text(json.dumps({"optics": {"n_water": 1.33, "camera_z": 300.0, key: value}}))
         with pytest.raises(DomainError) as exc:
             read_config(p)

@@ -1,9 +1,14 @@
 import json
+from dataclasses import MISSING, fields
 
+import numpy as np
 import pytest
 
 from dropstereo import DomainError
-from dropstereo.scenes import read_scene
+from dropstereo.raytrace import ScenePlane, SceneSpec
+from dropstereo.scenes import DropSpec, make_texture, read_scene
+
+NAN, INF = float("nan"), float("inf")
 
 
 def _doc():
@@ -19,6 +24,22 @@ def _write(tmp_path, doc):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def _doc_with(where, value):
+    """``_doc()`` with ``value`` put at the key path ``where``."""
+    doc = _doc()
+    obj = doc
+    for key in where[:-1]:
+        obj = obj[key]
+    obj[where[-1]] = value
+    return doc
+
+
+def _error(tmp_path, doc) -> str:
+    with pytest.raises(DomainError) as exc:
+        read_scene(_write(tmp_path, doc))
+    return str(exc.value)
 
 
 def test_read_scene_loads_typed_values(tmp_path):
@@ -48,12 +69,62 @@ def test_read_scene_loads_typed_values(tmp_path):
         "offset_three", "x_max_string", "texture_size_string", "radius_float",
         "center_one", "center_string", "alpha_bool"])
 def test_read_scene_wrong_type_names_file_and_field(tmp_path, where, value, field):
-    doc = _doc()
-    obj = doc
-    for key in where[:-1]:
-        obj = obj[key]
-    obj[where[-1]] = value
-    with pytest.raises(DomainError) as exc:
-        read_scene(_write(tmp_path, doc))
-    msg = str(exc.value)
+    msg = _error(tmp_path, _doc_with(where, value))
     assert "scene.json" in msg and f"'{field}'" in msg, msg
+
+
+@pytest.mark.parametrize("where, value, field", [
+    (("planes", 0, "depth"), NAN, "depth"),
+    (("planes", 0, "depth"), 10**400, "depth"),
+    (("planes", 0, "scale"), INF, "scale"),
+    (("planes", 0, "offset"), [NAN, 0.0], "offset"),
+    (("planes", 0, "x_min"), NAN, "x_min"),
+    (("planes", 0, "texture", "low"), NAN, "texture"),
+    (("blur_radius",), NAN, "blur_radius"),
+    (("border",), INF, "border"),
+    (("drops", 0, "center"), [20, INF], "center"),
+    (("drops", 0, "radius"), 0, "radius"),
+    (("drops", 0, "alpha"), NAN, "alpha"),
+    (("drops", 0, "alpha"), INF, "alpha"),
+    (("drops", 0, "irregularity"), NAN, "irregularity"),
+], ids=["depth_nan", "depth_huge_int", "scale_inf", "offset_nan", "x_min_nan", "texture_low_nan",
+        "blur_radius_nan", "border_inf", "center_inf", "radius_zero", "alpha_nan",
+        "alpha_inf", "irregularity_nan"])
+def test_read_scene_bad_value_names_file_and_field(tmp_path, where, value, field):
+    # the record's own check rejects the value; the reader adds the file
+    msg = _error(tmp_path, _doc_with(where, value))
+    assert "scene.json" in msg and field in msg, msg
+
+
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+def test_read_scene_omitted_values_take_the_class_defaults(tmp_path):
+    doc = {"width": 64, "height": 48,
+           "planes": [{"depth": 2000.0, "texture": {"kind": "checker"}}],
+           "drops": [{"center": [20, 30], "radius": 8}]}
+    scene, (drop,) = read_scene(_write(tmp_path, doc))
+    (plane,) = scene.planes
+    for record, cls in ((scene, SceneSpec), (plane, ScenePlane), (drop, DropSpec)):
+        defaults = _defaults(cls)
+        assert defaults
+        for name, default in defaults.items():
+            assert getattr(record, name) == default, (cls.__name__, name)
+    assert np.array_equal(plane.texture, make_texture("checker"))
+
+
+@pytest.mark.parametrize("where, value, field", [
+    (("bogus",), 1, "bogus"),
+    (("planes", 0, "bogus"), 1, "bogus"),
+    (("planes", 0, "texture", "bogus"), 1, "bogus"),
+    (("drops", 0, "bogus"), 1, "bogus"),
+    (("planes",), [], "plane"),
+    (("planes", 0), {"depth": 2000.0}, "texture"),
+    (("planes", 0, "texture"), {"size": 16}, "kind"),
+    (("drops", 0), {"center": [20, 30]}, "radius"),
+], ids=["top_unknown", "plane_unknown", "texture_unknown", "drop_unknown", "planes_empty",
+        "plane_no_texture", "texture_no_kind", "drop_no_radius"])
+def test_read_scene_unknown_or_missing_key_names_file(tmp_path, where, value, field):
+    msg = _error(tmp_path, _doc_with(where, value))
+    assert "scene.json" in msg and field in msg, msg
