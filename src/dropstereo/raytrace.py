@@ -172,15 +172,21 @@ def transmittance(tf: TraceField, config: OpticalConfig, radiance=1.0) -> np.nda
     return radiance * _transmittance_from_cos_w(tf.cos_theta_w, config) * t_flat
 
 
-def uv_field(tf: TraceField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def uv_field(tf: TraceField, turn: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-pixel angular coordinates (u, v) plus validity of a traced drop,
-    box-sized like the trace."""
+    box-sized like the trace.
+
+    ``turn`` (radians) rolls the (u, v) frame about the view axis, so that
+    u runs along (cos turn, sin turn) of the plate's (x, y).  A roll
+    keeps dz, so turned coordinates are still an angular image.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         u = tf.directions[..., 0] / tf.directions[..., 2]
         v = tf.directions[..., 1] / tf.directions[..., 2]
     u = np.where(tf.valid, u, 0.0)
     v = np.where(tf.valid, v, 0.0)
-    return u, v, tf.valid
+    c, s = math.cos(turn), math.sin(turn)
+    return c * u + s * v, c * v - s * u, tf.valid
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +194,15 @@ def uv_field(tf: TraceField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def shared_uv_bounds(traces: list[TraceField]) -> tuple[float, float, float, float]:
+def shared_uv_bounds(traces: list[TraceField], turn: float = 0.0
+                     ) -> tuple[float, float, float, float]:
     """Robust angular window (u_min, u_max, v_min, v_max) covering every
     drop's forward map: the 2nd/98th percentiles of each drop's (u, v), so
-    near-band grazing directions do not dominate the grid."""
+    near-band grazing directions do not dominate the grid.  The window is
+    taken in the frame turned by ``turn`` (see ``uv_field``)."""
     u_lo, u_hi, v_lo, v_hi = [], [], [], []
     for tf in traces:
-        u, v, valid = uv_field(tf)
+        u, v, valid = uv_field(tf, turn)
         if not valid.any():
             raise DomainError("a drop has no valid transmitted pixels")
         lo, hi = np.percentile(u[valid], [2.0, 98.0])
@@ -213,7 +221,8 @@ class DewarpedImage:
     ``source_ij`` maps each output cell back to the warped input pixel whose
     angular coordinates landed nearest to the cell center (-1 where no input
     pixel contributed); it realizes the inverse of the one-to-one angular
-    map.
+    map.  The grid lies in the (u, v) frame turned by ``turn`` (see
+    ``uv_field``); ``u0``, ``v0``, ``du`` and ``dv`` are in that frame.
     """
 
     raster: RasterGray
@@ -223,31 +232,37 @@ class DewarpedImage:
     du: float
     dv: float
     source_ij: np.ndarray  # (R, R, 2) int
+    turn: float = 0.0
 
     def uv_of(self, pu: float, pv: float) -> tuple[float, float]:
-        """Angular coordinates of (column, row) positions on the grid."""
-        return self.u0 + pu * self.du, self.v0 + pv * self.dv
+        """Unturned angular coordinates of (column, row) positions on the
+        grid."""
+        u, v = self.u0 + pu * self.du, self.v0 + pv * self.dv
+        c, s = math.cos(self.turn), math.sin(self.turn)
+        return c * u - s * v, s * u + c * v
 
 
 def dewarp_image(image: RasterGray, tf: TraceField, out_resolution: int = 256,
-                 uv_bounds: tuple[float, float, float, float] | None = None) -> DewarpedImage:
-    """Resample the pixels of a traced drop onto a regular (u, v) grid by
-    bilinear splatting.
+                 uv_bounds: tuple[float, float, float, float] | None = None,
+                 turn: float = 0.0) -> DewarpedImage:
+    """Resample the pixels of a traced drop onto a regular (u, v) grid, in
+    the frame turned by ``turn`` (see ``uv_field``), by bilinear splatting.
 
-    ``uv_bounds`` (u_min, u_max, v_min, v_max) must be shared by all drops
-    that will be matched against each other; by default they are
-    ``shared_uv_bounds`` of this drop alone.
+    ``uv_bounds`` (u_min, u_max, v_min, v_max, in the turned frame) and
+    ``turn`` must be shared by all drops that will be matched against each
+    other; by default the bounds are ``shared_uv_bounds`` of this drop alone.
     """
     if image.pixels.shape != tf.box.shape:
         raise DomainError("image and traced drop must share the pixel grid")
     if out_resolution < 8:
         raise DomainError("output resolution must be at least 8")
-    u, v, valid = uv_field(tf)
+    u, v, valid = uv_field(tf, turn)
     ii, jj = np.nonzero(valid)
     if ii.size == 0:
         raise EmptyOutput("no valid (non-dark, forward-going) drop pixels to dewarp")
     uu, vv = u[ii, jj], v[ii, jj]
-    u_min, u_max, v_min, v_max = shared_uv_bounds([tf]) if uv_bounds is None else uv_bounds
+    u_min, u_max, v_min, v_max = (shared_uv_bounds([tf], turn) if uv_bounds is None
+                                  else uv_bounds)
     if not (u_max > u_min and v_max > v_min):
         raise EmptyOutput("degenerate angular extent")
 
@@ -290,7 +305,7 @@ def dewarp_image(image: RasterGray, tf: TraceField, out_resolution: int = 256,
         source[~valid_out] = -1
 
     return DewarpedImage(RasterGray(raster), valid_out, float(u_min), float(v_min),
-                         float(du), float(dv), source)
+                         float(du), float(dv), source, float(turn))
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,10 @@ def _objects(items: Any, where: str) -> list[dict]:
 
 def _load_texture(spec: Any, base_dir: Path, where: str) -> np.ndarray:
     if isinstance(spec, str):
-        tex = read_pnm(base_dir / spec)
+        file = base_dir / spec
+        if not file.is_file():
+            raise DomainError(f"{where}: file not found: {file}")
+        tex = read_pnm(file)
         return tex if tex.ndim == 2 else tex.mean(axis=2)
     if isinstance(spec, dict):
         return _build(make_texture, spec, where)

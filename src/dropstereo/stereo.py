@@ -3,6 +3,7 @@ imagery, least-squares ray triangulation, and depth-map assembly."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -21,6 +22,10 @@ _ZNCC_MIN = 0.7
 # left-right check: the backward match may land this many pixels (plus the
 # rounding of the forward match) from where the forward search started
 _LR_TOL = 1.0
+# the search band's half-height in rows: views turned so that the baseline
+# runs along u put a match on its template's row plus the prior, give or take
+# the spread of ray origins over each drop
+_BAND_ROWS = 2
 
 
 @dataclass(frozen=True)
@@ -79,15 +84,15 @@ class _Windows(NamedTuple):
     """One image's ZNCC windows with the statistics every template shares
     (Lewis 1995): a template's scores then need only its cross term.
 
-    The image is zero-padded by ``pad`` on each side so every search region
-    lies inside it; windows touching padding or an unusable pixel, or with
-    no variance, are not ``usable``.  ``windows`` is a strided view, and no
-    search region is copied out of it: the templates whose regions start on
-    the same padded row share one window-major copy of the region rows over
-    the union of their columns (the band of ``_match_row``).
+    The image is zero-padded by ``pad`` = (rows, columns) on each side so
+    every search band lies inside it; windows touching padding or an
+    unusable pixel, or with no variance, are not ``usable``.  ``windows`` is a strided view, and no
+    search region is copied out of it: the templates of one grid row share
+    one window-major copy of their search band's rows over the union of
+    their columns (see ``_match_row``).
     """
 
-    pad: int
+    pad: tuple[int, int]
     windows: np.ndarray  # (H', W', w, w) view of the padded image
     norm: np.ndarray     # root of each window's centred sum of squares
     usable: np.ndarray   # (H', W') bool
@@ -105,29 +110,29 @@ def _window_sums(a: np.ndarray, w: int) -> np.ndarray:
     return acc
 
 
-def _window_stats(img: np.ndarray, ok: np.ndarray, w: int, pad: int) -> _Windows:
+def _window_stats(img: np.ndarray, ok: np.ndarray, w: int, pad: tuple[int, int]) -> _Windows:
     view = np.lib.stride_tricks.sliding_window_view
-    padded = np.pad(img, pad)
+    widths = [(pad[0], pad[0]), (pad[1], pad[1])]
+    padded = np.pad(img, widths)
     sums = _window_sums(padded, w)
     var = _window_sums(padded * padded, w) - sums * sums / (w * w)
-    full = view(np.pad(ok, pad), (w, w)).all(axis=(2, 3))
+    # a window is fully valid when it counts w * w valid pixels; the counts
+    # are exact integers in floating point
+    full = _window_sums(np.pad(ok, widths).astype(float), w) == w * w
     return _Windows(pad, view(padded, (w, w)), np.sqrt(np.maximum(var, 0.0)),
                     full & (var > 1e-12))
 
 
 def _subpixel(score: np.ndarray, r: int, c: int) -> tuple[float, float]:
     """Parabolic refinement of an argmax on a score grid."""
-    dr = dc = 0.0
-    if 0 < r < score.shape[0] - 1:
-        a, b, cc = score[r - 1, c], score[r, c], score[r + 1, c]
+    def vertex(a, b, cc) -> float:
         den = a - 2 * b + cc
-        if np.isfinite(a) and np.isfinite(cc) and den < -1e-12:
-            dr = float(np.clip(0.5 * (a - cc) / den, -0.5, 0.5))
-    if 0 < c < score.shape[1] - 1:
-        a, b, cc = score[r, c - 1], score[r, c], score[r, c + 1]
-        den = a - 2 * b + cc
-        if np.isfinite(a) and np.isfinite(cc) and den < -1e-12:
-            dc = float(np.clip(0.5 * (a - cc) / den, -0.5, 0.5))
+        if math.isfinite(a) and math.isfinite(cc) and den < -1e-12:
+            return min(max(float(0.5 * (a - cc) / den), -0.5), 0.5)
+        return 0.0
+
+    dr = vertex(*score[r - 1 : r + 2, c]) if 0 < r < score.shape[0] - 1 else 0.0
+    dc = vertex(*score[r, c - 1 : c + 2]) if 0 < c < score.shape[1] - 1 else 0.0
     return dr, dc
 
 
@@ -165,23 +170,26 @@ def _match_row(img_a: np.ndarray, ok_a: np.ndarray, b: _Windows, ra: int,
                cols: list[int], params: BlockMatchParams, prior: tuple[int, int]
                ) -> list[tuple[float, float, float] | None]:
     """Best sub-pixel position in b for the window of a at (ra, ca), searched
-    around (ra, ca) + prior, for each ca in ``cols``.
+    in a band around (ra, ca) + prior, for each ca in ``cols``: ``_BAND_ROWS``
+    rows above and below, ``search_radius`` columns left and right.
 
-    The search regions of one template row all start on the same padded row
-    of b, so the windows over the union of their columns are copied once
-    into a window-major band; each region (n = 2 * search_radius + 1
-    windows square) is then a contiguous (n * n, window * window) slice of
-    it, scored in one matrix-vector product, and its (column, row) scores
-    are transposed back.
+    The search regions of one template row all cover the same rows of b, so
+    the windows over the union of their columns are copied once into a
+    window-major band; each region (m = 2 * _BAND_ROWS + 1 rows by
+    n = 2 * search_radius + 1 columns of windows) is then a contiguous
+    (n * m, window * window) slice of it, scored in one matrix-vector
+    product, and its (column, row) scores are transposed back.
     """
     hw = params.window // 2
     rad = params.search_radius
     n = 2 * rad + 1
-    # padded-image windows whose centres lie within rad of (rc, cc) start
-    # at (rc + off, cc + off)
-    off = b.pad - rad - hw
+    m = 2 * _BAND_ROWS + 1
+    # padded-image windows whose centres lie within _BAND_ROWS rows and rad
+    # columns of (rc, cc) start at (rc + off_r, cc + off_c)
+    off_r = b.pad[0] - _BAND_ROWS - hw
+    off_c = b.pad[1] - rad - hw
     rc = ra + prior[0]
-    r0 = rc + off
+    r0 = rc + off_r
     templates = []
     for k, ca in enumerate(cols):
         if not ok_a[ra - hw : ra + hw + 1, ca - hw : ca + hw + 1].all():
@@ -194,12 +202,12 @@ def _match_row(img_a: np.ndarray, ok_a: np.ndarray, b: _Windows, ra: int,
     out: list[tuple[float, float, float] | None] = [None] * len(cols)
     if not templates:
         return out
-    lo = min(t[1] for t in templates) + off
-    hi = max(t[1] for t in templates) + off + n
-    band = np.ascontiguousarray(b.windows[r0 : r0 + n, lo:hi].transpose(1, 0, 2, 3))
+    lo = min(t[1] for t in templates) + off_c
+    hi = max(t[1] for t in templates) + off_c + n
+    band = np.ascontiguousarray(b.windows[r0 : r0 + m, lo:hi].transpose(1, 0, 2, 3))
     for k, cc, pz, pn in templates:
-        c0 = cc + off
-        region = np.s_[r0 : r0 + n, c0 : c0 + n]
+        c0 = cc + off_c
+        region = np.s_[r0 : r0 + m, c0 : c0 + n]
         cross = np.tensordot(band[c0 - lo : c0 - lo + n], pz, axes=([2, 3], [0, 1])).T
         with np.errstate(invalid="ignore", divide="ignore"):
             score = cross / (pn * b.norm[region])
@@ -209,15 +217,18 @@ def _match_row(img_a: np.ndarray, ok_a: np.ndarray, b: _Windows, ra: int,
         if not np.isfinite(s) or s < _ZNCC_MIN:
             continue
         dr, dc = _subpixel(score, *best)
-        out[k] = (rc - rad + best[0] + dr, cc - rad + best[1] + dc, float(s))
+        out[k] = (rc - _BAND_ROWS + best[0] + dr, cc - rad + best[1] + dc, float(s))
     return out
 
 
 def match_grids(img_a: np.ndarray, ok_a: np.ndarray, img_b: np.ndarray, ok_b: np.ndarray,
                 params: BlockMatchParams) -> list[tuple[float, float, float, float, float]]:
     """Grid-sampled ZNCC matches (ra, ca, rb, cb, score) with left-right
-    consistency filtering; the local search is centered on a coarse global
-    alignment prior.
+    consistency filtering.  The local search is a band along the rows,
+    centered on a coarse global alignment prior: the views are expected to
+    be turned so that the baseline runs along the rows (see
+    ``depth_from_drops``), which puts every true match within a row or two
+    of its template row plus the prior.
 
     The forward search runs one grid row at a time; the backward search runs
     once the forward pass ends, one row of b at a time over the forward
@@ -226,8 +237,8 @@ def match_grids(img_a: np.ndarray, ok_a: np.ndarray, img_b: np.ndarray, ok_b: np
     hw = params.window // 2
     prior = _global_shift(img_a, ok_a, img_b, ok_b)
     rprior = (-prior[0], -prior[1])
-    # enough padding that every search region lies inside the padded images
-    pad = params.search_radius + hw + max(abs(prior[0]), abs(prior[1]))
+    # enough padding that every search band lies inside the padded images
+    pad = (_BAND_ROWS + hw + abs(prior[0]), params.search_radius + hw + abs(prior[1]))
     wins_a = _window_stats(img_a, ok_a, params.window, pad)
     wins_b = _window_stats(img_b, ok_b, params.window, pad)
     cols = list(range(hw, img_a.shape[1] - hw, params.stride))
@@ -346,12 +357,18 @@ def depth_from_drops(image: RasterGray, drops: list[HeightField], config: Optica
                      correspondences: list[Correspondence] | None = None) -> DepthResult:
     """Triangulate scene points seen through two or more drops.
 
-    Each drop is traced once.  Without precomputed correspondences, every
-    drop is angular-dewarped on a shared (u, v) window and drop pairs are
-    block-matched.  The dewarp resolution is the drop pixel density (about
-    one input pixel per angular cell) so the matching windows stay free of
-    splat holes.  Matched warped pixels are traced back through their drops
-    and all matches are triangulated at once; a match whose pixel has no ray
+    Each drop is traced once.  Without precomputed correspondences, each
+    drop pair is block-matched on views rectified for that pair: the (u, v)
+    frame is turned about the view axis so that the baseline between the
+    drops' mean ray origins runs along u (a camera roll, exact because it
+    keeps dz; Fusiello, Trucco & Verri 2000), and both drops are
+    angular-dewarped in that frame on the window that covers every drop.
+    A scene point's offset between the views then lies along the grid rows,
+    which the band search of ``match_grids`` relies on.  The dewarp
+    resolution is the pixel density of the largest drop (about one input
+    pixel per angular cell) so the matching windows stay free of splat
+    holes.  Matched warped pixels are traced back through their drops and
+    all matches are triangulated at once; a match whose pixel has no ray
     (off its drop's box or in the dark band) or whose rays are near-parallel
     is dropped.  Points whose residual exceeds ``_OUTLIER_FACTOR`` (3) times
     the median are flagged invalid.
@@ -361,18 +378,24 @@ def depth_from_drops(image: RasterGray, drops: list[HeightField], config: Optica
     traces = [trace_field(hf, config) for hf in drops]
 
     if correspondences is None:
-        bounds = shared_uv_bounds(traces)
+        centres = []
+        for tf in traces:
+            if not tf.valid.any():
+                raise DomainError("a drop has no valid transmitted pixels")
+            centres.append(tf.origins[tf.valid, :2].mean(axis=0))
         densest = max(int(hf.mask.area) for hf in drops)
         resolution = int(np.clip(round(math.sqrt(densest)), 48, 256))
-        views = [dewarp_image(image, tf, resolution, bounds) for tf in traces]
         correspondences = []
-        for a in range(len(drops)):
-            for b in range(a + 1, len(drops)):
-                try:
-                    correspondences.extend(
-                        block_match(views[a], views[b], drop_a=a, drop_b=b))
-                except InsufficientMatches:
-                    continue
+        for a, b in itertools.combinations(range(len(drops)), 2):
+            dx, dy = centres[b] - centres[a]
+            turn = math.atan2(dy, dx)
+            bounds = shared_uv_bounds(traces, turn)
+            view_a, view_b = (dewarp_image(image, traces[k], resolution, bounds, turn)
+                              for k in (a, b))
+            try:
+                correspondences.extend(block_match(view_a, view_b, drop_a=a, drop_b=b))
+            except InsufficientMatches:
+                continue
         if len(correspondences) < BlockMatchParams().min_matches:
             raise InsufficientMatches(
                 f"only {len(correspondences)} correspondences across all drop pairs")

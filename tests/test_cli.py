@@ -80,6 +80,18 @@ def test_synth_bad_drop_names_scene_file(tmp_path, capsys):
     assert "scene.json" in err and "drops[0]" in err and "radius" in err, err
 
 
+def test_synth_missing_texture_names_scene_and_plane(tmp_path, capsys):
+    cfg, scene = tmp_path / "cfg.json", tmp_path / "scene.json"
+    _write_config(cfg)
+    scene.write_text(json.dumps({"width": 64, "height": 48,
+                                 "planes": [{"depth": 2000.0, "texture": "nope.pgm"}],
+                                 "drops": [{"center": [20, 30], "radius": 8}]}))
+    assert main(["synth", "--scene", str(scene), "--config", str(cfg),
+                 "--out", str(tmp_path / "synth")]) == 1
+    err = capsys.readouterr().err
+    assert "scene.json" in err and "planes[0]" in err and "nope.pgm" in err, err
+
+
 def test_alpha_and_estimate_volume_conflict(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["reconstruct", "--image", "x.pgm", "--mask", "m.pgm", "--config", "c.json",

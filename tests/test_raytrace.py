@@ -388,6 +388,27 @@ def test_dewarp_jacobian_sign_constant(cap50, config):
     assert (du[inner] < 0).all()
 
 
+@pytest.mark.parametrize("turn", [0.0, 0.7, -math.pi / 2])
+def test_dewarp_turned_grid_answers_unturned_uv(cap50, config, turn):
+    # a turned grid cell maps back to its nearest source pixel, and uv_of
+    # answers that pixel's own unturned (u, v) to within a cell diagonal
+    mask, hf, _ = cap50
+    tf = trace_field(hf, config)
+    img = RasterGray(np.zeros(mask.membership.shape))
+    dw = dewarp_image(img, tf, 64, turn=turn)
+    assert dw.turn == turn
+    u, v, _ = uv_field(tf)
+    rows, cols = np.nonzero(dw.valid & (dw.source_ij[..., 0] >= 0))
+    assert rows.size > 1000
+    src = dw.source_ij[rows, cols] - (tf.box.i0, tf.box.j0)
+    got = np.array([dw.uv_of(c, r) for r, c in zip(rows, cols)])
+    err = np.hypot(got[:, 0] - u[src[:, 0], src[:, 1]], got[:, 1] - v[src[:, 0], src[:, 1]])
+    # the cell is the nearest with a contributor; a few cells take theirs
+    # from a neighbour
+    assert np.median(err) <= 0.5 * math.hypot(dw.du, dw.dv)
+    assert np.percentile(err, 99) <= 2.0 * math.hypot(dw.du, dw.dv)
+
+
 def test_dewarp_empty_drop_rejected(config):
     m = disk_mask(12)
     # all-dark surrogate: a cone so steep every pixel totally reflects

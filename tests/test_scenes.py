@@ -128,3 +128,11 @@ def test_read_scene_omitted_values_take_the_class_defaults(tmp_path):
 def test_read_scene_unknown_or_missing_key_names_file(tmp_path, where, value, field):
     msg = _error(tmp_path, _doc_with(where, value))
     assert "scene.json" in msg and field in msg, msg
+
+
+def test_read_scene_missing_texture_names_file_and_plane(tmp_path):
+    doc = _doc()
+    doc["planes"].append({"depth": 3000.0, "texture": "nope.pgm"})
+    msg = _error(tmp_path, doc)
+    assert "scene.json" in msg and "planes[1]" in msg, msg
+    assert str(tmp_path / "nope.pgm") in msg, msg

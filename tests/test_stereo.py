@@ -9,8 +9,8 @@ from dropstereo import (DegenerateGeometry, DomainError, InsufficientMatches, Ra
                         SolverParams, Vec3, block_match, depth_from_drops, disk_mask,
                         initial_volume, render_synthetic, solve_fixed_volume, triangulate)
 from dropstereo.raytrace import DewarpedImage, Ray, ScenePlane, SceneSpec, trace_field
-from dropstereo.stereo import (_LR_TOL, _ZNCC_MIN, BlockMatchParams, _global_shift, _subpixel,
-                               _window_sums, match_grids)
+from dropstereo.stereo import (_BAND_ROWS, _LR_TOL, _ZNCC_MIN, BlockMatchParams, _global_shift,
+                               _subpixel, _window_stats, _window_sums, match_grids)
 from dropstereo.scenes import make_texture
 
 
@@ -82,14 +82,15 @@ def _oracle_zncc_scores(patch, region, region_ok):
 
 
 def _oracle_best_match(img_a, ok_a, img_b, ok_b, ra, ca, params, prior):
-    # the search region is copied out of b, zero-padded where it leaves b
+    # the search region, _BAND_ROWS rows by search_radius columns either side
+    # of the prior, is copied out of b, zero-padded where it leaves b
     hw, rad = params.window // 2, params.search_radius
     h, w = img_b.shape
     if not ok_a[ra - hw : ra + hw + 1, ca - hw : ca + hw + 1].all():
         return None
     patch = img_a[ra - hw : ra + hw + 1, ca - hw : ca + hw + 1]
     rc, cc = ra + prior[0], ca + prior[1]
-    r0, r1 = rc - rad - hw, rc + rad + hw + 1
+    r0, r1 = rc - _BAND_ROWS - hw, rc + _BAND_ROWS + hw + 1
     c0, c1 = cc - rad - hw, cc + rad + hw + 1
     region = np.zeros((r1 - r0, c1 - c0))
     region_ok = np.zeros((r1 - r0, c1 - c0), dtype=bool)
@@ -102,7 +103,7 @@ def _oracle_best_match(img_a, ok_a, img_b, ok_b, ra, ca, params, prior):
     if not np.isfinite(s) or s < _ZNCC_MIN:
         return None
     dr, dc = _subpixel(score, *best)
-    return rc - rad + best[0] + dr, cc - rad + best[1] + dc, float(s)
+    return rc - _BAND_ROWS + best[0] + dr, cc - rad + best[1] + dc, float(s)
 
 
 def _oracle_match_grids(img_a, ok_a, img_b, ok_b, params):
@@ -171,20 +172,63 @@ def test_match_grids_equals_region_copy_oracle_across_edges(shift, params, blank
     assert got == want
 
 
+@pytest.mark.parametrize("rows_off", [0, 6, -9])
+def test_match_grids_keeps_matches_in_the_band(rows_off):
+    # b is a shifted by (4, 20), except for a block of columns shifted by a
+    # further rows_off rows: a square search finds that block off the band
+    base = _noise_image((130, 150), seed=4).pixels
+    img_a = base[12:102, :110]
+    img_b = base[16:106, 20:130].copy()
+    img_b[:, 40:80] = base[16 + rows_off : 106 + rows_off, 60:100]
+    ok_a = np.ones(img_a.shape, dtype=bool)
+    ok_b = np.ones(img_b.shape, dtype=bool)
+    prior = _global_shift(img_a, ok_a, img_b, ok_b)
+    assert prior == (-4, -20)
+    matches = match_grids(img_a, ok_a, img_b, ok_b, BlockMatchParams(stride=5))
+    assert len(matches) >= 20
+    for ra, _, rb, _, _ in matches:
+        assert abs(rb - (ra + prior[0])) <= _BAND_ROWS + 0.5
+
+
 def test_window_sums_equal_the_4d_reduction():
     rng = np.random.default_rng(5)
     view = np.lib.stride_tricks.sliding_window_view
+
+    def check_usable(img, ok, w, pad):
+        # the usable-window mask from window counts is the 4-D reduction
+        want = view(np.pad(ok, pad), (w, w)).all(axis=(2, 3))
+        counts = _window_sums(np.pad(ok, pad).astype(float), w)
+        assert np.array_equal(counts == w * w, want)
+        # every fully valid window of these images has variance
+        assert np.array_equal(_window_stats(img, ok, w, (pad, pad)).usable, want)
+        rows = pad // 2
+        if rows < pad and img.shape[0] + 2 * rows >= w:
+            # fewer padding rows than columns, as the band search pads
+            want = view(np.pad(ok, [(rows, rows), (pad, pad)]), (w, w)).all(axis=(2, 3))
+            assert np.array_equal(_window_stats(img, ok, w, (rows, pad)).usable, want)
+
     for w in (3, 7, 11):
         for pad in (0, 4, 17):
             img = rng.uniform(-3.0, 40.0, (29, 23))
             for a in (np.pad(img, pad), np.pad(img * img, pad)):
                 want = view(a, (w, w)).sum(axis=(2, 3))
                 assert _window_sums(a, w).tobytes() == want.tobytes()
+            for ok in (rng.uniform(size=img.shape) > 0.05, np.ones(img.shape, dtype=bool),
+                       np.zeros(img.shape, dtype=bool)):
+                check_usable(img, ok, w, pad)
         # a padded image exactly one window tall
-        a = np.pad(rng.uniform(0.0, 1.0, (3, 31)), (w - 3) // 2)
+        img = rng.uniform(0.0, 1.0, (3, 31))
+        a = np.pad(img, (w - 3) // 2)
         assert a.shape[0] == w
         want = view(a, (w, w)).sum(axis=(2, 3))
         assert _window_sums(a, w).tobytes() == want.tobytes()
+        for ok in (np.ones(img.shape, dtype=bool), np.zeros(img.shape, dtype=bool)):
+            check_usable(img, ok, w, (w - 3) // 2)
+        # an image exactly one window tall, without padding
+        img = rng.uniform(0.0, 1.0, (w, 31))
+        ok = np.ones(img.shape, dtype=bool)
+        ok[:, 9] = False
+        check_usable(img, ok, w, 0)
 
 
 # --- triangulation ---------------------------------------------------------------
@@ -344,6 +388,51 @@ def test_depth_two_plane_scene_bimodal(config):
     assert near.size >= 5 and far.size >= 5
     assert abs(np.median(near) - 1500.0) / 1500.0 <= 0.03
     assert abs(np.median(far) - 3000.0) / 3000.0 <= 0.03
+
+
+def _depth_of_rendered_pair(shape, centres, planes, config):
+    """Two solved r=60 drops at ``centres`` over ``planes``, rendered and
+    triangulated."""
+    drops = []
+    for centre in centres:
+        mask = disk_mask(60, shape=shape, center=centre)
+        hf, _ = solve_fixed_volume(mask, initial_volume(mask, 0.30), SolverParams(), config)
+        drops.append(hf)
+    scene = SceneSpec(width=shape[1], height=shape[0], planes=planes)
+    image = render_synthetic(scene, [(hf.mask, hf) for hf in drops], config)
+    return depth_from_drops(image, drops, config), drops
+
+
+def test_depth_two_plane_scene_vertical_pair(config):
+    # the drops are stacked along the columns, so the baseline runs along v
+    # until the views are turned
+    tex1 = make_texture("noise", 1024, 2, seed=11, low=0.05, high=0.95)
+    tex2 = make_texture("noise", 1024, 2, seed=12, low=0.05, high=0.95)
+    result, _ = _depth_of_rendered_pair((700, 300), [(150, 150), (550, 150)], (
+        ScenePlane(depth=1500.0, texture=tex1, scale=16.0, x_max=0.0),
+        ScenePlane(depth=3000.0, texture=tex2, scale=16.0, x_min=0.0),
+    ), config)
+    pts = [p for p, ok in zip(result.points, result.valid) if ok]
+    near = np.array([p.z for p in pts if p.x < -60.0])
+    far = np.array([p.z for p in pts if p.x > 60.0])
+    assert near.size >= 5 and far.size >= 5
+    assert abs(np.median(near) - 1500.0) / 1500.0 <= 0.03
+    assert abs(np.median(far) - 3000.0) / 3000.0 <= 0.03
+
+
+def test_depth_fronto_parallel_plane_diagonal_pair(config):
+    tex = make_texture("noise", 1024, 2, seed=3, low=0.05, high=0.95)
+    result, (hf1, hf2) = _depth_of_rendered_pair(
+        (460, 460), [(90, 90), (370, 370)],
+        (ScenePlane(depth=2000.0, texture=tex, scale=16.0),), config)
+    depths = result.depths[result.valid]
+    assert depths.size >= 20
+    median = float(np.median(depths))
+    assert abs(median - 2000.0) / 2000.0 <= 0.02
+    assert (depths > max(hf1.z.max(), hf2.z.max())).all()
+    dm = result.depth_maps[0]
+    assert np.isfinite(dm).sum() >= 10
+    assert np.nanmedian(dm) == pytest.approx(median, rel=0.05)
 
 
 def test_depth_file_correspondences_off_the_drop_box(two_drop_scene, config):
