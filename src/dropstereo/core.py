@@ -23,6 +23,17 @@ from scipy import ndimage
 from .errors import DomainError
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+# refractive index of the air side of every interface
+N_AIR = 1.0
+
+
+def _largest_component(m: np.ndarray, structure: np.ndarray = _FOUR_CONNECTED) -> np.ndarray:
+    """The largest connected piece of the boolean ``m`` (the first labelled
+    on a tie); ``m`` itself when it has at most one piece."""
+    labels, n = ndimage.label(m, structure=structure)
+    if n < 2:
+        return m
+    return labels == 1 + int(np.argmax(ndimage.sum_labels(m, labels, np.arange(1, n + 1))))
 
 
 class Vec3(NamedTuple):
@@ -130,27 +141,24 @@ class HeightField:
 
 @dataclass(frozen=True)
 class OpticalConfig:
-    """Physical constants, camera placement, and solver weights.
+    """Physical constants and camera placement.
 
     ``camera_z`` is the perpendicular distance from the camera to the glass
     plate in pixels (``math.inf`` selects the orthographic camera-at-infinity
-    mode).  ``tension_weight`` and ``gravity_weight`` are the dimensionless
-    solver weights standing in for the physical sigma/rho-g constants, which
-    are not dimensionally meaningful at pixel scale.
+    mode).  ``gravity_weight`` is the dimensionless gravity-to-tension energy
+    ratio (tension has weight 1; only the ratio moves the minimum), standing
+    in for rho*g/sigma, which is not dimensionally meaningful at pixel scale.
     """
 
-    n_air: float = 1.0
     n_water: float = 4.0 / 3.0
     camera_z: float = 5.0e4
     gravity_cosines: tuple[float, float, float] = (0.0, 0.0, 1.0)
-    tension_weight: float = 1.0
     gravity_weight: float = 1.0e-4
     principal_point: tuple[float, float] | None = None
-    band_halfwidth: float = 0.02 * math.pi
 
     def __post_init__(self):
-        if not (self.n_water > self.n_air > 0.0):
-            raise DomainError("refractive indices must satisfy n_water > n_air > 0")
+        if not (math.isfinite(self.n_water) and self.n_water > N_AIR):
+            raise DomainError(f"n_water must be finite and greater than the air index {N_AIR}")
         if not self.camera_z > 0.0:
             raise DomainError("camera_z must be positive")
         g = np.asarray(self.gravity_cosines, dtype=float)
@@ -162,19 +170,13 @@ class OpticalConfig:
             pp = np.asarray(self.principal_point, dtype=float)
             if pp.shape != (2,) or not np.isfinite(pp).all():
                 raise DomainError("principal_point must be two finite values (cx, cy)")
-        if not self.band_halfwidth > 0.0:
-            raise DomainError("band_halfwidth must be positive")
-        # a non-positive tension runs the flow backwards and an infinite
-        # weight makes every energy infinite
-        if not (math.isfinite(self.tension_weight) and self.tension_weight > 0.0):
-            raise DomainError("tension_weight must be finite and positive")
         if not (math.isfinite(self.gravity_weight) and self.gravity_weight >= 0.0):
             raise DomainError("gravity_weight must be finite and non-negative")
 
     @property
     def eta(self) -> float:
-        """n_water / n_air."""
-        return self.n_water / self.n_air
+        """n_water / N_AIR."""
+        return self.n_water / N_AIR
 
     def resolve_principal_point(self, shape: tuple[int, int]) -> tuple[float, float]:
         """Principal point (cx, cy); defaults to the grid center."""

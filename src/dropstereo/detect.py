@@ -10,8 +10,9 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import ConvexHull, QhullError
 
-from .core import _FOUR_CONNECTED, DropMask, RasterGray
+from .core import _FOUR_CONNECTED, DropMask, RasterGray, _largest_component
 from .errors import DomainError
+from .masks import disk_mask
 
 _EIGHT = np.ones((3, 3), dtype=bool)
 # radius of the disk that closes edge gaps into candidate regions
@@ -35,12 +36,6 @@ class DetectParams:
             raise DomainError("min_diameter must be finite and positive")
 
 
-def _disk(radius: int) -> np.ndarray:
-    n = 2 * radius + 1
-    ii, jj = np.mgrid[0:n, 0:n] - radius
-    return ii * ii + jj * jj <= radius * radius
-
-
 def _solidity(component: np.ndarray) -> float:
     """Pixel area over convex hull area (hull of the pixel squares)."""
     ii, jj = np.nonzero(component)
@@ -62,11 +57,6 @@ def _diameter(region: np.ndarray) -> float:
     return 2.0 * float(np.sqrt(region.sum() / np.pi))
 
 
-def _largest(labels: np.ndarray, n: int) -> np.ndarray:
-    """The largest of the ``n`` labelled components."""
-    return labels == 1 + int(np.argmax(np.bincount(labels.ravel(), minlength=n + 1)[1:]))
-
-
 def _dark_band_region(pixels: np.ndarray, comp: np.ndarray, background: float) -> np.ndarray:
     """The part of an edge candidate enclosed by its dark total-reflection band.
 
@@ -83,13 +73,13 @@ def _dark_band_region(pixels: np.ndarray, comp: np.ndarray, background: float) -
     if background <= floor:
         return comp
     dark = comp & (pixels <= floor + 0.25 * (background - floor))
-    ring = _largest(*ndimage.label(dark, structure=_EIGHT))
+    ring = _largest_component(dark, _EIGHT)
     region = ndimage.binary_fill_holes(ring)
     area = int(region.sum())
     if area == int(ring.sum()) or 2 * area < int(comp.sum()):
         return comp
     # pieces of an 8-connected ring may touch only at corners
-    return _largest(*ndimage.label(region, structure=_FOUR_CONNECTED))
+    return _largest_component(region)
 
 
 def detect_drops(image: RasterGray, params: DetectParams | None = None) -> list[DropMask]:
@@ -121,7 +111,8 @@ def detect_drops(image: RasterGray, params: DetectParams | None = None) -> list[
     keep[0] = False
     edges = keep[labels]
 
-    edges = ndimage.binary_closing(edges, structure=_disk(_CLOSING_RADIUS), iterations=1)
+    disk = disk_mask(_CLOSING_RADIUS, (2 * _CLOSING_RADIUS + 1,) * 2).membership
+    edges = ndimage.binary_closing(edges, structure=disk, iterations=1)
     filled = ndimage.binary_fill_holes(edges)
 
     comp_labels, _ = ndimage.label(filled, structure=_FOUR_CONNECTED)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from .core import _FOUR_CONNECTED, DropMask
+from .core import DropMask, _largest_component
 from .errors import DomainError
 
 
@@ -48,9 +48,4 @@ def blob_mask(radius: int, shape: tuple[int, int] | None = None,
     rim = radius * (1.0 + sum(a * np.cos(k * phi + p) for a, k, p in zip(amp, orders, phase)))
     m = (ii - ci) ** 2 + (jj - cj) ** 2 <= rim**2
     # star-shaped rasterization can pinch off slivers; keep the main component
-    m = ndimage.binary_fill_holes(m)
-    labels, n = ndimage.label(m, structure=_FOUR_CONNECTED)
-    if n > 1:
-        sizes = ndimage.sum(m, labels, index=np.arange(1, n + 1))
-        m = labels == (1 + int(np.argmax(sizes)))
-    return DropMask(m)
+    return DropMask(_largest_component(ndimage.binary_fill_holes(m)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DropBox, HeightField, OpticalConfig, normal_field, plate_coords
+from .core import N_AIR, DropBox, HeightField, OpticalConfig, normal_field, plate_coords
 from .errors import DomainError
 
 
@@ -95,10 +95,13 @@ def critical_normal_z(theta_cprime: float, n_a: float, n_w: float) -> float:
     tilted ``theta_cprime`` from the optical axis."""
     if not 0.0 <= theta_cprime < math.pi / 2:
         raise DomainError("theta_cprime must lie in [0, pi/2)")
+    return float(_critical_normal_z(theta_cprime, n_a, n_w))
+
+
+def _critical_normal_z(theta_cprime: np.ndarray, n_a: float, n_w: float) -> np.ndarray:
+    """cos(asin(n_a / n_w) + theta_cprime), or 0 where that angle reaches pi/2."""
     arg = math.asin(n_a / n_w) + theta_cprime
-    if arg >= math.pi / 2:
-        return 0.0
-    return math.cos(arg)
+    return np.where(arg < math.pi / 2, np.cos(arg), 0.0)
 
 
 def equivalent_camera_depth(rho2: np.ndarray, config: OpticalConfig) -> np.ndarray:
@@ -109,7 +112,7 @@ def equivalent_camera_depth(rho2: np.ndarray, config: OpticalConfig) -> np.ndarr
     if math.isinf(config.camera_z):
         return np.full(np.shape(rho2), np.inf)
     z_c = config.camera_z
-    k = (config.n_water**2 - config.n_air**2) / config.n_water**2
+    k = (config.n_water**2 - N_AIR**2) / config.n_water**2
     return config.eta * z_c * np.sqrt(1.0 + k * np.asarray(rho2, dtype=float) / z_c**2)
 
 
@@ -142,8 +145,8 @@ def critical_normal_z_field(hf: HeightField, config: OpticalConfig) -> np.ndarra
     """Per-pixel critical normal-z threshold from the equivalent camera,
     computed on the drop's box and zero outside it."""
     box = DropBox.of(hf.mask)
-    arg = math.asin(config.n_air / config.n_water) + theta_cprime_field(hf, config, box)
-    return box.paste(np.where(arg < math.pi / 2, np.cos(arg), 0.0))
+    return box.paste(_critical_normal_z(theta_cprime_field(hf, config, box),
+                                        N_AIR, config.n_water))
 
 
 def dark_band_mask(hf: HeightField, config: OpticalConfig) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import ndimage
 
-from .core import (DropBox, DropMask, HeightField, OpticalConfig, RasterGray, Vec3,
+from .core import (N_AIR, DropBox, DropMask, HeightField, OpticalConfig, RasterGray, Vec3,
                    normal_field, plate_coords, splat_bilinear)
 from .errors import DomainError, EmptyOutput
 from .optics import fresnel_transmittance_arrays, incidence_directions, refract_arrays
@@ -168,7 +168,7 @@ def trace_field(hf: HeightField, config: OpticalConfig) -> TraceField:
 def transmittance(tf: TraceField, config: OpticalConfig, radiance=1.0) -> np.ndarray:
     """Two-interface Fresnel transmittance of each traced pixel (curved dome,
     then flat plate), applied to ``radiance`` (a scalar or a box-sized array)."""
-    _, _, t_flat = fresnel_transmittance_arrays(tf.theta_flat_air, config.n_air, config.n_water)
+    _, _, t_flat = fresnel_transmittance_arrays(tf.theta_flat_air, N_AIR, config.n_water)
     return radiance * _transmittance_from_cos_w(tf.cos_theta_w, config) * t_flat
 
 
@@ -330,6 +330,13 @@ def _background(scene: SceneSpec, config: OpticalConfig) -> np.ndarray:
     return out
 
 
+def _plane_hits(origins: np.ndarray, directions: np.ndarray,
+                depth: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ray parameter t, hit x, hit y) of (..., 3) rays on the plane z = ``depth``."""
+    t = (depth - origins[..., 2]) / directions[..., 2]
+    return t, origins[..., 0] + t * directions[..., 0], origins[..., 1] + t * directions[..., 1]
+
+
 def _scene_hits(scene: SceneSpec, tf: TraceField) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Intersect traced rays with the scene: (value, hit_x, depth, hit mask)."""
     hx = np.zeros(tf.valid.shape)
@@ -338,9 +345,7 @@ def _scene_hits(scene: SceneSpec, tf: TraceField) -> tuple[np.ndarray, np.ndarra
     todo = tf.valid.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         for plane in scene.planes:
-            t = (plane.depth - tf.origins[..., 2]) / tf.directions[..., 2]
-            px = tf.origins[..., 0] + t * tf.directions[..., 0]
-            py = tf.origins[..., 1] + t * tf.directions[..., 1]
+            t, px, py = _plane_hits(tf.origins, tf.directions, plane.depth)
             sel = todo & (t > 0) & plane.covers(px)
             if sel.any():
                 val[sel] = plane.sample(px[sel], py[sel], scene.border)
@@ -396,5 +401,5 @@ def _transmittance_from_cos_w(cos_w: np.ndarray, config: OpticalConfig) -> np.nd
     transmitted = sin_a < 1.0
     theta_a = np.arcsin(np.clip(sin_a, 0.0, 1.0 - 1e-12))
     theta_a = np.clip(theta_a, 0.0, math.pi / 2 - 1e-9)
-    _, _, t = fresnel_transmittance_arrays(theta_a, config.n_air, config.n_water)
+    _, _, t = fresnel_transmittance_arrays(theta_a, N_AIR, config.n_water)
     return np.where(transmitted, t, 0.0)

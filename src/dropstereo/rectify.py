@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import HeightField, OpticalConfig, RasterGray, splat_bilinear
 from .errors import DomainError, EmptyOutput
-from .raytrace import trace_field, transmittance
+from .raytrace import _plane_hits, trace_field, transmittance
 from .stereo import DepthResult
 
 _MAX_OUTPUT = 1024
@@ -60,11 +60,7 @@ def rectify_drop(image: RasterGray, hf: HeightField, config: OpticalConfig,
     sel = tf.valid
     if not sel.any():
         raise EmptyOutput("no transmitted drop pixels to rectify")
-    orig = tf.origins[sel]
-    dirs = tf.directions[sel]
-    t = (d - orig[:, 2]) / dirs[:, 2]
-    hits_x = orig[:, 0] + t * dirs[:, 0]
-    hits_y = orig[:, 1] + t * dirs[:, 1]
+    _, hits_x, hits_y = _plane_hits(tf.origins[sel], tf.directions[sel], d)
     if math.isinf(config.camera_z):
         px, py = hits_x, hits_y
     else:

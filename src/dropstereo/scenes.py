@@ -22,6 +22,8 @@ def make_texture(kind: str, size: int = 256, period: int = 16, seed: int = 0,
     """Procedural grayscale texture: 'checker', 'noise', or 'stripes'."""
     if size < 2 or period < 1:
         raise DomainError("texture size and period must be positive")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     if kind == "checker":
         ii, jj = np.mgrid[0:size, 0:size]
         cells = ((ii // period) + (jj // period)) % 2
@@ -58,6 +60,8 @@ class DropSpec:
             raise DomainError("alpha must be finite and positive")
         if not 0.0 <= self.irregularity < 0.5:
             raise DomainError("irregularity must be in [0, 0.5)")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
 
     def build_mask(self, shape: tuple[int, int]) -> DropMask:
         if self.irregularity > 0:

@@ -99,7 +99,7 @@ def _energy(z: np.ndarray, stencil: MaskStencil, config: OpticalConfig,
     ``plate_coords``.  The sums run over the pixel vectors."""
     gx, gy = (stencil.diff_into(z, axis, np.zeros(stencil.size)).take(stencil.members)
               for axis in (1, 0))
-    e_t = config.tension_weight * float(np.sqrt(1.0 + gx * gx + gy * gy).sum())
+    e_t = float(np.sqrt(1.0 + gx * gx + gy * gy).sum())
 
     cx, cy = config.resolve_principal_point(box.shape)
     x, y = stencil.cols + box.j0 - cx, stencil.rows + box.i0 - cy
@@ -116,7 +116,7 @@ def _checked(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(z, 0.0, out=out)
 
 
-def _tension(z: np.ndarray, stencil: MaskStencil, interior: np.ndarray, weight: float,
+def _tension(z: np.ndarray, stencil: MaskStencil, interior: np.ndarray,
              work: np.ndarray) -> None:
     """One explicit curvature-flow step descending the tension energy, in
     place on the buffer ``z``: the cells where ``interior`` is 1 move and
@@ -136,7 +136,7 @@ def _tension(z: np.ndarray, stencil: MaskStencil, interior: np.ndarray, weight: 
     gy /= den
     stencil.diff_into(gx, 1, flow)
     flow += stencil.diff_into(gy, 0, den)
-    flow *= _TAU * weight
+    flow *= _TAU
     z += flow
     z *= interior
     _checked(z, out=z)
@@ -211,7 +211,7 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     iterations = 0
     for t in range(params.max_iters):
         np.copyto(prev, z)
-        _tension(z, st, interior, config.tension_weight, work)
+        _tension(z, st, interior, work)
         zm = z.take(st.members)
         if tilted:
             zm = _tilt(zm, st, config)

@@ -35,6 +35,8 @@ _TAU_R = 0.5
 _REL_VOLUME_TOL = 1e-3
 # fewest band-ring pixels that make a brightness sample
 _MIN_RING_PIXELS = 8
+# normal-z half-width of the sampled band ring about the critical value
+_BAND_HALFWIDTH = 0.02 * np.pi
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ def band_ring(hf: HeightField, config: OpticalConfig) -> np.ndarray:
     value (computed per pixel from the equivalent camera)."""
     n_z = normal_z_field(hf)
     n_crit = critical_normal_z_field(hf, config)
-    return hf.mask.membership & (np.abs(n_z - n_crit) <= config.band_halfwidth)
+    return hf.mask.membership & (np.abs(n_z - n_crit) <= _BAND_HALFWIDTH)
 
 
 def sample_band_brightness(image: RasterGray, hf: HeightField, config: OpticalConfig) -> float:

@@ -92,19 +92,19 @@ def test_height_field_zeroes_non_members_and_rejects_negatives():
 
 
 def test_optical_config_invariants():
-    with pytest.raises(DomainError):
-        OpticalConfig(n_air=1.5, n_water=1.0)
+    # water must be denser than air; an infinite index gave eta = inf
+    nan, inf = float("nan"), float("inf")
+    for bad in (1.0, 0.75, nan, inf):
+        with pytest.raises(DomainError, match="n_water"):
+            OpticalConfig(n_water=bad)
     with pytest.raises(DomainError):
         OpticalConfig(camera_z=-1.0)
     with pytest.raises(DomainError):
         OpticalConfig(gravity_cosines=(1.0, 1.0, 1.0))
     # NaN fails no plain comparison, so each field must reject it explicitly
-    nan = float("nan")
     for g in ((nan, 0.0, 1.0), (0.0, 0.0, nan), (0.0, 0.0, float("inf"))):
         with pytest.raises(DomainError, match="gravity"):
             OpticalConfig(gravity_cosines=g)
-    with pytest.raises(DomainError, match="band_halfwidth"):
-        OpticalConfig(band_halfwidth=nan)
     for pp in ((1.0,), (1.0, 2.0, 3.0), (nan, 2.0), (1.0, float("inf"))):
         with pytest.raises(DomainError, match="principal_point"):
             OpticalConfig(principal_point=pp)
@@ -113,13 +113,9 @@ def test_optical_config_invariants():
 
 
 def test_optical_config_rejects_bad_solver_weights():
-    # a negative tension runs the flow backwards (anti-diffusion), an
-    # infinite weight makes every energy infinite, and NaN used to fail only
-    # inside the sweep
+    # an infinite weight makes every energy infinite, and NaN used to fail
+    # only inside the sweep
     nan, inf = float("nan"), float("inf")
-    for bad in (0.0, -1.0, nan, inf):
-        with pytest.raises(DomainError, match="tension_weight"):
-            OpticalConfig(tension_weight=bad)
     for bad in (-1e-4, nan, inf):
         with pytest.raises(DomainError, match="gravity_weight"):
             OpticalConfig(gravity_weight=bad)

@@ -172,6 +172,9 @@ def test_config_unknown_keys_rejected(tmp_path):
     for section, key, value in [("optics", "bogus", 1),
                                 # algorithm constants, not settable
                                 ("optics", "pixel_pitch", 6.0e-6),
+                                ("optics", "n_air", 1.0),
+                                ("optics", "tension_weight", 1.0),
+                                ("optics", "band_halfwidth", 0.06),
                                 ("solver", "tau", 0.5),
                                 ("volume_loop", "min_ring_pixels", 8),
                                 ("volume_loop", "tau_r", 0.5),
@@ -192,7 +195,7 @@ def test_config_unknown_keys_rejected(tmp_path):
 
 def test_config_wrong_value_types_name_section_field_and_file(tmp_path):
     p = tmp_path / "cfg.json"
-    for section, key, value in [("optics", "band_halfwidth", "0.1"),
+    for section, key, value in [("optics", "gravity_weight", "0.1"),
                                 ("optics", "camera_z", "300"),
                                 ("detect", "min_diameter", "80"),
                                 ("optics", "principal_point", ["a", 2]),
@@ -235,13 +238,12 @@ def test_config_gravity_cosines_need_three_components(tmp_path):
 
 def test_config_principal_point_and_nan_values_rejected(tmp_path):
     # [1.0] later failed with an IndexError and a third value was dropped;
-    # NaN fails no plain comparison, so a NaN band or gravity passed
+    # NaN fails no plain comparison, so a NaN gravity passed
     p = tmp_path / "cfg.json"
     nan = float("nan")
     for optics, field in (({"principal_point": [1.0]}, "principal_point"),
                           ({"principal_point": [1.0, 2.0, 3.0]}, "principal_point"),
                           ({"principal_point": [nan, 2.0]}, "principal_point"),
-                          ({"band_halfwidth": nan}, "band_halfwidth"),
                           ({"gravity_cosines": [nan, 0.0, 1.0]}, "gravity")):
         p.write_text(json.dumps({"optics": {"n_water": 1.33, "camera_z": 300.0, **optics}}))
         with pytest.raises(DomainError, match=field):
@@ -250,8 +252,7 @@ def test_config_principal_point_and_nan_values_rejected(tmp_path):
 
 def test_config_bad_solver_weights_name_section_and_field(tmp_path):
     p = tmp_path / "cfg.json"
-    for key, value in (("tension_weight", -1.0), ("tension_weight", 0),
-                       ("gravity_weight", -1.0), ("gravity_weight", 1e400),
+    for key, value in (("gravity_weight", -1.0), ("gravity_weight", 1e400),
                        ("gravity_weight", 10**400)):
         p.write_text(json.dumps({"optics": {"n_water": 1.33, "camera_z": 300.0, key: value}}))
         with pytest.raises(DomainError) as exc:
@@ -263,10 +264,12 @@ def test_config_bad_solver_weights_name_section_and_field(tmp_path):
 def test_config_non_finite_values_name_section_and_field(tmp_path):
     # Python's json reads the NaN and Infinity literals
     p = tmp_path / "cfg.json"
-    for section, key in (("solver", "convergence_rel"), ("detect", "min_diameter")):
+    for section, key in (("optics", "n_water"), ("solver", "convergence_rel"),
+                         ("detect", "min_diameter")):
         for value in (float("nan"), float("inf")):
-            p.write_text(json.dumps({"optics": {"n_water": 1.33, "camera_z": 300.0},
-                                     section: {key: value}}))
+            doc = {"optics": {"n_water": 1.33, "camera_z": 300.0}}
+            doc.setdefault(section, {})[key] = value
+            p.write_text(json.dumps(doc))
             with pytest.raises(DomainError) as exc:
                 read_config(p)
             msg = str(exc.value)
@@ -276,7 +279,8 @@ def test_config_non_finite_values_name_section_and_field(tmp_path):
 def test_config_schema_lists_defaults_and_required():
     schema = config_schema()
     assert schema["optics"]["n_water"]["required"] is True
-    assert schema["optics"]["n_air"]["default"] == 1.0
+    assert schema["optics"]["gravity_weight"]["default"] == 1.0e-4
+    assert sum(len(section) for section in schema.values()) == 12
     assert schema["solver"]["max_iters"]["default"] == 4000
     assert schema["volume_loop"]["alpha_init"]["default"] == 0.30
     assert schema["detect"]["min_diameter"]["default"] == 300.0

@@ -142,8 +142,7 @@ def test_critical_normal_saturates_to_zero():
 
 
 def _camera_depth(rho2, z_c):
-    return float(equivalent_camera_depth(rho2, OpticalConfig(n_air=N_A, n_water=N_W,
-                                                              camera_z=z_c)))
+    return float(equivalent_camera_depth(rho2, OpticalConfig(n_water=N_W, camera_z=z_c)))
 
 
 def test_equivalent_camera_paraxial():

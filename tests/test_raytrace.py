@@ -11,7 +11,7 @@ from dropstereo.optics import (critical_normal_z_field, equivalent_camera_depth,
                                fresnel_transmittance_arrays, normal_z_field, refract_arrays)
 from dropstereo.raytrace import (ScenePlane, SceneSpec, TraceField, _transmittance_from_cos_w,
                                  trace_field, transmittance, uv_field)
-from dropstereo.volume_loop import band_ring
+from dropstereo.volume_loop import _BAND_HALFWIDTH, band_ring
 from dropstereo.scenes import make_texture
 
 from conftest import zncc
@@ -103,7 +103,7 @@ def test_trace_matches_two_interface_oracle_far_camera():
         assert valid
         n = nf[i, j]
         oracle = two_interface_trace(
-            (j - c, i - c, hf.z[i, j], n[0], n[1], n[2]), 3000.0, cfg.n_air, cfg.n_water)
+            (j - c, i - c, hf.z[i, j], n[0], n[1], n[2]), 3000.0, 1.0, cfg.n_water)
         worst = max(worst, float(np.abs(direction - oracle).max()))
     assert worst <= 1e-6
 
@@ -120,7 +120,7 @@ def test_trace_consistent_with_oracle_near_camera():
     assert valid
     n = normal_field(hf)[i, j]
     oracle = two_interface_trace((j - c, i - c, hf.z[i, j], n[0], n[1], n[2]), 300.0,
-                                 cfg.n_air, cfg.n_water)
+                                 1.0, cfg.n_water)
     assert np.abs(direction - oracle).max() <= 1e-3
 
 
@@ -224,7 +224,7 @@ def _full_raster_trace(hf, config):
     r_o, tir = refract_arrays(r_i, np.where(mask[..., None], normals, [0.0, 0.0, 1.0]),
                               config.eta)
     tir &= mask
-    arg = math.asin(config.n_air / config.n_water) + np.arccos(np.clip(r_i[..., 2], -1.0, 1.0))
+    arg = math.asin(1.0 / config.n_water) + np.arccos(np.clip(r_i[..., 2], -1.0, 1.0))
     return {
         "origins": np.stack([x, y, hf.z], axis=-1),
         "directions": r_o,
@@ -268,7 +268,7 @@ def test_band_fields_equal_full_raster_reference(mask_name, config_name):
     dark = dark_band_mask(hf, config)
     assert np.array_equal(dark, mask & (ref["n_z"] <= ref["n_crit"]))
     ring = band_ring(hf, config)
-    assert np.array_equal(ring, mask & (np.abs(n_z - ref["n_crit"]) <= config.band_halfwidth))
+    assert np.array_equal(ring, mask & (np.abs(n_z - ref["n_crit"]) <= _BAND_HALFWIDTH))
     assert dark.any() and ring.any()
 
 
@@ -276,7 +276,7 @@ def test_transmittance_is_the_two_interface_product(config):
     hf = _box_case("interior")
     tf = trace_field(hf, config)
     t_curved = _transmittance_from_cos_w(tf.cos_theta_w, config)
-    t_flat = fresnel_transmittance_arrays(tf.theta_flat_air, config.n_air, config.n_water)[2]
+    t_flat = fresnel_transmittance_arrays(tf.theta_flat_air, 1.0, config.n_water)[2]
     radiance = np.linspace(0.0, 1.0, tf.valid.size).reshape(tf.valid.shape)
     assert transmittance(tf, config).tobytes() == (t_curved * t_flat).tobytes()
     lit = transmittance(tf, config, radiance)
@@ -446,8 +446,7 @@ def test_render_constant_scene_equals_texture_times_transmittance(config):
     img = render_synthetic(scene, [(mask, hf)], config)
     tf = trace_field(hf, config)
     t = tf.box.paste(_transmittance_from_cos_w(tf.cos_theta_w, config)
-                     * fresnel_transmittance_arrays(tf.theta_flat_air, config.n_air,
-                                                    config.n_water)[2])
+                     * fresnel_transmittance_arrays(tf.theta_flat_air, 1.0, config.n_water)[2])
     lit = tf.box.paste(tf.valid) & (hf.z > 0)
     assert np.abs(img.pixels[lit] - 0.75 * t[lit]).max() <= 1e-3
     # compensation recovers the texture value

@@ -144,7 +144,7 @@ def test_compensation_normal_incidence_divides_by_squared_limit(config):
     comp, ok = compensate_illuminance(img, hf, config)
     c = m.membership.shape[0] // 2
     assert ok[c, c]
-    t0 = 4 * config.n_air * config.n_water / (config.n_air + config.n_water) ** 2
+    t0 = 4 * 1.0 * config.n_water / (1.0 + config.n_water) ** 2
     assert comp.pixels[c, c] == pytest.approx(min(0.5 / t0**2, 1.0), abs=2e-3)
 
 

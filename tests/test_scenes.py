@@ -87,9 +87,11 @@ def test_read_scene_wrong_type_names_file_and_field(tmp_path, where, value, fiel
     (("drops", 0, "alpha"), NAN, "alpha"),
     (("drops", 0, "alpha"), INF, "alpha"),
     (("drops", 0, "irregularity"), NAN, "irregularity"),
+    (("planes", 0, "texture"), {"kind": "noise", "seed": -1}, "seed"),
+    (("drops", 0, "seed"), -1, "seed"),
 ], ids=["depth_nan", "depth_huge_int", "scale_inf", "offset_nan", "x_min_nan", "texture_low_nan",
         "blur_radius_nan", "border_inf", "center_inf", "radius_zero", "alpha_nan",
-        "alpha_inf", "irregularity_nan"])
+        "alpha_inf", "irregularity_nan", "texture_seed_negative", "drop_seed_negative"])
 def test_read_scene_bad_value_names_file_and_field(tmp_path, where, value, field):
     # the record's own check rejects the value; the reader adds the file
     msg = _error(tmp_path, _doc_with(where, value))

@@ -32,11 +32,11 @@ def _buffer(st, grid):
     return st.pad(st.gather(grid))
 
 
-def _tension_once(st, z, interior, cfg):
+def _tension_once(st, z, interior):
     """The grid ``z`` after one ``_tension`` step, which moves the cells where
     the buffer ``interior`` is 1."""
     buf = _buffer(st, z)
-    _tension(buf, st, interior, cfg.tension_weight, np.zeros((4, st.size)))
+    _tension(buf, st, interior, np.zeros((4, st.size)))
     return st.cells(buf)
 
 
@@ -111,7 +111,7 @@ def test_volume_of_sums_heights():
 # --- tension step -----------------------------------------------------------
 
 
-def _tension_oracle(z, mask, tau, sigma):
+def _tension_oracle(z, mask, tau):
     """Independent one-step curvature flow: explicit loops, central/one-sided
     differences, rim pinned to zero."""
     m = mask.membership
@@ -145,19 +145,18 @@ def _tension_oracle(z, mask, tau, sigma):
     for i in range(h):
         for j in range(w):
             if interior[i, j]:
-                out[i, j] = zp[i, j] + tau * sigma * (diff(fx, i, j, 0, 1) + diff(fy, i, j, 1, 0))
+                out[i, j] = zp[i, j] + tau * (diff(fx, i, j, 0, 1) + diff(fy, i, j, 1, 0))
     return np.maximum(out, 0.0)
 
 
 def test_tension_step_matches_independent_stencil_and_pulls_rim_down():
     m = disk_mask(7)
-    cfg = OpticalConfig()
     inner = m.membership & ~m.boundary()
     z = np.where(inner, 2.0, 0.0)  # flat interior, pinned zero rim
     hf = HeightField(m, z)
     st = MaskStencil(m.membership)
-    stepped = _tension_once(st, hf.z, _buffer(st, inner), cfg)
-    expected = _tension_oracle(z, m, _TAU, 1.0)
+    stepped = _tension_once(st, hf.z, _buffer(st, inner))
+    expected = _tension_oracle(z, m, _TAU)
     assert np.abs(stepped - expected).max() <= 1e-12
     ring = inner & DropMask(inner).boundary()
     assert (stepped[ring] < 2.0).all()  # curvature flow pulls the rim down
@@ -171,7 +170,7 @@ def test_tension_step_planar_patch_free_boundary_fixed_point():
     hf = HeightField(m, np.where(m.membership, 1.0 + 0.3 * jj, 0.0))
     st = MaskStencil(m.membership)
     # a free boundary: every member moves
-    stepped = _tension_once(st, hf.z, st.inside, OpticalConfig())
+    stepped = _tension_once(st, hf.z, st.inside)
     assert np.abs(stepped - hf.z).max() <= 1e-9
 
 
@@ -185,8 +184,8 @@ def test_tension_descends_energy_from_pinned_cylinder():
     hf0 = init_mesh(m, 0.30)
     interior = _buffer(st, m.membership & ~m.boundary())
     # the first step pins the rim
-    hf1 = HeightField(m, _tension_once(st, hf0.z, interior, cfg))
-    hf2 = HeightField(m, _tension_once(st, hf1.z, interior, cfg))
+    hf1 = HeightField(m, _tension_once(st, hf0.z, interior))
+    hf2 = HeightField(m, _tension_once(st, hf1.z, interior))
     e1 = energy_of(hf1, cfg)[0]
     e2 = energy_of(hf2, cfg)[0]
     assert e2 < e1
@@ -278,7 +277,7 @@ def test_volume_step_restores_after_tension_and_gravity():
     target = initial_volume(m, 0.3)
     hf = init_mesh(m, 0.3)
     st = MaskStencil(m.membership)
-    z = st.gather(_tension_once(st, hf.z, _buffer(st, m.membership & ~m.boundary()), cfg))
+    z = st.gather(_tension_once(st, hf.z, _buffer(st, m.membership & ~m.boundary())))
     z = _tilt(z, st, cfg)
     out = HeightField(m, _volume_restored(st, z, target))
     assert volume_of(out) == pytest.approx(target, rel=1e-9)
@@ -320,14 +319,14 @@ def test_energy_matches_quadrature_oracle():
     z = np.where(m.membership, rng.uniform(0, 3, m.membership.shape), 0.0)
     hf = HeightField(m, z)
     cfg = OpticalConfig(gravity_cosines=(0.48, 0.6, 0.64), gravity_weight=0.37,
-                        tension_weight=2.0, principal_point=(0.0, 0.0))
+                        principal_point=(0.0, 0.0))
     e_t, e_g, e = energy_of(hf, cfg)
     # oracle: per-pixel numeric quadrature of the column potential plus an
     # independent area-element sum
     st = MaskStencil(m.membership)
     v = st.gather(hf.z)
     gx, gy = st.scatter(st.diff(v, 1)), st.scatter(st.diff(v, 0))
-    e_t_oracle = cfg.tension_weight * sum(
+    e_t_oracle = sum(
         np.sqrt(1 + gx[i, j] ** 2 + gy[i, j] ** 2)
         for i in range(m.height) for j in range(m.width) if m.membership[i, j])
     e_g_oracle = 0.0
@@ -457,7 +456,7 @@ def _oracle_solve(mask, target, n, cfg, init=None):
 
     def energy(v):
         gx, gy = st.diff(v, 1), st.diff(v, 0)
-        e_t = cfg.tension_weight * float(np.sqrt(1.0 + gx * gx + gy * gy).sum())
+        e_t = float(np.sqrt(1.0 + gx * gx + gy * gy).sum())
         e_g = cfg.gravity_weight * float((v * (x * gcx + y * gcy) + 0.5 * v * v * gcz).sum())
         return e_t, e_g, e_t + e_g
 
@@ -471,7 +470,7 @@ def _oracle_solve(mask, target, n, cfg, init=None):
         gx, gy = st.diff(z, 1), st.diff(z, 0)
         denom = np.sqrt(1.0 + gx * gx + gy * gy)
         flow = st.diff(gx / denom, 1) + st.diff(gy / denom, 0)
-        z = checked(np.where(ring, z, z + _TAU * cfg.tension_weight * flow))
+        z = checked(np.where(ring, z, z + _TAU * flow))
         # tilt about the height-weighted centroid
         if gcx != 0.0 or gcy != 0.0:
             x_g, y_g = float((z * jj).sum() / b), float((z * ii).sum() / b)
