@@ -7,7 +7,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -61,19 +60,12 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    shape = (scene.height, scene.width)
-    masks = [spec.build_mask(shape) for spec in drop_specs]
-
-    def solve_one(pair):
-        mask, spec = pair
+    drops = []
+    for spec in drop_specs:
+        mask = spec.build_mask((scene.height, scene.width))
         hf, rep = _solve_drop(mask, spec.alpha, cfg)
         log.info("drop solved: alpha=%.2f iters=%d", spec.alpha, rep.iterations_run)
-        return hf
-
-    with ThreadPoolExecutor(max_workers=max(len(masks), 1)) as pool:
-        fields = list(pool.map(solve_one, zip(masks, drop_specs)))
-
-    drops = list(zip(masks, fields))
+        drops.append((mask, hf))
     image = render_synthetic(scene, drops, cfg.optics)
     formats.write_pnm(out / "image.pgm", image.pixels)
     for k, (mask, hf) in enumerate(drops):

@@ -57,6 +57,7 @@ def fresnel_transmittance(theta_a: float, n_a: float, n_w: float) -> FresnelResu
 def fresnel_transmittance_arrays(theta_a: np.ndarray, n_a: float,
                                  n_w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(T_s, T_p, T) for an array of air-side incidence angles."""
+    _check_indices(n_a, n_w)
     ta = np.asarray(theta_a, dtype=float)
     if np.any(ta < 0.0) or np.any(ta >= math.pi / 2):
         raise DomainError("theta_a must lie in [0, pi/2)")
@@ -79,6 +80,13 @@ def fresnel_transmittance_arrays(theta_a: np.ndarray, n_a: float,
     return t_s, t_p, 0.5 * (t_s + t_p)
 
 
+def _check_indices(n_a: float, n_w: float) -> None:
+    """Air-to-water convention: both indices finite and positive, n_w > n_a."""
+    if not 0.0 < n_a < n_w < math.inf:
+        raise DomainError(f"indices n_a and n_w must be finite and positive with "
+                          f"n_w > n_a, got n_a={n_a!r}, n_w={n_w!r}")
+
+
 def band_transmittance_linear(n_z: float, n_crit: float) -> float:
     """Linearized band transmittance 7.68 * (N_z - N_crit), clamped to [0, 1].
 
@@ -95,6 +103,7 @@ def critical_normal_z(theta_cprime: float, n_a: float, n_w: float) -> float:
     tilted ``theta_cprime`` from the optical axis."""
     if not 0.0 <= theta_cprime < math.pi / 2:
         raise DomainError("theta_cprime must lie in [0, pi/2)")
+    _check_indices(n_a, n_w)
     return float(_critical_normal_z(theta_cprime, n_a, n_w))
 
 
@@ -109,8 +118,6 @@ def equivalent_camera_depth(rho2: np.ndarray, config: OpticalConfig) -> np.ndarr
 
     Returns +inf for the camera-at-infinity mode.
     """
-    if math.isinf(config.camera_z):
-        return np.full(np.shape(rho2), np.inf)
     z_c = config.camera_z
     k = (config.n_water**2 - N_AIR**2) / config.n_water**2
     return config.eta * z_c * np.sqrt(1.0 + k * np.asarray(rho2, dtype=float) / z_c**2)

@@ -35,15 +35,14 @@ class Ray(NamedTuple):
 class ScenePlane:
     """Fronto-parallel textured plane z = depth.
 
-    ``scale`` is scene pixels per texture pixel, ``offset`` shifts the
-    texture in scene coordinates.  ``x_min``/``x_max`` restrict the plane to
-    a slab of scene X, letting a scene stack planes at different depths.
+    ``scale`` is scene pixels per texture pixel, with the texture centred
+    on the optical axis.  ``x_min``/``x_max`` restrict the plane to a slab
+    of scene X, letting a scene stack planes at different depths.
     """
 
     depth: float
     texture: np.ndarray
     scale: float = 1.0
-    offset: tuple[float, float] = (0.0, 0.0)
     x_min: float | None = None
     x_max: float | None = None
 
@@ -54,9 +53,6 @@ class ScenePlane:
         for name, value in (("depth", self.depth), ("scale", self.scale)):
             if not (math.isfinite(value) and value > 0.0):
                 raise DomainError(f"plane {name} must be finite and positive")
-        if len(self.offset) != 2 or not np.isfinite(self.offset).all():
-            raise DomainError(f"field 'offset' must hold two finite numbers, "
-                              f"got {list(self.offset)!r}")
         if not all(x is None or math.isfinite(x) for x in (self.x_min, self.x_max)):
             raise DomainError("plane x_min and x_max must be finite or null")
         object.__setattr__(self, "texture", np.clip(tex, 0.0, 1.0))
@@ -73,8 +69,8 @@ class ScenePlane:
         """Bilinear texture lookup at scene coordinates; ``border`` of None
         tiles the texture, otherwise out-of-texture hits take that value."""
         th, tw = self.texture.shape
-        tx = (x - self.offset[0]) / self.scale + (tw - 1) / 2.0
-        ty = (y - self.offset[1]) / self.scale + (th - 1) / 2.0
+        tx = x / self.scale + (tw - 1) / 2.0
+        ty = y / self.scale + (th - 1) / 2.0
         if border is None:
             return _bilinear_wrap(self.texture, ty, tx)
         inside = (tx >= 0) & (tx <= tw - 1) & (ty >= 0) & (ty <= th - 1)
@@ -92,7 +88,6 @@ class SceneSpec:
     planes: tuple[ScenePlane, ...]
     blur_radius: float = 6.0
     ambient_leak: float = 0.02
-    border: float | None = None
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
@@ -103,8 +98,6 @@ class SceneSpec:
             raise DomainError("blur_radius must be finite and non-negative")
         if not 0.0 <= self.ambient_leak <= 1.0:
             raise DomainError("ambient_leak must be in [0, 1]")
-        if self.border is not None and not math.isfinite(self.border):
-            raise DomainError("border must be finite or null")
         object.__setattr__(self, "planes", tuple(self.planes))
 
 
@@ -158,10 +151,7 @@ def trace_field(hf: HeightField, config: OpticalConfig) -> TraceField:
     cos_w = np.abs(np.sum(r_i * normals, axis=-1))
     valid = mask & ~tir & (r_o[..., 2] > _MIN_FORWARD_Z)
     origins = np.stack([x, y, box.crop(hf.z)], axis=-1)
-    if math.isinf(config.camera_z):
-        theta_flat = np.zeros_like(x)
-    else:
-        theta_flat = np.arctan(np.hypot(x, y) / config.camera_z)
+    theta_flat = np.arctan(np.hypot(x, y) / config.camera_z)
     return TraceField(origins, r_o, valid, tir, np.clip(cos_w, 0.0, 1.0), theta_flat, box)
 
 
@@ -315,17 +305,14 @@ def dewarp_image(image: RasterGray, tf: TraceField, out_resolution: int = 256,
 
 def _background(scene: SceneSpec, config: OpticalConfig) -> np.ndarray:
     x, y = plate_coords((scene.height, scene.width), config)
-    out = np.full((scene.height, scene.width), scene.border if scene.border is not None else 0.0)
+    out = np.zeros((scene.height, scene.width))
     todo = np.ones_like(out, dtype=bool)
     for plane in scene.planes:
-        if math.isinf(config.camera_z):
-            hx, hy = x, y
-        else:
-            m = 1.0 + plane.depth / config.camera_z
-            hx, hy = x * m, y * m
+        m = 1.0 + plane.depth / config.camera_z
+        hx, hy = x * m, y * m
         sel = todo & plane.covers(hx)
         if sel.any():
-            out[sel] = plane.sample(hx[sel], hy[sel], scene.border)
+            out[sel] = plane.sample(hx[sel], hy[sel], None)
             todo &= ~sel
     return out
 
@@ -337,9 +324,8 @@ def _plane_hits(origins: np.ndarray, directions: np.ndarray,
     return t, origins[..., 0] + t * directions[..., 0], origins[..., 1] + t * directions[..., 1]
 
 
-def _scene_hits(scene: SceneSpec, tf: TraceField) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Intersect traced rays with the scene: (value, hit_x, depth, hit mask)."""
-    hx = np.zeros(tf.valid.shape)
+def _scene_hits(scene: SceneSpec, tf: TraceField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Intersect traced rays with the scene: (value, depth, hit mask)."""
     val = np.zeros(tf.valid.shape)
     dep = np.full(tf.valid.shape, np.nan)
     todo = tf.valid.copy()
@@ -348,12 +334,11 @@ def _scene_hits(scene: SceneSpec, tf: TraceField) -> tuple[np.ndarray, np.ndarra
             t, px, py = _plane_hits(tf.origins, tf.directions, plane.depth)
             sel = todo & (t > 0) & plane.covers(px)
             if sel.any():
-                val[sel] = plane.sample(px[sel], py[sel], scene.border)
-                hx[sel] = px[sel]
+                val[sel] = plane.sample(px[sel], py[sel], None)
                 dep[sel] = plane.depth
                 todo &= ~sel
     hit = tf.valid & ~todo
-    return val, hx, dep, hit
+    return val, dep, hit
 
 
 def render_synthetic(scene: SceneSpec, drops: list[tuple[DropMask, HeightField]],
@@ -374,8 +359,7 @@ def render_synthetic(scene: SceneSpec, drops: list[tuple[DropMask, HeightField]]
         if float(hf.z.max()) >= min(p.depth for p in scene.planes):
             raise DomainError("scene planes must lie behind every drop")
         tf = trace_field(hf, config)
-        val, _, _, hit = _scene_hits(scene, tf)
-        val = np.where(hit, val, scene.border if scene.border is not None else 0.0)
+        val = _scene_hits(scene, tf)[0]  # 0.0 where a ray misses every plane
         # zero water thickness carries no drop optics; only wetted pixels
         # leave the background path
         wet = tf.box.crop(hf.mask.membership) & (tf.box.crop(hf.z) > 0.0)
@@ -390,7 +374,7 @@ def render_depth_truth(scene: SceneSpec, hf: HeightField,
                        config: OpticalConfig) -> np.ndarray:
     """Ground-truth scene depth per transmitted drop pixel (NaN elsewhere)."""
     tf = trace_field(hf, config)
-    _, _, dep, hit = _scene_hits(scene, tf)
+    _, dep, hit = _scene_hits(scene, tf)
     return tf.box.paste(np.where(hit, dep, np.nan), np.nan)
 
 

@@ -6,7 +6,8 @@ import pytest
 from dropstereo import (DomainError, HeightField, OpticalConfig, SolverParams,
                         band_transmittance_linear, critical_normal_z, dark_band_mask,
                         disk_mask, fresnel_transmittance, initial_volume, solve_fixed_volume)
-from dropstereo.optics import equivalent_camera_depth, refract_arrays
+from dropstereo.optics import (equivalent_camera_depth, fresnel_transmittance_arrays,
+                               refract_arrays)
 
 N_A, N_W = 1.0, 4.0 / 3.0
 
@@ -136,6 +137,32 @@ def test_critical_normal_strictly_decreasing():
 
 def test_critical_normal_saturates_to_zero():
     assert critical_normal_z(1.2, N_A, N_W) == 0.0
+
+
+# --- refractive indices ---------------------------------------------------------
+
+
+_INDEXED = {"critical": critical_normal_z, "fresnel": fresnel_transmittance,
+            "arrays": lambda theta, n_a, n_w: fresnel_transmittance_arrays(
+                np.array([theta, 2.0 * theta]), n_a, n_w)}
+
+
+@pytest.mark.parametrize("func, n_a, n_w", [
+    ("critical", 1.5, 1.0),
+    ("critical", 0.0, N_W),
+    ("critical", -1.0, N_W),
+    ("fresnel", 1.0, 0.0),
+    ("fresnel", math.nan, N_W),
+    ("fresnel", N_W, N_W),
+    ("arrays", N_A, math.inf),
+    ("arrays", N_A, math.nan),
+], ids=["critical_reversed", "critical_n_a_zero", "critical_n_a_negative", "fresnel_n_w_zero",
+        "fresnel_n_a_nan", "fresnel_equal", "arrays_n_w_inf", "arrays_n_w_nan"])
+def test_indices_outside_air_to_water_rejected(func, n_a, n_w):
+    # both indices finite and positive with n_w > n_a, as OpticalConfig holds them
+    with pytest.raises(DomainError) as exc:
+        _INDEXED[func](0.1, n_a, n_w)
+    assert "n_a" in str(exc.value) and "n_w" in str(exc.value), exc.value
 
 
 # --- equivalent camera -----------------------------------------------------------

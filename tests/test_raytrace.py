@@ -6,7 +6,7 @@ import pytest
 from dropstereo import (DomainError, EmptyOutput, HeightField, OpticalConfig, RasterGray,
                         SolverParams, dark_band_mask, dewarp_image, disk_mask,
                         initial_volume, render_synthetic, solve_fixed_volume)
-from dropstereo.core import DropBox, MaskStencil, normal_field
+from dropstereo.core import DropBox, MaskStencil, normal_field, plate_coords
 from dropstereo.optics import (critical_normal_z_field, equivalent_camera_depth,
                                fresnel_transmittance_arrays, normal_z_field, refract_arrays)
 from dropstereo.raytrace import (ScenePlane, SceneSpec, TraceField, _transmittance_from_cos_w,
@@ -14,7 +14,7 @@ from dropstereo.raytrace import (ScenePlane, SceneSpec, TraceField, _transmittan
 from dropstereo.volume_loop import _BAND_HALFWIDTH, band_ring
 from dropstereo.scenes import make_texture
 
-from conftest import zncc
+from conftest import edge_deviation, zncc
 
 
 # --- independent two-interface oracle ----------------------------------------
@@ -336,25 +336,6 @@ def test_dewarp_straightens_edge(single_drop_render, config):
                            blur_radius=scene.blur_radius)
     img = render_synthetic(edge_scene, [(mask, hf)], config)
 
-    def edge_deviation(raster, valid):
-        cols = []
-        for r in range(raster.shape[0]):
-            row = raster[r]
-            ok = valid[r]
-            idx = np.nonzero(ok & (row > 0.05) & (row < np.where(ok, row, 0).max() * 0.95))[0]
-            cross = np.nonzero((row[:-1] <= 0.5) & (row[1:] > 0.5) & ok[:-1] & ok[1:])[0]
-            if cross.size == 1:
-                cols.append(cross[0] + (0.5 - row[cross[0]]) / (row[cross[0] + 1] - row[cross[0]]))
-            else:
-                cols.append(np.nan)
-        cols = np.array(cols, dtype=float)
-        good = np.isfinite(cols)
-        if good.sum() < 10:
-            return np.nan
-        rr = np.nonzero(good)[0]
-        fit = np.polyfit(rr, cols[good], 1)
-        return float(np.abs(cols[good] - np.polyval(fit, rr)).max())
-
     i0, i1, j0, j1 = mask.bbox()
     warped_dev = edge_deviation(img.pixels[i0:i1, j0:j1],
                                 mask.membership[i0:i1, j0:j1] & (hf.z[i0:i1, j0:j1] > 1.0))
@@ -435,6 +416,20 @@ def test_render_zero_height_drop_is_pure_background(config):
     with_drop = render_synthetic(scene, [(m, hf)], config)
     without = render_synthetic(scene, [], config)
     assert np.array_equal(with_drop.pixels, without.pixels)
+
+
+def test_render_orthographic_background_samples_unmagnified_plate():
+    # a camera at infinity sees every plane at plate coordinates, unscaled
+    # by depth; the first plane covering a pixel's x wins
+    cfg = OpticalConfig(camera_z=math.inf, principal_point=(20.5, 13.0))
+    near = ScenePlane(depth=800.0, texture=make_texture("noise", 32, 4, seed=2), scale=1.5,
+                      x_max=-3.0)
+    far = ScenePlane(depth=3000.0, texture=make_texture("checker", 16, 4), scale=2.5)
+    scene = SceneSpec(width=48, height=30, planes=(near, far), blur_radius=0.0)
+    img = render_synthetic(scene, [], cfg)
+    x, y = plate_coords((30, 48), cfg)
+    expected = np.where(x < -3.0, near.sample(x, y, None), far.sample(x, y, None))
+    assert img.pixels.tobytes() == expected.tobytes()
 
 
 def test_render_constant_scene_equals_texture_times_transmittance(config):

@@ -13,8 +13,8 @@ NAN, INF = float("nan"), float("inf")
 
 def _doc():
     return {
-        "width": 64, "height": 48, "blur_radius": 2.0, "border": 0.5,
-        "planes": [{"depth": 2000.0, "scale": 4.0, "offset": [1.0, -2.0], "x_min": None,
+        "width": 64, "height": 48, "blur_radius": 2.0,
+        "planes": [{"depth": 2000.0, "scale": 4.0, "x_min": None,
                     "texture": {"kind": "checker", "size": 16, "period": 4}}],
         "drops": [{"center": [20, 30.5], "radius": 8, "alpha": 0.30, "seed": 1}],
     }
@@ -44,9 +44,9 @@ def _error(tmp_path, doc) -> str:
 
 def test_read_scene_loads_typed_values(tmp_path):
     scene, drops = read_scene(_write(tmp_path, _doc()))
-    assert (scene.width, scene.height, scene.blur_radius, scene.border) == (64, 48, 2.0, 0.5)
+    assert (scene.width, scene.height, scene.blur_radius) == (64, 48, 2.0)
     (plane,) = scene.planes
-    assert plane.depth == 2000.0 and plane.offset == (1.0, -2.0) and plane.x_min is None
+    assert plane.depth == 2000.0 and plane.scale == 4.0 and plane.x_min is None
     assert plane.texture.shape == (16, 16)
     (drop,) = drops
     assert drop.center == (20, 30.5) and drop.radius == 8 and drop.seed == 1
@@ -54,20 +54,17 @@ def test_read_scene_loads_typed_values(tmp_path):
 
 @pytest.mark.parametrize("where, value, field", [
     (("width",), 64.7, "width"),
-    (("border",), "x", "border"),
     (("planes",), {"depth": 2000.0}, "planes"),
     (("drops",), {"center": [20, 30], "radius": 8}, "drops"),
     (("planes", 0, "depth"), "2000", "depth"),
-    (("planes", 0, "offset"), [1.0, 2.0, 3.0], "offset"),
     (("planes", 0, "x_max"), "right", "x_max"),
     (("planes", 0, "texture", "size"), "16", "size"),
     (("drops", 0, "radius"), 8.9, "radius"),
     (("drops", 0, "center"), [20], "center"),
     (("drops", 0, "center"), "ab", "center"),
     (("drops", 0, "alpha"), True, "alpha"),
-], ids=["width_float", "border_string", "planes_object", "drops_object", "depth_string",
-        "offset_three", "x_max_string", "texture_size_string", "radius_float",
-        "center_one", "center_string", "alpha_bool"])
+], ids=["width_float", "planes_object", "drops_object", "depth_string", "x_max_string",
+        "texture_size_string", "radius_float", "center_one", "center_string", "alpha_bool"])
 def test_read_scene_wrong_type_names_file_and_field(tmp_path, where, value, field):
     msg = _error(tmp_path, _doc_with(where, value))
     assert "scene.json" in msg and f"'{field}'" in msg, msg
@@ -77,11 +74,9 @@ def test_read_scene_wrong_type_names_file_and_field(tmp_path, where, value, fiel
     (("planes", 0, "depth"), NAN, "depth"),
     (("planes", 0, "depth"), 10**400, "depth"),
     (("planes", 0, "scale"), INF, "scale"),
-    (("planes", 0, "offset"), [NAN, 0.0], "offset"),
     (("planes", 0, "x_min"), NAN, "x_min"),
     (("planes", 0, "texture", "low"), NAN, "texture"),
     (("blur_radius",), NAN, "blur_radius"),
-    (("border",), INF, "border"),
     (("drops", 0, "center"), [20, INF], "center"),
     (("drops", 0, "radius"), 0, "radius"),
     (("drops", 0, "alpha"), NAN, "alpha"),
@@ -89,9 +84,9 @@ def test_read_scene_wrong_type_names_file_and_field(tmp_path, where, value, fiel
     (("drops", 0, "irregularity"), NAN, "irregularity"),
     (("planes", 0, "texture"), {"kind": "noise", "seed": -1}, "seed"),
     (("drops", 0, "seed"), -1, "seed"),
-], ids=["depth_nan", "depth_huge_int", "scale_inf", "offset_nan", "x_min_nan", "texture_low_nan",
-        "blur_radius_nan", "border_inf", "center_inf", "radius_zero", "alpha_nan",
-        "alpha_inf", "irregularity_nan", "texture_seed_negative", "drop_seed_negative"])
+], ids=["depth_nan", "depth_huge_int", "scale_inf", "x_min_nan", "texture_low_nan",
+        "blur_radius_nan", "center_inf", "radius_zero", "alpha_nan", "alpha_inf",
+        "irregularity_nan", "texture_seed_negative", "drop_seed_negative"])
 def test_read_scene_bad_value_names_file_and_field(tmp_path, where, value, field):
     # the record's own check rejects the value; the reader adds the file
     msg = _error(tmp_path, _doc_with(where, value))
@@ -121,12 +116,15 @@ def test_read_scene_omitted_values_take_the_class_defaults(tmp_path):
     (("planes", 0, "bogus"), 1, "bogus"),
     (("planes", 0, "texture", "bogus"), 1, "bogus"),
     (("drops", 0, "bogus"), 1, "bogus"),
+    (("border",), 0.5, "border"),
+    (("planes", 0, "offset"), [1.0, -2.0], "offset"),
     (("planes",), [], "plane"),
     (("planes", 0), {"depth": 2000.0}, "texture"),
     (("planes", 0, "texture"), {"size": 16}, "kind"),
     (("drops", 0), {"center": [20, 30]}, "radius"),
-], ids=["top_unknown", "plane_unknown", "texture_unknown", "drop_unknown", "planes_empty",
-        "plane_no_texture", "texture_no_kind", "drop_no_radius"])
+], ids=["top_unknown", "plane_unknown", "texture_unknown", "drop_unknown", "border_unknown",
+        "offset_unknown", "planes_empty", "plane_no_texture", "texture_no_kind",
+        "drop_no_radius"])
 def test_read_scene_unknown_or_missing_key_names_file(tmp_path, where, value, field):
     msg = _error(tmp_path, _doc_with(where, value))
     assert "scene.json" in msg and field in msg, msg
