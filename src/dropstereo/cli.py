@@ -64,7 +64,8 @@ def cmd_synth(args) -> int:
     for spec in drop_specs:
         mask = spec.build_mask((scene.height, scene.width))
         hf, rep = _solve_drop(mask, spec.alpha, cfg)
-        log.info("drop solved: alpha=%.2f iters=%d", spec.alpha, rep.iterations_run)
+        log.info("drop solved: alpha=%.2f iters=%d converged=%s", spec.alpha,
+                 rep.iterations_run, rep.converged)
         drops.append((mask, hf))
     image = render_synthetic(scene, drops, cfg.optics)
     formats.write_pnm(out / "image.pgm", image.pixels)
@@ -110,7 +111,7 @@ def cmd_reconstruct(args) -> int:
             raise DomainError(f"alpha {alpha_est} outside [{ALPHA_MIN}, {ALPHA_MAX}]")
         hf, rep = _solve_drop(mask, alpha_est, cfg)
         extras = {}
-        work = f"iters={rep.iterations_run}"
+        work = f"iters={rep.iterations_run} converged={rep.converged}"
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     formats.write_height_field(out, hf)

@@ -324,8 +324,9 @@ def _plane_hits(origins: np.ndarray, directions: np.ndarray,
     return t, origins[..., 0] + t * directions[..., 0], origins[..., 1] + t * directions[..., 1]
 
 
-def _scene_hits(scene: SceneSpec, tf: TraceField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Intersect traced rays with the scene: (value, depth, hit mask)."""
+def _scene_hits(scene: SceneSpec, tf: TraceField) -> tuple[np.ndarray, np.ndarray]:
+    """Intersect traced rays with the scene: (value, depth); a ray that
+    misses every plane reads value 0 and depth NaN."""
     val = np.zeros(tf.valid.shape)
     dep = np.full(tf.valid.shape, np.nan)
     todo = tf.valid.copy()
@@ -337,8 +338,7 @@ def _scene_hits(scene: SceneSpec, tf: TraceField) -> tuple[np.ndarray, np.ndarra
                 val[sel] = plane.sample(px[sel], py[sel], None)
                 dep[sel] = plane.depth
                 todo &= ~sel
-    hit = tf.valid & ~todo
-    return val, dep, hit
+    return val, dep
 
 
 def render_synthetic(scene: SceneSpec, drops: list[tuple[DropMask, HeightField]],
@@ -374,8 +374,7 @@ def render_depth_truth(scene: SceneSpec, hf: HeightField,
                        config: OpticalConfig) -> np.ndarray:
     """Ground-truth scene depth per transmitted drop pixel (NaN elsewhere)."""
     tf = trace_field(hf, config)
-    _, dep, hit = _scene_hits(scene, tf)
-    return tf.box.paste(np.where(hit, dep, np.nan), np.nan)
+    return tf.box.paste(_scene_hits(scene, tf)[1], np.nan)
 
 
 def _transmittance_from_cos_w(cos_w: np.ndarray, config: OpticalConfig) -> np.ndarray:

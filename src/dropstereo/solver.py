@@ -1,10 +1,14 @@
 """Fixed-volume minimum-energy surface solver.
 
 A drop surface minimizes tension energy plus gravitational potential energy
-at constant volume.  Each sweep runs three updates in order: a curvature-flow
+at constant volume.  Each sweep runs four updates in order: a curvature-flow
 tension step with the contact line (the mask boundary ring) pinned to zero, a
-planar gravity tilt about the height-weighted centroid, and a uniform shift
-restoring the target volume exactly.
+planar gravity tilt about the height-weighted centroid, a heavy-ball term
+(Polyak 1964) adding ``_MOMENTUM`` times the previous sweep's change on the
+cells off the ring, and a uniform shift restoring the target volume exactly.
+A solve starts with zero momentum, so its first sweep is the plain one; the
+term vanishes where the surface stops moving, so the fixed point is that of
+the plain sweep, reached in far fewer sweeps.
 
 A solve keeps its heights in one ``MaskStencil`` buffer of the drop's box
 (the box grid with a zero row above and below) and updates it in place; its
@@ -28,6 +32,9 @@ from .errors import DomainError, SolverDiverged
 _ENERGY_EVERY = 50
 # step size of the tension and gravity updates
 _TAU = 0.5
+# heavy-ball factor on the previous sweep's change; at 0.9 the 50-sweep
+# energy samples of an r=58 blob rise by 1.5e-6, at 0.95 an r=50 disk's by 3e-3
+_MOMENTUM = 0.8
 
 
 @dataclass(frozen=True)
@@ -181,8 +188,11 @@ def _restore_volume(z: np.ndarray, zm: np.ndarray, target_volume: float,
 def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParams,
                        config: OpticalConfig, init: HeightField | None = None
                        ) -> tuple[HeightField, SolveReport]:
-    """Iterate tension/gravity/volume sweeps until the per-sweep absolute
-    height change drops below convergence_rel * V or max_iters is reached."""
+    """Iterate tension/gravity/momentum/volume sweeps until the per-sweep
+    absolute height change drops below convergence_rel * V or max_iters is
+    reached.  The momentum term adds ``_MOMENTUM`` times the previous sweep's
+    change on the cells off the contact ring, clamped at zero, before the
+    volume restore; it is zero on the first sweep of every solve."""
     if target_volume <= 0.0:
         raise DomainError("target volume must be positive")
     if mask.area == 0:
@@ -201,6 +211,7 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     z = st.pad(st.gather(z))
     interior = st.pad(~st.gather(sub_mask.boundary()))
     prev = np.empty(st.size)
+    step = np.zeros(st.size)  # the previous sweep's change
     work = np.zeros((4, st.size))
     gcx, gcy, _ = config.gravity_cosines
     tilted = gcx != 0.0 or gcy != 0.0
@@ -212,16 +223,18 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     for t in range(params.max_iters):
         np.copyto(prev, z)
         _tension(z, st, interior, work)
-        zm = z.take(st.members)
         if tilted:
-            zm = _tilt(zm, st, config)
-            z[st.members] = zm
-        _restore_volume(z, zm, target_volume, st)
+            z[st.members] = _tilt(z.take(st.members), st, config)
+        step *= interior
+        step *= _MOMENTUM
+        z += step
+        np.maximum(z, 0.0, out=z)
+        _restore_volume(z, z.take(st.members), target_volume, st)
         iterations = t + 1
+        np.subtract(z, prev, out=step)
         # summed over the box grid, zeros off the mask included: the pixel
         # vector's own sum groups the additions differently
-        np.subtract(z, prev, out=prev)
-        delta = float(np.abs(st.cells(prev), out=st.cells(prev)).sum())
+        delta = float(np.abs(st.cells(step), out=st.cells(prev)).sum())
         if t % _ENERGY_EVERY == 0:
             history.append((iterations, _energy(z, st, config, box)[2]))
         if delta < threshold:

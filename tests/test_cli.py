@@ -40,6 +40,13 @@ def test_pipeline_eval_report(pipeline_runs):
         assert report["rms_pct"] <= 3.0, path.name
 
 
+def test_pipeline_reconstructions_converged(pipeline_runs):
+    run, _ = pipeline_runs
+    for drop in run["drops"]:
+        report = json.loads(drop.with_suffix(".json").read_text())
+        assert report["converged"] is True, drop.name
+
+
 def test_pipeline_rectified_sidecar(pipeline_runs):
     run, _ = pipeline_runs
     sidecar = json.loads(run["rect"].with_suffix(".json").read_text())

@@ -7,7 +7,7 @@ from dropstereo import (DomainError, DropMask, HeightField, OpticalConfig, Solve
                         solve_fixed_volume, volume_of)
 from dropstereo.core import DropBox, MaskStencil
 from dropstereo.masks import blob_mask
-from dropstereo.solver import _TAU, _restore_volume, _tension, _tilt
+from dropstereo.solver import _MOMENTUM, _TAU, _restore_volume, _tension, _tilt
 
 from conftest import cap_field
 from test_core import _oracle_masks, _shifted_oracle
@@ -345,6 +345,9 @@ def test_energy_matches_quadrature_oracle():
 # --- fixed-volume solve -------------------------------------------------------
 
 
+_TILTED = (0.3, 0.4, np.sqrt(0.75))
+
+
 def test_solve_matches_spherical_cap(cap50, config):
     mask, hf, report = cap50
     target = initial_volume(mask, 0.30)
@@ -380,6 +383,22 @@ def test_solve_converged_state_is_fixed_point(cap50, config):
     assert rep2.last_delta < params().convergence_rel * target
 
 
+@pytest.mark.parametrize("mask, gravity", [
+    (blob_mask(58, shape=(140, 140), center=(70.0, 70.0), irregularity=0.06, seed=1),
+     (0.0, 0.0, 1.0)),
+    (disk_mask(40), _TILTED),
+], ids=["pipeline_blob_plumb", "disk_tilted"])
+def test_solve_converges_within_default_cap(mask, gravity):
+    # a pipeline-sized drop converges under the default sweep cap, and a
+    # plain sweep from its result moves it by less than the threshold
+    cfg = OpticalConfig(gravity_cosines=gravity, gravity_weight=1e-3)
+    target = initial_volume(mask, 0.30)
+    hf, report = solve_fixed_volume(mask, target, params(), cfg)
+    assert report.converged
+    _, probe = solve_fixed_volume(mask, target, params(max_iters=1), cfg, init=hf)
+    assert probe.last_delta < params().convergence_rel * target
+
+
 def test_solve_volume_exact_after_each_sweep(config):
     m = disk_mask(15)
     target = initial_volume(m, 0.3)
@@ -403,9 +422,6 @@ def _spiked_init(m):
     c = m.height // 2
     z[c - 1 : c + 2, c - 1 : c + 2] = 400.0
     return HeightField(m, z)
-
-
-_TILTED = (0.3, 0.4, np.sqrt(0.75))
 
 
 class _GatherStencil:
@@ -434,7 +450,7 @@ class _GatherStencil:
 
 def _oracle_solve(mask, target, n, cfg, init=None):
     """``solve_fixed_volume`` as the pixel-vector sweep ran it, independent of
-    the solver's kernel: the three steps on the vector of the box's member
+    the solver's kernel: the four steps on the vector of the box's member
     pixels, and the change summed over the box grid.  Also returns, per
     sweep, whether the plain volume shift went negative (the clamp
     branches ran)."""
@@ -463,6 +479,7 @@ def _oracle_solve(mask, target, n, cfg, init=None):
     threshold = SolverParams().convergence_rel * target
     change = np.zeros(m.shape)
     history, clamped, converged, t = [], [], False, 0
+    last = np.zeros(b)  # the previous sweep's change; none before the first
     for t in range(1, n + 1):
         prev = z
         # tension, with the contact ring pinned at zero
@@ -475,6 +492,8 @@ def _oracle_solve(mask, target, n, cfg, init=None):
         if gcx != 0.0 or gcy != 0.0:
             x_g, y_g = float((z * jj).sum() / b), float((z * ii).sum() / b)
             z = checked(z - _TAU * cfg.gravity_weight * ((y_g - ii) * gcy + (x_g - jj) * gcx))
+        # heavy ball: the previous sweep's change again, off the ring
+        z = checked(np.where(ring, z, z + _MOMENTUM * last))
         # volume restore, with both clamp branches
         z = z + (target - z.sum()) / b
         clamped.append(bool(z.min() < 0.0))
@@ -486,7 +505,8 @@ def _oracle_solve(mask, target, n, cfg, init=None):
                 if z.sum() > 0.0:
                     z *= target / z.sum()
         z = checked(z)
-        change[m] = np.abs(z - prev)
+        last = z - prev
+        change[m] = np.abs(last)
         delta = float(change.sum())
         if (t - 1) % 50 == 0:
             history.append((t, energy(z)[2]))
