@@ -7,11 +7,10 @@ depth from the refracted rays of several drops, and rectifies the warped
 drop imagery.  A forward synthetic renderer provides ground truth.
 """
 
-from .core import (DropMask, HeightField, OpticalConfig, RasterGray, Vec3, mask_centroid,
-                   normal_field)
+from .core import DropMask, HeightField, OpticalConfig, RasterGray, Vec3, normal_field
 from .detect import DetectParams, detect_drops
 from .errors import (DegenerateGeometry, DomainError, EmptyOutput, InsufficientMatches,
-                     RingTooSmall, SolverDiverged)
+                     RingTooSmall)
 from .formats import PipelineConfig, default_config
 from .masks import blob_mask, disk_mask
 from .optics import (FresnelResult, band_transmittance_linear, critical_normal_z,

@@ -348,24 +348,6 @@ def normal_field(hf: HeightField, box: DropBox | None = None) -> np.ndarray:
     return n
 
 
-def mask_centroid(hf: HeightField) -> tuple[float, float]:
-    """Height-weighted centroid (x_g, y_g) = (sum z*j, sum z*i) / B.
-
-    Implemented verbatim with the area B as the normalizer (not the volume),
-    so the result scales with the mean height.
-    """
-    ii, jj = np.nonzero(hf.mask.membership)
-    return _centroid(hf.z[ii, jj], ii, jj)
-
-
-def _centroid(z: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> tuple[float, float]:
-    """``mask_centroid`` on the heights ``z`` of the pixels (ii, jj)."""
-    b = ii.size
-    if b == 0:
-        raise DomainError("centroid of an empty mask is undefined")
-    return float((z * jj).sum() / b), float((z * ii).sum() / b)
-
-
 def plate_coords(shape: tuple[int, int], config: OpticalConfig,
                  box: DropBox | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel plate coordinates (x, y) relative to the principal point of

@@ -7,10 +7,6 @@ class DomainError(ValueError):
     """An argument violates a documented precondition."""
 
 
-class SolverDiverged(RuntimeError):
-    """A surface update produced non-finite heights (step size too large)."""
-
-
 class RingTooSmall(RuntimeError):
     """The sampling ring near the critical normal has fewer pixels than required."""
 

@@ -63,13 +63,13 @@ def fresnel_transmittance_arrays(theta_a: np.ndarray, n_a: float,
         raise DomainError("theta_a must lie in [0, pi/2)")
     tw = np.arcsin(np.clip((n_a / n_w) * np.sin(ta), -1.0, 1.0))
     small = ta < 1e-9
-    ta_safe = np.where(small, 1e-3, ta)
-    tw_safe = np.where(small, np.arcsin((n_a / n_w) * np.sin(1e-3)), tw)
+    # near normal incidence the ratios below are 0/0; those entries take the
+    # closed-form limit after the block
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_s = 1.0 - (np.sin(tw_safe - ta_safe) / np.sin(tw_safe + ta_safe)) ** 2
-        tan_sum = np.tan(tw_safe + ta_safe)
+        t_s = 1.0 - (np.sin(tw - ta) / np.sin(tw + ta)) ** 2
+        tan_sum = np.tan(tw + ta)
         ratio_p = np.where(np.isfinite(tan_sum) & (np.abs(tan_sum) > 0),
-                           np.tan(tw_safe - ta_safe) / tan_sum, 0.0)
+                           np.tan(tw - ta) / tan_sum, 0.0)
         t_p = 1.0 - ratio_p**2
     # normal incidence: both polarizations share the closed-form limit
     t0 = 4.0 * n_a * n_w / (n_w + n_a) ** 2

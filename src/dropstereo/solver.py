@@ -1,14 +1,16 @@
 """Fixed-volume minimum-energy surface solver.
 
 A drop surface minimizes tension energy plus gravitational potential energy
-at constant volume.  Each sweep runs four updates in order: a curvature-flow
-tension step with the contact line (the mask boundary ring) pinned to zero, a
-planar gravity tilt about the height-weighted centroid, a heavy-ball term
-(Polyak 1964) adding ``_MOMENTUM`` times the previous sweep's change on the
-cells off the ring, and a uniform shift restoring the target volume exactly.
-A solve starts with zero momentum, so its first sweep is the plain one; the
-term vanishes where the surface stops moving, so the fixed point is that of
-the plain sweep, reached in far fewer sweeps.
+at constant volume.  Each sweep is one step and one projection.  The step
+adds, with no clamp in between, a curvature-flow tension step with the
+contact line (the mask boundary ring) pinned to zero, a heavy-ball term
+(Polyak 1964) of ``_MOMENTUM`` times the previous sweep's change on the
+cells off the ring, and the gravity tilt: a plane fixed per solve, driven by
+the in-plane gravity components, zero on the ring.  The projection is a
+uniform shift restoring the target volume exactly, the one place that keeps
+heights non-negative.  A solve starts with zero momentum, so its first sweep
+is the plain one; the term vanishes where the surface stops moving, so the
+fixed point is that of the plain sweep, reached in far fewer sweeps.
 
 A solve keeps its heights in one ``MaskStencil`` buffer of the drop's box
 (the box grid with a zero row above and below) and updates it in place; its
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DropBox, DropMask, HeightField, MaskStencil, OpticalConfig, _centroid
-from .errors import DomainError, SolverDiverged
+from .core import DropBox, DropMask, HeightField, MaskStencil, OpticalConfig
+from .errors import DomainError
 
 # sweeps between the energy samples of a solve's history
 _ENERGY_EVERY = 50
@@ -117,12 +119,6 @@ def _energy(z: np.ndarray, stencil: MaskStencil, config: OpticalConfig,
     return e_t, e_g, e_t + e_g
 
 
-def _checked(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    if not np.isfinite(z).all():
-        raise SolverDiverged("surface update produced non-finite heights")
-    return np.maximum(z, 0.0, out=out)
-
-
 def _tension(z: np.ndarray, stencil: MaskStencil, interior: np.ndarray,
              work: np.ndarray) -> None:
     """One explicit curvature-flow step descending the tension energy, in
@@ -146,16 +142,15 @@ def _tension(z: np.ndarray, stencil: MaskStencil, interior: np.ndarray,
     flow *= _TAU
     z += flow
     z *= interior
-    _checked(z, out=z)
 
 
-def _tilt(zm: np.ndarray, stencil: MaskStencil, config: OpticalConfig) -> np.ndarray:
-    """Planar tilt of the pixel vector ``zm`` about its height-weighted
-    centroid, driven by the in-plane gravity components."""
+def _tilt(stencil: MaskStencil, config: OpticalConfig) -> np.ndarray:
+    """The gravity tilt of one sweep as a pixel vector: a plane through zero
+    at the mask's pixel mean, rising along the in-plane gravity components,
+    so that it moves mass downhill (along +cosines)."""
     gcx, gcy, _ = config.gravity_cosines
     ii, jj = stencil.rows, stencil.cols
-    x_g, y_g = _centroid(zm, ii, jj)
-    return _checked(zm - _TAU * config.gravity_weight * ((y_g - ii) * gcy + (x_g - jj) * gcx))
+    return _TAU * config.gravity_weight * ((ii - ii.mean()) * gcy + (jj - jj.mean()) * gcx)
 
 
 def _restore_volume(z: np.ndarray, zm: np.ndarray, target_volume: float,
@@ -164,14 +159,15 @@ def _restore_volume(z: np.ndarray, zm: np.ndarray, target_volume: float,
     buffer ``z``, whose member values are the pixel vector ``zm``; the cells
     off the mask stay at zero.
 
-    Heights pushed negative are clamped to zero and the deficit redistributed
-    once; a multiplicative rescale guards the rare case where that still
-    leaves negatives.
+    This is the one place that keeps heights non-negative: heights pushed
+    negative are clamped to zero and the deficit redistributed once; a
+    multiplicative rescale guards the rare case where that still leaves
+    negatives.
     """
     b = zm.size
     shift = (target_volume - zm.sum()) / b
     # rounding is monotone, so this is the smallest of zm + shift
-    if math.isfinite(shift) and zm.min() + shift >= 0.0:
+    if zm.min() + shift >= 0.0:
         z += shift
         z *= stencil.inside
         return
@@ -182,19 +178,19 @@ def _restore_volume(z: np.ndarray, zm: np.ndarray, target_volume: float,
         total = zm.sum()
         if total > 0.0:
             zm *= target_volume / total
-    z[stencil.members] = _checked(zm)
+    z[stencil.members] = zm
 
 
 def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParams,
                        config: OpticalConfig, init: HeightField | None = None
                        ) -> tuple[HeightField, SolveReport]:
-    """Iterate tension/gravity/momentum/volume sweeps until the per-sweep
-    absolute height change drops below convergence_rel * V or max_iters is
-    reached.  The momentum term adds ``_MOMENTUM`` times the previous sweep's
-    change on the cells off the contact ring, clamped at zero, before the
-    volume restore; it is zero on the first sweep of every solve."""
-    if target_volume <= 0.0:
-        raise DomainError("target volume must be positive")
+    """Iterate sweeps until the per-sweep absolute height change drops below
+    convergence_rel * V or max_iters is reached.  A sweep adds the tension
+    step, then ``_MOMENTUM`` times the previous sweep's change (zero on the
+    first sweep of every solve) plus the fixed tilt plane, both on the cells
+    off the contact ring, and projects with the volume restore."""
+    if not (math.isfinite(target_volume) and target_volume > 0.0):
+        raise DomainError("target volume must be finite and positive")
     if mask.area == 0:
         raise DomainError("cannot solve on an empty mask")
 
@@ -213,8 +209,8 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     prev = np.empty(st.size)
     step = np.zeros(st.size)  # the previous sweep's change
     work = np.zeros((4, st.size))
-    gcx, gcy, _ = config.gravity_cosines
-    tilted = gcx != 0.0 or gcy != 0.0
+    tilt = st.pad(_tilt(st, config))
+    tilt *= interior
     threshold = params.convergence_rel * target_volume
     history: list[tuple[int, float]] = []
     converged = False
@@ -223,12 +219,12 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     for t in range(params.max_iters):
         np.copyto(prev, z)
         _tension(z, st, interior, work)
-        if tilted:
-            z[st.members] = _tilt(z.take(st.members), st, config)
         step *= interior
         step *= _MOMENTUM
+        step += tilt
         z += step
-        np.maximum(z, 0.0, out=z)
+        # no finiteness check: each restore leaves heights >= 0 summing to
+        # the finite V, and a step from such heights stays finite
         _restore_volume(z, z.take(st.members), target_volume, st)
         iterations = t + 1
         np.subtract(z, prev, out=step)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dropstereo import DomainError, DropMask, HeightField, OpticalConfig, RasterGray
-from dropstereo.core import DropBox, MaskStencil, mask_centroid, normal_field
+from dropstereo.core import DropBox, MaskStencil, normal_field
 from dropstereo.masks import disk_mask
 
 
@@ -315,62 +315,3 @@ def test_normal_field_matches_grid_shift_oracle_bit_for_bit():
             want = np.where(mask[..., None],
                             np.stack([-gx / norm, -gy / norm, 1.0 / norm], axis=-1), 0.0)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-# --- centroid ---------------------------------------------------------------
-
-
-def test_centroid_unit_height_square():
-    m = square_mask(10, pad=0)
-    hf = HeightField(m, np.ones(m.membership.shape))
-    x_g, y_g = mask_centroid(hf)
-    assert x_g == pytest.approx(4.5)
-    assert y_g == pytest.approx(4.5)
-
-
-def test_centroid_scales_with_height():
-    # the height-weighted form divides by area, so doubling z doubles x_g
-    m = square_mask(10, pad=0)
-    hf = HeightField(m, 2.0 * np.ones(m.membership.shape))
-    x_g, _ = mask_centroid(hf)
-    assert x_g == pytest.approx(9.0)
-
-
-def test_centroid_half_dome_matches_direct_sum():
-    m = disk_mask(12)
-    c = (m.height - 1) / 2.0
-    ii, jj = np.mgrid[0 : m.height, 0 : m.width]
-    z = np.where(m.membership & (jj >= c),
-                 np.sqrt(np.maximum(144.0 - (ii - c) ** 2 - (jj - c) ** 2, 0.0)), 0.0)
-    hf = HeightField(m, z)
-    x_g, y_g = mask_centroid(hf)
-    # oracle: independent explicit summation
-    sx = sy = 0.0
-    for i in range(m.height):
-        for j in range(m.width):
-            if m.membership[i, j]:
-                sx += hf.z[i, j] * j
-                sy += hf.z[i, j] * i
-    assert x_g == pytest.approx(sx / m.area, abs=1e-12)
-    assert y_g == pytest.approx(sy / m.area, abs=1e-12)
-
-
-def test_centroid_translation_covariance():
-    base = np.zeros((30, 30), dtype=bool)
-    base[5:15, 5:15] = True
-    zval = np.zeros((30, 30))
-    zval[5:15, 5:15] = 2.0
-    x0, y0 = mask_centroid(HeightField(DropMask(base), zval))
-    shifted = np.roll(np.roll(base, 7, axis=0), 3, axis=1)
-    zs = np.roll(np.roll(zval, 7, axis=0), 3, axis=1)
-    x1, y1 = mask_centroid(HeightField(DropMask(shifted), zs))
-    # shift is weighted by the mean height (2.0 here), per the verbatim form
-    assert x1 - x0 == pytest.approx(2.0 * 3, abs=1e-12)
-    assert y1 - y0 == pytest.approx(2.0 * 7, abs=1e-12)
-
-
-def test_centroid_empty_mask_rejected():
-    m = DropMask(np.zeros((4, 4), dtype=bool))
-    hf = HeightField(m, np.zeros((4, 4)))
-    with pytest.raises(DomainError):
-        mask_centroid(hf)

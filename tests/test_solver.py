@@ -195,22 +195,18 @@ def test_tension_descends_energy_from_pinned_cylinder():
 
 
 def test_gravity_along_axis_is_identity():
-    # the solve tilts only under tilted gravity; plumb gravity tilts by zero
+    # plumb gravity has no in-plane part, so its tilt plane is zero
     m = disk_mask(6)
-    hf = init_mesh(m, 0.2)
-    st = MaskStencil(m.membership)
-    out = st.scatter(_tilt(st.gather(hf.z), st, OpticalConfig()))
-    assert (out == hf.z).all()
+    assert (_tilt(MaskStencil(m.membership), OpticalConfig()) == 0.0).all()
 
 
 def test_gravity_antisymmetric_about_centroid():
+    # the plane passes through zero at the mask's pixel mean, here the
+    # square's centre
     m = square_mask(11, pad=0)
-    # unit height keeps the height-weighted centroid at the geometric center
-    hf = HeightField(m, np.ones(m.membership.shape))
     cfg = OpticalConfig(gravity_cosines=(1.0, 0.0, 0.0), gravity_weight=1e-3)
     st = MaskStencil(m.membership)
-    out = st.scatter(_tilt(st.gather(hf.z), st, cfg))
-    delta = out - hf.z
+    delta = st.scatter(_tilt(st, cfg))
     xg = 5.0
     cols = np.arange(11)
     gained = delta[5, cols > xg]
@@ -221,19 +217,14 @@ def test_gravity_antisymmetric_about_centroid():
 
 def test_gravity_step_matches_manual_five_by_five():
     m = square_mask(5, pad=0)
-    z = np.arange(25, dtype=float).reshape(5, 5) / 10.0
-    hf = HeightField(m, z)
     tau, g_w = _TAU, 1e-2
     cfg = OpticalConfig(gravity_cosines=(0.6, 0.8, 0.0), gravity_weight=g_w)
     st = MaskStencil(m.membership)
-    out = st.scatter(_tilt(st.gather(hf.z), st, cfg))
-    # oracle: evaluate the update by hand, term by term
-    b = 25
-    x_g = sum(z[i, j] * j for i in range(5) for j in range(5)) / b
-    y_g = sum(z[i, j] * i for i in range(5) for j in range(5)) / b
+    out = st.scatter(_tilt(st, cfg))
+    # oracle: evaluate the plane by hand about the centre (2, 2)
     for i in range(5):
         for j in range(5):
-            expect = max(z[i, j] - tau * g_w * ((y_g - i) * 0.8 + (x_g - j) * 0.6), 0.0)
+            expect = tau * g_w * ((i - 2) * 0.8 + (j - 2) * 0.6)
             assert out[i, j] == pytest.approx(expect, abs=1e-15)
 
 
@@ -245,7 +236,7 @@ def test_gravity_tilts_symmetric_dome_downhill():
     hf = HeightField(m, dome)
     cfg = OpticalConfig(gravity_cosines=(0.5, 0.0, np.sqrt(0.75)), gravity_weight=1e-3)
     st = MaskStencil(m.membership)
-    out = HeightField(m, _volume_restored(st, _tilt(st.gather(hf.z), st, cfg), volume_of(hf)))
+    out = HeightField(m, _volume_restored(st, st.gather(hf.z) + _tilt(st, cfg), volume_of(hf)))
 
     def mass_centroid_x(f):
         iis, jjs = np.nonzero(f.mask.membership)
@@ -278,8 +269,7 @@ def test_volume_step_restores_after_tension_and_gravity():
     hf = init_mesh(m, 0.3)
     st = MaskStencil(m.membership)
     z = st.gather(_tension_once(st, hf.z, _buffer(st, m.membership & ~m.boundary())))
-    z = _tilt(z, st, cfg)
-    out = HeightField(m, _volume_restored(st, z, target))
+    out = HeightField(m, _volume_restored(st, z + _tilt(st, cfg), target))
     assert volume_of(out) == pytest.approx(target, rel=1e-9)
 
 
@@ -399,6 +389,22 @@ def test_solve_converges_within_default_cap(mask, gravity):
     assert probe.last_delta < params().convergence_rel * target
 
 
+@pytest.mark.parametrize("axis", [0, 1], ids=["rows", "cols"])
+def test_solve_mirrored_gravity_gives_mirrored_surface(axis):
+    # a centred disk under in-plane gravity and under its mirror image must
+    # give mirror-image surfaces: the sweep treats both directions alike
+    m = disk_mask(40, shape=(101, 101))
+    target = initial_volume(m, 0.30)
+    surfaces = []
+    for sign in (1.0, -1.0):
+        cos = [0.0, 0.0, 0.8]
+        cos[1 - axis] = 0.6 * sign  # gravity_cosines are (x, y, z); axis 0 is y
+        cfg = OpticalConfig(gravity_cosines=tuple(cos), gravity_weight=1e-3)
+        surfaces.append(solve_fixed_volume(m, target, params(), cfg)[0].z)
+    up, down = surfaces
+    assert np.abs(up - np.flip(down, axis=axis)).max() <= 1e-9 * up.max()
+
+
 def test_solve_volume_exact_after_each_sweep(config):
     m = disk_mask(15)
     target = initial_volume(m, 0.3)
@@ -450,10 +456,11 @@ class _GatherStencil:
 
 def _oracle_solve(mask, target, n, cfg, init=None):
     """``solve_fixed_volume`` as the pixel-vector sweep ran it, independent of
-    the solver's kernel: the four steps on the vector of the box's member
-    pixels, and the change summed over the box grid.  Also returns, per
-    sweep, whether the plain volume shift went negative (the clamp
-    branches ran)."""
+    the solver's kernel: on the vector of the box's member pixels, the
+    tension step, the heavy-ball term and the tilt plane added with no clamp,
+    then the volume restore, the one clamp; the change is summed over the
+    box grid.  Also returns, per sweep, whether the plain volume shift went
+    negative (the clamp branches ran)."""
     box = DropBox.of(mask)
     m = box.crop(mask.membership)
     st = _GatherStencil(m)
@@ -465,10 +472,9 @@ def _oracle_solve(mask, target, n, cfg, init=None):
     gcx, gcy, gcz = cfg.gravity_cosines
     cx, cy = cfg.resolve_principal_point(mask.membership.shape)
     x, y = jj + box.j0 - cx, ii + box.i0 - cy
-
-    def checked(v):
-        assert np.isfinite(v).all()
-        return np.maximum(v, 0.0)
+    # the tilt: a plane about the mask's pixel mean, zero on the ring
+    plane = np.where(ring, 0.0, _TAU * cfg.gravity_weight
+                     * ((ii - ii.mean()) * gcy + (jj - jj.mean()) * gcx))
 
     def energy(v):
         gx, gy = st.diff(v, 1), st.diff(v, 0)
@@ -487,13 +493,10 @@ def _oracle_solve(mask, target, n, cfg, init=None):
         gx, gy = st.diff(z, 1), st.diff(z, 0)
         denom = np.sqrt(1.0 + gx * gx + gy * gy)
         flow = st.diff(gx / denom, 1) + st.diff(gy / denom, 0)
-        z = checked(np.where(ring, z, z + _TAU * flow))
-        # tilt about the height-weighted centroid
-        if gcx != 0.0 or gcy != 0.0:
-            x_g, y_g = float((z * jj).sum() / b), float((z * ii).sum() / b)
-            z = checked(z - _TAU * cfg.gravity_weight * ((y_g - ii) * gcy + (x_g - jj) * gcx))
-        # heavy ball: the previous sweep's change again, off the ring
-        z = checked(np.where(ring, z, z + _MOMENTUM * last))
+        z = np.where(ring, z, z + _TAU * flow)
+        # heavy ball, the previous sweep's change again, and the tilt, off
+        # the ring
+        z = np.where(ring, z, z + (_MOMENTUM * last + plane))
         # volume restore, with both clamp branches
         z = z + (target - z.sum()) / b
         clamped.append(bool(z.min() < 0.0))
@@ -504,7 +507,6 @@ def _oracle_solve(mask, target, n, cfg, init=None):
                 z = np.maximum(z, 0.0)
                 if z.sum() > 0.0:
                     z *= target / z.sum()
-        z = checked(z)
         last = z - prev
         change[m] = np.abs(last)
         delta = float(change.sum())
@@ -613,3 +615,6 @@ def test_solve_rejects_bad_inputs(config):
         solve_fixed_volume(m, -1.0, params(), config)
     with pytest.raises(DomainError):
         solve_fixed_volume(DropMask(np.zeros((3, 3), dtype=bool)), 1.0, params(), config)
+    for target in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="finite"):
+            solve_fixed_volume(m, target, params(), config, init=init_mesh(m, 0.3))
