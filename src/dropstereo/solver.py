@@ -12,6 +12,15 @@ heights non-negative.  A solve starts with zero momentum, so its first sweep
 is the plain one; the term vanishes where the surface stops moving, so the
 fixed point is that of the plain sweep, reached in far fewer sweeps.
 
+The sweeps' slow tail is a few modes, chiefly the odd/even checkerboard that
+central differences leave loose, and shrinks by about 2 % per 50 sweeps.
+Every ``_CYCLE`` sweeps the heights therefore jump to the reduced-rank
+extrapolation (RRE) of the cycle's last ``_DEPTH + 2`` iterates, the volume
+restore projects the jump, and the momentum restarts at zero.  A limit of
+the sweeps is a limit of the jumps, so the fixed point stays the same.  The
+first sweeps after a jump run with little momentum and change less than a
+running sweep would, so the delta test waits half a cycle after each jump.
+
 A solve keeps its heights in one ``MaskStencil`` buffer of the drop's box
 (the box grid with a zero row above and below) and updates it in place; its
 work buffers are allocated once per solve and the contact ring is found
@@ -37,6 +46,13 @@ _TAU = 0.5
 # heavy-ball factor on the previous sweep's change; at 0.9 the 50-sweep
 # energy samples of an r=58 blob rise by 1.5e-6, at 0.95 an r=50 disk's by 3e-3
 _MOMENTUM = 0.8
+# sweeps per extrapolation cycle; at 100 the 50-sweep energy samples of an
+# r=50 disk rise by 3e-3
+_CYCLE = 50
+# unknowns of each reduced-rank extrapolation, which reads the cycle's last
+# _DEPTH + 2 iterates; at depth 3 the 50-sweep energy samples of an r=50 disk
+# rise by 1.3e-6
+_DEPTH = 5
 
 
 @dataclass(frozen=True)
@@ -181,6 +197,23 @@ def _restore_volume(z: np.ndarray, zm: np.ndarray, target_volume: float,
     z[stencil.members] = zm
 
 
+def _extrapolate(iterates: np.ndarray) -> np.ndarray | None:
+    """The reduced-rank extrapolation (Eddy 1979; Sidi, Ford & Smith 1986)
+    of the iterates in the rows of ``iterates``: the combination
+    s = sum_j g_j x_j of all but the newest, with sum_j g_j = 1, that
+    minimizes |sum_j g_j (x_{j+1} - x_j)|.  None where the least-squares
+    solve fails or the limit is not finite."""
+    u = iterates[1:] - iterates[:-1]
+    # the last weight is 1 minus the others
+    try:
+        g = np.linalg.lstsq((u[:-1] - u[-1]).T, -u[-1], rcond=None)[0]
+    except np.linalg.LinAlgError:
+        return None
+    x = iterates[-2]
+    limit = x + g @ (iterates[:-2] - x)
+    return limit if np.isfinite(limit).all() else None
+
+
 def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParams,
                        config: OpticalConfig, init: HeightField | None = None
                        ) -> tuple[HeightField, SolveReport]:
@@ -188,7 +221,13 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     convergence_rel * V or max_iters is reached.  A sweep adds the tension
     step, then ``_MOMENTUM`` times the previous sweep's change (zero on the
     first sweep of every solve) plus the fixed tilt plane, both on the cells
-    off the contact ring, and projects with the volume restore."""
+    off the contact ring, and projects with the volume restore.
+
+    Before each sweep that starts a new ``_CYCLE``, the heights jump to the
+    extrapolation of the last ``_DEPTH + 2`` iterates, projected by the
+    volume restore, and the previous change is zeroed; a jump that fails or
+    is not finite is skipped.  The delta test does not stop the solve in the
+    ``_CYCLE // 2`` sweeps after a jump."""
     if not (math.isfinite(target_volume) and target_volume > 0.0):
         raise DomainError("target volume must be finite and positive")
     if mask.area == 0:
@@ -211,12 +250,21 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     work = np.zeros((4, st.size))
     tilt = st.pad(_tilt(st, config))
     tilt *= interior
+    iterates = np.empty((_DEPTH + 2, st.members.size))  # the cycle's last ones
     threshold = params.convergence_rel * target_volume
     history: list[tuple[int, float]] = []
     converged = False
     delta = math.inf
     iterations = 0
+    settled = 0  # the first sweep the delta test may stop
     for t in range(params.max_iters):
+        if t and t % _CYCLE == 0:
+            limit = _extrapolate(iterates)
+            if limit is not None:
+                z[st.members] = limit
+                _restore_volume(z, limit, target_volume, st)
+                step.fill(0.0)
+                settled = t + _CYCLE // 2
         np.copyto(prev, z)
         _tension(z, st, interior, work)
         step *= interior
@@ -231,9 +279,12 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
         # summed over the box grid, zeros off the mask included: the pixel
         # vector's own sum groups the additions differently
         delta = float(np.abs(st.cells(step), out=st.cells(prev)).sum())
+        slot = t % _CYCLE - _CYCLE + len(iterates)
+        if slot >= 0:
+            z.take(st.members, out=iterates[slot])
         if t % _ENERGY_EVERY == 0:
             history.append((iterations, _energy(z, st, config, box)[2]))
-        if delta < threshold:
+        if delta < threshold and t >= settled:
             converged = True
             break
 

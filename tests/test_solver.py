@@ -373,20 +373,35 @@ def test_solve_converged_state_is_fixed_point(cap50, config):
     assert rep2.last_delta < params().convergence_rel * target
 
 
-@pytest.mark.parametrize("mask, gravity", [
+@pytest.mark.parametrize("mask, gravity, alpha", [
     (blob_mask(58, shape=(140, 140), center=(70.0, 70.0), irregularity=0.06, seed=1),
-     (0.0, 0.0, 1.0)),
-    (disk_mask(40), _TILTED),
-], ids=["pipeline_blob_plumb", "disk_tilted"])
-def test_solve_converges_within_default_cap(mask, gravity):
-    # a pipeline-sized drop converges under the default sweep cap, and a
-    # plain sweep from its result moves it by less than the threshold
+     (0.0, 0.0, 1.0), 0.30),
+    (disk_mask(40), _TILTED, 0.30),
+    (disk_mask(60), (0.0, 0.0, 1.0), 0.40),
+], ids=["pipeline_blob_plumb", "disk_tilted", "steep_disk_plumb"])
+def test_solve_converges_within_default_cap(mask, gravity, alpha):
+    # a pipeline-sized drop, and a steep one started cold, converge under the
+    # default sweep cap, and a plain sweep from the result moves it by less
+    # than the threshold
     cfg = OpticalConfig(gravity_cosines=gravity, gravity_weight=1e-3)
-    target = initial_volume(mask, 0.30)
+    target = initial_volume(mask, alpha)
     hf, report = solve_fixed_volume(mask, target, params(), cfg)
     assert report.converged
     _, probe = solve_fixed_volume(mask, target, params(max_iters=1), cfg, init=hf)
     assert probe.last_delta < params().convergence_rel * target
+
+
+def test_solve_extrapolation_keeps_the_fixed_point():
+    # the jumps move the iterates, not the limit: a tight solve ends where a
+    # plain sweep leaves it in place to within the tight threshold
+    m = blob_mask(14, shape=(40, 40), center=(20.0, 20.0), irregularity=0.1, seed=1)
+    cfg = OpticalConfig(gravity_cosines=_TILTED, gravity_weight=1e-3)
+    target = initial_volume(m, 0.3)
+    hf, report = solve_fixed_volume(m, target, params(max_iters=20000, convergence_rel=1e-10),
+                                    cfg)
+    assert report.converged
+    _, probe = solve_fixed_volume(m, target, params(max_iters=1), cfg, init=hf)
+    assert probe.last_delta < 1e-10 * target
 
 
 @pytest.mark.parametrize("axis", [0, 1], ids=["rows", "cols"])
@@ -454,13 +469,47 @@ class _GatherStencil:
         return wt * (v[ip] - v[im])
 
 
+def _restore_oracle(z, target):
+    """The volume restore on a pixel vector, with both clamp branches; also
+    returns whether the plain shift went negative."""
+    b = z.size
+    z = z + (target - z.sum()) / b
+    clamped = bool(z.min() < 0.0)
+    if clamped:
+        z = np.maximum(z, 0.0)
+        z += (target - z.sum()) / b
+        if z.min() < 0.0:
+            z = np.maximum(z, 0.0)
+            if z.sum() > 0.0:
+                z *= target / z.sum()
+    return z, clamped
+
+
+def _rre_oracle(xs):
+    """The reduced-rank extrapolation of the pixel vectors ``xs``: weights
+    summing to 1 on all but the newest, the last one eliminated, fitted by
+    least squares to cancel the weighted sum of successive changes; None
+    where that fails or is not finite."""
+    d = [b - a for a, b in zip(xs, xs[1:])]
+    lhs = np.stack([dj - d[-1] for dj in d[:-1]], axis=1)
+    try:
+        w = np.linalg.lstsq(lhs, -d[-1], rcond=None)[0]
+    except np.linalg.LinAlgError:
+        return None
+    base = xs[-2]
+    out = base + w @ np.stack([x - base for x in xs[:-2]])
+    return out if np.isfinite(out).all() else None
+
+
 def _oracle_solve(mask, target, n, cfg, init=None):
     """``solve_fixed_volume`` as the pixel-vector sweep ran it, independent of
     the solver's kernel: on the vector of the box's member pixels, the
     tension step, the heavy-ball term and the tilt plane added with no clamp,
     then the volume restore, the one clamp; the change is summed over the
-    box grid.  Also returns, per sweep, whether the plain volume shift went
-    negative (the clamp branches ran)."""
+    box grid.  Every 50 sweeps the heights jump to the extrapolation of the
+    last 7 iterates, restored to the volume, with the heavy ball at rest, and
+    the next 25 sweeps may not stop.  Also returns, per sweep, whether the
+    plain volume shift went negative (the clamp branches ran)."""
     box = DropBox.of(mask)
     m = box.crop(mask.membership)
     st = _GatherStencil(m)
@@ -486,7 +535,13 @@ def _oracle_solve(mask, target, n, cfg, init=None):
     change = np.zeros(m.shape)
     history, clamped, converged, t = [], [], False, 0
     last = np.zeros(b)  # the previous sweep's change; none before the first
+    iterates, hold = [], 0
     for t in range(1, n + 1):
+        if t % 50 == 1 and t > 1:
+            jumped = _rre_oracle(iterates[-7:])
+            if jumped is not None:
+                z, _ = _restore_oracle(jumped, target)
+                last, hold = np.zeros(b), t + 25
         prev = z
         # tension, with the contact ring pinned at zero
         z = np.where(ring, 0.0, z)
@@ -497,22 +552,15 @@ def _oracle_solve(mask, target, n, cfg, init=None):
         # heavy ball, the previous sweep's change again, and the tilt, off
         # the ring
         z = np.where(ring, z, z + (_MOMENTUM * last + plane))
-        # volume restore, with both clamp branches
-        z = z + (target - z.sum()) / b
-        clamped.append(bool(z.min() < 0.0))
-        if clamped[-1]:
-            z = np.maximum(z, 0.0)
-            z += (target - z.sum()) / b
-            if z.min() < 0.0:
-                z = np.maximum(z, 0.0)
-                if z.sum() > 0.0:
-                    z *= target / z.sum()
+        z, clamp = _restore_oracle(z, target)
+        clamped.append(clamp)
         last = z - prev
+        iterates.append(z)
         change[m] = np.abs(last)
         delta = float(change.sum())
         if (t - 1) % 50 == 0:
             history.append((t, energy(z)[2]))
-        if delta < threshold:
+        if delta < threshold and t >= hold:
             converged = True
             break
     e = energy(z)
@@ -578,6 +626,13 @@ def test_solve_matches_pixel_vector_oracle_from_spiked_start():
         cfg = OpticalConfig(gravity_cosines=gravity, gravity_weight=1e-3)
         clamped = _assert_solve_matches_oracle(m, cfg, init=_spiked_init(m), n=80)
         assert clamped[0]
+
+
+def test_solve_matches_pixel_vector_oracle_across_two_jumps():
+    # unconverged through sweep 120, so it extrapolates after sweeps 50 and 100
+    m = blob_mask(14, shape=(40, 40), center=(20.0, 20.0), irregularity=0.1, seed=2)
+    cfg = OpticalConfig(gravity_cosines=_TILTED, gravity_weight=1e-3)
+    assert len(_assert_solve_matches_oracle(m, cfg, n=120)) == 120
 
 
 def test_solve_aliases_nothing(config):
