@@ -101,15 +101,8 @@ def detect_drops(image: RasterGray, params: DetectParams | None = None) -> list[
     hi = np.percentile(mag, p.high_percentile)
     if hi <= 0:
         return []
-    strong = mag >= hi
-    weak = mag >= lo
-    labels, n = ndimage.label(weak, structure=_EIGHT)
-    if n == 0:
-        return []
-    keep = np.zeros(n + 1, dtype=bool)
-    keep[np.unique(labels[strong])] = True
-    keep[0] = False
-    edges = keep[labels]
+    # hysteresis: the weak edges 8-connected to a strong one
+    edges = ndimage.binary_propagation(mag >= hi, structure=_EIGHT, mask=mag >= lo)
 
     disk = disk_mask(_CLOSING_RADIUS, (2 * _CLOSING_RADIUS + 1,) * 2).membership
     edges = ndimage.binary_closing(edges, structure=disk, iterations=1)

@@ -184,7 +184,7 @@ def uv_field(tf: TraceField, turn: float = 0.0) -> tuple[np.ndarray, np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def shared_uv_bounds(traces: list[TraceField], turn: float = 0.0
+def shared_uv_bounds(traces: list[TraceField], turn: float
                      ) -> tuple[float, float, float, float]:
     """Robust angular window (u_min, u_max, v_min, v_max) covering every
     drop's forward map: the 2nd/98th percentiles of each drop's (u, v), so
@@ -232,15 +232,15 @@ class DewarpedImage:
         return c * u - s * v, s * u + c * v
 
 
-def dewarp_image(image: RasterGray, tf: TraceField, out_resolution: int = 256,
-                 uv_bounds: tuple[float, float, float, float] | None = None,
-                 turn: float = 0.0) -> DewarpedImage:
-    """Resample the pixels of a traced drop onto a regular (u, v) grid, in
-    the frame turned by ``turn`` (see ``uv_field``), by bilinear splatting.
+def dewarp_image(image: RasterGray, tf: TraceField, out_resolution: int,
+                 uv_bounds: tuple[float, float, float, float], turn: float) -> DewarpedImage:
+    """Resample the pixels of a traced drop onto a regular
+    ``out_resolution`` × ``out_resolution`` (u, v) grid, in the frame turned
+    by ``turn`` (see ``uv_field``), by bilinear splatting.
 
     ``uv_bounds`` (u_min, u_max, v_min, v_max, in the turned frame) and
     ``turn`` must be shared by all drops that will be matched against each
-    other; by default the bounds are ``shared_uv_bounds`` of this drop alone.
+    other (see ``shared_uv_bounds``).
     """
     if image.pixels.shape != tf.box.shape:
         raise DomainError("image and traced drop must share the pixel grid")
@@ -251,8 +251,7 @@ def dewarp_image(image: RasterGray, tf: TraceField, out_resolution: int = 256,
     if ii.size == 0:
         raise EmptyOutput("no valid (non-dark, forward-going) drop pixels to dewarp")
     uu, vv = u[ii, jj], v[ii, jj]
-    u_min, u_max, v_min, v_max = (shared_uv_bounds([tf], turn) if uv_bounds is None
-                                  else uv_bounds)
+    u_min, u_max, v_min, v_max = uv_bounds
     if not (u_max > u_min and v_max > v_min):
         raise EmptyOutput("degenerate angular extent")
 
@@ -276,20 +275,16 @@ def dewarp_image(image: RasterGray, tf: TraceField, out_resolution: int = 256,
     cell = cell_r * r + cell_c
     dist = (pv - cell_r) ** 2 + (pu - cell_c) ** 2
     order = np.lexsort((dist, cell))
-    cell_sorted = cell[order]
-    first = np.ones(cell_sorted.size, dtype=bool)
-    first[1:] = cell_sorted[1:] != cell_sorted[:-1]
-    source = np.full((r * r, 2), -1, dtype=int)
+    cells, first = np.unique(cell[order], return_index=True)
     sel = order[first]
-    source[cell[sel], 0] = src_i[sel]
-    source[cell[sel], 1] = src_j[sel]
+    source = np.full((r * r, 2), -1, dtype=int)
+    source[cells, 0] = src_i[sel]
+    source[cells, 1] = src_j[sel]
     source = source.reshape(r, r, 2)
-    # spread to splat-covered cells lacking a direct contributor
-    missing = valid_out & (source[..., 0] < 0)
-    if missing.any():
-        has = source[..., 0] >= 0
-        if not has.any():
-            raise EmptyOutput("dewarp produced no usable source table")
+    # spread to splat-covered cells lacking a direct contributor; some cell
+    # always has one, since the window holds at least one pixel
+    has = source[..., 0] >= 0
+    if (valid_out & ~has).any():
         idx = ndimage.distance_transform_edt(~has, return_distances=False, return_indices=True)
         source = source[idx[0], idx[1]]
         source[~valid_out] = -1

@@ -34,11 +34,12 @@ class RectifiedView:
 
 def _resolve_depth(depth) -> float:
     if isinstance(depth, DepthResult):
-        d = depth.depths[depth.valid]
-        if d.size == 0:
+        valid = depth.depths[depth.valid]
+        if valid.size == 0:
             raise DomainError("depth result has no valid points")
-        return float(np.median(d))
-    d = float(depth)
+        d = float(np.median(valid))
+    else:
+        d = float(depth)
     if not (math.isfinite(d) and d > 0):
         raise DomainError(f"rectification depth must be finite and positive, got {d}")
     return d

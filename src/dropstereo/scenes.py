@@ -13,7 +13,7 @@ import numpy as np
 from .core import DropMask
 from .errors import DomainError
 from .formats import _build, _read_json_object, read_pnm
-from .masks import blob_mask, disk_mask
+from .masks import blob_mask
 from .raytrace import ScenePlane, SceneSpec
 
 
@@ -64,9 +64,8 @@ class DropSpec:
             raise DomainError(f"seed must be non-negative, got {self.seed}")
 
     def build_mask(self, shape: tuple[int, int]) -> DropMask:
-        if self.irregularity > 0:
-            return blob_mask(self.radius, shape, self.center, self.irregularity, self.seed)
-        return disk_mask(self.radius, shape, self.center)
+        # at irregularity 0 the blob is the disk of the same radius, bit for bit
+        return blob_mask(self.radius, shape, self.center, self.irregularity, self.seed)
 
 
 def _objects(items: Any, where: str) -> list[dict]:

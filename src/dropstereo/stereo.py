@@ -357,12 +357,13 @@ def depth_from_drops(image: RasterGray, drops: list[HeightField], config: Optica
                      correspondences: list[Correspondence] | None = None) -> DepthResult:
     """Triangulate scene points seen through two or more drops.
 
-    Each drop is traced once.  Without precomputed correspondences, each
-    drop pair is block-matched on views rectified for that pair: the (u, v)
-    frame is turned about the view axis so that the baseline between the
-    drops' mean ray origins runs along u (a camera roll, exact because it
-    keeps dz; Fusiello, Trucco & Verri 2000), and both drops are
-    angular-dewarped in that frame on the window that covers every drop.
+    Every drop must lie on the image's pixel grid; each is traced once.
+    Without precomputed correspondences, each drop pair is block-matched on
+    views rectified for that pair: the (u, v) frame is turned about the view
+    axis so that the baseline between the drops' mean ray origins runs along
+    u (a camera roll, exact because it keeps dz; Fusiello, Trucco & Verri
+    2000), and both drops are angular-dewarped in that frame on the window
+    that covers every drop.
     A scene point's offset between the views then lies along the grid rows,
     which the band search of ``match_grids`` relies on.  The dewarp
     resolution is the pixel density of the largest drop (about one input
@@ -375,6 +376,11 @@ def depth_from_drops(image: RasterGray, drops: list[HeightField], config: Optica
     """
     if len(drops) < 2:
         raise DomainError("stereo needs at least two reconstructed drops")
+    shape = image.pixels.shape
+    for k, hf in enumerate(drops):
+        if hf.mask.membership.shape != shape:
+            raise DomainError(f"drop {k} lies on a {hf.mask.membership.shape} grid, "
+                              f"the image on {shape}")
     traces = [trace_field(hf, config) for hf in drops]
 
     if correspondences is None:
@@ -446,7 +452,6 @@ def depth_from_drops(image: RasterGray, drops: list[HeightField], config: Optica
 
     # each valid point's depth at its two pixels, in match order: a later
     # match overwrites an earlier one on the same pixel
-    shape = drops[0].mask.membership.shape
     depth_maps = [np.full(shape, np.nan) for _ in drops]
     at = ij[kept[valid]].reshape(-1, 2)
     on_drop = ids[kept[valid]].ravel()

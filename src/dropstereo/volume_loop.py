@@ -91,25 +91,20 @@ def target_brightness(image: RasterGray, drop_masks: list[DropMask]) -> float:
     return 0.241 * background
 
 
-def volume_update(volume: float, sampled: float, target: float, tau_r: float,
-                  v_min: float | None = None, v_max: float | None = None) -> float:
-    """One multiplicative volume correction V * (1 + tau_r * (1 - I_t/I_r)),
-    optionally clamped to [v_min, v_max]."""
+def volume_update(volume: float, sampled: float, target: float,
+                  v_min: float, v_max: float) -> float:
+    """One multiplicative volume correction V * (1 + _TAU_R * (1 - sampled/target)),
+    clamped to [v_min, v_max]."""
     if target <= 0.0:
         raise DomainError("target brightness must be positive")
     if volume <= 0.0:
         raise DomainError("volume must be positive")
-    v = volume + tau_r * volume * (1.0 - sampled / target)
-    if v_min is not None:
-        v = max(v, v_min)
-    if v_max is not None:
-        v = min(v, v_max)
-    return float(v)
+    v = volume + _TAU_R * volume * (1.0 - sampled / target)
+    return float(min(max(v, v_min), v_max))
 
 
 @dataclass(frozen=True)
 class VolumeLoopReport:
-    alpha_est: float
     outer_updates: int
     # one entry per probe, in order
     volume_history: tuple[float, ...]
@@ -162,8 +157,7 @@ def estimate_shape(image: RasterGray, mask: DropMask, config: OpticalConfig,
             # the volume grows back into the observable range
             sampled = 0.0
         probes.append((v, sampled, box.crop(hf.z).copy(), rep))
-        v_new = volume_update(v, sampled, target, _TAU_R,
-                              v_min=ALPHA_MIN * scale, v_max=ALPHA_MAX * scale)
+        v_new = volume_update(v, sampled, target, ALPHA_MIN * scale, ALPHA_MAX * scale)
         if abs(v_new - v) / v < _REL_VOLUME_TOL:
             break
         v = v_new
@@ -172,7 +166,6 @@ def estimate_shape(image: RasterGray, mask: DropMask, config: OpticalConfig,
     hf = HeightField(mask, box.paste(z))
     # surface must expose a ring at the end; otherwise the estimate is moot
     sample_band_brightness(image, hf, config)
-    alpha_est = v / scale
     volumes, samples, _, reports = zip(*probes)
-    return hf, alpha_est, VolumeLoopReport(alpha_est, len(probes), volumes, samples, target,
-                                           rep, tuple(r.iterations_run for r in reports))
+    return hf, v / scale, VolumeLoopReport(len(probes), volumes, samples, target, rep,
+                                           tuple(r.iterations_run for r in reports))

@@ -10,7 +10,7 @@ from dropstereo.core import DropBox, MaskStencil, normal_field, plate_coords
 from dropstereo.optics import (critical_normal_z_field, equivalent_camera_depth,
                                fresnel_transmittance_arrays, normal_z_field, refract_arrays)
 from dropstereo.raytrace import (ScenePlane, SceneSpec, TraceField, _transmittance_from_cos_w,
-                                 trace_field, transmittance, uv_field)
+                                 shared_uv_bounds, trace_field, transmittance, uv_field)
 from dropstereo.volume_loop import _BAND_HALFWIDTH, band_ring
 from dropstereo.scenes import make_texture
 
@@ -339,7 +339,8 @@ def test_dewarp_straightens_edge(single_drop_render, config):
     i0, i1, j0, j1 = mask.bbox()
     warped_dev = edge_deviation(img.pixels[i0:i1, j0:j1],
                                 mask.membership[i0:i1, j0:j1] & (hf.z[i0:i1, j0:j1] > 1.0))
-    dw = dewarp_image(img, trace_field(hf, config), 128)
+    tf = trace_field(hf, config)
+    dw = dewarp_image(img, tf, 128, shared_uv_bounds([tf], 0.0), 0.0)
     dewarp_dev = edge_deviation(dw.raster.pixels, dw.valid)
     assert np.isfinite(warped_dev) and np.isfinite(dewarp_dev)
     assert dewarp_dev <= warped_dev / 5.0
@@ -376,7 +377,7 @@ def test_dewarp_turned_grid_answers_unturned_uv(cap50, config, turn):
     mask, hf, _ = cap50
     tf = trace_field(hf, config)
     img = RasterGray(np.zeros(mask.membership.shape))
-    dw = dewarp_image(img, tf, 64, turn=turn)
+    dw = dewarp_image(img, tf, 64, shared_uv_bounds([tf], turn), turn)
     assert dw.turn == turn
     u, v, _ = uv_field(tf)
     rows, cols = np.nonzero(dw.valid & (dw.source_ij[..., 0] >= 0))
@@ -401,7 +402,7 @@ def test_dewarp_empty_drop_rejected(config):
     img = RasterGray(np.full(m.membership.shape, 0.5))
     if not trace_field(hf, config).valid.any():
         with pytest.raises(EmptyOutput):
-            dewarp_image(img, trace_field(hf, config), 64)
+            dewarp_image(img, trace_field(hf, config), 64, (-1.0, 1.0, -1.0, 1.0), 0.0)
 
 
 # --- renderer --------------------------------------------------------------------

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from dropstereo import (DomainError, EmptyOutput, HeightField, OpticalConfig, RasterGray,
-                        compensate_illuminance, disk_mask, initial_volume, render_synthetic,
-                        rectify_drop)
+from dropstereo import (DepthResult, DomainError, EmptyOutput, HeightField, OpticalConfig,
+                        RasterGray, Vec3, compensate_illuminance, disk_mask, initial_volume,
+                        render_synthetic, rectify_drop)
 from dropstereo.raytrace import ScenePlane, SceneSpec, trace_field
 from dropstereo.scenes import make_texture
 
@@ -118,6 +118,19 @@ def test_rectify_rejects_non_finite_depth(config):
     hf = HeightField(m, cap_field(m, initial_volume(m, 0.30)))
     img = RasterGray(np.full(m.membership.shape, 0.5))
     for depth in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="depth"):
+            rectify_drop(img, hf, config, depth)
+
+
+@pytest.mark.parametrize("z", [-500.0, 0.0])
+def test_rectify_rejects_non_positive_depth_result(config, z):
+    # a depth result's median depth passes the same check as a scalar depth
+    m = disk_mask(20)
+    hf = HeightField(m, cap_field(m, initial_volume(m, 0.30)))
+    img = RasterGray(np.full(m.membership.shape, 0.5))
+    result = DepthResult(points=(Vec3(0.0, 0.0, z),) * 3, residuals=np.zeros(3),
+                         valid=np.ones(3, dtype=bool), depth_maps=(), correspondences=())
+    for depth in (z, result):
         with pytest.raises(DomainError, match="depth"):
             rectify_drop(img, hf, config, depth)
 

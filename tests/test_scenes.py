@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dropstereo import DomainError
+from dropstereo.masks import blob_mask, disk_mask
 from dropstereo.raytrace import ScenePlane, SceneSpec
 from dropstereo.scenes import DropSpec, make_texture, read_scene
 
@@ -136,3 +137,16 @@ def test_read_scene_missing_texture_names_file_and_plane(tmp_path):
     msg = _error(tmp_path, doc)
     assert "scene.json" in msg and "planes[1]" in msg, msg
     assert str(tmp_path / "nope.pgm") in msg, msg
+
+
+@pytest.mark.parametrize("shape", [(48, 64), (130, 130), (61, 200)])
+def test_round_blob_is_the_disk_bit_for_bit(shape):
+    # DropSpec.build_mask draws every drop as a blob; at irregularity 0 the
+    # blob must be the disk of the same radius, whatever the seed
+    h, w = shape
+    centres = [(h // 2, w // 2), (h / 2 - 0.37, w / 2 + 0.21), (1.5, w - 2.25)]
+    for r in range(1, 61):
+        for centre in centres:
+            blob = blob_mask(r, shape, centre, 0.0, seed=r)
+            disk = disk_mask(r, shape, centre)
+            assert np.array_equal(blob.membership, disk.membership), (r, centre)

@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from dropstereo import (DegenerateGeometry, DomainError, InsufficientMatches, RasterGray,
-                        SolverParams, Vec3, block_match, depth_from_drops, disk_mask,
-                        initial_volume, render_synthetic, solve_fixed_volume, triangulate)
+from dropstereo import (DegenerateGeometry, DomainError, HeightField, InsufficientMatches,
+                        RasterGray, SolverParams, Vec3, block_match, depth_from_drops,
+                        disk_mask, initial_volume, render_synthetic, solve_fixed_volume,
+                        triangulate)
 from dropstereo.raytrace import DewarpedImage, Ray, ScenePlane, SceneSpec, trace_field
-from dropstereo.stereo import (_BAND_ROWS, _LR_TOL, _ZNCC_MIN, BlockMatchParams, _global_shift,
-                               _subpixel, _window_stats, _window_sums, match_grids)
+from dropstereo.stereo import (_BAND_ROWS, _LR_TOL, _ZNCC_MIN, BlockMatchParams, Correspondence,
+                               _global_shift, _subpixel, _window_stats, _window_sums,
+                               match_grids)
 from dropstereo.scenes import make_texture
+
+from conftest import cap_field
 
 
 def _noise_image(shape, seed=0):
@@ -350,6 +354,27 @@ def test_depth_single_drop_rejected(two_drop_scene, config):
     _, (m1, hf1), _, image = two_drop_scene
     with pytest.raises(DomainError, match="two"):
         depth_from_drops(image, [hf1], config)
+
+
+def _cap_on(shape, center):
+    m = disk_mask(20, shape=shape, center=center)
+    return HeightField(m, cap_field(m, initial_volume(m, 0.30)))
+
+
+@pytest.mark.parametrize("image_shape, drop_shapes, named", [
+    ((60, 120), [(60, 60), (60, 120)], "drop 0"),
+    ((60, 60), [(60, 60), (60, 120)], "drop 1"),
+    ((60, 60), [(60, 120), (60, 120)], "drop 0"),
+])
+def test_depth_drop_off_the_image_grid_rejected(config, image_shape, drop_shapes, named):
+    # every drop must share the image's grid, on the matching route and on
+    # the file route alike; the error names the first drop that does not
+    drops = [_cap_on(shape, (30, 30 + 60 * k)) for k, shape in enumerate(drop_shapes)]
+    image = RasterGray(np.full(image_shape, 0.5))
+    corr = [Correspondence(0, 1, (30.0, 30.0), (30.0, 90.0), 1.0)]
+    for correspondences in (None, corr):
+        with pytest.raises(DomainError, match=named):
+            depth_from_drops(image, drops, config, correspondences=correspondences)
 
 
 def test_depth_fronto_parallel_plane(two_drop_scene, config):

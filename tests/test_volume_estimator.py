@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -52,27 +54,27 @@ def test_target_brightness_needs_background():
 
 
 def test_volume_update_fixed_point():
-    assert volume_update(100.0, 0.2, 0.2, 0.5) == pytest.approx(100.0)
+    assert volume_update(100.0, 0.2, 0.2, 0.0, math.inf) == pytest.approx(100.0)
 
 
 def test_volume_update_grows_when_band_too_dark():
-    assert volume_update(100.0, 0.1, 0.2, 0.5) == pytest.approx(125.0)
+    assert volume_update(100.0, 0.1, 0.2, 0.0, math.inf) == pytest.approx(125.0)
 
 
 def test_volume_update_shrinks_when_band_too_bright():
-    assert volume_update(100.0, 0.4, 0.2, 0.5) == pytest.approx(50.0)
+    assert volume_update(100.0, 0.4, 0.2, 0.0, math.inf) == pytest.approx(50.0)
 
 
 def test_volume_update_clamped():
-    assert volume_update(100.0, 0.0, 0.2, 0.5, v_max=120.0) == 120.0
-    assert volume_update(100.0, 1.0, 0.2, 0.5, v_min=90.0) == 90.0
+    assert volume_update(100.0, 0.0, 0.2, 0.0, 120.0) == 120.0
+    assert volume_update(100.0, 1.0, 0.2, 90.0, math.inf) == 90.0
 
 
 def test_volume_update_rejects_bad_targets():
     with pytest.raises(DomainError):
-        volume_update(100.0, 0.1, 0.0, 0.5)
+        volume_update(100.0, 0.1, 0.0, 0.0, math.inf)
     with pytest.raises(DomainError):
-        volume_update(-1.0, 0.1, 0.2, 0.5)
+        volume_update(-1.0, 0.1, 0.2, 0.0, math.inf)
 
 
 # --- band sampling ---------------------------------------------------------------
