@@ -31,18 +31,7 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load_config(path: str) -> formats.PipelineConfig:
-    _require_file(path)
-    return formats.read_config(path)
-
-
-def _require_file(path: str) -> None:
-    if not Path(path).is_file():
-        raise DomainError(f"input file not found: {path}")
-
-
 def _load_gray(path: str) -> RasterGray:
-    _require_file(path)
     img = formats.read_pnm(path)
     if img.ndim == 3:
         img = img.mean(axis=2)
@@ -54,20 +43,21 @@ def _solve_drop(mask, alpha, cfg):
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_config(args.config)
-    _require_file(args.scene)
+    cfg = formats.read_config(args.config)
     scene, drop_specs = read_scene(args.scene)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     drops = []
-    for spec in drop_specs:
+    for k, spec in enumerate(drop_specs):
         mask = spec.build_mask((scene.height, scene.width))
+        if mask.area == 0:
+            raise DomainError(f"{args.scene}: drops[{k}]: center {list(spec.center)} puts "
+                              f"the drop off the {scene.width}x{scene.height} raster")
         hf, rep = _solve_drop(mask, spec.alpha, cfg)
         log.info("drop solved: alpha=%.2f iters=%d converged=%s", spec.alpha,
                  rep.iterations_run, rep.converged)
         drops.append((mask, hf))
     image = render_synthetic(scene, drops, cfg.optics)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     formats.write_pnm(out / "image.pgm", image.pixels)
     for k, (mask, hf) in enumerate(drops):
         formats.write_mask(out / f"mask_{k}.pgm", mask)
@@ -79,7 +69,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = formats.read_config(args.config)
     image = _load_gray(args.image)
     masks = detect_drops(image, cfg.detect)
     out = Path(args.out)
@@ -91,9 +81,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = formats.read_config(args.config)
     image = _load_gray(args.image)
-    _require_file(args.mask)
     mask = formats.read_mask(args.mask)
     if args.estimate_volume:
         hf, alpha_est, loop = estimate_shape(image, mask, cfg.optics, cfg.solver,
@@ -130,15 +119,11 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_stereo(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = formats.read_config(args.config)
     image = _load_gray(args.image)
-    fields = []
-    for path in args.drops.split(","):
-        _require_file(path)
-        fields.append(formats.read_height_field(path))
+    fields = [formats.read_height_field(path) for path in args.drops.split(",")]
     corr = None
     if args.correspondences:
-        _require_file(args.correspondences)
         corr = [Correspondence(da, db, (ia, ja), (ib, jb), s)
                 for da, ia, ja, db, ib, jb, s
                 in formats.read_correspondences(args.correspondences)]
@@ -164,12 +149,10 @@ def cmd_stereo(args) -> int:
 
 
 def cmd_rectify(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = formats.read_config(args.config)
     image = _load_gray(args.image)
-    _require_file(args.drop)
     hf = formats.read_height_field(args.drop)
     if args.depth:
-        _require_file(args.depth)
         depth_map = formats.read_pfm(args.depth)
         depths = depth_map[np.isfinite(depth_map)]
         if depths.size == 0:
@@ -193,8 +176,6 @@ def cmd_rectify(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _require_file(args.pred)
-    _require_file(args.truth)
     pred = formats.read_pfm(args.pred)
     truth = formats.read_pfm(args.truth)
     if pred.shape != truth.shape:

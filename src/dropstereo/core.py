@@ -143,11 +143,11 @@ class HeightField:
 class OpticalConfig:
     """Physical constants and camera placement.
 
-    ``camera_z`` is the perpendicular distance from the camera to the glass
-    plate in pixels (``math.inf`` selects the orthographic camera-at-infinity
-    mode).  ``gravity_weight`` is the dimensionless gravity-to-tension energy
-    ratio (tension has weight 1; only the ratio moves the minimum), standing
-    in for rho*g/sigma, which is not dimensionally meaningful at pixel scale.
+    ``camera_z`` is the perpendicular distance from the pinhole camera to the
+    glass plate in pixels, finite and positive.  ``gravity_weight`` is the
+    dimensionless gravity-to-tension energy ratio (tension has weight 1; only
+    the ratio moves the minimum), standing in for rho*g/sigma, which is not
+    dimensionally meaningful at pixel scale.
     """
 
     n_water: float = 4.0 / 3.0
@@ -159,8 +159,8 @@ class OpticalConfig:
     def __post_init__(self):
         if not (math.isfinite(self.n_water) and self.n_water > N_AIR):
             raise DomainError(f"n_water must be finite and greater than the air index {N_AIR}")
-        if not self.camera_z > 0.0:
-            raise DomainError("camera_z must be positive")
+        if not (math.isfinite(self.camera_z) and self.camera_z > 0.0):
+            raise DomainError("camera_z must be finite and positive")
         g = np.asarray(self.gravity_cosines, dtype=float)
         if g.shape != (3,):
             raise DomainError("gravity direction cosines must have three components")

@@ -7,7 +7,7 @@ import csv
 import inspect
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
@@ -277,19 +277,6 @@ def read_config(path: str | Path) -> PipelineConfig:
 def write_config(path: str | Path, config: PipelineConfig) -> None:
     doc = {name: asdict(getattr(config, name)) for name in _SECTIONS}
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def config_schema() -> dict[str, Any]:
-    """Field names, defaults, and required flags for every config section."""
-    schema: dict[str, Any] = {}
-    for name, cls in _SECTIONS.items():
-        required = _REQUIRED.get(name, ())
-        defaults = asdict(cls())
-        schema[name] = {
-            f.name: {"default": defaults[f.name], "required": f.name in required}
-            for f in fields(cls)
-        }
-    return schema
 
 
 # ---------------------------------------------------------------------------

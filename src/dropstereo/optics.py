@@ -114,10 +114,7 @@ def _critical_normal_z(theta_cprime: np.ndarray, n_a: float, n_w: float) -> np.n
 
 
 def equivalent_camera_depth(rho2: np.ndarray, config: OpticalConfig) -> np.ndarray:
-    """Vectorized equivalent-camera distance for squared plate radii.
-
-    Returns +inf for the camera-at-infinity mode.
-    """
+    """Vectorized equivalent-camera distance for squared plate radii."""
     z_c = config.camera_z
     k = (config.n_water**2 - N_AIR**2) / config.n_water**2
     return config.eta * z_c * np.sqrt(1.0 + k * np.asarray(rho2, dtype=float) / z_c**2)
@@ -131,10 +128,6 @@ def incidence_directions(hf: HeightField, config: OpticalConfig,
     (positive z)."""
     x, y = plate_coords(hf.mask.membership.shape, config, box)
     z = box.crop(hf.z)
-    if math.isinf(config.camera_z):
-        d = np.zeros(z.shape + (3,))
-        d[..., 2] = 1.0
-        return d
     cz = equivalent_camera_depth(x * x + y * y, config)
     d = np.stack([x, y, z + cz], axis=-1)
     return d / np.linalg.norm(d, axis=-1, keepdims=True)

@@ -378,6 +378,5 @@ def _transmittance_from_cos_w(cos_w: np.ndarray, config: OpticalConfig) -> np.nd
     sin_a = config.eta * sin_w
     transmitted = sin_a < 1.0
     theta_a = np.arcsin(np.clip(sin_a, 0.0, 1.0 - 1e-12))
-    theta_a = np.clip(theta_a, 0.0, math.pi / 2 - 1e-9)
     _, _, t = fresnel_transmittance_arrays(theta_a, N_AIR, config.n_water)
     return np.where(transmitted, t, 0.0)

@@ -62,11 +62,8 @@ def rectify_drop(image: RasterGray, hf: HeightField, config: OpticalConfig,
     if not sel.any():
         raise EmptyOutput("no transmitted drop pixels to rectify")
     _, hits_x, hits_y = _plane_hits(tf.origins[sel], tf.directions[sel], d)
-    if math.isinf(config.camera_z):
-        px, py = hits_x, hits_y
-    else:
-        s = config.camera_z / (config.camera_z + d)
-        px, py = hits_x * s, hits_y * s
+    s = config.camera_z / (config.camera_z + d)
+    px, py = hits_x * s, hits_y * s
     vals = tf.box.crop(image.pixels)[sel]
 
     # robust window: grazing near-band rays land arbitrarily far out and
@@ -86,7 +83,7 @@ def rectify_drop(image: RasterGray, hf: HeightField, config: OpticalConfig,
     # output pitch follows the data density (about one hit per cell) so the
     # splat stays dense; never upsample, and honor the size cap
     cells = int(np.clip(math.ceil(1.3 * math.sqrt(px.size)), 64, _MAX_OUTPUT))
-    scale = min(1.0, (cells - 1) / span, (_MAX_OUTPUT - 1) / span)
+    scale = min(1.0, (cells - 1) / span)
     w = int(math.floor((x1 - x0) * scale)) + 1
     h = int(math.floor((y1 - y0) * scale)) + 1
 

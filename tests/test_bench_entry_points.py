@@ -2,6 +2,7 @@
 ``ENTRY_POINTS`` when it installs, so each one must still exist in its
 module; a removed or renamed entry point breaks every traced benchmark run."""
 
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -49,3 +50,25 @@ def test_probed_arguments_keep_their_names():
         params = inspect.signature(getattr(importlib.import_module(modname), name)).parameters
         for arg in args:
             assert arg in params, f"{modname}.{name} has no argument '{arg}'"
+
+
+# fields that the probes read from an argument or a result; a renamed one,
+# too, fails only inside a traced run
+PROBED_FIELDS = {
+    ("dropstereo.solver", "SolverParams"): ("convergence_rel",),
+    ("dropstereo.solver", "SolveReport"): ("iterations_run", "converged", "last_delta"),
+    ("dropstereo.formats", "VolumeLoopParams"): ("max_outer_updates",),
+    ("dropstereo.volume_loop", "VolumeLoopReport"): ("outer_updates",),
+    ("dropstereo.stereo", "BlockMatchParams"): ("window", "stride"),
+    ("dropstereo.raytrace", "TraceField"): ("valid",),
+    ("dropstereo.stereo", "DepthResult"): ("valid",),
+    ("dropstereo.rectify", "RectifiedView"): ("valid",),
+}
+
+
+def test_probed_fields_keep_their_names():
+    for (modname, cls_name), names in PROBED_FIELDS.items():
+        cls = getattr(importlib.import_module(modname), cls_name)
+        fields = {f.name for f in dataclasses.fields(cls)}
+        for name in names:
+            assert name in fields, f"{modname}.{cls_name} has no field '{name}'"

@@ -87,6 +87,21 @@ def test_synth_bad_drop_names_scene_file(tmp_path, capsys):
     assert "scene.json" in err and "drops[0]" in err and "radius" in err, err
 
 
+def test_synth_drop_off_the_raster_names_scene_file_and_drop(tmp_path, capsys):
+    # a drop wholly off the raster has an empty mask and cannot be sized
+    cfg, scene = tmp_path / "cfg.json", tmp_path / "scene.json"
+    _write_config(cfg)
+    scene.write_text(json.dumps({"width": 64, "height": 48,
+                                 "planes": [{"depth": 2000.0, "texture": {"kind": "checker"}}],
+                                 "drops": [{"center": [20, 30], "radius": 8},
+                                           {"center": [-200, 40], "radius": 8}]}))
+    out = tmp_path / "synth"
+    assert main(["synth", "--scene", str(scene), "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "scene.json" in err and "drops[1]" in err and "off the 64x48 raster" in err, err
+    assert not out.exists()
+
+
 def test_synth_missing_texture_names_scene_and_plane(tmp_path, capsys):
     cfg, scene = tmp_path / "cfg.json", tmp_path / "scene.json"
     _write_config(cfg)

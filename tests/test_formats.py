@@ -5,7 +5,7 @@ import pytest
 
 from dropstereo import DomainError, DropMask, HeightField
 from dropstereo import formats
-from dropstereo.formats import (DetectParams, VolumeLoopParams, config_schema, default_config,
+from dropstereo.formats import (DetectParams, VolumeLoopParams, default_config,
                                 read_config, read_correspondences, read_height_field, read_mask,
                                 read_pfm, read_pnm, write_config, write_correspondences,
                                 write_height_field, write_mask, write_pfm, write_pnm)
@@ -262,10 +262,11 @@ def test_config_bad_solver_weights_name_section_and_field(tmp_path):
 
 
 def test_config_non_finite_values_name_section_and_field(tmp_path):
-    # Python's json reads the NaN and Infinity literals
+    # Python's json reads the NaN and Infinity literals; the camera is a
+    # pinhole at a finite distance, so camera_z is finite too
     p = tmp_path / "cfg.json"
-    for section, key in (("optics", "n_water"), ("solver", "convergence_rel"),
-                         ("detect", "min_diameter")):
+    for section, key in (("optics", "n_water"), ("optics", "camera_z"),
+                         ("solver", "convergence_rel"), ("detect", "min_diameter")):
         for value in (float("nan"), float("inf")):
             doc = {"optics": {"n_water": 1.33, "camera_z": 300.0}}
             doc.setdefault(section, {})[key] = value
@@ -274,16 +275,6 @@ def test_config_non_finite_values_name_section_and_field(tmp_path):
                 read_config(p)
             msg = str(exc.value)
             assert f"'{section}'" in msg and key in msg and "cfg.json" in msg, msg
-
-
-def test_config_schema_lists_defaults_and_required():
-    schema = config_schema()
-    assert schema["optics"]["n_water"]["required"] is True
-    assert schema["optics"]["gravity_weight"]["default"] == 1.0e-4
-    assert sum(len(section) for section in schema.values()) == 12
-    assert schema["solver"]["max_iters"]["default"] == 4000
-    assert schema["volume_loop"]["alpha_init"]["default"] == 0.30
-    assert schema["detect"]["min_diameter"]["default"] == 300.0
 
 
 def test_detect_params_validation():

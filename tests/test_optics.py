@@ -197,11 +197,11 @@ def test_equivalent_camera_closed_form_value():
 
 
 def test_equivalent_camera_rejects_nonpositive_height():
-    # the camera height reaches equivalent_camera_depth through the config
-    for z_c in (0.0, -1.0):
-        with pytest.raises(DomainError):
+    # the camera height reaches equivalent_camera_depth through the config,
+    # which takes a pinhole at a finite distance only
+    for z_c in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="camera_z"):
             OpticalConfig(camera_z=z_c)
-    assert np.isinf(equivalent_camera_depth(np.zeros(2), OpticalConfig(camera_z=math.inf))).all()
 
 
 # --- dark band --------------------------------------------------------------------
@@ -214,12 +214,13 @@ def test_dark_band_empty_for_flat_field(config):
 
 
 def test_dark_band_annulus_matches_cap_slope_threshold(cap50):
-    # camera at infinity: the band starts where the cap normal passes the
-    # critical angle, at radius 0.75 * R_sphere of the matching cap
+    # a camera far enough to be orthographic: the band starts where the cap
+    # normal passes the critical angle, at radius 0.75 * R_sphere of the
+    # matching cap
     from conftest import cap_height
 
     mask, hf, _ = cap50
-    cfg = OpticalConfig(camera_z=math.inf)
+    cfg = OpticalConfig(camera_z=1e9)
     band = dark_band_mask(hf, cfg)
     assert band.any()
     rb = math.sqrt(mask.area / math.pi)

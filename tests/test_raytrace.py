@@ -127,7 +127,7 @@ def test_trace_consistent_with_oracle_near_camera():
 def test_trace_flat_region_goes_straight_up():
     m = disk_mask(10)
     hf = HeightField(m, np.zeros(m.membership.shape))
-    cfg = OpticalConfig(camera_z=math.inf)
+    cfg = OpticalConfig(camera_z=1e9)
     tf = trace_field(hf, cfg)
     c = (m.height - 1) // 2
     valid, tir, direction = _traced_pixel(tf, c, c)
@@ -193,7 +193,9 @@ _BOX_CONFIGS = {
     # for the "interior" mask, so shifting the principal point by the box
     # origin would not reproduce the raster's plate coordinates there
     "pp_0.333_12.34": OpticalConfig(principal_point=(0.333, 12.34)),
-    "orthographic": OpticalConfig(camera_z=math.inf),
+    # the orthographic limit: every ray of these grids leaves a camera this
+    # far within 1e-6 rad of the optical axis
+    "orthographic": OpticalConfig(camera_z=1e9),
 }
 
 
@@ -207,14 +209,9 @@ def _full_raster_trace(hf, config):
     cx, cy = config.resolve_principal_point(mask.shape)
     ii, jj = np.mgrid[0 : mask.shape[0], 0 : mask.shape[1]]
     x, y = jj.astype(float) - cx, ii.astype(float) - cy
-    if math.isinf(config.camera_z):
-        r_i = np.zeros(mask.shape + (3,))
-        r_i[..., 2] = 1.0
-        theta_flat = np.zeros_like(x)
-    else:
-        d = np.stack([x, y, hf.z + equivalent_camera_depth(x * x + y * y, config)], axis=-1)
-        r_i = d / np.linalg.norm(d, axis=-1, keepdims=True)
-        theta_flat = np.arctan(np.hypot(x, y) / config.camera_z)
+    d = np.stack([x, y, hf.z + equivalent_camera_depth(x * x + y * y, config)], axis=-1)
+    r_i = d / np.linalg.norm(d, axis=-1, keepdims=True)
+    theta_flat = np.arctan(np.hypot(x, y) / config.camera_z)
     st = MaskStencil(mask)
     z = st.gather(hf.z)
     gx, gy = st.scatter(st.diff(z, 1)), st.scatter(st.diff(z, 0))
@@ -393,16 +390,14 @@ def test_dewarp_turned_grid_answers_unturned_uv(cap50, config, turn):
 
 def test_dewarp_empty_drop_rejected(config):
     m = disk_mask(12)
-    # all-dark surrogate: a cone so steep every pixel totally reflects
-    c = (m.height - 1) / 2.0
+    # all-dark surrogate: a plane so steep every pixel totally reflects
     ii, jj = np.mgrid[0 : m.height, 0 : m.width]
-    rr = np.sqrt((ii - c) ** 2 + (jj - c) ** 2)
-    z = np.where(m.membership, np.maximum(30.0 - 2.5 * rr, 0.0), 0.0)
-    hf = HeightField(m, z)
+    hf = HeightField(m, np.where(m.membership, 3.0 * (ii + jj) + 1.0, 0.0))
     img = RasterGray(np.full(m.membership.shape, 0.5))
-    if not trace_field(hf, config).valid.any():
-        with pytest.raises(EmptyOutput):
-            dewarp_image(img, trace_field(hf, config), 64, (-1.0, 1.0, -1.0, 1.0), 0.0)
+    tf = trace_field(hf, config)
+    assert not tf.valid.any()
+    with pytest.raises(EmptyOutput):
+        dewarp_image(img, tf, 64, (-1.0, 1.0, -1.0, 1.0), 0.0)
 
 
 # --- renderer --------------------------------------------------------------------
@@ -419,17 +414,19 @@ def test_render_zero_height_drop_is_pure_background(config):
     assert np.array_equal(with_drop.pixels, without.pixels)
 
 
-def test_render_orthographic_background_samples_unmagnified_plate():
-    # a camera at infinity sees every plane at plate coordinates, unscaled
-    # by depth; the first plane covering a pixel's x wins
-    cfg = OpticalConfig(camera_z=math.inf, principal_point=(20.5, 13.0))
+def test_render_background_samples_plate_magnified_by_depth():
+    # the pinhole sees a plane at depth d at plate coordinates times
+    # 1 + d / camera_z; the first plane covering a pixel's hit x wins
+    cfg = OpticalConfig(principal_point=(20.5, 13.0))
     near = ScenePlane(depth=800.0, texture=make_texture("noise", 32, 4, seed=2), scale=1.5,
                       x_max=-3.0)
     far = ScenePlane(depth=3000.0, texture=make_texture("checker", 16, 4), scale=2.5)
     scene = SceneSpec(width=48, height=30, planes=(near, far), blur_radius=0.0)
     img = render_synthetic(scene, [], cfg)
     x, y = plate_coords((30, 48), cfg)
-    expected = np.where(x < -3.0, near.sample(x, y, None), far.sample(x, y, None))
+    m_near, m_far = (1.0 + p.depth / cfg.camera_z for p in (near, far))
+    expected = np.where(near.covers(x * m_near), near.sample(x * m_near, y * m_near, None),
+                        far.sample(x * m_far, y * m_far, None))
     assert img.pixels.tobytes() == expected.tobytes()
 
 

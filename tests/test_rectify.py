@@ -101,15 +101,13 @@ def test_rectified_lines_straighter_than_warped(config, cap50):
 
 def test_rectify_empty_field_rejected(config):
     m = disk_mask(10)
-    c = (m.height - 1) / 2.0
+    # a plane so steep every pixel totally reflects
     ii, jj = np.mgrid[0 : m.height, 0 : m.width]
-    rr = np.sqrt((ii - c) ** 2 + (jj - c) ** 2)
-    z = np.where(m.membership, np.maximum(25.0 - 2.4 * rr, 0.0), 0.0)
-    hf = HeightField(m, z)
+    hf = HeightField(m, np.where(m.membership, 3.0 * (ii + jj) + 1.0, 0.0))
     img = RasterGray(np.full(m.membership.shape, 0.5))
-    if not trace_field(hf, config).valid.any():
-        with pytest.raises(EmptyOutput):
-            rectify_drop(img, hf, config, DEPTH)
+    assert not trace_field(hf, config).valid.any()
+    with pytest.raises(EmptyOutput):
+        rectify_drop(img, hf, config, DEPTH)
 
 
 def test_rectify_rejects_non_finite_depth(config):
