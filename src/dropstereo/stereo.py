@@ -86,15 +86,17 @@ class _Windows(NamedTuple):
 
     The image is zero-padded by ``pad`` = (rows, columns) on each side so
     every search band lies inside it; windows touching padding or an
-    unusable pixel, or with no variance, are not ``usable``.  ``windows`` is a strided view, and no
-    search region is copied out of it: the templates of one grid row share
-    one window-major copy of their search band's rows over the union of
-    their columns (see ``_match_row``).
+    unusable pixel are not ``full``, and those, or windows with no variance,
+    are not ``usable``.  ``windows`` is a strided view, built once per
+    image: it gives the image's templates (one contiguous gather per call of
+    ``_match_row``) and, as the searched image, one window-major copy of the
+    search band's rows over the union of the call's columns.
     """
 
     pad: tuple[int, int]
     windows: np.ndarray  # (H', W', w, w) view of the padded image
     norm: np.ndarray     # root of each window's centred sum of squares
+    full: np.ndarray     # (H', W') bool
     usable: np.ndarray   # (H', W') bool
 
 
@@ -119,21 +121,25 @@ def _window_stats(img: np.ndarray, ok: np.ndarray, w: int, pad: tuple[int, int])
     # a window is fully valid when it counts w * w valid pixels; the counts
     # are exact integers in floating point
     full = _window_sums(np.pad(ok, widths).astype(float), w) == w * w
-    return _Windows(pad, view(padded, (w, w)), np.sqrt(np.maximum(var, 0.0)),
+    return _Windows(pad, view(padded, (w, w)), np.sqrt(np.maximum(var, 0.0)), full,
                     full & (var > 1e-12))
 
 
-def _subpixel(score: np.ndarray, r: int, c: int) -> tuple[float, float]:
-    """Parabolic refinement of an argmax on a score grid."""
-    def vertex(a, b, cc) -> float:
-        den = a - 2 * b + cc
-        if math.isfinite(a) and math.isfinite(cc) and den < -1e-12:
-            return min(max(float(0.5 * (a - cc) / den), -0.5), 0.5)
-        return 0.0
-
-    dr = vertex(*score[r - 1 : r + 2, c]) if 0 < r < score.shape[0] - 1 else 0.0
-    dc = vertex(*score[r, c - 1 : c + 2]) if 0 < c < score.shape[1] - 1 else 0.0
-    return dr, dc
+def _subpixel(score: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Parabolic refinement of the maximum at flat index ``idx[t]`` of each
+    score grid ``score[t]``, where a border of -inf stands for the edge of
+    the search region: the (row, column) vertex offset of the parabola
+    through the maximum and its two neighbours on each axis, clipped to
+    [-0.5, 0.5], or 0 beside a -inf score or where the parabola does not
+    open downward."""
+    m, n = score.shape[1:]
+    at = (np.arange(len(idx)) * (m * n) + idx)[:, None]
+    flat = score.ravel()
+    a, b, c = flat[at - (n, 1)], flat[at], flat[at + (n, 1)]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        den = a - 2 * b + c
+        x = np.minimum(np.maximum(0.5 * (a - c) / den, -0.5), 0.5)
+    return np.where(np.isfinite(a) & np.isfinite(c) & (den < -1e-12), x, 0.0)
 
 
 def _global_shift(img_a: np.ndarray, ok_a: np.ndarray, img_b: np.ndarray,
@@ -166,58 +172,87 @@ def _global_shift(img_a: np.ndarray, ok_a: np.ndarray, img_b: np.ndarray,
     return dr, dc
 
 
-def _match_row(img_a: np.ndarray, ok_a: np.ndarray, b: _Windows, ra: int,
-               cols: list[int], params: BlockMatchParams, prior: tuple[int, int]
-               ) -> list[tuple[float, float, float] | None]:
-    """Best sub-pixel position in b for the window of a at (ra, ca), searched
-    in a band around (ra, ca) + prior, for each ca in ``cols``: ``_BAND_ROWS``
-    rows above and below, ``search_radius`` columns left and right.
+def _match_row(a: _Windows, b: _Windows, ra: int, ca: np.ndarray, params: BlockMatchParams,
+               prior: tuple[int, int]) -> list[tuple[float, float, float] | None]:
+    """Best sub-pixel position in b for the template of a centred at
+    (ra, ca[k]), searched in a band around (ra, ca[k]) + prior, for each k:
+    ``_BAND_ROWS`` rows above and below, ``search_radius`` columns left and
+    right.  A template is a window of a with no unusable pixel and some
+    variance; it matches at the first maximum of its ZNCC scores if that
+    reaches ``_ZNCC_MIN``.
 
-    The search regions of one template row all cover the same rows of b, so
-    the windows over the union of their columns are copied once into a
-    window-major band; each region (m = 2 * _BAND_ROWS + 1 rows by
-    n = 2 * search_radius + 1 columns of windows) is then a contiguous
-    (n * m, window * window) slice of it, scored in one matrix-vector
-    product, and its (column, row) scores are transposed back.
+    The templates of one call are scored together.  One contiguous gather
+    of their windows gives their validity, mean, centred patch and norm.
+    Their search regions cover the same rows of b, so the windows over the
+    union of their columns are copied once into a window-major band, where
+    each region (m = 2 * _BAND_ROWS + 1 rows by n = 2 * search_radius + 1
+    columns of windows) is a contiguous (n * m, window * window) slice.
+    Each run of templates whose regions start a constant number of columns
+    apart is scored by one batched matrix-vector product over a strided
+    view of their slices; normalisation, the usable mask, the argmax and
+    the sub-pixel step then run over the stack of (m, n) score grids.
+
+    Each template keeps its own matrix-vector product on a contiguous slice
+    and takes its statistics from a contiguous copy of its window, which
+    sum in the order that scoring one template at a time on its own region
+    does; a product over the whole band, or reductions over the strided
+    view, would sum in another order.
     """
-    hw = params.window // 2
-    rad = params.search_radius
+    w = params.window
+    hw, rad = w // 2, params.search_radius
     n = 2 * rad + 1
     m = 2 * _BAND_ROWS + 1
-    # padded-image windows whose centres lie within _BAND_ROWS rows and rad
-    # columns of (rc, cc) start at (rc + off_r, cc + off_c)
-    off_r = b.pad[0] - _BAND_ROWS - hw
-    off_c = b.pad[1] - rad - hw
-    rc = ra + prior[0]
-    r0 = rc + off_r
-    templates = []
-    for k, ca in enumerate(cols):
-        if not ok_a[ra - hw : ra + hw + 1, ca - hw : ca + hw + 1].all():
-            continue
-        patch = img_a[ra - hw : ra + hw + 1, ca - hw : ca + hw + 1]
-        pz = patch - patch.mean()
-        pn = np.sqrt((pz * pz).sum())
-        if pn >= 1e-12:
-            templates.append((k, ca + prior[1], pz, pn))
-    out: list[tuple[float, float, float] | None] = [None] * len(cols)
-    if not templates:
+    out: list[tuple[float, float, float] | None] = [None] * len(ca)
+    ti, tj = ra - hw + a.pad[0], ca - hw + a.pad[1]
+    k = np.flatnonzero(a.full[ti, tj])
+    patch = a.windows[ti, tj[k]]
+    pz = patch - patch.mean(axis=(1, 2))[:, None, None]
+    pn = np.sqrt((pz * pz).sum(axis=(1, 2)))
+    live = pn >= 1e-12
+    k, pz, pn = k[live], pz[live].reshape(-1, w * w, 1), pn[live]
+    if not k.size:
         return out
-    lo = min(t[1] for t in templates) + off_c
-    hi = max(t[1] for t in templates) + off_c + n
-    band = np.ascontiguousarray(b.windows[r0 : r0 + m, lo:hi].transpose(1, 0, 2, 3))
-    for k, cc, pz, pn in templates:
-        c0 = cc + off_c
-        region = np.s_[r0 : r0 + m, c0 : c0 + n]
-        cross = np.tensordot(band[c0 - lo : c0 - lo + n], pz, axes=([2, 3], [0, 1])).T
-        with np.errstate(invalid="ignore", divide="ignore"):
-            score = cross / (pn * b.norm[region])
-        score = np.where(b.usable[region], score, -np.inf)
-        best = np.unravel_index(int(np.argmax(score)), score.shape)
-        s = score[best]
-        if not np.isfinite(s) or s < _ZNCC_MIN:
-            continue
-        dr, dc = _subpixel(score, *best)
-        out[k] = (rc - _BAND_ROWS + best[0] + dr, cc - rad + best[1] + dc, float(s))
+    # padded-image windows whose centres lie within _BAND_ROWS rows and rad
+    # columns of (rc, cc) start at (r0, c0)
+    rc, cc = ra + prior[0], ca[k] + prior[1]
+    r0 = rc + b.pad[0] - _BAND_ROWS - hw
+    c0 = cc + b.pad[1] - rad - hw
+    lo = int(c0.min())
+    band = np.ascontiguousarray(b.windows[r0 : r0 + m, lo : c0.max() + n].transpose(1, 0, 2, 3))
+    band = band.reshape(-1, w * w)
+    # band row (c - lo) * m + r holds the window at (r0 + r, c); a run's
+    # regions start a constant number of band rows apart, which may be zero
+    # or negative in a backward row, whose columns can repeat or go back
+    starts = ((c0 - lo) * m).tolist()
+    cross = np.empty((k.size, n * m, 1))
+    i = 0
+    while i < k.size:
+        j = i + 1
+        step = starts[j] - starts[i] if j < k.size else 0
+        while j < k.size and starts[j] - starts[j - 1] == step:
+            j += 1
+        run = np.lib.stride_tricks.as_strided(band[starts[i]:], (j - i, n * m, w * w),
+                                              (step * band.strides[0], *band.strides))
+        np.matmul(run, pz[i:j], out=cross[i:j])
+        i = j
+    # the (column, row) cross terms divided into (row, column) grids with a
+    # border of -inf, which leaves the first maximum of each grid in place;
+    # ``at`` holds the flat indices of each region's windows in b's maps
+    width = b.norm.shape[1]
+    at = (r0 * width + c0)[:, None, None] + np.arange(m)[:, None] * width + np.arange(n)
+    score = np.full((k.size, m + 2, n + 2), -np.inf)
+    np.divide(cross.reshape(-1, n, m).transpose(0, 2, 1), pn[:, None, None] * b.norm.take(at),
+              out=score[:, 1:-1, 1:-1], where=b.usable.take(at))
+    flat = score.reshape(k.size, -1)
+    idx = flat.argmax(axis=1)
+    s = flat[np.arange(k.size), idx]
+    hit = np.isfinite(s) & (s >= _ZNCC_MIN)
+    d = _subpixel(score[hit], idx[hit])
+    r, c = np.divmod(idx[hit], n + 2)
+    rb = rc - _BAND_ROWS - 1 + r + d[:, 0]
+    cb = cc[hit] - rad - 1 + c + d[:, 1]
+    for kk, found in zip(k[hit].tolist(), zip(rb.tolist(), cb.tolist(), s[hit].tolist())):
+        out[kk] = found
     return out
 
 
@@ -230,9 +265,12 @@ def match_grids(img_a: np.ndarray, ok_a: np.ndarray, img_b: np.ndarray, ok_b: np
     ``depth_from_drops``), which puts every true match within a row or two
     of its template row plus the prior.
 
-    The forward search runs one grid row at a time; the backward search runs
-    once the forward pass ends, one row of b at a time over the forward
-    matches that land on it.  Matches come out in forward raster order.
+    Each image's windows and their statistics are built once, and serve as
+    the templates of one search direction and the searched windows of the
+    other.  The forward search scores one grid row of templates per call of
+    ``_match_row``; the backward search runs once the forward pass ends,
+    one row of b at a time over the forward matches that land on it.
+    Matches come out in forward raster order.
     """
     hw = params.window // 2
     prior = _global_shift(img_a, ok_a, img_b, ok_b)
@@ -241,10 +279,10 @@ def match_grids(img_a: np.ndarray, ok_a: np.ndarray, img_b: np.ndarray, ok_b: np
     pad = (_BAND_ROWS + hw + abs(prior[0]), params.search_radius + hw + abs(prior[1]))
     wins_a = _window_stats(img_a, ok_a, params.window, pad)
     wins_b = _window_stats(img_b, ok_b, params.window, pad)
-    cols = list(range(hw, img_a.shape[1] - hw, params.stride))
+    cols = np.arange(hw, img_a.shape[1] - hw, params.stride)
     fwd = []
     for ra in range(hw, img_a.shape[0] - hw, params.stride):
-        for ca, m in zip(cols, _match_row(img_a, ok_a, wins_b, ra, cols, params, prior)):
+        for ca, m in zip(cols.tolist(), _match_row(wins_a, wins_b, ra, cols, params, prior)):
             if m is None:
                 continue
             rb, cb, score = m
@@ -256,7 +294,8 @@ def match_grids(img_a: np.ndarray, ok_a: np.ndarray, img_b: np.ndarray, ok_b: np
         on_row.setdefault(rbi, []).append(k)
     back: list[tuple[float, float, float] | None] = [None] * len(fwd)
     for rbi, ks in on_row.items():
-        found = _match_row(img_b, ok_b, wins_a, rbi, [fwd[k][6] for k in ks], params, rprior)
+        found = _match_row(wins_b, wins_a, rbi, np.array([fwd[k][6] for k in ks]), params,
+                           rprior)
         for k, m in zip(ks, found):
             back[k] = m
     out = []
@@ -278,16 +317,18 @@ def block_match(dewarped_a: DewarpedImage, dewarped_b: DewarpedImage,
     p = params or BlockMatchParams()
     raw = match_grids(dewarped_a.raster.pixels, dewarped_a.valid,
                       dewarped_b.raster.pixels, dewarped_b.valid, p)
-    matches = []
-    for ra, ca, rb, cb, score in raw:
-        ia, ja = dewarped_a.source_ij[int(round(ra)), int(round(ca))]
-        ib, jb = dewarped_b.source_ij[int(round(rb)), int(round(cb))]
-        if ia < 0 or ib < 0:
-            continue
-        matches.append(Correspondence(drop_a, drop_b, (float(ia), float(ja)),
-                                      (float(ib), float(jb)), min(score, 1.0),
-                                      uv_a=dewarped_a.uv_of(ca, ra),
-                                      uv_b=dewarped_b.uv_of(cb, rb)))
+    ra, ca, rb, cb, score = np.array(raw, dtype=float).reshape(-1, 5).T
+    ij_a = dewarped_a.source_ij[np.rint(ra).astype(int), np.rint(ca).astype(int)]
+    ij_b = dewarped_b.source_ij[np.rint(rb).astype(int), np.rint(cb).astype(int)]
+    has = (ij_a[:, 0] >= 0) & (ij_b[:, 0] >= 0)
+    uv_a = np.stack(dewarped_a.uv_of(ca[has], ra[has]), axis=-1)
+    uv_b = np.stack(dewarped_b.uv_of(cb[has], rb[has]), axis=-1)
+    matches = [Correspondence(drop_a, drop_b, tuple(pa), tuple(pb), s,
+                              uv_a=tuple(ua), uv_b=tuple(ub))
+               for pa, pb, s, ua, ub in zip(ij_a[has].astype(float).tolist(),
+                                            ij_b[has].astype(float).tolist(),
+                                            np.minimum(score[has], 1.0).tolist(),
+                                            uv_a.tolist(), uv_b.tolist())]
     if len(matches) < p.min_matches:
         raise InsufficientMatches(f"{len(matches)} matches survive "
                                   f"(need {p.min_matches})")

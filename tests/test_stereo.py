@@ -85,6 +85,19 @@ def _oracle_zncc_scores(patch, region, region_ok):
     return np.where((var > 1e-12) & ok, score, -np.inf)
 
 
+def _oracle_subpixel(score, r, c):
+    # parabolic refinement of one argmax, one axis at a time in scalars
+    def vertex(a, b, cc):
+        den = a - 2 * b + cc
+        if math.isfinite(a) and math.isfinite(cc) and den < -1e-12:
+            return min(max(float(0.5 * (a - cc) / den), -0.5), 0.5)
+        return 0.0
+
+    dr = vertex(*score[r - 1 : r + 2, c]) if 0 < r < score.shape[0] - 1 else 0.0
+    dc = vertex(*score[r, c - 1 : c + 2]) if 0 < c < score.shape[1] - 1 else 0.0
+    return dr, dc
+
+
 def _oracle_best_match(img_a, ok_a, img_b, ok_b, ra, ca, params, prior):
     # the search region, _BAND_ROWS rows by search_radius columns either side
     # of the prior, is copied out of b, zero-padded where it leaves b
@@ -106,7 +119,7 @@ def _oracle_best_match(img_a, ok_a, img_b, ok_b, ra, ca, params, prior):
     s = score[best]
     if not np.isfinite(s) or s < _ZNCC_MIN:
         return None
-    dr, dc = _subpixel(score, *best)
+    dr, dc = _oracle_subpixel(score, *best)
     return rc - _BAND_ROWS + best[0] + dr, cc - rad + best[1] + dc, float(s)
 
 
@@ -134,18 +147,24 @@ def _oracle_match_grids(img_a, ok_a, img_b, ok_b, params):
     return out
 
 
-@pytest.mark.parametrize("shift, params, blank_rows, half_row", [
+@pytest.mark.parametrize("shift, params, blank, half_row", [
     pytest.param((4, 20), BlockMatchParams(stride=5), None, False, id="shift0"),
     pytest.param((9, 37), BlockMatchParams(stride=5), None, False, id="shift1"),
     pytest.param((4, 20), BlockMatchParams(), None, False, id="stride3"),
     pytest.param((9, 37), BlockMatchParams(window=7, search_radius=10), None, False,
                  id="w7-r10"),
-    pytest.param((4, 20), BlockMatchParams(stride=5), slice(20, 61), False, id="blank-rows"),
+    pytest.param((4, 20), BlockMatchParams(window=15, search_radius=32, stride=2), None, False,
+                 id="w15-r32-s2"),
+    pytest.param((4, 20), BlockMatchParams(stride=5), (slice(20, 61), None), False,
+                 id="blank-rows"),
+    pytest.param((4, 20), BlockMatchParams(stride=5), (slice(20, 61), slice(75, 86)), False,
+                 id="lone-template"),
     pytest.param((4, 20), BlockMatchParams(window=7, search_radius=10, stride=1), None, True,
                  id="shared-back-rows"),
+    pytest.param((4, 20), BlockMatchParams(window=7, search_radius=10, stride=1),
+                 (slice(20, 40), slice(20, 27)), True, id="repeated-back-columns"),
 ])
-def test_match_grids_equals_region_copy_oracle_across_edges(shift, params, blank_rows,
-                                                            half_row):
+def test_match_grids_equals_region_copy_oracle_across_edges(shift, params, blank, half_row):
     # searches centred on the global prior run off the image edges, where
     # the windows read padding; at (9, 37) some search regions lie wholly
     # outside the image
@@ -159,21 +178,81 @@ def test_match_grids_equals_region_copy_oracle_across_edges(shift, params, blank
         img_b = 0.5 * (img_b + base[shift[0] + 1 : shift[0] + 1 + h, shift[1] : shift[1] + w])
     ok_a = np.ones(img_a.shape, dtype=bool)
     ok_a[30:45, 50:58] = False
-    if blank_rows is not None:
-        # whole grid rows without a template
-        ok_a[blank_rows] = False
+    lone_rows = []
+    if blank is not None:
+        # whole grid rows without a template, or with the one template that
+        # fits in a strip of kept columns
+        rows, kept = blank
+        ok_a[rows] = False
+        if kept is not None:
+            ok_a[rows, kept] = True
+            win, s = params.window, params.stride
+            full = np.lib.stride_tricks.sliding_window_view(ok_a, (win, win)).all(axis=(2, 3))
+            per_row = full[::s, ::s].sum(axis=1)
+            lone_rows = [win // 2 + s * i for i in np.flatnonzero(per_row == 1)]
+            assert lone_rows
     ok_b = np.ones(img_b.shape, dtype=bool)
     ok_b[60:70, 10:30] = False
     assert _global_shift(img_a, ok_a, img_b, ok_b) == (-shift[0], -shift[1])
     got = match_grids(img_a, ok_a, img_b, ok_b, params)
     want = _oracle_match_grids(img_a, ok_a, img_b, ok_b, params)
     assert len(want) >= 20
+    if lone_rows:
+        # a lone template is matched
+        assert any(ra in lone_rows for ra, *_ in want)
     if half_row:
-        rows_of = {}
-        for ra, _, rb, _, _ in want:
+        # some row of b takes the matches of two forward rows, so its
+        # backward search runs over columns that go backwards (the later
+        # forward row) and repeat (a column of b that both rows land on)
+        rows_of, cols_of = {}, {}
+        for ra, _, rb, cb, _ in want:
             rows_of.setdefault(int(round(rb)), set()).add(ra)
+            cols_of.setdefault(int(round(rb)), []).append(int(round(cb)))
         assert max(len(r) for r in rows_of.values()) >= 2
+        steps = [c1 - c0 for cols in cols_of.values() for c0, c1 in zip(cols, cols[1:])]
+        assert min(steps) < 0
+        assert any(len(set(cols)) < len(cols) for cols in cols_of.values())
+        if lone_rows:
+            # lone templates of neighbouring rows land on one column of b
+            # one after the other
+            assert 0 in steps
     assert got == want
+
+
+def test_subpixel_equals_scalar_parabola():
+    # hand-built (m, n) score grids around a peak at (r, c): on every edge
+    # and corner and inside, beside a -inf score, on a flat peak, and with
+    # neighbours that put the vertex beyond half a cell
+    m, n = 2 * _BAND_ROWS + 1, 9
+    rng = np.random.default_rng(8)
+    grids, peaks = [], []
+
+    def case(r, c, column=None, row=None):
+        grid = rng.uniform(-1.0, 0.8, (m, n))
+        grid[r, c] = 0.95
+        if column is not None:
+            grid[r - 1 : r + 2, c] = column
+        if row is not None:
+            grid[r, c - 1 : c + 2] = row
+        grids.append(grid)
+        peaks.append((r, c))
+
+    for r in (0, 2, m - 1):
+        for c in (0, 4, n - 1):
+            case(r, c)
+    case(2, 4, column=(-np.inf, 0.95, 0.5), row=(0.5, 0.95, -np.inf))
+    case(2, 4, column=(0.9, 0.9 + 1e-13, 0.9), row=(0.9 + 1e-13,) * 3)
+    case(2, 4, column=(0.9, 0.5, -0.5), row=(-0.5, 0.5, 0.9))
+    want = np.array([_oracle_subpixel(g, r, c) for g, (r, c) in zip(grids, peaks)])
+    score = np.pad(np.array(grids), ((0, 0), (1, 1), (1, 1)), constant_values=-np.inf)
+    idx = np.array([(r + 1) * (n + 2) + c + 1 for r, c in peaks])
+    assert _subpixel(score, idx).tobytes() == want.tobytes()
+    # each case takes the branch it was built for
+    for (r, c), (want_r, want_c) in zip(peaks[:9], want[:9]):
+        assert (want_r == 0.0) == (r in (0, m - 1))
+        assert (want_c == 0.0) == (c in (0, n - 1))
+    assert (want[9:11] == 0.0).all()
+    assert want[11].tolist() == [-0.5, 0.5]
 
 
 @pytest.mark.parametrize("rows_off", [0, 6, -9])
