@@ -97,7 +97,7 @@ class DropMask:
     @property
     def area(self) -> int:
         """Pixel count of the region (the B of the volume relation)."""
-        return int(self.membership.sum())
+        return int(np.count_nonzero(self.membership))
 
     @property
     def height(self) -> int:
@@ -114,10 +114,11 @@ class DropMask:
 
     def bbox(self) -> tuple[int, int, int, int]:
         """(i0, i1, j0, j1) half-open bounds of the member pixels."""
-        if self.area == 0:
+        rows = np.flatnonzero(self.membership.any(axis=1))
+        if rows.size == 0:
             raise DomainError("empty mask has no bounding box")
-        ii, jj = np.nonzero(self.membership)
-        return int(ii.min()), int(ii.max()) + 1, int(jj.min()), int(jj.max()) + 1
+        cols = np.flatnonzero(self.membership.any(axis=0))
+        return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
 
 
 @dataclass(frozen=True)

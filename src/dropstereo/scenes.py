@@ -36,7 +36,11 @@ def make_texture(kind: str, size: int = 256, period: int = 16, seed: int = 0,
         rng = np.random.default_rng(seed)
         cells = -(-size // period)  # ceil
         coarse = rng.uniform(low, high, size=(cells, cells))
-        return np.kron(coarse, np.ones((period, period)))[:size, :size]
+        # each coarse cell fills a period x period block; one copy of a
+        # broadcast view writes them all, with no intermediate array
+        n = cells * period
+        blocks = np.broadcast_to(coarse[:, None, :, None], (cells, period, cells, period))
+        return blocks.reshape(n, n)[:size, :size]
     raise DomainError(f"unknown texture kind '{kind}'")
 
 

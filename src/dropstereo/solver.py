@@ -136,12 +136,16 @@ def _energy(z: np.ndarray, stencil: MaskStencil, config: OpticalConfig,
 
 
 def _tension(z: np.ndarray, stencil: MaskStencil, interior: np.ndarray,
-             work: np.ndarray) -> None:
+             moves: np.ndarray, work: np.ndarray) -> None:
     """One explicit curvature-flow step descending the tension energy, in
     place on the buffer ``z``: the cells where ``interior`` is 1 move and
-    every other cell ends at zero, so a ring left out of ``interior`` is the
-    pinned contact line.  ``work`` holds four zeroed buffers, which keep
-    their padding at zero."""
+    every other cell ends at zero, so the ring left out of ``interior`` is
+    the pinned contact line.  ``interior`` must leave out that whole ring:
+    the divergence is the plain central one, which is right at every cell
+    off the ring (all its 4-neighbours are members) and is discarded on the
+    ring.  ``moves`` is ``interior * (0.5 * _TAU)``, the central difference's
+    halving and the step size in one factor; ``work`` holds four zeroed
+    buffers, which keep their padding at zero."""
     gx, gy, den, flow = work
     z *= interior
     stencil.diff_into(z, 1, gx)
@@ -153,11 +157,12 @@ def _tension(z: np.ndarray, stencil: MaskStencil, interior: np.ndarray,
     np.sqrt(den, out=den)
     gx /= den
     gy /= den
-    stencil.diff_into(gx, 1, flow)
-    flow += stencil.diff_into(gy, 0, den)
-    flow *= _TAU
+    o, n, w = stencil.origin, stencil.mask.size, stencil.mask.shape[1]
+    cells = flow[o : o + n]
+    np.subtract(gx[o + 1 : o + 1 + n], gx[o - 1 : o - 1 + n], out=cells)
+    cells += np.subtract(gy[o + w : o + w + n], gy[o - w : o - w + n], out=den[o : o + n])
+    flow *= moves
     z += flow
-    z *= interior
 
 
 def _tilt(stencil: MaskStencil, config: OpticalConfig) -> np.ndarray:
@@ -245,6 +250,8 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     st = MaskStencil(sub_mask.membership)
     z = st.pad(st.gather(z))
     interior = st.pad(~st.gather(sub_mask.boundary()))
+    moves = interior * (0.5 * _TAU)
+    keep = interior * _MOMENTUM
     prev = np.empty(st.size)
     step = np.zeros(st.size)  # the previous sweep's change
     work = np.zeros((4, st.size))
@@ -266,9 +273,8 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
                 step.fill(0.0)
                 settled = t + _CYCLE // 2
         np.copyto(prev, z)
-        _tension(z, st, interior, work)
-        step *= interior
-        step *= _MOMENTUM
+        _tension(z, st, interior, moves, work)
+        step *= keep
         step += tilt
         z += step
         # no finiteness check: each restore leaves heights >= 0 summing to

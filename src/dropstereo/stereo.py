@@ -118,9 +118,12 @@ def _window_stats(img: np.ndarray, ok: np.ndarray, w: int, pad: tuple[int, int])
     padded = np.pad(img, widths)
     sums = _window_sums(padded, w)
     var = _window_sums(padded * padded, w) - sums * sums / (w * w)
-    # a window is fully valid when it counts w * w valid pixels; the counts
-    # are exact integers in floating point
-    full = _window_sums(np.pad(ok, widths).astype(float), w) == w * w
+    # a window is fully valid when it counts w * w valid pixels, an integer
+    # box count read off the summed-area table of the padded mask
+    sat = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=np.intp)
+    np.cumsum(np.pad(ok, widths), axis=1, out=sat[1:, 1:])
+    np.cumsum(sat[1:], axis=0, out=sat[1:])
+    full = sat[w:, w:] - sat[:-w, w:] - sat[w:, :-w] + sat[:-w, :-w] == w * w
     return _Windows(pad, view(padded, (w, w)), np.sqrt(np.maximum(var, 0.0)), full,
                     full & (var > 1e-12))
 

@@ -9,8 +9,13 @@ too large.  Each update scales the volume by the relative brightness miss.
 The update can orbit its fixed point rather than settle, so the loop keeps
 one record per probe: its volume, its sampled brightness, its solved surface
 (as a drop-box crop) and its solve report.  Each solve after the first starts
-from the stored surface whose volume is nearest the new target (the earlier
-one on a tie); only the first starts from the cylinder
+from the stored surface whose volume v_near is nearest the new target v (the
+earlier one on a tie), scaled by v / v_near: the start then holds the target
+volume with its contact line still at zero, and it is the exact answer in
+the small-slope limit, where the surface is proportional to its volume.  An
+unscaled start would leave the solve's first volume restore to add
+(v - v_near) / B to every pixel, a step at the pinned contact line that the
+sweeps must smooth away.  Only the first solve starts from the cylinder
 ``init_mesh(mask, alpha_init)``.  The answer is the probe whose sample came
 closest to the target.
 """
@@ -145,7 +150,8 @@ def estimate_shape(image: RasterGray, mask: DropMask, config: OpticalConfig,
     for _ in range(lp.max_outer_updates):
         if probes:
             # min keeps the first of equal keys, so the earlier surface wins a tie
-            init = HeightField(mask, box.paste(min(probes, key=lambda p: abs(p[0] - v))[2]))
+            v_near, _, crop, _ = min(probes, key=lambda p: abs(p[0] - v))
+            init = HeightField(mask, box.paste(crop * (v / v_near)))
         else:
             init = init_mesh(mask, lp.alpha_init)
         hf, rep = solve_fixed_volume(mask, v, sp, config, init=init)

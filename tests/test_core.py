@@ -52,6 +52,42 @@ def test_mask_area_counts_members():
     assert m.area == 100
 
 
+def _bbox_masks():
+    """Single-component masks touching each grid edge, alone and all four;
+    single pixels, corners included; runs on 1 x N and N x 1 grids."""
+    h, w = 12, 15
+    for i0, i1, j0, j1 in ((0, 4, 5, 9), (8, h, 5, 9), (3, 6, 0, 2), (3, 6, 11, w),
+                           (0, h, 0, w), (0, h, 7, 8), (5, 6, 0, w)):
+        m = np.zeros((h, w), dtype=bool)
+        m[i0:i1, j0:j1] = True
+        yield m
+    for i, j in ((0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1), (4, 9)):
+        m = np.zeros((h, w), dtype=bool)
+        m[i, j] = True
+        yield m
+    for n, (a, b) in ((1, (0, 1)), (9, (0, 9)), (9, (3, 6)), (9, (8, 9)), (9, (4, 5))):
+        line = np.zeros(n, dtype=bool)
+        line[a:b] = True
+        yield line[None, :]
+        yield line[:, None]
+    yield disk_mask(5).membership
+
+
+def test_mask_bbox_and_area_equal_the_nonzero_form():
+    for grid in _bbox_masks():
+        m = DropMask(grid)
+        ii, jj = np.nonzero(grid)
+        assert m.bbox() == (ii.min(), ii.max() + 1, jj.min(), jj.max() + 1)
+        assert all(type(v) is int for v in m.bbox())
+        assert m.area == ii.size and type(m.area) is int
+    for shape in ((4, 5), (1, 6), (6, 1), (1, 1)):
+        empty = DropMask(np.zeros(shape, dtype=bool))
+        assert empty.area == 0
+        with pytest.raises(DomainError, match="empty"):
+            empty.bbox()
+        assert DropBox.of(empty) == DropBox(0, 0, 0, 0, shape)
+
+
 def test_mask_rejects_disconnected_components():
     grid = np.zeros((9, 9), dtype=bool)
     grid[1, 1] = True

@@ -150,3 +150,16 @@ def test_round_blob_is_the_disk_bit_for_bit(shape):
             blob = blob_mask(r, shape, centre, 0.0, seed=r)
             disk = disk_mask(r, shape, centre)
             assert np.array_equal(blob.membership, disk.membership), (r, centre)
+
+
+@pytest.mark.parametrize("size, period", [(64, 1), (64, 2), (64, 16), (100, 16), (7, 2)])
+def test_noise_texture_equals_the_kronecker_upsampling(size, period):
+    # each coarse cell fills a period x period block, cut to size where the
+    # period does not divide it
+    tex = make_texture("noise", size, period, seed=4, low=0.05, high=0.95)
+    rng = np.random.default_rng(4)
+    cells = -(-size // period)
+    coarse = rng.uniform(0.05, 0.95, size=(cells, cells))
+    want = np.kron(coarse, np.ones((period, period)))[:size, :size]
+    assert tex.shape == (size, size)
+    assert tex.tobytes() == want.tobytes()

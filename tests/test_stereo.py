@@ -314,6 +314,33 @@ def test_window_sums_equal_the_4d_reduction():
         check_usable(img, ok, w, 0)
 
 
+def test_window_full_equals_the_float_count():
+    # the all-valid mask from the integer box count is the float window count
+    # of the padded validity mask compared with w * w
+    rng = np.random.default_rng(11)
+
+    def want(ok, w, pad):
+        widths = [(pad[0], pad[0]), (pad[1], pad[1])]
+        return _window_sums(np.pad(ok, widths).astype(float), w) == w * w
+
+    for w in (3, 7, 11):
+        for p in (0, 4, 17):
+            for pad in ((p, p), (p // 2, p)):
+                for shape in ((29, 23), (w + 5, 40)):
+                    img = rng.uniform(0.0, 1.0, shape)
+                    for frac in (0.0, 0.01, 0.05, 0.3, 1.0):
+                        ok = rng.uniform(size=shape) >= frac
+                        got = _window_stats(img, ok, w, pad).full
+                        assert np.array_equal(got, want(ok, w, pad)), (w, pad, shape, frac)
+        # a padded image exactly w rows tall: one row of windows
+        for rows in range(0, w // 2 + 1):
+            img = rng.uniform(0.0, 1.0, (w - 2 * rows, 31))
+            for ok in (rng.uniform(size=img.shape) > 0.05, np.ones(img.shape, dtype=bool)):
+                got = _window_stats(img, ok, w, (rows, 4)).full
+                assert got.shape[0] == 1
+                assert np.array_equal(got, want(ok, w, (rows, 4)))
+
+
 # --- triangulation ---------------------------------------------------------------
 
 

@@ -222,10 +222,11 @@ def _assert_nearest_surface_rule(calls, mask, lp):
     assert volume_of(calls[0][1]) == pytest.approx(first_volume, rel=1e-12)
     for k in range(1, len(calls)):
         target, init = calls[k][:2]
-        # the earliest of the visited probes nearest the target
+        # the earliest of the visited probes nearest the target, scaled to it
         nearest = min(range(k), key=lambda j: abs(calls[j][0] - target))
-        assert volume_of(init) == pytest.approx(calls[nearest][0], rel=1e-9)
-        assert np.array_equal(init.z, calls[nearest][2].z), f"solve {k}"
+        v_near, surface = calls[nearest][0], calls[nearest][2]
+        assert init.z.tobytes() == (surface.z * (target / v_near)).tobytes(), f"solve {k}"
+        assert volume_of(init) == pytest.approx(target, rel=1e-9)
 
 
 def test_estimate_shape_warm_starts_from_nearest_solved_surface(monkeypatch, small_drop_render,
@@ -251,14 +252,39 @@ def test_estimate_shape_warm_start_tie_takes_earlier_surface(monkeypatch, small_
     assert [c[0] for c in calls[:3]] == [v0, v0 + 256.0, v0 + 128.0]
     assert abs(calls[2][0] - calls[0][0]) == abs(calls[2][0] - calls[1][0])
     _assert_nearest_surface_rule(calls, mask, lp)
-    assert volume_of(calls[2][1]) == pytest.approx(v0, rel=1e-9)
+    # the scaled later surface is another start
+    later = calls[1][2].z * (calls[2][0] / calls[1][0])
+    assert calls[2][1].z.tobytes() != later.tobytes()
+
+
+def test_estimate_shape_reprobe_starts_from_its_own_solved_surface(monkeypatch,
+                                                                   small_drop_render, config):
+    # scripted probes v0, v0 + 256, v0: the third re-probes the first volume,
+    # starts from its surface unscaled (ratio 1.0) and is solved in one sweep
+    mask, image = small_drop_render
+    seen = []
+
+    def scripted(v, *args, **kwargs):
+        seen.append(v)
+        return seen[0] + 256.0 if len(seen) == 1 else seen[0]
+
+    monkeypatch.setattr(volume_loop, "volume_update", scripted)
+    lp = VolumeLoopParams(alpha_init=0.30, max_outer_updates=4)
+    calls, rep = _recorded_loop(monkeypatch, image, mask, config, lp)
+    v0 = calls[0][0]
+    # the third update returns v0 again and ends the loop
+    assert [c[0] for c in calls] == [v0, v0 + 256.0, v0]
+    _assert_nearest_surface_rule(calls, mask, lp)
+    assert calls[2][1].z.tobytes() == calls[0][2].z.tobytes()
+    assert calls[0][3].converged
+    assert calls[2][3].iterations_run == 1 and calls[2][3].converged
 
 
 def test_estimate_shape_stored_surfaces_keep_their_bytes(monkeypatch, small_drop_render,
                                                         config):
     # every solve works in place on buffers of its own: the surface each probe
     # stored is, byte for byte, what its solve returned, whenever a later
-    # probe starts from it or the loop answers with it
+    # probe starts from it (scaled to its volume) or the loop answers with it
     mask, image = small_drop_render
     seen = []
 
@@ -275,7 +301,9 @@ def test_estimate_shape_stored_surfaces_keep_their_bytes(monkeypatch, small_drop
     assert len(seen) == rep.outer_updates >= 3
     for k in range(1, len(seen)):
         nearest = min(range(k), key=lambda j: abs(seen[j][0] - seen[k][0]))
-        assert seen[k][1].z.tobytes() == seen[nearest][2], f"solve {k}"
+        stored = np.frombuffer(seen[nearest][2]).reshape(mask.membership.shape)
+        scaled = stored * (seen[k][0] / seen[nearest][0])
+        assert seen[k][1].z.tobytes() == scaled.tobytes(), f"solve {k}"
     chosen = min(range(len(seen)), key=lambda j: abs(rep.sampled_history[j] - rep.target))
     assert hf.z.tobytes() == seen[chosen][2]
 
