@@ -84,6 +84,8 @@ def cmd_reconstruct(args) -> int:
     cfg = formats.read_config(args.config)
     image = _load_gray(args.image)
     mask = formats.read_mask(args.mask)
+    if mask.area == 0:
+        raise DomainError(f"{args.mask}: cannot reconstruct on an empty mask")
     if args.estimate_volume:
         hf, alpha_est, loop = estimate_shape(image, mask, cfg.optics, cfg.solver,
                                              cfg.volume_loop)

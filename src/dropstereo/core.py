@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -108,9 +109,10 @@ class DropMask:
         return self.membership.shape[1]
 
     def boundary(self) -> np.ndarray:
-        """Member pixels with at least one 4-neighbor outside the region."""
-        er = ndimage.binary_erosion(self.membership, structure=_FOUR_CONNECTED, border_value=0)
-        return self.membership & ~er
+        """Member pixels with at least one 4-neighbor outside the region, on
+        the drop's box."""
+        m = self.box.crop(self.membership)
+        return m & ~ndimage.binary_erosion(m, structure=_FOUR_CONNECTED, border_value=0)
 
     def bbox(self) -> tuple[int, int, int, int]:
         """(i0, i1, j0, j1) half-open bounds of the member pixels."""
@@ -119,6 +121,18 @@ class DropMask:
             raise DomainError("empty mask has no bounding box")
         cols = np.flatnonzero(self.membership.any(axis=0))
         return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+    @cached_property
+    def box(self) -> "DropBox":
+        """The drop's box: the bounding box plus a one-pixel margin, clamped
+        to the grid; an empty mask has an empty box at the origin.  Every
+        per-pixel step of a drop reads only its mask pixels and their
+        4-neighbors, so the solver, the trace and the band fields run on it."""
+        h, w = self.membership.shape
+        if self.area == 0:
+            return DropBox(0, 0, 0, 0, (h, w))
+        i0, i1, j0, j1 = self.bbox()
+        return DropBox(max(i0 - 1, 0), min(i1 + 1, h), max(j0 - 1, 0), min(j1 + 1, w), (h, w))
 
 
 @dataclass(frozen=True)
@@ -189,28 +203,14 @@ class OpticalConfig:
 
 @dataclass(frozen=True)
 class DropBox:
-    """The per-drop crop: the bounding box of a mask plus a one-pixel margin,
-    clamped to the grid.
-
-    Every per-pixel step of a drop reads only its mask pixels and their
-    4-neighbors, so the solver, the trace and the band fields run on this
-    box.  ``i0:i1, j0:j1`` are its raster rows and columns and ``shape`` is
-    the raster's; an empty mask has an empty box at the origin.
-    """
+    """A window of the raster: rows ``i0:i1`` and columns ``j0:j1`` of a
+    grid of ``shape``.  A drop's own window is ``DropMask.box``."""
 
     i0: int
     i1: int
     j0: int
     j1: int
     shape: tuple[int, int]
-
-    @staticmethod
-    def of(mask: DropMask) -> "DropBox":
-        h, w = mask.membership.shape
-        if mask.area == 0:
-            return DropBox(0, 0, 0, 0, (h, w))
-        i0, i1, j0, j1 = mask.bbox()
-        return DropBox(max(i0 - 1, 0), min(i1 + 1, h), max(j0 - 1, 0), min(j1 + 1, w), (h, w))
 
     def crop(self, a: np.ndarray) -> np.ndarray:
         """The box of a raster-sized array (a view)."""
@@ -329,17 +329,16 @@ class MaskStencil:
         return self.diff_into(self.pad(v), axis, np.zeros(self.size)).take(self.members)
 
 
-def normal_field(hf: HeightField, box: DropBox | None = None) -> np.ndarray:
-    """Unit surface normals, (H, W, 3), oriented into the +z hemisphere; on
-    ``box``, the same values box-sized.
+def normal_field(hf: HeightField) -> np.ndarray:
+    """Unit surface normals on the drop's box, (h, w, 3), oriented into the
+    +z hemisphere.
 
     The tangential sign is chosen so a convex drop has normals tilting
     outward: N' = (-dz/dx, -dz/dy, 1).  N_z is unaffected by that choice.
     Entries outside the mask are zero.
     """
-    mask, z = hf.mask.membership, hf.z
-    if box is not None:
-        mask, z = box.crop(mask), box.crop(z)
+    box = hf.mask.box
+    mask, z = box.crop(hf.mask.membership), box.crop(hf.z)
     st = MaskStencil(mask)
     v = st.pad(st.gather(z))
     gx, gy = (st.cells(st.diff_into(v, axis, np.zeros(st.size))) for axis in (1, 0))
@@ -349,12 +348,10 @@ def normal_field(hf: HeightField, box: DropBox | None = None) -> np.ndarray:
     return n
 
 
-def plate_coords(shape: tuple[int, int], config: OpticalConfig,
-                 box: DropBox | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel plate coordinates (x, y) relative to the principal point of
-    the grid of ``shape``; on ``box``, the same values box-sized."""
-    cx, cy = config.resolve_principal_point(shape)
-    box = box or DropBox(0, shape[0], 0, shape[1], shape)
+def plate_coords(box: DropBox, config: OpticalConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Plate coordinates (x, y) of every pixel of ``box``, box-sized, relative
+    to the principal point of the box's raster."""
+    cx, cy = config.resolve_principal_point(box.shape)
     ii, jj = np.mgrid[box.i0 : box.i1, box.j0 : box.j1]
     return jj.astype(float) - cx, ii.astype(float) - cy
 

@@ -7,6 +7,7 @@ import csv
 import inspect
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
@@ -18,6 +19,15 @@ from .detect import DetectParams
 from .errors import DomainError
 from .solver import SolverParams
 from .volume_loop import VolumeLoopParams
+
+
+@contextmanager
+def _prefixed(where: str | Path):
+    """Prefix ``where`` to a ``DomainError`` raised in the block."""
+    try:
+        yield
+    except DomainError as exc:
+        raise DomainError(f"{where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +111,8 @@ def read_mask(path: str | Path) -> DropMask:
     img = read_pnm(path)
     if img.ndim != 2:
         raise DomainError(f"{path}: mask must be grayscale (P5)")
-    return DropMask(img > 0.5)
+    with _prefixed(path):
+        return DropMask(img > 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +168,8 @@ def read_height_field(path: str | Path) -> HeightField:
     if np.isinf(arr).any():
         raise DomainError(f"{path}: height field has infinite heights "
                           "(NaN marks non-member pixels)")
-    mask = DropMask(np.isfinite(arr))
-    return HeightField(mask, np.nan_to_num(arr, nan=0.0))
+    with _prefixed(path):
+        return HeightField(DropMask(np.isfinite(arr)), np.nan_to_num(arr, nan=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +252,8 @@ def _build(cls, payload: dict[str, Any], where: str, required=(), **convert):
     kwargs = {key: convert[key](value) if key in convert
               else _typed(value, hints[key], f"{where}: field '{key}'")
               for key, value in payload.items()}
-    try:
+    with _prefixed(where):
         return cls(**kwargs)
-    except DomainError as exc:
-        raise DomainError(f"{where}: {exc}") from exc
 
 
 def _read_json_object(path: str | Path, what: str) -> dict[str, Any]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import N_AIR, DropBox, HeightField, OpticalConfig, normal_field, plate_coords
+from .core import N_AIR, HeightField, OpticalConfig, normal_field, plate_coords
 from .errors import DomainError
 
 
@@ -120,43 +120,40 @@ def equivalent_camera_depth(rho2: np.ndarray, config: OpticalConfig) -> np.ndarr
     return config.eta * z_c * np.sqrt(1.0 + k * np.asarray(rho2, dtype=float) / z_c**2)
 
 
-def incidence_directions(hf: HeightField, config: OpticalConfig,
-                         box: DropBox) -> np.ndarray:
+def incidence_directions(hf: HeightField, config: OpticalConfig) -> np.ndarray:
     """Unit in-water ray directions from the equivalent camera to every
-    surface point of ``box``, box-sized (h, w, 3); the camera sits at
+    surface point of the drop's box, box-sized (h, w, 3); the camera sits at
     z = -C'_z below the plate so directions point toward the scene
     (positive z)."""
-    x, y = plate_coords(hf.mask.membership.shape, config, box)
+    box = hf.mask.box
+    x, y = plate_coords(box, config)
     z = box.crop(hf.z)
     cz = equivalent_camera_depth(x * x + y * y, config)
     d = np.stack([x, y, z + cz], axis=-1)
     return d / np.linalg.norm(d, axis=-1, keepdims=True)
 
 
-def theta_cprime_field(hf: HeightField, config: OpticalConfig,
-                       box: DropBox) -> np.ndarray:
-    """Per-pixel angle between the incident in-water ray and the z axis,
-    box-sized on ``box``."""
-    d = incidence_directions(hf, config, box)
+def theta_cprime_field(hf: HeightField, config: OpticalConfig) -> np.ndarray:
+    """Per-pixel angle between the incident in-water ray and the z axis, on
+    the drop's box."""
+    d = incidence_directions(hf, config)
     return np.arccos(np.clip(d[..., 2], -1.0, 1.0))
 
 
 def critical_normal_z_field(hf: HeightField, config: OpticalConfig) -> np.ndarray:
-    """Per-pixel critical normal-z threshold from the equivalent camera,
-    computed on the drop's box and zero outside it."""
-    box = DropBox.of(hf.mask)
-    return box.paste(_critical_normal_z(theta_cprime_field(hf, config, box),
-                                        N_AIR, config.n_water))
+    """Per-pixel critical normal-z threshold from the equivalent camera, on
+    the drop's box."""
+    return _critical_normal_z(theta_cprime_field(hf, config), N_AIR, config.n_water)
 
 
 def dark_band_mask(hf: HeightField, config: OpticalConfig) -> np.ndarray:
-    """Pixels predicted totally dark: N_z at or below the per-pixel critical
-    value.  Returned as a boolean grid; a band may be empty or fragmented, so
-    the single-component region invariant does not apply to it."""
-    return hf.mask.membership & (normal_z_field(hf) <= critical_normal_z_field(hf, config))
+    """Pixels of the drop's box predicted totally dark: N_z at or below the
+    per-pixel critical value.  A band may be empty or fragmented, so the
+    single-component region invariant does not apply to it."""
+    member = hf.mask.box.crop(hf.mask.membership)
+    return member & (normal_z_field(hf) <= critical_normal_z_field(hf, config))
 
 
 def normal_z_field(hf: HeightField) -> np.ndarray:
-    """N_z per mask pixel, zero elsewhere; computed on the drop's box."""
-    box = DropBox.of(hf.mask)
-    return box.paste(normal_field(hf, box)[..., 2])
+    """N_z per pixel of the drop's box, zero off the mask."""
+    return normal_field(hf)[..., 2]

@@ -139,12 +139,12 @@ class TraceField:
 
 
 def trace_field(hf: HeightField, config: OpticalConfig) -> TraceField:
-    """Trace every pixel of the drop's box (``DropBox.of(hf.mask)``)."""
-    box = DropBox.of(hf.mask)
+    """Trace every pixel of the drop's box (``hf.mask.box``)."""
+    box = hf.mask.box
     mask = box.crop(hf.mask.membership)
-    x, y = plate_coords(hf.mask.membership.shape, config, box)
-    r_i = incidence_directions(hf, config, box)
-    normals = normal_field(hf, box)
+    x, y = plate_coords(box, config)
+    r_i = incidence_directions(hf, config)
+    normals = normal_field(hf)
     r_o, tir = refract_arrays(r_i, np.where(mask[..., None], normals, [0.0, 0.0, 1.0]),
                               config.eta)
     tir &= mask
@@ -191,10 +191,10 @@ def shared_uv_bounds(traces: list[TraceField], turn: float
     near-band grazing directions do not dominate the grid.  The window is
     taken in the frame turned by ``turn`` (see ``uv_field``)."""
     u_lo, u_hi, v_lo, v_hi = [], [], [], []
-    for tf in traces:
+    for k, tf in enumerate(traces):
         u, v, valid = uv_field(tf, turn)
         if not valid.any():
-            raise DomainError("a drop has no valid transmitted pixels")
+            raise DomainError(f"drop {k} has no valid transmitted pixels")
         lo, hi = np.percentile(u[valid], [2.0, 98.0])
         u_lo.append(lo)
         u_hi.append(hi)
@@ -299,8 +299,9 @@ def dewarp_image(image: RasterGray, tf: TraceField, out_resolution: int,
 
 
 def _background(scene: SceneSpec, config: OpticalConfig) -> np.ndarray:
-    x, y = plate_coords((scene.height, scene.width), config)
-    out = np.zeros((scene.height, scene.width))
+    h, w = scene.height, scene.width
+    x, y = plate_coords(DropBox(0, h, 0, w, (h, w)), config)
+    out = np.zeros((h, w))
     todo = np.ones_like(out, dtype=bool)
     for plane in scene.planes:
         m = 1.0 + plane.depth / config.camera_z

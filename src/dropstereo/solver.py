@@ -112,7 +112,7 @@ def energy_of(hf: HeightField, config: OpticalConfig) -> tuple[float, float, flo
     z*(x cos_x + y cos_y) + z^2/2 * cos_z per pixel.  Pixel coordinates are
     taken relative to the principal point.
     """
-    box = DropBox.of(hf.mask)
+    box = hf.mask.box
     st = MaskStencil(box.crop(hf.mask.membership))
     return _energy(st.pad(st.gather(box.crop(hf.z))), st, config, box)
 
@@ -235,21 +235,23 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     ``_CYCLE // 2`` sweeps after a jump."""
     if not (math.isfinite(target_volume) and target_volume > 0.0):
         raise DomainError("target volume must be finite and positive")
-    if mask.area == 0:
+    b = mask.area
+    if b == 0:
         raise DomainError("cannot solve on an empty mask")
+    if init is not None and init.z.shape != mask.membership.shape:
+        raise DomainError(f"init lies on a {init.z.shape} grid, "
+                          f"the mask on {mask.membership.shape}")
 
-    # the sweeps only touch the mask; run them on the drop's box
-    box = DropBox.of(mask)
-    sub_mask = DropMask(box.crop(mask.membership))
+    # the sweeps only touch the mask; run them on the drop's box, where the
+    # state and every work array are buffers, allocated once per solve; the
+    # start is the init's heights or the cylinder of ``init_mesh``
+    box = mask.box
+    st = MaskStencil(box.crop(mask.membership))
     if init is None:
-        z = init_mesh(sub_mask, target_volume / mask.area**1.5).z
+        z = st.pad(np.full(b, target_volume / b**1.5 * math.sqrt(b)))
     else:
-        z = HeightField(sub_mask, box.crop(init.z)).z
-
-    # the state and every work array are buffers, allocated once per solve
-    st = MaskStencil(sub_mask.membership)
-    z = st.pad(st.gather(z))
-    interior = st.pad(~st.gather(sub_mask.boundary()))
+        z = st.pad(st.gather(box.crop(init.z)))
+    interior = st.pad(~st.gather(mask.boundary()))
     moves = interior * (0.5 * _TAU)
     keep = interior * _MOMENTUM
     prev = np.empty(st.size)

@@ -429,9 +429,9 @@ def depth_from_drops(image: RasterGray, drops: list[HeightField], config: Optica
 
     if correspondences is None:
         centres = []
-        for tf in traces:
+        for k, tf in enumerate(traces):
             if not tf.valid.any():
-                raise DomainError("a drop has no valid transmitted pixels")
+                raise DomainError(f"drop {k} has no valid transmitted pixels")
             centres.append(tf.origins[tf.valid, :2].mean(axis=0))
         densest = max(int(hf.mask.area) for hf in drops)
         resolution = int(np.clip(round(math.sqrt(densest)), 48, 256))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DropBox, DropMask, HeightField, OpticalConfig, RasterGray
+from .core import DropMask, HeightField, OpticalConfig, RasterGray
 from .errors import DomainError, RingTooSmall
 from .optics import critical_normal_z_field, normal_z_field
 from .solver import SolveReport, SolverParams, init_mesh, solve_fixed_volume
@@ -60,11 +60,11 @@ class VolumeLoopParams:
 
 
 def band_ring(hf: HeightField, config: OpticalConfig) -> np.ndarray:
-    """Pixels whose normal-z lies within the band half-width of the critical
-    value (computed per pixel from the equivalent camera)."""
+    """Pixels of the drop's box whose normal-z lies within the band half-width
+    of the critical value (computed per pixel from the equivalent camera)."""
     n_z = normal_z_field(hf)
     n_crit = critical_normal_z_field(hf, config)
-    return hf.mask.membership & (np.abs(n_z - n_crit) <= _BAND_HALFWIDTH)
+    return hf.mask.box.crop(hf.mask.membership) & (np.abs(n_z - n_crit) <= _BAND_HALFWIDTH)
 
 
 def sample_band_brightness(image: RasterGray, hf: HeightField, config: OpticalConfig) -> float:
@@ -76,7 +76,7 @@ def sample_band_brightness(image: RasterGray, hf: HeightField, config: OpticalCo
     if n < _MIN_RING_PIXELS:
         raise RingTooSmall(f"band ring has {n} pixels (need {_MIN_RING_PIXELS}); "
                            "volume estimate far off or drop too small")
-    return float(image.pixels[ring].mean())
+    return float(hf.mask.box.crop(image.pixels)[ring].mean())
 
 
 def target_brightness(image: RasterGray, drop_masks: list[DropMask]) -> float:
@@ -142,7 +142,6 @@ def estimate_shape(image: RasterGray, mask: DropMask, config: OpticalConfig,
     if b == 0:
         raise DomainError("cannot reconstruct on an empty mask")
     scale = b**1.5
-    box = DropBox.of(mask)
     target = target_brightness(image, [mask])
     # (volume, sampled brightness, box crop of the solved surface, solve report)
     probes: list[tuple[float, float, np.ndarray, SolveReport]] = []
@@ -151,7 +150,7 @@ def estimate_shape(image: RasterGray, mask: DropMask, config: OpticalConfig,
         if probes:
             # min keeps the first of equal keys, so the earlier surface wins a tie
             v_near, _, crop, _ = min(probes, key=lambda p: abs(p[0] - v))
-            init = HeightField(mask, box.paste(crop * (v / v_near)))
+            init = HeightField(mask, mask.box.paste(crop * (v / v_near)))
         else:
             init = init_mesh(mask, lp.alpha_init)
         hf, rep = solve_fixed_volume(mask, v, sp, config, init=init)
@@ -162,14 +161,14 @@ def estimate_shape(image: RasterGray, mask: DropMask, config: OpticalConfig,
             # the critical slope anywhere; treat it as a fully dark sample so
             # the volume grows back into the observable range
             sampled = 0.0
-        probes.append((v, sampled, box.crop(hf.z).copy(), rep))
+        probes.append((v, sampled, mask.box.crop(hf.z).copy(), rep))
         v_new = volume_update(v, sampled, target, ALPHA_MIN * scale, ALPHA_MAX * scale)
         if abs(v_new - v) / v < _REL_VOLUME_TOL:
             break
         v = v_new
 
     v, _, z, rep = min(probes, key=lambda p: abs(p[1] - target))
-    hf = HeightField(mask, box.paste(z))
+    hf = HeightField(mask, mask.box.paste(z))
     # surface must expose a ring at the end; otherwise the estimate is moot
     sample_band_brightness(image, hf, config)
     volumes, samples, _, reports = zip(*probes)

@@ -1,11 +1,16 @@
-"""The benchmark's tracer (``bench/tracing.py``) rebinds every name in its
-``ENTRY_POINTS`` when it installs, so each one must still exist in its
-module; a removed or renamed entry point breaks every traced benchmark run."""
+"""What the benchmark uses of the program.  Its tracer (``bench/tracing.py``)
+rebinds every name in its ``ENTRY_POINTS`` when it installs, so each one must
+still exist in its module; a removed or renamed entry point breaks every
+traced benchmark run.  Its workloads (``bench/workloads.py``) read named
+fields off the results and compare raster-sized arrays."""
 
 import dataclasses
 import importlib
 import inspect
+import typing
 from pathlib import Path
+
+from dropstereo import OpticalConfig, SolverParams, disk_mask, initial_volume, solve_fixed_volume
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -72,3 +77,41 @@ def test_probed_fields_keep_their_names():
         fields = {f.name for f in dataclasses.fields(cls)}
         for name in names:
             assert name in fields, f"{modname}.{cls_name} has no field '{name}'"
+
+
+# what ``bench/workloads.py`` reads off the program's results by name; a
+# removed one fails only inside a benchmark run
+WORKLOAD_READS = {
+    ("dropstereo.stereo", "DepthResult"): ("depths", "points", "correspondences", "residuals",
+                                           "valid"),
+    ("dropstereo.rectify", "RectifiedView"): ("raster", "valid", "origin", "scale"),
+    ("dropstereo.core", "DropMask"): ("membership", "area"),
+    ("dropstereo.core", "HeightField"): ("z",),
+}
+
+
+def test_workload_reads_exist():
+    for (modname, cls_name), names in WORKLOAD_READS.items():
+        cls = getattr(importlib.import_module(modname), cls_name)
+        fields = {f.name for f in dataclasses.fields(cls)}
+        for name in names:
+            assert name in fields or isinstance(vars(cls).get(name), property), \
+                f"{modname}.{cls_name} has no field or property '{name}'"
+    # the workloads read each point's x and count the correspondences
+    from dropstereo.stereo import DepthResult
+
+    hints = typing.get_type_hints(DepthResult)
+    point, = (a for a in typing.get_args(hints["points"]) if a is not Ellipsis)
+    assert "x" in point._fields
+    assert typing.get_origin(hints["correspondences"]) is tuple
+
+
+def test_workload_masks_and_heights_are_raster_sized():
+    # the workloads compare masks and heights of different drops pixel by
+    # pixel on the raster (IoU, height error, the digest).  ROADMAP item 13
+    # holds a drop on its box; the benchmark change that lifts this blocker
+    # updates this test together with bench/.
+    m = disk_mask(6, shape=(40, 60), center=(12.0, 45.0))
+    hf, _ = solve_fixed_volume(m, initial_volume(m, 0.3), SolverParams(max_iters=5),
+                               OpticalConfig())
+    assert m.membership.shape == hf.z.shape == (40, 60)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dropstereo import HeightField, disk_mask, formats, initial_volume, volume_of
+from dropstereo import DropMask, HeightField, disk_mask, formats, initial_volume, volume_of
 from dropstereo.cli import main
 
 from conftest import _write_config, cap_field
@@ -149,6 +149,38 @@ def test_reconstruct_fixed_alpha_mirror_mode(tmp_path, capsys):
     for alpha in ("0.9", "0.01"):
         assert main(args + ["--out", str(tmp_path / "bad.pfm"), "--alpha", alpha]) == 1
         assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", [["--alpha", "0.30"], ["--estimate-volume"]],
+                         ids=["alpha", "estimate-volume"])
+def test_reconstruct_empty_mask_names_the_mask_file(tmp_path, capsys, route):
+    cfg, image, mask = tmp_path / "cfg.json", tmp_path / "image.pgm", tmp_path / "empty.pgm"
+    _write_config(cfg)
+    formats.write_pnm(image, np.full((20, 20), 0.5))
+    formats.write_pnm(mask, np.zeros((20, 20)))
+    assert main(["reconstruct", "--image", str(image), "--mask", str(mask), "--config", str(cfg),
+                 "--out", str(tmp_path / "drop.pfm")] + route) == 1
+    err = capsys.readouterr().err
+    assert "empty.pgm" in err and "empty mask" in err, err
+
+
+def test_stereo_drop_with_no_transmitted_pixels_names_the_drop(tmp_path, capsys):
+    # the second drop is one steep two-pixel step: both pixels totally reflect
+    m = disk_mask(20, shape=(60, 100), center=(30.0, 30.0))
+    steep = np.zeros((60, 100), dtype=bool)
+    steep[30, 70:72] = True
+    z = np.zeros((60, 100))
+    z[30, 71] = 50.0
+    cfg, image = tmp_path / "cfg.json", tmp_path / "image.pgm"
+    lit, dark = tmp_path / "lit.pfm", tmp_path / "dark.pfm"
+    _write_config(cfg)
+    formats.write_pnm(image, np.full((60, 100), 0.5))
+    formats.write_height_field(lit, HeightField(m, cap_field(m, initial_volume(m, 0.30))))
+    formats.write_height_field(dark, HeightField(DropMask(steep), z))
+    assert main(["stereo", "--image", str(image), "--drops", f"{lit},{dark}",
+                 "--config", str(cfg), "--out", str(tmp_path / "stereo")]) == 1
+    err = capsys.readouterr().err
+    assert "drop 1 has no valid transmitted pixels" in err, err
 
 
 def test_rectify_rejects_non_finite_plane_depth(tmp_path, capsys):

@@ -85,7 +85,7 @@ def test_mask_bbox_and_area_equal_the_nonzero_form():
         assert empty.area == 0
         with pytest.raises(DomainError, match="empty"):
             empty.bbox()
-        assert DropBox.of(empty) == DropBox(0, 0, 0, 0, shape)
+        assert empty.box == DropBox(0, 0, 0, 0, shape)
 
 
 def test_mask_rejects_disconnected_components():
@@ -108,7 +108,7 @@ def test_mask_boundary_plus_interior_partition():
     from scipy import ndimage
 
     m = disk_mask(8)
-    b = m.boundary()
+    b = m.box.paste(m.boundary())
     i = m.membership & ~b
     assert not (b & ~m.membership).any()
     # the interior is what a 4-connected erosion of the mask keeps
@@ -165,7 +165,7 @@ def test_normal_flat_field_points_up():
     m = square_mask(8)
     hf = HeightField(m, np.where(m.membership, 3.0, 0.0))
     ii, jj = coords(m)
-    n = normal_field(hf)[int(ii[len(ii) // 2]), int(jj[len(jj) // 2])]
+    n = m.box.paste(normal_field(hf))[int(ii[len(ii) // 2]), int(jj[len(jj) // 2])]
     assert n == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
 
 
@@ -173,7 +173,7 @@ def test_normal_unit_slope_plane():
     m = square_mask(10)
     ii, jj = np.mgrid[0 : m.height, 0 : m.width]
     hf = HeightField(m, np.where(m.membership, jj.astype(float), 0.0))
-    n = normal_field(hf)[7, 7]
+    n = m.box.paste(normal_field(hf))[7, 7]
     assert n[2] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
     assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
 
@@ -187,7 +187,7 @@ def test_normal_hemisphere_matches_analytic():
     r2 = (ii - c) ** 2 + (jj - c) ** 2
     z = np.where(m.membership, np.sqrt(np.maximum(radius**2 - r2, 0.0)), 0.0)
     hf = HeightField(m, z)
-    nf = normal_field(hf)
+    nf = m.box.paste(normal_field(hf))
     probe = m.membership & (r2 <= (0.8 * radius) ** 2)
     expected = np.sqrt(1.0 - r2[probe] / radius**2)
     assert np.abs(nf[probe][:, 2] - expected).max() <= 2e-2
@@ -199,9 +199,9 @@ def test_normal_outside_mask_rejected():
     rng = np.random.default_rng(2)
     m = disk_mask(5)
     hf = HeightField(m, np.where(m.membership, rng.uniform(0, 3, m.membership.shape), 0.0))
-    box = DropBox.of(m)
-    for nf, mask in ((normal_field(hf), m.membership),
-                     (normal_field(hf, box), box.crop(m.membership))):
+    box = m.box
+    for nf, mask in ((box.paste(normal_field(hf)), m.membership),
+                     (normal_field(hf), box.crop(m.membership))):
         assert not nf[~mask].any()
         assert np.abs(np.linalg.norm(nf[mask], axis=1) - 1.0).max() <= 1e-12
 
@@ -210,7 +210,7 @@ def test_normal_norms_are_unit_for_random_fields():
     rng = np.random.default_rng(7)
     m = disk_mask(9)
     z = np.where(m.membership, rng.uniform(0, 5, m.membership.shape), 0.0)
-    nf = normal_field(HeightField(m, z))
+    nf = m.box.paste(normal_field(HeightField(m, z)))
     norms = np.linalg.norm(nf[m.membership], axis=1)
     assert np.abs(norms - 1.0).max() <= 1e-9
 
@@ -220,7 +220,7 @@ def test_convex_dome_normals_tilt_outward():
     c = (m.height - 1) / 2.0
     ii, jj = np.mgrid[0 : m.height, 0 : m.width]
     z = np.where(m.membership, np.maximum(100.0 - ((ii - c) ** 2 + (jj - c) ** 2), 0.0) / 20.0, 0.0)
-    nf = normal_field(HeightField(m, z))
+    nf = m.box.paste(normal_field(HeightField(m, z)))
     i, j = int(c), int(c + 6)  # +x side of the dome
     assert nf[i, j][0] > 0  # outward = +x here
     assert nf[i, j][2] > 0
@@ -343,9 +343,9 @@ def test_normal_field_matches_grid_shift_oracle_bit_for_bit():
     for m in masks:
         z = np.where(m.membership, rng.uniform(0, 6, m.membership.shape), 0.0)
         hf = HeightField(m, z)
-        box = DropBox.of(m)
-        for got, mask, zz in ((normal_field(hf), m.membership, hf.z),
-                              (normal_field(hf, box), box.crop(m.membership), box.crop(hf.z))):
+        box = m.box
+        for got, mask, zz in ((box.paste(normal_field(hf)), m.membership, hf.z),
+                              (normal_field(hf), box.crop(m.membership), box.crop(hf.z))):
             gx, gy = _diff_oracle(mask, zz, 0, 1), _diff_oracle(mask, zz, 1, 0)
             norm = np.sqrt(1.0 + gx * gx + gy * gy)
             want = np.where(mask[..., None],

@@ -150,6 +150,31 @@ def test_height_field_pfm_rejects_infinite_heights(tmp_path):
                 read_height_field(p)
 
 
+def test_mask_reader_names_the_file(tmp_path):
+    grid = np.zeros((9, 9))
+    grid[1, 1] = grid[7, 7] = 1.0
+    p = tmp_path / "two.pgm"
+    write_pnm(p, grid)
+    with pytest.raises(DomainError, match=r"two\.pgm: mask must be a single 4-connected "
+                                          r"component, found 2"):
+        read_mask(p)
+
+
+def test_height_field_reader_names_the_file(tmp_path):
+    p = tmp_path / "h.pfm"
+    z = np.full((8, 8), np.nan, dtype=np.float32)
+    z[2:6, 2:6] = 1.5
+    z[3, 3] = -2.0
+    write_pfm(p, z)
+    with pytest.raises(DomainError, match=r"h\.pfm: heights must be non-negative"):
+        read_height_field(p)
+    z[3, 3] = 1.5
+    z[3, :] = np.nan  # two pieces
+    write_pfm(p, z)
+    with pytest.raises(DomainError, match=r"h\.pfm: mask must be a single 4-connected"):
+        read_height_field(p)
+
+
 # --- config -------------------------------------------------------------------
 
 

@@ -221,7 +221,7 @@ def test_dark_band_annulus_matches_cap_slope_threshold(cap50):
 
     mask, hf, _ = cap50
     cfg = OpticalConfig(camera_z=1e9)
-    band = dark_band_mask(hf, cfg)
+    band = mask.box.paste(dark_band_mask(hf, cfg))
     assert band.any()
     rb = math.sqrt(mask.area / math.pi)
     h = cap_height(rb, initial_volume(mask, 0.30))

@@ -14,7 +14,7 @@ from dropstereo.raytrace import (ScenePlane, SceneSpec, TraceField, _transmittan
 from dropstereo.volume_loop import _BAND_HALFWIDTH, band_ring
 from dropstereo.scenes import make_texture
 
-from conftest import edge_deviation, zncc
+from conftest import cap_field, edge_deviation, zncc
 
 
 # --- independent two-interface oracle ----------------------------------------
@@ -95,7 +95,7 @@ def test_trace_matches_two_interface_oracle_far_camera():
     cfg = OpticalConfig(camera_z=3000.0)
     c = (mask.height - 1) / 2.0
     tf = trace_field(hf, cfg)
-    nf = normal_field(hf)
+    nf = mask.box.paste(normal_field(hf))
     worst = 0.0
     for (di, dj) in [(0, 20), (14, -14), (-20, 0), (10, 17), (-8, -12)]:
         i, j = int(c) + di, int(c) + dj
@@ -118,7 +118,7 @@ def test_trace_consistent_with_oracle_near_camera():
     i, j = int(c) + 7, int(c) + 17
     valid, _, direction = _traced_pixel(trace_field(hf, cfg), i, j)
     assert valid
-    n = normal_field(hf)[i, j]
+    n = mask.box.paste(normal_field(hf))[i, j]
     oracle = two_interface_trace((j - c, i - c, hf.z[i, j], n[0], n[1], n[2]), 300.0,
                                  1.0, cfg.n_water)
     assert np.abs(direction - oracle).max() <= 1e-3
@@ -140,7 +140,7 @@ def test_trace_flat_region_goes_straight_up():
 
 def test_trace_dark_band_pixel_totally_reflects(cap50, config):
     mask, hf, _ = cap50
-    band = dark_band_mask(hf, config)
+    band = mask.box.paste(dark_band_mask(hf, config))
     ii, jj = np.nonzero(band)
     tf = trace_field(hf, config)
     valid, tir, _ = _traced_pixel(tf, ii[0], jj[0])
@@ -258,15 +258,30 @@ def test_boxed_trace_equals_full_raster_trace(mask_name, config_name):
 def test_band_fields_equal_full_raster_reference(mask_name, config_name):
     hf, config = _box_case(mask_name), _BOX_CONFIGS[config_name]
     ref = _full_raster_trace(hf, config)
-    mask = hf.mask.membership
+    mask, box = hf.mask.membership, hf.mask.box
     n_z = np.where(mask, ref["n_z"], 0.0)
-    assert normal_z_field(hf).tobytes() == n_z.tobytes()
-    assert critical_normal_z_field(hf, config)[mask].tobytes() == ref["n_crit"][mask].tobytes()
-    dark = dark_band_mask(hf, config)
+    assert box.paste(normal_z_field(hf)).tobytes() == n_z.tobytes()
+    assert (box.paste(critical_normal_z_field(hf, config))[mask].tobytes()
+            == ref["n_crit"][mask].tobytes())
+    dark = box.paste(dark_band_mask(hf, config))
     assert np.array_equal(dark, mask & (ref["n_z"] <= ref["n_crit"]))
-    ring = band_ring(hf, config)
+    ring = box.paste(band_ring(hf, config))
     assert np.array_equal(ring, mask & (np.abs(n_z - ref["n_crit"]) <= _BAND_HALFWIDTH))
     assert dark.any() and ring.any()
+
+
+def test_per_drop_fields_answer_on_the_mask_box(config):
+    # one frame per drop: the box is computed once per mask, and every
+    # per-drop field is box-sized however large the raster
+    m = disk_mask(8, shape=(300, 400), center=(40.0, 350.0))
+    assert m.box is m.box
+    hf = HeightField(m, cap_field(m, initial_volume(m, 0.3)))
+    frame = (m.box.i1 - m.box.i0, m.box.j1 - m.box.j0)
+    assert frame == (19, 19)
+    for field in (m.boundary(), normal_z_field(hf), critical_normal_z_field(hf, config),
+                  dark_band_mask(hf, config), band_ring(hf, config), trace_field(hf, config).valid):
+        assert field.shape == frame
+    assert normal_field(hf).shape == frame + (3,)
 
 
 def test_transmittance_is_the_two_interface_product(config):
@@ -283,15 +298,26 @@ def test_transmittance_is_the_two_interface_product(config):
 # --- angular projection -------------------------------------------------------
 
 
-def _uv(directions, valid=None):
-    """uv_field of a hand-built one-row trace with the given directions."""
+def _row_trace(directions, valid=None):
+    """A hand-built one-row trace with the given directions."""
     d = np.array(directions, dtype=float).reshape(1, -1, 3)
     n = d.shape[1]
     ok = np.ones((1, n), dtype=bool) if valid is None else np.array([valid])
     zeros = np.zeros((1, n))
-    tf = TraceField(np.zeros_like(d), d, ok, ~ok, zeros, zeros, DropBox(0, 1, 0, n, (1, n)))
-    u, v, valid_out = uv_field(tf)
+    return TraceField(np.zeros_like(d), d, ok, ~ok, zeros, zeros, DropBox(0, 1, 0, n, (1, n)))
+
+
+def _uv(directions, valid=None):
+    """uv_field of a hand-built one-row trace with the given directions."""
+    u, v, valid_out = uv_field(_row_trace(directions, valid))
     return u[0], v[0], valid_out[0]
+
+
+def test_shared_uv_bounds_names_a_drop_with_no_transmitted_pixels():
+    lit = _row_trace([(0, 0, 1)] * 3)
+    dark = _row_trace([(0, 0, 1)] * 3, [False] * 3)
+    with pytest.raises(DomainError, match="drop 1 has no valid transmitted pixels"):
+        shared_uv_bounds([lit, dark], 0.0)
 
 
 def test_angular_project_axis():
@@ -423,7 +449,7 @@ def test_render_background_samples_plate_magnified_by_depth():
     far = ScenePlane(depth=3000.0, texture=make_texture("checker", 16, 4), scale=2.5)
     scene = SceneSpec(width=48, height=30, planes=(near, far), blur_radius=0.0)
     img = render_synthetic(scene, [], cfg)
-    x, y = plate_coords((30, 48), cfg)
+    x, y = plate_coords(DropBox(0, 30, 0, 48, (30, 48)), cfg)
     m_near, m_far = (1.0 + p.depth / cfg.camera_z for p in (near, far))
     expected = np.where(near.covers(x * m_near), near.sample(x * m_near, y * m_near, None),
                         far.sample(x * m_far, y * m_far, None))
@@ -453,7 +479,7 @@ def test_render_dark_annulus_agrees_with_band_mask(single_drop_render, config):
     scene, mask, hf, img = single_drop_render
     tf = trace_field(hf, config)
     rendered_dark = mask.membership & (hf.z > 0) & ~tf.box.paste(tf.valid)
-    predicted = dark_band_mask(hf, config)
+    predicted = mask.box.paste(dark_band_mask(hf, config))
     wet = mask.membership & (hf.z > 0)
     agree = (rendered_dark == (predicted & wet)) & wet
     assert agree.sum() / wet.sum() >= 0.95

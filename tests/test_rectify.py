@@ -7,7 +7,7 @@ from dropstereo import (DepthResult, DomainError, EmptyOutput, HeightField, Opti
 from dropstereo.raytrace import ScenePlane, SceneSpec, trace_field
 from dropstereo.scenes import make_texture
 
-from conftest import cap_field, rectified_truth, zncc
+from conftest import cap_field, edge_deviation, rectified_truth, zncc
 
 DEPTH = 2000.0
 
@@ -70,29 +70,11 @@ def test_rectified_lines_straighter_than_warped(config, cap50):
                       blur_radius=0.0)
     image = render_synthetic(scene, [(mask, hf)], config)
 
-    def edge_dev(raster, valid):
-        cols = []
-        for r in range(raster.shape[0]):
-            row, ok = raster[r], valid[r]
-            cross = np.nonzero((row[:-1] <= 0.5) & (row[1:] > 0.5) & ok[:-1] & ok[1:])[0]
-            if cross.size == 1:
-                c = cross[0]
-                cols.append(c + (0.5 - row[c]) / (row[c + 1] - row[c]))
-            else:
-                cols.append(np.nan)
-        cols = np.array(cols)
-        good = np.isfinite(cols)
-        rr = np.nonzero(good)[0]
-        if rr.size < 12:
-            return np.nan
-        fit = np.polyfit(rr, cols[good], 1)
-        return float(np.abs(cols[good] - np.polyval(fit, rr)).max())
-
     i0, i1, j0, j1 = mask.bbox()
     wet = mask.membership & (hf.z > 1.0)
-    warped = edge_dev(image.pixels[i0:i1, j0:j1], wet[i0:i1, j0:j1])
+    warped = edge_deviation(image.pixels[i0:i1, j0:j1], wet[i0:i1, j0:j1])
     view = rectify_drop(image, hf, config, DEPTH)
-    rectified = edge_dev(view.raster.pixels, view.valid)
+    rectified = edge_deviation(view.raster.pixels, view.valid)
     # each residual is in its own raster's pixels (the rectified grid is
     # coarser than the scene; straightness is relative to the grid pitch)
     assert warped >= 8.0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import integrate, ndimage
@@ -5,7 +7,7 @@ from scipy import integrate, ndimage
 from dropstereo import (DomainError, DropMask, HeightField, OpticalConfig, SolveReport,
                         SolverParams, disk_mask, energy_of, init_mesh, initial_volume,
                         solve_fixed_volume, volume_of)
-from dropstereo.core import DropBox, MaskStencil
+from dropstereo.core import MaskStencil
 from dropstereo.masks import blob_mask
 from dropstereo.solver import _MOMENTUM, _TAU, _restore_volume, _tension, _tilt
 
@@ -21,6 +23,11 @@ def square_mask(n, pad=2):
 
 def params(**kw):
     return SolverParams(**kw)
+
+
+def _rim(mask):
+    """The contact ring of ``mask`` on its raster."""
+    return mask.box.paste(mask.boundary())
 
 
 # The solve's kernels work in place on a stencil buffer (``MaskStencil``);
@@ -117,7 +124,7 @@ def _tension_oracle(z, mask, tau):
     m = mask.membership
     h, w = m.shape
     zp = z.copy()
-    rim = mask.boundary()
+    rim = _rim(mask)
     zp[rim] = 0.0
 
     def diff(arr, i, j, di, dj):
@@ -151,14 +158,14 @@ def _tension_oracle(z, mask, tau):
 
 def test_tension_step_matches_independent_stencil_and_pulls_rim_down():
     m = disk_mask(7)
-    inner = m.membership & ~m.boundary()
+    inner = m.membership & ~_rim(m)
     z = np.where(inner, 2.0, 0.0)  # flat interior, pinned zero rim
     hf = HeightField(m, z)
     st = MaskStencil(m.membership)
     stepped = _tension_once(st, hf.z, _buffer(st, inner))
     expected = _tension_oracle(z, m, _TAU)
     assert np.abs(stepped - expected).max() <= 1e-12
-    ring = inner & DropMask(inner).boundary()
+    ring = inner & _rim(DropMask(inner))
     assert (stepped[ring] < 2.0).all()  # curvature flow pulls the rim down
     center = m.membership.shape[0] // 2
     assert stepped[center, center] == pytest.approx(2.0)
@@ -187,7 +194,7 @@ def test_tension_descends_energy_from_pinned_cylinder():
     cfg = OpticalConfig()
     st = MaskStencil(m.membership)
     hf0 = init_mesh(m, 0.30)
-    interior = _buffer(st, m.membership & ~m.boundary())
+    interior = _buffer(st, m.membership & ~_rim(m))
     # the first step pins the rim
     hf1 = HeightField(m, _tension_once(st, hf0.z, interior))
     hf2 = HeightField(m, _tension_once(st, hf1.z, interior))
@@ -273,7 +280,7 @@ def test_volume_step_restores_after_tension_and_gravity():
     target = initial_volume(m, 0.3)
     hf = init_mesh(m, 0.3)
     st = MaskStencil(m.membership)
-    z = st.gather(_tension_once(st, hf.z, _buffer(st, m.membership & ~m.boundary())))
+    z = st.gather(_tension_once(st, hf.z, _buffer(st, m.membership & ~_rim(m))))
     out = HeightField(m, _volume_restored(st, z + _tilt(st, cfg), target))
     assert volume_of(out) == pytest.approx(target, rel=1e-9)
 
@@ -358,7 +365,7 @@ def test_solve_energy_not_above_initial_cylinder(cap50, config):
     # integral, so the comparison is against the pinned starting state
     mask, hf, report = cap50
     z0 = np.array(init_mesh(mask, 0.30).z)
-    z0[mask.boundary()] = 0.0
+    z0[_rim(mask)] = 0.0
     e_init = energy_of(HeightField(mask, z0), config)[2]
     assert report.final_energy <= e_init
 
@@ -515,7 +522,7 @@ def _oracle_solve(mask, target, n, cfg, init=None):
     last 7 iterates, restored to the volume, with the heavy ball at rest, and
     the next 25 sweeps may not stop.  Also returns, per sweep, whether the
     plain volume shift went negative (the clamp branches ran)."""
-    box = DropBox.of(mask)
+    box = mask.box
     m = box.crop(mask.membership)
     st = _GatherStencil(m)
     z0 = init.z if init is not None else init_mesh(mask, target / mask.area**1.5).z
@@ -595,7 +602,7 @@ def _assert_solve_matches_oracle(m, cfg, init=None, n=64):
 def test_solve_matches_pixel_vector_oracle_on_clamped_blob(gravity):
     # cut by the top and right raster edges: the box is clamped on both
     m = blob_mask(14, shape=(30, 40), center=(3.0, 36.0), seed=1)
-    box = DropBox.of(m)
+    box = m.box
     assert box.i0 == 0 and box.j1 == 40 and m.membership[0].any() and m.membership[:, -1].any()
     cfg = OpticalConfig(gravity_cosines=gravity, gravity_weight=1e-3)
     assert not _assert_solve_matches_oracle(m, cfg)[0]
@@ -661,12 +668,23 @@ def test_solve_reports_energy_of_its_result_on_offset_box(principal_point):
     # origin; the reported energy takes plate coordinates from raster
     # indices, as energy_of does on the whole grid
     m = disk_mask(10, shape=(48, 60), center=(30.0, 37.0))
-    box = DropBox.of(m)
+    box = m.box
     assert box.i0 > 0 and box.j0 > 0
     cfg = OpticalConfig(gravity_cosines=_TILTED, gravity_weight=1e-3,
                         principal_point=principal_point)
     hf, report = solve_fixed_volume(m, initial_volume(m, 0.3), params(max_iters=30), cfg)
     assert report.final_energy == energy_of(hf, cfg)[2]
+
+
+def test_solve_rejects_init_from_another_grid(config):
+    # the solve reads the init on the mask's box, so an init on another grid
+    # is refused, naming both grids, whether or not the box fits inside it
+    m = disk_mask(15, shape=(40, 40))
+    for shape in ((60, 80), (30, 30)):
+        init = init_mesh(disk_mask(12, shape=shape), 0.3)
+        with pytest.raises(DomainError, match=re.escape(
+                f"init lies on a {shape} grid, the mask on (40, 40)")):
+            solve_fixed_volume(m, initial_volume(m, 0.3), params(), config, init=init)
 
 
 def test_solve_rejects_bad_inputs(config):
