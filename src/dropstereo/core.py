@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -80,78 +79,109 @@ class RasterGray:
         return self.pixels.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DropMask:
-    """Adhesion region of one drop: a single 4-connected pixel component."""
+    """Adhesion region of one drop: a single 4-connected pixel component,
+    held on the drop's box.
 
-    membership: np.ndarray
+    ``box`` is the bounding box of the members plus a one-pixel margin,
+    clamped to the raster (an empty mask has an empty box at the origin);
+    ``inside`` is the membership on it.  Every per-pixel step of a drop reads
+    only its members and their 4-neighbors, so the solver, the trace and the
+    band fields run on the box.  ``DropMask(membership)`` takes the
+    membership on the whole raster; ``DropMask(window, at=box)`` takes it on
+    the window ``box`` of the raster, which must hold every member.
+    """
 
-    def __post_init__(self):
-        m = np.ascontiguousarray(np.asarray(self.membership, dtype=bool))
+    box: DropBox
+    inside: np.ndarray
+
+    def __init__(self, membership: np.ndarray, at: DropBox | None = None):
+        m = np.asarray(membership, dtype=bool)
         if m.ndim != 2 or m.size == 0:
             raise DomainError("mask must be a non-empty 2D boolean array")
-        _, n = ndimage.label(m, structure=_FOUR_CONNECTED)
+        at = at or DropBox(0, m.shape[0], 0, m.shape[1], m.shape)
+        if m.shape != (at.i1 - at.i0, at.j1 - at.j0):
+            raise DomainError(f"mask window {m.shape} does not fit its box {at}")
+        rows, cols = np.flatnonzero(m.any(axis=1)), np.flatnonzero(m.any(axis=0))
+        (h, w), p = at.shape, np.pad(m, 1)
+        if rows.size == 0:
+            box, inside = DropBox(0, 0, 0, 0, (h, w)), np.zeros((0, 0), dtype=bool)
+        else:
+            # the members' bounds plus a one-pixel margin, clamped to the raster;
+            # the padding holds the margin where it leaves the window
+            i0, i1 = max(at.i0 + int(rows[0]) - 1, 0), min(at.i0 + int(rows[-1]) + 2, h)
+            j0, j1 = max(at.j0 + int(cols[0]) - 1, 0), min(at.j0 + int(cols[-1]) + 2, w)
+            box = DropBox(i0, i1, j0, j1, (h, w))
+            inside = p[i0 - at.i0 + 1 : i1 - at.i0 + 1, j0 - at.j0 + 1 : j1 - at.j0 + 1].copy()
+        _, n = ndimage.label(inside, structure=_FOUR_CONNECTED)
         if n > 1:
             raise DomainError(f"mask must be a single 4-connected component, found {n}")
-        object.__setattr__(self, "membership", _frozen(m))
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "inside", _frozen(inside))
+
+    @property
+    def membership(self) -> np.ndarray:
+        """The membership on the whole raster, built on every read, for the
+        file writers and callers outside the package; no stage of a drop
+        reads it."""
+        return _frozen(self.box.paste(self.inside))
 
     @property
     def area(self) -> int:
         """Pixel count of the region (the B of the volume relation)."""
-        return int(np.count_nonzero(self.membership))
+        return int(np.count_nonzero(self.inside))
 
     @property
     def height(self) -> int:
-        return self.membership.shape[0]
+        return self.box.shape[0]
 
     @property
     def width(self) -> int:
-        return self.membership.shape[1]
+        return self.box.shape[1]
 
     def boundary(self) -> np.ndarray:
         """Member pixels with at least one 4-neighbor outside the region, on
         the drop's box."""
-        m = self.box.crop(self.membership)
+        m = self.inside
         return m & ~ndimage.binary_erosion(m, structure=_FOUR_CONNECTED, border_value=0)
 
     def bbox(self) -> tuple[int, int, int, int]:
         """(i0, i1, j0, j1) half-open bounds of the member pixels."""
-        rows = np.flatnonzero(self.membership.any(axis=1))
-        if rows.size == 0:
+        ii, jj = np.nonzero(self.inside)
+        if ii.size == 0:
             raise DomainError("empty mask has no bounding box")
-        cols = np.flatnonzero(self.membership.any(axis=0))
-        return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
-
-    @cached_property
-    def box(self) -> "DropBox":
-        """The drop's box: the bounding box plus a one-pixel margin, clamped
-        to the grid; an empty mask has an empty box at the origin.  Every
-        per-pixel step of a drop reads only its mask pixels and their
-        4-neighbors, so the solver, the trace and the band fields run on it."""
-        h, w = self.membership.shape
-        if self.area == 0:
-            return DropBox(0, 0, 0, 0, (h, w))
-        i0, i1, j0, j1 = self.bbox()
-        return DropBox(max(i0 - 1, 0), min(i1 + 1, h), max(j0 - 1, 0), min(j1 + 1, w), (h, w))
+        i, j = self.box.i0, self.box.j0
+        return i + int(ii.min()), i + int(ii.max()) + 1, j + int(jj.min()), j + int(jj.max()) + 1
 
 
 @dataclass(frozen=True)
 class HeightField:
-    """Drop surface: non-negative height per mask pixel, zero elsewhere."""
+    """Drop surface: non-negative height per mask pixel, zero elsewhere,
+    held on the mask's box.  ``heights`` may be given on the raster or on
+    the box."""
 
     mask: DropMask
-    z: np.ndarray
+    heights: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        if z.shape != self.mask.membership.shape:
-            raise DomainError("height grid shape must match the mask grid")
+        z, m = np.asarray(self.heights, dtype=float), self.mask
+        if z.shape not in (m.box.shape, m.inside.shape):
+            raise DomainError(f"height grid shape {z.shape} must match the mask grid "
+                              f"{m.box.shape} or its box {m.inside.shape}")
         if not np.isfinite(z).all():
             raise DomainError("heights must be finite")
-        z = np.where(self.mask.membership, z, 0.0)
-        if z.min() < -1e-9:
+        z = np.where(m.inside, m.box.crop(z) if z.shape == m.box.shape else z, 0.0)
+        if z.min(initial=0.0) < -1e-9:
             raise DomainError("heights must be non-negative")
-        object.__setattr__(self, "z", _frozen(np.maximum(z, 0.0)))
+        object.__setattr__(self, "heights", _frozen(np.maximum(z, 0.0)))
+
+    @property
+    def z(self) -> np.ndarray:
+        """The heights on the whole raster, built on every read, for the
+        file writers and callers outside the package; no stage of a drop
+        reads it."""
+        return _frozen(self.mask.box.paste(self.heights))
 
 
 @dataclass(frozen=True)
@@ -337,8 +367,7 @@ def normal_field(hf: HeightField) -> np.ndarray:
     outward: N' = (-dz/dx, -dz/dy, 1).  N_z is unaffected by that choice.
     Entries outside the mask are zero.
     """
-    box = hf.mask.box
-    mask, z = box.crop(hf.mask.membership), box.crop(hf.z)
+    mask, z = hf.mask.inside, hf.heights
     st = MaskStencil(mask)
     v = st.pad(st.gather(z))
     gx, gy = (st.cells(st.diff_into(v, axis, np.zeros(st.size))) for axis in (1, 0))

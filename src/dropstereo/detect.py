@@ -10,7 +10,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import ConvexHull, QhullError
 
-from .core import _FOUR_CONNECTED, DropMask, RasterGray, _largest_component
+from .core import _FOUR_CONNECTED, DropBox, DropMask, RasterGray, _largest_component
 from .errors import DomainError
 from .masks import disk_mask
 
@@ -120,9 +120,8 @@ def detect_drops(image: RasterGray, params: DetectParams | None = None) -> list[
         comp = _dark_band_region(img[box], comp, background)
         if _diameter(comp) < p.min_diameter or _solidity(comp) < _SOLIDITY_MIN:
             continue
-        member = np.zeros(img.shape, dtype=bool)
-        member[box] = comp
-        out.append(DropMask(member))
+        out.append(DropMask(comp, at=DropBox(box[0].start, box[0].stop, box[1].start,
+                                             box[1].stop, img.shape)))
     # stable reading order: left-to-right, then top-to-bottom
     out.sort(key=lambda m: (m.bbox()[2], m.bbox()[0]))
     return out

@@ -125,11 +125,9 @@ def incidence_directions(hf: HeightField, config: OpticalConfig) -> np.ndarray:
     surface point of the drop's box, box-sized (h, w, 3); the camera sits at
     z = -C'_z below the plate so directions point toward the scene
     (positive z)."""
-    box = hf.mask.box
-    x, y = plate_coords(box, config)
-    z = box.crop(hf.z)
+    x, y = plate_coords(hf.mask.box, config)
     cz = equivalent_camera_depth(x * x + y * y, config)
-    d = np.stack([x, y, z + cz], axis=-1)
+    d = np.stack([x, y, hf.heights + cz], axis=-1)
     return d / np.linalg.norm(d, axis=-1, keepdims=True)
 
 
@@ -150,8 +148,7 @@ def dark_band_mask(hf: HeightField, config: OpticalConfig) -> np.ndarray:
     """Pixels of the drop's box predicted totally dark: N_z at or below the
     per-pixel critical value.  A band may be empty or fragmented, so the
     single-component region invariant does not apply to it."""
-    member = hf.mask.box.crop(hf.mask.membership)
-    return member & (normal_z_field(hf) <= critical_normal_z_field(hf, config))
+    return hf.mask.inside & (normal_z_field(hf) <= critical_normal_z_field(hf, config))
 
 
 def normal_z_field(hf: HeightField) -> np.ndarray:

@@ -140,8 +140,7 @@ class TraceField:
 
 def trace_field(hf: HeightField, config: OpticalConfig) -> TraceField:
     """Trace every pixel of the drop's box (``hf.mask.box``)."""
-    box = hf.mask.box
-    mask = box.crop(hf.mask.membership)
+    box, mask = hf.mask.box, hf.mask.inside
     x, y = plate_coords(box, config)
     r_i = incidence_directions(hf, config)
     normals = normal_field(hf)
@@ -150,7 +149,7 @@ def trace_field(hf: HeightField, config: OpticalConfig) -> TraceField:
     tir &= mask
     cos_w = np.abs(np.sum(r_i * normals, axis=-1))
     valid = mask & ~tir & (r_o[..., 2] > _MIN_FORWARD_Z)
-    origins = np.stack([x, y, box.crop(hf.z)], axis=-1)
+    origins = np.stack([x, y, hf.heights], axis=-1)
     theta_flat = np.arctan(np.hypot(x, y) / config.camera_z)
     return TraceField(origins, r_o, valid, tir, np.clip(cos_w, 0.0, 1.0), theta_flat, box)
 
@@ -350,15 +349,15 @@ def render_synthetic(scene: SceneSpec, drops: list[tuple[DropMask, HeightField]]
         bg = ndimage.gaussian_filter(bg, scene.blur_radius, mode="nearest")
     out = np.array(bg)
     for _, hf in drops:
-        if hf.mask.membership.shape != (scene.height, scene.width):
+        if hf.mask.box.shape != (scene.height, scene.width):
             raise DomainError("drop grids must match the scene raster")
-        if float(hf.z.max()) >= min(p.depth for p in scene.planes):
+        if float(hf.heights.max(initial=0.0)) >= min(p.depth for p in scene.planes):
             raise DomainError("scene planes must lie behind every drop")
         tf = trace_field(hf, config)
         val = _scene_hits(scene, tf)[0]  # 0.0 where a ray misses every plane
         # zero water thickness carries no drop optics; only wetted pixels
         # leave the background path
-        wet = tf.box.crop(hf.mask.membership) & (tf.box.crop(hf.z) > 0.0)
+        wet = hf.mask.inside & (hf.heights > 0.0)
         lit = tf.valid & wet
         drop = tf.box.crop(out)
         drop[wet & ~lit] = scene.ambient_leak

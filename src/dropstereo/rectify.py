@@ -54,7 +54,7 @@ def rectify_drop(image: RasterGray, hf: HeightField, config: OpticalConfig,
     with the plane and the hit reprojected through the pinhole onto the
     plate, where the rectified raster lives.
     """
-    if image.pixels.shape != hf.mask.membership.shape:
+    if image.pixels.shape != hf.mask.box.shape:
         raise DomainError("image and height field must share the pixel grid")
     d = _resolve_depth(depth)
     tf = trace_field(hf, config)
@@ -99,7 +99,7 @@ def compensate_illuminance(image: RasterGray, hf: HeightField,
     and keep their original intensity rather than being amplified.  Non-drop
     pixels are untouched.
     """
-    if image.pixels.shape != hf.mask.membership.shape:
+    if image.pixels.shape != hf.mask.box.shape:
         raise DomainError("image and height field must share the pixel grid")
     tf = trace_field(hf, config)
     total = transmittance(tf, config)

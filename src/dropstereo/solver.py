@@ -96,7 +96,7 @@ def init_mesh(mask: DropMask, alpha: float) -> HeightField:
     b = mask.area
     if b == 0:
         raise DomainError("cannot initialize on an empty mask")
-    return HeightField(mask, np.where(mask.membership, alpha * math.sqrt(b), 0.0))
+    return HeightField(mask, np.where(mask.inside, alpha * math.sqrt(b), 0.0))
 
 
 def volume_of(hf: HeightField) -> float:
@@ -112,9 +112,8 @@ def energy_of(hf: HeightField, config: OpticalConfig) -> tuple[float, float, flo
     z*(x cos_x + y cos_y) + z^2/2 * cos_z per pixel.  Pixel coordinates are
     taken relative to the principal point.
     """
-    box = hf.mask.box
-    st = MaskStencil(box.crop(hf.mask.membership))
-    return _energy(st.pad(st.gather(box.crop(hf.z))), st, config, box)
+    st = MaskStencil(hf.mask.inside)
+    return _energy(st.pad(st.gather(hf.heights)), st, config, hf.mask.box)
 
 
 def _energy(z: np.ndarray, stencil: MaskStencil, config: OpticalConfig,
@@ -238,19 +237,20 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     b = mask.area
     if b == 0:
         raise DomainError("cannot solve on an empty mask")
-    if init is not None and init.z.shape != mask.membership.shape:
-        raise DomainError(f"init lies on a {init.z.shape} grid, "
-                          f"the mask on {mask.membership.shape}")
+    box = mask.box
+    if init is not None and init.mask.box.shape != box.shape:
+        raise DomainError(f"init lies on a {init.mask.box.shape} grid, "
+                          f"the mask on {box.shape}")
 
     # the sweeps only touch the mask; run them on the drop's box, where the
     # state and every work array are buffers, allocated once per solve; the
-    # start is the init's heights or the cylinder of ``init_mesh``
-    box = mask.box
-    st = MaskStencil(box.crop(mask.membership))
+    # start is the init's heights, restated on this mask when the init's mask
+    # has another box, or the cylinder of ``init_mesh``
+    st = MaskStencil(mask.inside)
     if init is None:
         z = st.pad(np.full(b, target_volume / b**1.5 * math.sqrt(b)))
     else:
-        z = st.pad(st.gather(box.crop(init.z)))
+        z = st.pad(st.gather((init if init.mask.box == box else HeightField(mask, init.z)).heights))
     interior = st.pad(~st.gather(mask.boundary()))
     moves = interior * (0.5 * _TAU)
     keep = interior * _MOMENTUM
@@ -299,4 +299,4 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     e_t, e_g, e = _energy(z, st, config, box)
     history.append((iterations, e))
     report = SolveReport(iterations, e_t, e_g, e, delta, converged, tuple(history))
-    return HeightField(mask, box.paste(st.cells(z))), report
+    return HeightField(mask, st.cells(z)), report

@@ -422,8 +422,8 @@ def depth_from_drops(image: RasterGray, drops: list[HeightField], config: Optica
         raise DomainError("stereo needs at least two reconstructed drops")
     shape = image.pixels.shape
     for k, hf in enumerate(drops):
-        if hf.mask.membership.shape != shape:
-            raise DomainError(f"drop {k} lies on a {hf.mask.membership.shape} grid, "
+        if hf.mask.box.shape != shape:
+            raise DomainError(f"drop {k} lies on a {hf.mask.box.shape} grid, "
                               f"the image on {shape}")
     traces = [trace_field(hf, config) for hf in drops]
 

@@ -8,16 +8,18 @@ too large.  Each update scales the volume by the relative brightness miss.
 
 The update can orbit its fixed point rather than settle, so the loop keeps
 one record per probe: its volume, its sampled brightness, its solved surface
-(as a drop-box crop) and its solve report.  Each solve after the first starts
-from the stored surface whose volume v_near is nearest the new target v (the
-earlier one on a tie), scaled by v / v_near: the start then holds the target
-volume with its contact line still at zero, and it is the exact answer in
-the small-slope limit, where the surface is proportional to its volume.  An
-unscaled start would leave the solve's first volume restore to add
-(v - v_near) / B to every pixel, a step at the pinned contact line that the
-sweeps must smooth away.  Only the first solve starts from the cylinder
+(on the drop's box), its solve report and the ``RingTooSmall`` its sample
+raised, if any.  Each solve after the first starts from the stored surface
+whose volume v_near is nearest the new target v (the earlier one on a tie),
+scaled by v / v_near: the start then holds the target volume with its
+contact line still at zero, and it is the exact answer in the small-slope
+limit, where the surface is proportional to its volume.  An unscaled start
+would leave the solve's first volume restore to add (v - v_near) / B to
+every pixel, a step at the pinned contact line that the sweeps must smooth
+away.  Only the first solve starts from the cylinder
 ``init_mesh(mask, alpha_init)``.  The answer is the probe whose sample came
-closest to the target.
+closest to the target; if that probe showed no ring, the loop raises the
+``RingTooSmall`` its sample raised.
 """
 
 from __future__ import annotations
@@ -64,12 +66,12 @@ def band_ring(hf: HeightField, config: OpticalConfig) -> np.ndarray:
     of the critical value (computed per pixel from the equivalent camera)."""
     n_z = normal_z_field(hf)
     n_crit = critical_normal_z_field(hf, config)
-    return hf.mask.box.crop(hf.mask.membership) & (np.abs(n_z - n_crit) <= _BAND_HALFWIDTH)
+    return hf.mask.inside & (np.abs(n_z - n_crit) <= _BAND_HALFWIDTH)
 
 
 def sample_band_brightness(image: RasterGray, hf: HeightField, config: OpticalConfig) -> float:
     """Mean image intensity over the estimated band ring."""
-    if image.pixels.shape != hf.mask.membership.shape:
+    if image.pixels.shape != hf.mask.box.shape:
         raise DomainError("image and height field must share the pixel grid")
     ring = band_ring(hf, config)
     n = int(ring.sum())
@@ -84,9 +86,9 @@ def target_brightness(image: RasterGray, drop_masks: list[DropMask]) -> float:
     of the non-drop background."""
     outside = np.ones(image.pixels.shape, dtype=bool)
     for m in drop_masks:
-        if m.membership.shape != image.pixels.shape:
+        if m.box.shape != image.pixels.shape:
             raise DomainError("drop masks must share the image grid")
-        outside &= ~m.membership
+        m.box.crop(outside)[m.inside] = False
     if not outside.any():
         raise DomainError("no background pixels outside the drop masks")
     background = float(image.pixels[outside].mean())
@@ -143,34 +145,34 @@ def estimate_shape(image: RasterGray, mask: DropMask, config: OpticalConfig,
         raise DomainError("cannot reconstruct on an empty mask")
     scale = b**1.5
     target = target_brightness(image, [mask])
-    # (volume, sampled brightness, box crop of the solved surface, solve report)
-    probes: list[tuple[float, float, np.ndarray, SolveReport]] = []
+    # (volume, sampled brightness, solved surface, solve report, ring failure)
+    probes: list[tuple[float, float, HeightField, SolveReport, RingTooSmall | None]] = []
     v = lp.alpha_init * scale
     for _ in range(lp.max_outer_updates):
         if probes:
             # min keeps the first of equal keys, so the earlier surface wins a tie
-            v_near, _, crop, _ = min(probes, key=lambda p: abs(p[0] - v))
-            init = HeightField(mask, mask.box.paste(crop * (v / v_near)))
+            v_near, _, near, _, _ = min(probes, key=lambda p: abs(p[0] - v))
+            init = HeightField(mask, near.heights * (v / v_near))
         else:
             init = init_mesh(mask, lp.alpha_init)
         hf, rep = solve_fixed_volume(mask, v, sp, config, init=init)
         try:
-            sampled = sample_band_brightness(image, hf, config)
-        except RingTooSmall:
+            sampled, no_ring = sample_band_brightness(image, hf, config), None
+        except RingTooSmall as e:
             # an empty ring means the estimated surface is too flat to reach
             # the critical slope anywhere; treat it as a fully dark sample so
             # the volume grows back into the observable range
-            sampled = 0.0
-        probes.append((v, sampled, mask.box.crop(hf.z).copy(), rep))
+            sampled, no_ring = 0.0, e
+        probes.append((v, sampled, hf, rep, no_ring))
         v_new = volume_update(v, sampled, target, ALPHA_MIN * scale, ALPHA_MAX * scale)
         if abs(v_new - v) / v < _REL_VOLUME_TOL:
             break
         v = v_new
 
-    v, _, z, rep = min(probes, key=lambda p: abs(p[1] - target))
-    hf = HeightField(mask, mask.box.paste(z))
+    v, _, hf, rep, no_ring = min(probes, key=lambda p: abs(p[1] - target))
     # surface must expose a ring at the end; otherwise the estimate is moot
-    sample_band_brightness(image, hf, config)
-    volumes, samples, _, reports = zip(*probes)
+    if no_ring is not None:
+        raise no_ring
+    volumes, samples, _, reports, _ = zip(*probes)
     return hf, v / scale, VolumeLoopReport(len(probes), volumes, samples, target, rep,
                                            tuple(r.iterations_run for r in reports))

@@ -108,9 +108,9 @@ def test_workload_reads_exist():
 
 def test_workload_masks_and_heights_are_raster_sized():
     # the workloads compare masks and heights of different drops pixel by
-    # pixel on the raster (IoU, height error, the digest).  ROADMAP item 13
-    # holds a drop on its box; the benchmark change that lifts this blocker
-    # updates this test together with bench/.
+    # pixel on the raster (IoU, height error, the digest).  A drop holds
+    # only its box; these reads are its read-only raster views, built on
+    # every read, so the workloads run unchanged.
     m = disk_mask(6, shape=(40, 60), center=(12.0, 45.0))
     hf, _ = solve_fixed_volume(m, initial_volume(m, 0.3), SolverParams(max_iters=5),
                                OpticalConfig())

@@ -1,9 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
-from dropstereo import DomainError, DropMask, HeightField, OpticalConfig, RasterGray
+from dropstereo import (DomainError, DropMask, HeightField, OpticalConfig, RasterGray,
+                        SolverParams, VolumeLoopParams, dark_band_mask, depth_from_drops,
+                        estimate_shape, initial_volume, rectify_drop, render_synthetic,
+                        solve_fixed_volume)
 from dropstereo.core import DropBox, MaskStencil, normal_field
 from dropstereo.masks import disk_mask
+from dropstereo.optics import critical_normal_z_field, incidence_directions, theta_cprime_field
+from dropstereo.raytrace import trace_field
+from dropstereo.volume_loop import band_ring
 
 
 def square_mask(n=10, pad=2):
@@ -127,6 +135,23 @@ def test_height_field_zeroes_non_members_and_rejects_negatives():
         HeightField(m, z2)
 
 
+def test_height_field_takes_raster_or_box_heights_and_names_a_wrong_shape():
+    # heights given on the raster or on the mask's box make the same record;
+    # any other grid is refused, naming its shape and the two accepted ones
+    m = disk_mask(4, shape=(20, 30), center=(8, 12))
+    z = np.where(m.membership, np.arange(600.0).reshape(20, 30), 7.0)
+    on_raster = HeightField(m, z)
+    on_box = HeightField(m, m.box.crop(z))
+    assert on_raster.heights.shape == on_box.heights.shape == (11, 11)
+    assert on_raster.heights.tobytes() == on_box.heights.tobytes()
+    assert on_raster.z.tobytes() == np.where(m.membership, z, 0.0).tobytes()
+    for shape in ((20, 29), (11, 12)):
+        with pytest.raises(DomainError, match=re.escape(
+                f"height grid shape {shape} must match the mask grid (20, 30) "
+                "or its box (11, 11)")):
+            HeightField(m, np.zeros(shape))
+
+
 def test_optical_config_invariants():
     # water must be denser than air; an infinite index gave eta = inf
     nan, inf = float("nan"), float("inf")
@@ -156,6 +181,58 @@ def test_optical_config_rejects_bad_solver_weights():
         with pytest.raises(DomainError, match="gravity_weight"):
             OpticalConfig(gravity_weight=bad)
     assert OpticalConfig(gravity_weight=0.0).gravity_weight == 0.0
+
+
+# --- a drop is its box -------------------------------------------------------
+
+
+def test_drop_arrays_are_box_sized_on_a_photo_sized_raster(config):
+    # an r=60 drop on a 12 MP raster (3000 x 4000, a phone photo): the mask,
+    # a solve's heights, its trace and its band fields all live on the
+    # drop's box; only the read-only raster views span the raster
+    raster = (3000, 4000)
+    m = disk_mask(60, raster, (1234.0, 2345.0))
+    box = m.box
+    frame = (box.i1 - box.i0, box.j1 - box.j0)
+    assert box.shape == raster and frame == (123, 123) and m.inside.shape == frame
+    hf, _ = solve_fixed_volume(m, initial_volume(m, 0.3), SolverParams(max_iters=5), config)
+    tf = trace_field(hf, config)
+    fields = (hf.heights, normal_field(hf), incidence_directions(hf, config),
+              theta_cprime_field(hf, config), critical_normal_z_field(hf, config),
+              dark_band_mask(hf, config), band_ring(hf, config), tf.origins, tf.directions,
+              tf.valid, tf.tir, tf.cos_theta_w, tf.theta_flat_air)
+    for k, a in enumerate(fields):
+        assert a.shape[:2] == frame, k
+    for record, name, on_box in ((m, "membership", m.inside), (hf, "z", hf.heights)):
+        view = getattr(record, name)
+        assert view.shape == raster and not view.flags.writeable, name
+        with pytest.raises(AttributeError):
+            setattr(record, name, view)
+        # the box pasted onto the raster: the box's values, zero elsewhere
+        assert np.array_equal(box.crop(view), on_box), name
+        assert np.count_nonzero(view) == np.count_nonzero(on_box), name
+        del view
+
+
+def test_drop_stages_read_no_raster_view(monkeypatch, two_drop_scene, config):
+    # the raster views serve the file writers and readers outside the
+    # package; the stages of a drop read only its box, so a photo-sized
+    # raster costs no raster-sized array per drop or per volume-loop probe
+    scene, (m1, hf1), (m2, hf2), image = two_drop_scene
+    reads = []
+    for cls, name in ((DropMask, "membership"), (HeightField, "z")):
+        view = getattr(cls, name).fget
+        monkeypatch.setattr(cls, name, property(
+            lambda self, view=view, name=name: reads.append(name) or view(self)))
+    render_synthetic(scene, [(m1, hf1), (m2, hf2)], config)
+    depth_from_drops(image, [hf1, hf2], config)
+    rectify_drop(image, hf1, config, 2000.0)
+    estimate_shape(image, m1, config, SolverParams(max_iters=50),
+                   VolumeLoopParams(max_outer_updates=2))
+    assert reads == []
+    # the count sees a read
+    assert m1.membership.any() and hf1.z.any()
+    assert reads == ["membership", "z"]
 
 
 # --- surface normals --------------------------------------------------------

@@ -142,14 +142,24 @@ def test_read_scene_missing_texture_names_file_and_plane(tmp_path):
 @pytest.mark.parametrize("shape", [(48, 64), (130, 130), (61, 200)])
 def test_round_blob_is_the_disk_bit_for_bit(shape):
     # DropSpec.build_mask draws every drop as a blob; at irregularity 0 the
-    # blob must be the disk of the same radius, whatever the seed
+    # blob, whatever the seed, and the disk must both be the closed-form disk
+    # of the same radius on the whole grid.  Both rasterise only a window
+    # about the centre: the centres include windows clamped at each raster
+    # edge and a centre off the raster, whose mask is empty
     h, w = shape
-    centres = [(h // 2, w // 2), (h / 2 - 0.37, w / 2 + 0.21), (1.5, w - 2.25)]
+    centres = [(h // 2, w // 2), (h / 2 - 0.37, w / 2 + 0.21), (1.5, w - 2.25),
+               (0.0, w / 2), (h - 1.0, w / 2 + 0.5), (h / 2 + 0.5, 0.0), (h / 2, w - 1.0),
+               (-3.0 * h, 2.0 * w)]
+    ii, jj = np.mgrid[0:h, 0:w]
     for r in range(1, 61):
         for centre in centres:
+            ci, cj = centre
+            want = (ii - ci) ** 2 + (jj - cj) ** 2 <= r * r
             blob = blob_mask(r, shape, centre, 0.0, seed=r)
             disk = disk_mask(r, shape, centre)
-            assert np.array_equal(blob.membership, disk.membership), (r, centre)
+            assert np.array_equal(blob.membership, want), (r, centre)
+            assert np.array_equal(disk.membership, want), (r, centre)
+    assert disk.area == 0
 
 
 @pytest.mark.parametrize("size, period", [(64, 1), (64, 2), (64, 16), (100, 16), (7, 2)])

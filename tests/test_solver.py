@@ -687,6 +687,24 @@ def test_solve_rejects_init_from_another_grid(config):
             solve_fixed_volume(m, initial_volume(m, 0.3), params(), config, init=init)
 
 
+def test_solve_reads_an_init_from_another_mask_on_its_own_box(config):
+    # an init solved on another mask of the same grid has another box; the
+    # solve reads it on its own mask's box, exactly as it reads the same
+    # heights restated on its own mask
+    m = disk_mask(10, shape=(48, 60), center=(24.0, 30.0))
+    other = disk_mask(12, shape=(48, 60), center=(26.0, 33.0))
+    assert other.box != m.box
+    init, _ = solve_fixed_volume(other, initial_volume(other, 0.3), params(max_iters=40), config)
+    restated = HeightField(m, init.z)
+    assert restated.mask.box == m.box
+    v = initial_volume(m, 0.25)
+    got, rep = solve_fixed_volume(m, v, params(max_iters=60), config, init=init)
+    want, rep_want = solve_fixed_volume(m, v, params(max_iters=60), config, init=restated)
+    assert got.heights.shape == (m.box.i1 - m.box.i0, m.box.j1 - m.box.j0)
+    assert got.heights.tobytes() == want.heights.tobytes()
+    assert rep == rep_want
+
+
 def test_solve_rejects_bad_inputs(config):
     m = disk_mask(5)
     with pytest.raises(DomainError):

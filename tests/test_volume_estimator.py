@@ -94,6 +94,17 @@ def test_sample_band_too_small_ring_rejected(config):
         sample_band_brightness(img, hf, config)
 
 
+def test_estimate_shape_raises_when_its_answer_shows_no_ring(monkeypatch, config):
+    # an r=3 drop is too small to show a band ring at any volume: every probe
+    # samples as fully dark, and the answer, a probe without a ring, is moot
+    m = disk_mask(3, shape=(20, 20), center=(10, 10))
+    calls = _record_solves(monkeypatch)
+    with pytest.raises(RingTooSmall, match="band ring has 0 pixels"):
+        estimate_shape(RasterGray(np.full((20, 20), 0.5)), m, config,
+                       SolverParams(max_iters=200), VolumeLoopParams(max_outer_updates=3))
+    assert len(calls) == 3
+
+
 def test_sampled_brightness_monotone_in_estimated_volume(single_drop_render, config):
     # the under/over-estimation narrative: a flatter estimate samples the
     # truly dark rim (darker), a steeper estimate samples lit interior
