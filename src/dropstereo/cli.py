@@ -63,7 +63,7 @@ def cmd_synth(args) -> int:
         formats.write_mask(out / f"mask_{k}.pgm", mask)
         formats.write_height_field(out / f"height_{k}.pfm", hf)
         formats.write_pfm(out / f"depth_truth_{k}.pfm",
-                          render_depth_truth(scene, hf, cfg.optics))
+                          hf.mask.box.paste(render_depth_truth(scene, hf, cfg.optics), np.nan))
     print(f"synth: wrote image and {len(drops)} drop(s) to {out}")
     return 0
 
@@ -129,11 +129,13 @@ def cmd_stereo(args) -> int:
         corr = [Correspondence(da, db, (ia, ja), (ib, jb), s)
                 for da, ia, ja, db, ib, jb, s
                 in formats.read_correspondences(args.correspondences)]
+        if not corr:
+            raise DomainError(f"{args.correspondences}: no correspondences")
     result = depth_from_drops(image, fields, cfg.optics, correspondences=corr)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for k, dm in enumerate(result.depth_maps):
-        formats.write_pfm(out / f"depth_{k}.pfm", dm)
+    for k, (hf, dm) in enumerate(zip(fields, result.depth_maps)):
+        formats.write_pfm(out / f"depth_{k}.pfm", hf.mask.box.paste(dm, np.nan))
     with open(out / "points.csv", "w") as f:
         f.write("x,y,z,residual,valid\n")
         for p, r, ok in zip(result.points, result.residuals, result.valid):

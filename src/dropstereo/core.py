@@ -56,7 +56,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RasterGray:
     """Grayscale raster with intensities clamped to [0, 1]."""
 
@@ -79,7 +79,7 @@ class RasterGray:
         return self.pixels.shape[1]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class DropMask:
     """Adhesion region of one drop: a single 4-connected pixel component,
     held on the drop's box.
@@ -155,7 +155,7 @@ class DropMask:
         return i + int(ii.min()), i + int(ii.max()) + 1, j + int(jj.min()), j + int(jj.max()) + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeightField:
     """Drop surface: non-negative height per mask pixel, zero elsewhere,
     held on the mask's box.  ``heights`` may be given on the raster or on
@@ -251,6 +251,12 @@ class DropBox:
         out = np.full(self.shape + a.shape[2:], fill, dtype=a.dtype)
         out[self.i0 : self.i1, self.j0 : self.j1] = a
         return out
+
+    def require_grid(self, shape: tuple[int, int], what: str) -> None:
+        """Raise a DomainError naming ``what`` unless the box's raster is
+        the image grid ``shape``."""
+        if self.shape != shape:
+            raise DomainError(f"{what} lies on a {self.shape} grid, the image on {shape}")
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ class Ray(NamedTuple):
     direction: Vec3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenePlane:
     """Fronto-parallel textured plane z = depth.
 
@@ -118,7 +118,7 @@ def _bilinear_wrap(tex: np.ndarray, fi: np.ndarray, fj: np.ndarray) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceField:
     """Vectorized trace of every mask pixel, on the drop's box.
 
@@ -203,7 +203,7 @@ def shared_uv_bounds(traces: list[TraceField], turn: float
     return float(min(u_lo)), float(max(u_hi)), float(min(v_lo)), float(max(v_hi))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DewarpedImage:
     """Drop imagery resampled on a regular angular grid.
 
@@ -241,8 +241,7 @@ def dewarp_image(image: RasterGray, tf: TraceField, out_resolution: int,
     ``turn`` must be shared by all drops that will be matched against each
     other (see ``shared_uv_bounds``).
     """
-    if image.pixels.shape != tf.box.shape:
-        raise DomainError("image and traced drop must share the pixel grid")
+    tf.box.require_grid(image.pixels.shape, "the traced drop")
     if out_resolution < 8:
         raise DomainError("output resolution must be at least 8")
     u, v, valid = uv_field(tf, turn)
@@ -348,9 +347,8 @@ def render_synthetic(scene: SceneSpec, drops: list[tuple[DropMask, HeightField]]
     if scene.blur_radius > 0:
         bg = ndimage.gaussian_filter(bg, scene.blur_radius, mode="nearest")
     out = np.array(bg)
-    for _, hf in drops:
-        if hf.mask.box.shape != (scene.height, scene.width):
-            raise DomainError("drop grids must match the scene raster")
+    for k, (_, hf) in enumerate(drops):
+        hf.mask.box.require_grid((scene.height, scene.width), f"drop {k}")
         if float(hf.heights.max(initial=0.0)) >= min(p.depth for p in scene.planes):
             raise DomainError("scene planes must lie behind every drop")
         tf = trace_field(hf, config)
@@ -367,9 +365,9 @@ def render_synthetic(scene: SceneSpec, drops: list[tuple[DropMask, HeightField]]
 
 def render_depth_truth(scene: SceneSpec, hf: HeightField,
                        config: OpticalConfig) -> np.ndarray:
-    """Ground-truth scene depth per transmitted drop pixel (NaN elsewhere)."""
-    tf = trace_field(hf, config)
-    return tf.box.paste(_scene_hits(scene, tf)[1], np.nan)
+    """Ground-truth scene depth per transmitted drop pixel (NaN elsewhere),
+    on the drop's box."""
+    return _scene_hits(scene, trace_field(hf, config))[1]
 
 
 def _transmittance_from_cos_w(cos_w: np.ndarray, config: OpticalConfig) -> np.ndarray:

@@ -16,7 +16,7 @@ from .stereo import DepthResult
 _MAX_OUTPUT = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RectifiedView:
     """Perspective-correct view through one drop.
 
@@ -54,8 +54,7 @@ def rectify_drop(image: RasterGray, hf: HeightField, config: OpticalConfig,
     with the plane and the hit reprojected through the pinhole onto the
     plate, where the rectified raster lives.
     """
-    if image.pixels.shape != hf.mask.box.shape:
-        raise DomainError("image and height field must share the pixel grid")
+    hf.mask.box.require_grid(image.pixels.shape, "the drop")
     d = _resolve_depth(depth)
     tf = trace_field(hf, config)
     sel = tf.valid
@@ -99,8 +98,7 @@ def compensate_illuminance(image: RasterGray, hf: HeightField,
     and keep their original intensity rather than being amplified.  Non-drop
     pixels are untouched.
     """
-    if image.pixels.shape != hf.mask.box.shape:
-        raise DomainError("image and height field must share the pixel grid")
+    hf.mask.box.require_grid(image.pixels.shape, "the drop")
     tf = trace_field(hf, config)
     total = transmittance(tf, config)
     ok = tf.valid & (total > 1e-3)

@@ -44,13 +44,14 @@ class BlockMatchParams:
 
 @dataclass(frozen=True)
 class Correspondence:
-    """A matched point pair; pixel positions are sub-pixel (i, j) on the two
-    warped drop images (the original image grid).
+    """A matched point pair; pixel positions are (i, j) on the two warped
+    drop images (the original image grid): whole raster pixels for matches
+    produced in-process, sub-pixel for file-loaded ones.
 
     Matches produced in-process also carry the angular coordinates of the
     match (``uv_a``/``uv_b``), which give the outbound ray directions without
     re-quantizing through the warped pixel grid; file-loaded correspondences
-    leave them unset.
+    leave them unset.  A uv of None, or of NaN, means none.
     """
 
     drop_a: int
@@ -62,8 +63,17 @@ class Correspondence:
     uv_b: tuple[float, float] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DepthResult:
+    """Triangulated scene points, one per kept correspondence.
+
+    ``points``, ``residuals`` (sum of squared ray distances), ``valid`` (the
+    outlier test) and ``correspondences`` are in match order;
+    ``depth_maps[k]`` lies on ``drops[k].mask.box``, holding each valid
+    point's depth at its pixel on drop k and NaN elsewhere (``box.paste``
+    puts it on the raster).
+    """
+
     points: tuple[Vec3, ...]
     residuals: np.ndarray
     valid: np.ndarray
@@ -176,13 +186,15 @@ def _global_shift(img_a: np.ndarray, ok_a: np.ndarray, img_b: np.ndarray,
 
 
 def _match_row(a: _Windows, b: _Windows, ra: int, ca: np.ndarray, params: BlockMatchParams,
-               prior: tuple[int, int]) -> list[tuple[float, float, float] | None]:
+               prior: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Best sub-pixel position in b for the template of a centred at
     (ra, ca[k]), searched in a band around (ra, ca[k]) + prior, for each k:
     ``_BAND_ROWS`` rows above and below, ``search_radius`` columns left and
     right.  A template is a window of a with no unusable pixel and some
     variance; it matches at the first maximum of its ZNCC scores if that
-    reaches ``_ZNCC_MIN``.
+    reaches ``_ZNCC_MIN``.  Returns (k, rb, cb, score): the increasing
+    indices into ``ca`` of the templates that matched, their positions in
+    b and their scores.
 
     The templates of one call are scored together.  One contiguous gather
     of their windows gives their validity, mean, centred patch and norm.
@@ -205,7 +217,6 @@ def _match_row(a: _Windows, b: _Windows, ra: int, ca: np.ndarray, params: BlockM
     hw, rad = w // 2, params.search_radius
     n = 2 * rad + 1
     m = 2 * _BAND_ROWS + 1
-    out: list[tuple[float, float, float] | None] = [None] * len(ca)
     ti, tj = ra - hw + a.pad[0], ca - hw + a.pad[1]
     k = np.flatnonzero(a.full[ti, tj])
     patch = a.windows[ti, tj[k]]
@@ -214,7 +225,7 @@ def _match_row(a: _Windows, b: _Windows, ra: int, ca: np.ndarray, params: BlockM
     live = pn >= 1e-12
     k, pz, pn = k[live], pz[live].reshape(-1, w * w, 1), pn[live]
     if not k.size:
-        return out
+        return k, *np.empty((3, 0))
     # padded-image windows whose centres lie within _BAND_ROWS rows and rad
     # columns of (rc, cc) start at (r0, c0)
     rc, cc = ra + prior[0], ca[k] + prior[1]
@@ -252,28 +263,25 @@ def _match_row(a: _Windows, b: _Windows, ra: int, ca: np.ndarray, params: BlockM
     hit = np.isfinite(s) & (s >= _ZNCC_MIN)
     d = _subpixel(score[hit], idx[hit])
     r, c = np.divmod(idx[hit], n + 2)
-    rb = rc - _BAND_ROWS - 1 + r + d[:, 0]
-    cb = cc[hit] - rad - 1 + c + d[:, 1]
-    for kk, found in zip(k[hit].tolist(), zip(rb.tolist(), cb.tolist(), s[hit].tolist())):
-        out[kk] = found
-    return out
+    return (k[hit], rc - _BAND_ROWS - 1 + r + d[:, 0], cc[hit] - rad - 1 + c + d[:, 1],
+            s[hit])
 
 
 def match_grids(img_a: np.ndarray, ok_a: np.ndarray, img_b: np.ndarray, ok_b: np.ndarray,
-                params: BlockMatchParams) -> list[tuple[float, float, float, float, float]]:
-    """Grid-sampled ZNCC matches (ra, ca, rb, cb, score) with left-right
-    consistency filtering.  The local search is a band along the rows,
-    centered on a coarse global alignment prior: the views are expected to
-    be turned so that the baseline runs along the rows (see
-    ``depth_from_drops``), which puts every true match within a row or two
-    of its template row plus the prior.
+                params: BlockMatchParams) -> np.ndarray:
+    """Grid-sampled ZNCC matches, an (n, 5) array of rows (ra, ca, rb, cb,
+    score), with left-right consistency filtering.  The local search is a
+    band along the rows, centered on a coarse global alignment prior: the
+    views are expected to be turned so that the baseline runs along the rows
+    (see ``depth_from_drops``), which puts every true match within a row or
+    two of its template row plus the prior.
 
     Each image's windows and their statistics are built once, and serve as
     the templates of one search direction and the searched windows of the
     other.  The forward search scores one grid row of templates per call of
     ``_match_row``; the backward search runs once the forward pass ends,
-    one row of b at a time over the forward matches that land on it.
-    Matches come out in forward raster order.
+    one row of b at a time over the forward matches whose rounded position
+    lands on it.  Matches come out in forward raster order.
     """
     hw = params.window // 2
     prior = _global_shift(img_a, ok_a, img_b, ok_b)
@@ -283,33 +291,23 @@ def match_grids(img_a: np.ndarray, ok_a: np.ndarray, img_b: np.ndarray, ok_b: np
     wins_a = _window_stats(img_a, ok_a, params.window, pad)
     wins_b = _window_stats(img_b, ok_b, params.window, pad)
     cols = np.arange(hw, img_a.shape[1] - hw, params.stride)
-    fwd = []
+    rows = [np.empty((0, 5))]
     for ra in range(hw, img_a.shape[0] - hw, params.stride):
-        for ca, m in zip(cols.tolist(), _match_row(wins_a, wins_b, ra, cols, params, prior)):
-            if m is None:
-                continue
-            rb, cb, score = m
-            rbi, cbi = int(round(rb)), int(round(cb))
-            if hw <= rbi < img_b.shape[0] - hw and hw <= cbi < img_b.shape[1] - hw:
-                fwd.append((ra, ca, rb, cb, score, rbi, cbi))
-    on_row: dict[int, list[int]] = {}
-    for k, (*_, rbi, _) in enumerate(fwd):
-        on_row.setdefault(rbi, []).append(k)
-    back: list[tuple[float, float, float] | None] = [None] * len(fwd)
-    for rbi, ks in on_row.items():
-        found = _match_row(wins_b, wins_a, rbi, np.array([fwd[k][6] for k in ks]), params,
-                           rprior)
-        for k, m in zip(ks, found):
-            back[k] = m
-    out = []
-    for (ra, ca, rb, cb, score, rbi, cbi), m in zip(fwd, back):
-        if m is None:
-            continue
-        if abs(m[0] - ra) > _LR_TOL + abs(rb - rbi) or \
-           abs(m[1] - ca) > _LR_TOL + abs(cb - cbi):
-            continue
-        out.append((float(ra), float(ca), rb, cb, score))
-    return out
+        k, rb, cb, score = _match_row(wins_a, wins_b, ra, cols, params, prior)
+        rows.append(np.column_stack([np.full(k.size, ra), cols[k], rb, cb, score]))
+    fwd = np.concatenate(rows)
+    # the forward match rounded to a pixel of b, whose window must fit in b
+    ij = np.rint(fwd[:, 2:4]).astype(int)
+    fits = ((hw <= ij) & (ij < np.subtract(img_b.shape, hw))).all(axis=1)
+    fwd, ij = fwd[fits], ij[fits]
+    # the backward match of each forward one, NaN where none was found
+    back = np.full((len(fwd), 2), np.nan)
+    for rbi in np.unique(ij[:, 0]).tolist():
+        on = np.flatnonzero(ij[:, 0] == rbi)
+        k, rb, cb, _ = _match_row(wins_b, wins_a, rbi, ij[on, 1], params, rprior)
+        back[on[k]] = np.column_stack([rb, cb])
+    agree = np.abs(back - fwd[:, :2]) <= _LR_TOL + np.abs(fwd[:, 2:4] - ij)
+    return fwd[agree.all(axis=1)]
 
 
 def block_match(dewarped_a: DewarpedImage, dewarped_b: DewarpedImage,
@@ -318,9 +316,8 @@ def block_match(dewarped_a: DewarpedImage, dewarped_b: DewarpedImage,
     """Correspondences between two drop views: matches run on the angular
     grids and map back to warped pixels through the forward-map table."""
     p = params or BlockMatchParams()
-    raw = match_grids(dewarped_a.raster.pixels, dewarped_a.valid,
-                      dewarped_b.raster.pixels, dewarped_b.valid, p)
-    ra, ca, rb, cb, score = np.array(raw, dtype=float).reshape(-1, 5).T
+    ra, ca, rb, cb, score = match_grids(dewarped_a.raster.pixels, dewarped_a.valid,
+                                        dewarped_b.raster.pixels, dewarped_b.valid, p).T
     ij_a = dewarped_a.source_ij[np.rint(ra).astype(int), np.rint(ca).astype(int)]
     ij_b = dewarped_b.source_ij[np.rint(rb).astype(int), np.rint(cb).astype(int)]
     has = (ij_a[:, 0] >= 0) & (ij_b[:, 0] >= 0)
@@ -416,15 +413,15 @@ def depth_from_drops(image: RasterGray, drops: list[HeightField], config: Optica
     all matches are triangulated at once; a match whose pixel has no ray
     (off its drop's box or in the dark band) or whose rays are near-parallel
     is dropped.  Points whose residual exceeds ``_OUTLIER_FACTOR`` (3) times
-    the median are flagged invalid.
+    the median are flagged invalid.  An empty list of correspondences raises
+    ``InsufficientMatches``.
     """
     if len(drops) < 2:
         raise DomainError("stereo needs at least two reconstructed drops")
-    shape = image.pixels.shape
     for k, hf in enumerate(drops):
-        if hf.mask.box.shape != shape:
-            raise DomainError(f"drop {k} lies on a {hf.mask.box.shape} grid, "
-                              f"the image on {shape}")
+        hf.mask.box.require_grid(image.pixels.shape, f"drop {k}")
+    if correspondences is not None and not correspondences:
+        raise InsufficientMatches("no correspondences to triangulate")
     traces = [trace_field(hf, config) for hf in drops]
 
     if correspondences is None:
@@ -450,17 +447,20 @@ def depth_from_drops(image: RasterGray, drops: list[HeightField], config: Optica
             raise InsufficientMatches(
                 f"only {len(correspondences)} correspondences across all drop pairs")
 
-    # (match, side) arrays, side 0 = a, side 1 = b
-    n = len(correspondences)
-    ids = np.array([(c.drop_a, c.drop_b) for c in correspondences], dtype=int).reshape(n, 2)
+    # (match, side) rows of (drop, i, j, u, v), side 0 = a, side 1 = b; u
+    # and v are NaN on a side without angular coordinates
+    none = (math.nan, math.nan)
+    table = np.array([((c.drop_a, *c.pixel_a, *(c.uv_a or none)),
+                       (c.drop_b, *c.pixel_b, *(c.uv_b or none))) for c in correspondences],
+                     dtype=float)
+    n = len(table)
+    ids = table[..., 0].astype(int)
     unknown = ids[(ids < 0) | (ids >= len(drops))]
     if unknown.size:
         raise DomainError(f"correspondence names unknown drop {unknown[0]}")
-    pixels = np.array([(c.pixel_a, c.pixel_b) for c in correspondences],
-                      dtype=float).reshape(n, 2, 2)
-    if not np.isfinite(pixels).all():
+    if not np.isfinite(table[..., 1:3]).all():
         raise DomainError("correspondence pixels must be finite")
-    ij = np.rint(pixels).astype(int)
+    ij = np.rint(table[..., 1:3]).astype(int)
     origins = np.zeros((n, 2, 3))
     directions = np.zeros((n, 2, 3))
     has_ray = np.zeros((n, 2), dtype=bool)
@@ -475,15 +475,12 @@ def depth_from_drops(image: RasterGray, drops: list[HeightField], config: Optica
         origins[rows, side] = tf.origins[i, j]
         directions[rows, side] = tf.directions[i, j]
     # the matched angular coordinates give the direction exactly, avoiding
-    # re-quantization through the warped pixel grid
-    has_uv = np.array([(c.uv_a is not None, c.uv_b is not None)
-                       for c in correspondences], dtype=bool).reshape(n, 2)
-    uv = np.array([(c.uv_a or (0.0, 0.0), c.uv_b or (0.0, 0.0)) for c in correspondences],
-                  dtype=float).reshape(n, 2, 2)
-    u, v = uv[..., 0], uv[..., 1]
+    # re-quantization through the warped pixel grid; a side without them
+    # keeps its traced direction
+    u, v = table[..., 3], table[..., 4]
     inv = 1.0 / np.sqrt(u * u + v * v + 1.0)
-    directions = np.where(has_uv[..., None], np.stack([u * inv, v * inv, inv], axis=-1),
-                          directions)
+    directions = np.where(np.isnan(u)[..., None], directions,
+                          np.stack([u * inv, v * inv, inv], axis=-1))
 
     kept = np.flatnonzero(has_ray.all(axis=1))
     points, res, ok = _triangulate(origins[kept], directions[kept])
@@ -494,15 +491,18 @@ def depth_from_drops(image: RasterGray, drops: list[HeightField], config: Optica
     med = float(np.median(res))
     valid = res <= _OUTLIER_FACTOR * med if med > 0 else np.ones(res.size, dtype=bool)
 
-    # each valid point's depth at its two pixels, in match order: a later
-    # match overwrites an earlier one on the same pixel
-    depth_maps = [np.full(shape, np.nan) for _ in drops]
+    # each valid point's depth at its two pixels, on each drop's box, in
+    # match order: a later match overwrites an earlier one on the same
+    # pixel.  A kept pixel has a ray, so it lies on its drop's box.
     at = ij[kept[valid]].reshape(-1, 2)
     on_drop = ids[kept[valid]].ravel()
     z = np.repeat(points[valid, 2], 2)
-    for drop_id, dm in enumerate(depth_maps):
+    depth_maps = []
+    for drop_id, tf in enumerate(traces):
         sel = on_drop == drop_id
-        dm[at[sel, 0], at[sel, 1]] = z[sel]
+        dm = np.full(tf.valid.shape, np.nan)
+        dm[at[sel, 0] - tf.box.i0, at[sel, 1] - tf.box.j0] = z[sel]
+        depth_maps.append(dm)
 
     return DepthResult(tuple(Vec3(*p) for p in points.tolist()), res, valid,
                        tuple(depth_maps), tuple(correspondences[k] for k in kept))

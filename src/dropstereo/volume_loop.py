@@ -71,8 +71,7 @@ def band_ring(hf: HeightField, config: OpticalConfig) -> np.ndarray:
 
 def sample_band_brightness(image: RasterGray, hf: HeightField, config: OpticalConfig) -> float:
     """Mean image intensity over the estimated band ring."""
-    if image.pixels.shape != hf.mask.box.shape:
-        raise DomainError("image and height field must share the pixel grid")
+    hf.mask.box.require_grid(image.pixels.shape, "the drop")
     ring = band_ring(hf, config)
     n = int(ring.sum())
     if n < _MIN_RING_PIXELS:
@@ -85,9 +84,8 @@ def target_brightness(image: RasterGray, drop_masks: list[DropMask]) -> float:
     """Expected band brightness 0.241 * I_b, where I_b is the mean intensity
     of the non-drop background."""
     outside = np.ones(image.pixels.shape, dtype=bool)
-    for m in drop_masks:
-        if m.box.shape != image.pixels.shape:
-            raise DomainError("drop masks must share the image grid")
+    for k, m in enumerate(drop_masks):
+        m.box.require_grid(image.pixels.shape, f"drop mask {k}")
         m.box.crop(outside)[m.inside] = False
     if not outside.any():
         raise DomainError("no background pixels outside the drop masks")

@@ -5,13 +5,15 @@ session-scoped."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dropstereo import (OpticalConfig, SolverParams, disk_mask, initial_volume,
-                        render_synthetic, solve_fixed_volume)
+from dropstereo import (DropMask, HeightField, OpticalConfig, RasterGray, SolverParams,
+                        disk_mask, initial_volume, render_synthetic, solve_fixed_volume)
+from dropstereo.core import DropBox
 from dropstereo.cli import main as cli_main
 from dropstereo.raytrace import ScenePlane, SceneSpec
 from dropstereo.scenes import make_texture
@@ -37,6 +39,26 @@ def cap_field(mask, volume: float) -> np.ndarray:
     z = np.zeros(m.shape)
     z[ii, jj] = np.maximum(np.sqrt(np.maximum(rs * rs - r2, 0.0)) - (rs - h), 0.0)
     return z
+
+
+def embed_scene(image, drops, config, offset, shape=(3000, 4000)):
+    """A scene moved onto a photo-sized raster: ``image`` pasted at
+    ``offset`` (rows, columns) on a zero raster of ``shape``, each drop of
+    ``drops`` (height fields) on its box shifted by the offset, and
+    ``config`` with its principal point moved by the same offset, so that
+    every drop pixel traces the ray it traces on the small raster.  Returns
+    (image, drops, config)."""
+    di, dj = offset
+    h, w = image.pixels.shape
+    pixels = np.zeros(shape)
+    pixels[di : di + h, dj : dj + w] = image.pixels
+    moved = []
+    for hf in drops:
+        b = hf.mask.box
+        at = DropBox(b.i0 + di, b.i1 + di, b.j0 + dj, b.j1 + dj, shape)
+        moved.append(HeightField(DropMask(hf.mask.inside, at=at), hf.heights))
+    cx, cy = config.resolve_principal_point((h, w))
+    return RasterGray(pixels), moved, replace(config, principal_point=(cx + dj, cy + di))
 
 
 def zncc(a: np.ndarray, b: np.ndarray) -> float:

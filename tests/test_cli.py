@@ -1,9 +1,11 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from dropstereo import DropMask, HeightField, disk_mask, formats, initial_volume, volume_of
+from dropstereo import (Correspondence, DropMask, HeightField, InsufficientMatches, RasterGray,
+                        depth_from_drops, disk_mask, formats, initial_volume, volume_of)
 from dropstereo.cli import main
 
 from conftest import _write_config, cap_field
@@ -181,6 +183,64 @@ def test_stereo_drop_with_no_transmitted_pixels_names_the_drop(tmp_path, capsys)
                  "--config", str(cfg), "--out", str(tmp_path / "stereo")]) == 1
     err = capsys.readouterr().err
     assert "drop 1 has no valid transmitted pixels" in err, err
+
+
+def _stereo_inputs(run, tmp_path):
+    """The pipeline run's image and drops as the stereo command reads them,
+    with its config and the command line that runs on them."""
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg)
+    image = RasterGray(formats.read_pnm(run["image"]))
+    fields = [formats.read_height_field(path) for path in run["drops"]]
+    argv = ["stereo", "--image", str(run["image"]), "--drops", ",".join(map(str, run["drops"])),
+            "--config", str(cfg)]
+    return image, fields, formats.read_config(cfg).optics, argv
+
+
+def test_stereo_correspondence_file_route(pipeline_runs, tmp_path):
+    # the kept correspondences of an in-process run, written to a file: the
+    # command triangulates the rows it reads back, with the traced
+    # directions (a file row carries no angular coordinates)
+    run, _ = pipeline_runs
+    image, fields, optics, argv = _stereo_inputs(run, tmp_path)
+    matched = depth_from_drops(image, fields, optics)
+    corr = tmp_path / "corr.csv"
+    formats.write_correspondences(corr, [(c.drop_a, *c.pixel_a, c.drop_b, *c.pixel_b, c.score)
+                                         for c in matched.correspondences])
+    out = tmp_path / "stereo"
+    assert main(argv + ["--out", str(out), "--correspondences", str(corr)]) == 0
+    want = depth_from_drops(image, fields, optics, correspondences=[
+        Correspondence(da, db, (ia, ja), (ib, jb), s)
+        for da, ia, ja, db, ib, jb, s in formats.read_correspondences(corr)])
+    assert len(want.points) == len(matched.points)
+    with open(out / "points.csv", newline="") as f:
+        header, *rows = csv.reader(f)
+    assert header == ["x", "y", "z", "residual", "valid"]
+    # the residual column holds numpy scalar reprs ("np.float64(...)"),
+    # which no CSV reader parses; residuals.json checks the residuals
+    got = np.array([[float(r[0]), float(r[1]), float(r[2]), int(r[4])] for r in rows])
+    assert got.tobytes() == np.column_stack([np.array(want.points), want.valid]).tobytes()
+    stats = json.loads((out / "residuals.json").read_text())
+    assert stats["median_residual"] == float(np.median(want.residuals))
+    assert stats["valid_points"] == int(want.valid.sum())
+    for k, (hf, dm) in enumerate(zip(fields, want.depth_maps)):
+        got = formats.read_pfm(out / f"depth_{k}.pfm")
+        assert np.isfinite(got).sum() >= 10
+        assert np.array_equal(got, hf.mask.box.paste(dm, np.nan).astype(np.float32),
+                              equal_nan=True)
+
+
+def test_stereo_empty_correspondence_file_names_the_file(pipeline_runs, tmp_path, capsys):
+    run, _ = pipeline_runs
+    image, fields, optics, argv = _stereo_inputs(run, tmp_path)
+    corr = tmp_path / "none.csv"
+    formats.write_correspondences(corr, [])
+    assert main(argv + ["--out", str(tmp_path / "stereo"), "--correspondences", str(corr)]) == 1
+    err = capsys.readouterr().err
+    assert f"{corr}: no correspondences" in err, err
+    # in-process, an empty list is too few matches
+    with pytest.raises(InsufficientMatches, match="no correspondences"):
+        depth_from_drops(image, fields, optics, correspondences=[])
 
 
 def test_rectify_rejects_non_finite_plane_depth(tmp_path, capsys):

@@ -1,17 +1,21 @@
+import copy
 import re
 
 import numpy as np
 import pytest
 
-from dropstereo import (DomainError, DropMask, HeightField, OpticalConfig, RasterGray,
-                        SolverParams, VolumeLoopParams, dark_band_mask, depth_from_drops,
+from dropstereo import (DepthResult, DomainError, DropMask, HeightField, OpticalConfig,
+                        RasterGray, ScenePlane, SceneSpec, SolverParams, Vec3, VolumeLoopParams,
+                        compensate_illuminance, dark_band_mask, depth_from_drops, dewarp_image,
                         estimate_shape, initial_volume, rectify_drop, render_synthetic,
-                        solve_fixed_volume)
+                        sample_band_brightness, solve_fixed_volume, target_brightness)
 from dropstereo.core import DropBox, MaskStencil, normal_field
 from dropstereo.masks import disk_mask
 from dropstereo.optics import critical_normal_z_field, incidence_directions, theta_cprime_field
-from dropstereo.raytrace import trace_field
+from dropstereo.raytrace import shared_uv_bounds, trace_field
 from dropstereo.volume_loop import band_ring
+
+from conftest import cap_field
 
 
 def square_mask(n=10, pad=2):
@@ -233,6 +237,68 @@ def test_drop_stages_read_no_raster_view(monkeypatch, two_drop_scene, config):
     # the count sees a read
     assert m1.membership.any() and hf1.z.any()
     assert reads == ["membership", "z"]
+
+
+# --- records and the image grid ---------------------------------------------
+
+
+def _cap(shape, center, config):
+    m = disk_mask(8, shape=shape, center=center)
+    hf = HeightField(m, cap_field(m, initial_volume(m, 0.3)))
+    return m, hf, trace_field(hf, config)
+
+
+def test_array_records_compare_by_identity_and_hash(config):
+    # a record that holds arrays is equal only to itself: comparing it with
+    # an equal copy must not ask an array for its truth value
+    m, hf, tf = _cap((30, 40), (15.0, 20.0), config)
+    image = RasterGray(np.full((30, 40), 0.5))
+    plane = ScenePlane(depth=2000.0, texture=np.full((4, 4), 0.5))
+    records = (image, m, hf, plane, tf,
+               dewarp_image(image, tf, 8, shared_uv_bounds([tf], 0.0), 0.0),
+               DepthResult((Vec3(0.0, 0.0, 1.0),), np.zeros(1), np.ones(1, dtype=bool),
+                           (np.zeros((2, 2)),), ()),
+               rectify_drop(image, hf, config, 2000.0))
+    for record in records:
+        name = type(record).__name__
+        assert record == record, name
+        assert (record == copy.deepcopy(record)) is False, name
+        assert hash(record) == hash(record), name
+    # a scene compares its planes without raising
+    scene = SceneSpec(width=4, height=4, planes=(plane,))
+    assert scene == SceneSpec(width=4, height=4, planes=(plane,))
+    assert scene != SceneSpec(width=4, height=4, planes=(copy.deepcopy(plane),))
+
+
+@pytest.mark.parametrize("entry", ["sample_band_brightness", "target_brightness",
+                                   "rectify_drop", "compensate_illuminance", "dewarp_image",
+                                   "render_synthetic", "depth_from_drops"])
+def test_drop_off_the_image_grid_is_named_with_both_shapes(config, entry):
+    # a drop on a (30, 40) grid, an image on (30, 50): every entry point
+    # that reads a drop on the image names the drop and both grids.  Where
+    # a call takes several drops, the first lies on the image and the
+    # second is named.
+    m, hf, tf = _cap((30, 40), (15.0, 20.0), config)
+    on_m, on_hf, _ = _cap((30, 50), (15.0, 20.0), config)
+    image = RasterGray(np.full((30, 50), 0.5))
+    scene = SceneSpec(width=50, height=30,
+                      planes=(ScenePlane(depth=2000.0, texture=np.full((4, 4), 0.5)),))
+    call, what = {
+        "sample_band_brightness": (lambda: sample_band_brightness(image, hf, config),
+                                   "the drop"),
+        "target_brightness": (lambda: target_brightness(image, [on_m, m]), "drop mask 1"),
+        "rectify_drop": (lambda: rectify_drop(image, hf, config, 2000.0), "the drop"),
+        "compensate_illuminance": (lambda: compensate_illuminance(image, hf, config),
+                                   "the drop"),
+        "dewarp_image": (lambda: dewarp_image(image, tf, 8, (-0.1, 0.1, -0.1, 0.1), 0.0),
+                         "the traced drop"),
+        "render_synthetic": (lambda: render_synthetic(scene, [(on_m, on_hf), (m, hf)], config),
+                             "drop 1"),
+        "depth_from_drops": (lambda: depth_from_drops(image, [on_hf, hf], config), "drop 1"),
+    }[entry]
+    with pytest.raises(DomainError, match=re.escape(
+            f"{what} lies on a (30, 40) grid, the image on (30, 50)")):
+        call()
 
 
 # --- surface normals --------------------------------------------------------

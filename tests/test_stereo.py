@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,12 +11,13 @@ from dropstereo import (DegenerateGeometry, DomainError, HeightField, Insufficie
                         disk_mask, initial_volume, render_synthetic, solve_fixed_volume,
                         triangulate)
 from dropstereo.raytrace import DewarpedImage, Ray, ScenePlane, SceneSpec, trace_field
+from dropstereo.rectify import rectify_drop
 from dropstereo.stereo import (_BAND_ROWS, _LR_TOL, _ZNCC_MIN, BlockMatchParams, Correspondence,
                                _global_shift, _subpixel, _window_stats, _window_sums,
                                match_grids)
 from dropstereo.scenes import make_texture
 
-from conftest import cap_field
+from conftest import cap_field, embed_scene
 
 
 def _noise_image(shape, seed=0):
@@ -216,7 +218,7 @@ def test_match_grids_equals_region_copy_oracle_across_edges(shift, params, blank
             # lone templates of neighbouring rows land on one column of b
             # one after the other
             assert 0 in steps
-    assert got == want
+    assert [tuple(row) for row in got.tolist()] == want
 
 
 def test_subpixel_equals_scalar_parabola():
@@ -566,6 +568,42 @@ def test_depth_fronto_parallel_plane_diagonal_pair(config):
     assert np.nanmedian(dm) == pytest.approx(median, rel=0.05)
 
 
+def test_depth_on_a_photo_sized_raster_equals_the_small_scene(two_drop_scene, config):
+    # the two-drop scene at an offset on a 12 MP raster (3000 x 4000, a
+    # phone photo) with the principal point moved along: every ray, match
+    # and point is the small scene's, each depth map lies on its drop's box,
+    # and the call allocates no raster-sized array per drop.  The test holds
+    # about 200 MB at once: the float raster and the clipped copy that
+    # RasterGray keeps.
+    _, (_, hf1), (_, hf2), image = two_drop_scene
+    small = depth_from_drops(image, [hf1, hf2], config)
+    di, dj = 1234, 2345
+    big_image, drops, big_config = embed_scene(image, [hf1, hf2], config, (di, dj))
+    tracemalloc.start()
+    try:
+        big = depth_from_drops(big_image, drops, big_config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6, peak
+    assert big.points == small.points
+    assert big.residuals.tobytes() == small.residuals.tobytes()
+    assert np.array_equal(big.valid, small.valid)
+    for hf, got, want in zip(drops, big.depth_maps, small.depth_maps):
+        assert got.shape == hf.mask.inside.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    # the same matches, on pixels moved by the offset
+    assert [replace(c, pixel_a=(c.pixel_a[0] - di, c.pixel_a[1] - dj),
+                    pixel_b=(c.pixel_b[0] - di, c.pixel_b[1] - dj))
+            for c in big.correspondences] == list(small.correspondences)
+    for big_depth, small_depth in ((2000.0, 2000.0), (big, small)):
+        got = rectify_drop(big_image, drops[0], big_config, big_depth)
+        want = rectify_drop(image, hf1, config, small_depth)
+        assert got.raster.pixels.tobytes() == want.raster.pixels.tobytes()
+        assert np.array_equal(got.valid, want.valid)
+        assert (got.origin, got.scale) == (want.origin, want.scale)
+
+
 def test_depth_file_correspondences_off_the_drop_box(two_drop_scene, config):
     # file-loaded correspondences (no uv) may name raster pixels off a drop's
     # box: one row or column past each side, or raster index 0, whose
@@ -653,11 +691,13 @@ def _loop_depth(drops, config, correspondences):
     res = np.array(residuals)
     med = float(np.median(res))
     valid = res <= 3.0 * med if med > 0 else np.ones(res.size, dtype=bool)
-    depth_maps = [np.full(drops[0].mask.membership.shape, np.nan) for _ in drops]
+    # on each drop's box
+    depth_maps = [np.full(tf.valid.shape, np.nan) for tf in traces]
     for corr, p, ok in zip(kept, points, valid):
         if ok:
             for drop_id, (pi, pj) in ((corr.drop_a, corr.pixel_a), (corr.drop_b, corr.pixel_b)):
-                depth_maps[drop_id][int(round(pi)), int(round(pj))] = p.z
+                box = traces[drop_id].box
+                depth_maps[drop_id][int(round(pi)) - box.i0, int(round(pj)) - box.j0] = p.z
     return tuple(points), res, valid, depth_maps, tuple(kept)
 
 
