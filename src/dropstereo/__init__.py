@@ -11,7 +11,7 @@ from .core import DropMask, HeightField, OpticalConfig, RasterGray, Vec3, normal
 from .detect import DetectParams, detect_drops
 from .errors import (DegenerateGeometry, DomainError, EmptyOutput, InsufficientMatches,
                      RingTooSmall)
-from .formats import PipelineConfig, default_config
+from .formats import PipelineConfig
 from .masks import blob_mask, disk_mask
 from .optics import (FresnelResult, band_transmittance_linear, critical_normal_z,
                      dark_band_mask, fresnel_transmittance)

@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from .raytrace import render_depth_truth, render_synthetic
 from .rectify import rectify_drop
 from .scenes import read_scene
 from .solver import initial_volume, solve_fixed_volume
-from .stereo import Correspondence, depth_from_drops
+from .stereo import depth_from_drops
 from .volume_loop import ALPHA_MAX, ALPHA_MIN, estimate_shape
 
 log = logging.getLogger("dropstereo")
@@ -90,11 +91,7 @@ def cmd_reconstruct(args) -> int:
         hf, alpha_est, loop = estimate_shape(image, mask, cfg.optics, cfg.solver,
                                              cfg.volume_loop)
         rep = loop.solve
-        extras = {"outer_updates": loop.outer_updates,
-                  "volume_history": list(loop.volume_history),
-                  "sampled_history": list(loop.sampled_history),
-                  "target": loop.target,
-                  "solve_sweeps": list(loop.solve_sweeps)}
+        extras = {k: v for k, v in asdict(loop).items() if k != "solve"}
         work = f"sweeps={sum(loop.solve_sweeps)} in {len(loop.solve_sweeps)} solves"
     else:
         alpha_est = args.alpha
@@ -126,9 +123,7 @@ def cmd_stereo(args) -> int:
     fields = [formats.read_height_field(path) for path in args.drops.split(",")]
     corr = None
     if args.correspondences:
-        corr = [Correspondence(da, db, (ia, ja), (ib, jb), s)
-                for da, ia, ja, db, ib, jb, s
-                in formats.read_correspondences(args.correspondences)]
+        corr = formats.read_correspondences(args.correspondences)
         if not corr:
             raise DomainError(f"{args.correspondences}: no correspondences")
     result = depth_from_drops(image, fields, cfg.optics, correspondences=corr)
@@ -138,7 +133,7 @@ def cmd_stereo(args) -> int:
         formats.write_pfm(out / f"depth_{k}.pfm", hf.mask.box.paste(dm, np.nan))
     with open(out / "points.csv", "w") as f:
         f.write("x,y,z,residual,valid\n")
-        for p, r, ok in zip(result.points, result.residuals, result.valid):
+        for p, r, ok in zip(result.points, result.residuals.tolist(), result.valid.tolist()):
             f.write(f"{p.x!r},{p.y!r},{p.z!r},{r!r},{int(ok)}\n")
     valid_depths = result.depths[result.valid]
     stats = {

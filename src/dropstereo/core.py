@@ -274,18 +274,6 @@ class DropBox:
 # ---------------------------------------------------------------------------
 
 
-def _shifted(a: np.ndarray, di: int, dj: int) -> np.ndarray:
-    """Array whose [i, j] holds a[i + di, j + dj], zero outside the grid."""
-    out = np.zeros_like(a)
-    h, w = a.shape
-    src_i = slice(max(di, 0), h + min(di, 0))
-    src_j = slice(max(dj, 0), w + min(dj, 0))
-    dst_i = slice(max(-di, 0), h + min(-di, 0))
-    dst_j = slice(max(-dj, 0), w + min(-dj, 0))
-    out[dst_i, dst_j] = a[src_i, src_j]
-    return out
-
-
 class MaskStencil:
     """Masked differencing on one mask grid, in the padded buffer layout.
 
@@ -316,10 +304,11 @@ class MaskStencil:
         self.members = idx + self.origin
         self.inside = self.pad(np.ones(idx.size))
         self._axes = []
+        p = np.pad(m, 1)
         for di, dj in ((1, 0), (0, 1)):
             # member neighbors only: no wrap across rows, nothing off the grid
-            has_p = self.gather(_shifted(m, di, dj) & m)
-            has_m = self.gather(_shifted(m, -di, -dj) & m)
+            has_p = p[1 + di : 1 + di + h, 1 + dj : 1 + dj + w][m]
+            has_m = p[1 - di : 1 - di + h, 1 - dj : 1 - dj + w][m]
             rim = ~(has_p & has_m)
             step = di * w + dj
             cell = self.members[rim]

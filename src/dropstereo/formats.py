@@ -8,9 +8,9 @@ import inspect
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, get_args, get_origin, get_type_hints
+from typing import Any, Iterable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .core import DropMask, HeightField, OpticalConfig
 from .detect import DetectParams
 from .errors import DomainError
 from .solver import SolverParams
+from .stereo import Correspondence
 from .volume_loop import VolumeLoopParams
 
 
@@ -179,24 +180,16 @@ def read_height_field(path: str | Path) -> HeightField:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    optics: OpticalConfig
-    solver: SolverParams
-    volume_loop: VolumeLoopParams
-    detect: DetectParams
+    """The config file: one section per field, each a JSON object of that
+    field's parameters; ``optics`` is required, the others default."""
 
+    optics: OpticalConfig = field(default_factory=OpticalConfig)
+    solver: SolverParams = field(default_factory=SolverParams)
+    volume_loop: VolumeLoopParams = field(default_factory=VolumeLoopParams)
+    detect: DetectParams = field(default_factory=DetectParams)
 
-_SECTIONS = {
-    "optics": OpticalConfig,
-    "solver": SolverParams,
-    "volume_loop": VolumeLoopParams,
-    "detect": DetectParams,
-}
 
 _REQUIRED = {"optics": ("n_water", "camera_z")}
-
-
-def default_config() -> PipelineConfig:
-    return PipelineConfig(OpticalConfig(), SolverParams(), VolumeLoopParams(), DetectParams())
 
 
 def _is_number(value) -> bool:
@@ -266,26 +259,26 @@ def _read_json_object(path: str | Path, what: str) -> dict[str, Any]:
     return doc
 
 
+def _section(path: str | Path, name: str, cls):
+    """The converter of config section ``name``: a JSON object built as ``cls``."""
+    where = f"{path}: config section '{name}'"
+
+    def convert(payload):
+        if not isinstance(payload, dict):
+            raise DomainError(f"{where} must be a JSON object")
+        return _build(cls, payload, where, _REQUIRED.get(name, ()))
+    return convert
+
+
 def read_config(path: str | Path) -> PipelineConfig:
     doc = _read_json_object(path, "config")
-    unknown = sorted(set(doc) - set(_SECTIONS))
-    if unknown:
-        raise DomainError(f"{path}: unknown config sections {unknown}")
-    if "optics" not in doc:
-        raise DomainError(f"{path}: missing required section 'optics'")
-    built = {}
-    for name, cls in _SECTIONS.items():
-        payload = doc.get(name, {})
-        if not isinstance(payload, dict):
-            raise DomainError(f"{path}: section '{name}' must be a JSON object")
-        built[name] = _build(cls, payload, f"{path}: config section '{name}'",
-                             _REQUIRED.get(name, ()))
-    return PipelineConfig(**built)
+    sections = {name: _section(path, name, cls)
+                for name, cls in get_type_hints(PipelineConfig).items()}
+    return _build(PipelineConfig, doc, str(path), ("optics",), **sections)
 
 
 def write_config(path: str | Path, config: PipelineConfig) -> None:
-    doc = {name: asdict(getattr(config, name)) for name in _SECTIONS}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(asdict(config), indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +288,19 @@ def write_config(path: str | Path, config: PipelineConfig) -> None:
 CORRESPONDENCE_HEADER = ["drop_a", "i_a", "j_a", "drop_b", "i_b", "j_b", "score"]
 
 
-def write_correspondences(path: str | Path, rows) -> None:
-    """Rows of (drop_a, i_a, j_a, drop_b, i_b, j_b, score)."""
+def write_correspondences(path: str | Path, correspondences: Iterable[Correspondence]) -> None:
+    """One row per record; a row carries no uv."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(CORRESPONDENCE_HEADER)
-        for r in rows:
-            da, ia, ja, db, ib, jb, score = r
-            writer.writerow([int(da), repr(float(ia)), repr(float(ja)),
-                             int(db), repr(float(ib)), repr(float(jb)), repr(float(score))])
+        for c in correspondences:
+            (ia, ja), (ib, jb) = c.pixel_a, c.pixel_b
+            writer.writerow([int(c.drop_a), repr(float(ia)), repr(float(ja)), int(c.drop_b),
+                             repr(float(ib)), repr(float(jb)), repr(float(c.score))])
 
 
-def read_correspondences(path: str | Path) -> list[tuple[int, float, float, int, float, float, float]]:
+def read_correspondences(path: str | Path) -> list[Correspondence]:
+    """The records of a correspondence file, without uv."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         try:
@@ -315,7 +309,7 @@ def read_correspondences(path: str | Path) -> list[tuple[int, float, float, int,
             raise DomainError(f"{path}: empty correspondence file") from None
         if [h.strip() for h in header] != CORRESPONDENCE_HEADER:
             raise DomainError(f"{path}: bad header {header!r}")
-        rows = []
+        records = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -329,5 +323,5 @@ def read_correspondences(path: str | Path) -> list[tuple[int, float, float, int,
                 raise DomainError(f"{path}:{lineno}: {exc}") from exc
             if not 0.0 <= score <= 1.0:
                 raise DomainError(f"{path}:{lineno}: score {score} outside [0, 1]")
-            rows.append((da, ia, ja, db, ib, jb, score))
-    return rows
+            records.append(Correspondence(da, db, (ia, ja), (ib, jb), score))
+    return records

@@ -208,9 +208,9 @@ class DewarpedImage:
     """Drop imagery resampled on a regular angular grid.
 
     ``source_ij`` maps each output cell back to the warped input pixel whose
-    angular coordinates landed nearest to the cell center (-1 where no input
-    pixel contributed); it realizes the inverse of the one-to-one angular
-    map.  The grid lies in the (u, v) frame turned by ``turn`` (see
+    angular coordinates landed nearest to the cell center, or the nearest
+    such cell's pixel, on every ``valid`` cell, and -1 on every other cell;
+    it realizes the inverse of the one-to-one angular map.  The grid lies in the (u, v) frame turned by ``turn`` (see
     ``uv_field``); ``u0``, ``v0``, ``du`` and ``dv`` are in that frame.
     """
 

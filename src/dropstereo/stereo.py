@@ -318,16 +318,16 @@ def block_match(dewarped_a: DewarpedImage, dewarped_b: DewarpedImage,
     p = params or BlockMatchParams()
     ra, ca, rb, cb, score = match_grids(dewarped_a.raster.pixels, dewarped_a.valid,
                                         dewarped_b.raster.pixels, dewarped_b.valid, p).T
+    # a match lands on a valid cell, and every valid cell has a source pixel
     ij_a = dewarped_a.source_ij[np.rint(ra).astype(int), np.rint(ca).astype(int)]
     ij_b = dewarped_b.source_ij[np.rint(rb).astype(int), np.rint(cb).astype(int)]
-    has = (ij_a[:, 0] >= 0) & (ij_b[:, 0] >= 0)
-    uv_a = np.stack(dewarped_a.uv_of(ca[has], ra[has]), axis=-1)
-    uv_b = np.stack(dewarped_b.uv_of(cb[has], rb[has]), axis=-1)
+    uv_a = np.stack(dewarped_a.uv_of(ca, ra), axis=-1)
+    uv_b = np.stack(dewarped_b.uv_of(cb, rb), axis=-1)
     matches = [Correspondence(drop_a, drop_b, tuple(pa), tuple(pb), s,
                               uv_a=tuple(ua), uv_b=tuple(ub))
-               for pa, pb, s, ua, ub in zip(ij_a[has].astype(float).tolist(),
-                                            ij_b[has].astype(float).tolist(),
-                                            np.minimum(score[has], 1.0).tolist(),
+               for pa, pb, s, ua, ub in zip(ij_a.astype(float).tolist(),
+                                            ij_b.astype(float).tolist(),
+                                            np.minimum(score, 1.0).tolist(),
                                             uv_a.tolist(), uv_b.tolist())]
     if len(matches) < p.min_matches:
         raise InsufficientMatches(f"{len(matches)} matches survive "

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from dropstereo import (Correspondence, DropMask, HeightField, InsufficientMatches, RasterGray,
-                        depth_from_drops, disk_mask, formats, initial_volume, volume_of)
+from dropstereo import (DropMask, HeightField, InsufficientMatches, RasterGray, depth_from_drops,
+                        disk_mask, formats, initial_volume, volume_of)
 from dropstereo.cli import main
 
 from conftest import _write_config, cap_field
@@ -205,21 +205,19 @@ def test_stereo_correspondence_file_route(pipeline_runs, tmp_path):
     image, fields, optics, argv = _stereo_inputs(run, tmp_path)
     matched = depth_from_drops(image, fields, optics)
     corr = tmp_path / "corr.csv"
-    formats.write_correspondences(corr, [(c.drop_a, *c.pixel_a, c.drop_b, *c.pixel_b, c.score)
-                                         for c in matched.correspondences])
+    formats.write_correspondences(corr, matched.correspondences)
     out = tmp_path / "stereo"
     assert main(argv + ["--out", str(out), "--correspondences", str(corr)]) == 0
-    want = depth_from_drops(image, fields, optics, correspondences=[
-        Correspondence(da, db, (ia, ja), (ib, jb), s)
-        for da, ia, ja, db, ib, jb, s in formats.read_correspondences(corr)])
+    want = depth_from_drops(image, fields, optics,
+                            correspondences=formats.read_correspondences(corr))
     assert len(want.points) == len(matched.points)
     with open(out / "points.csv", newline="") as f:
         header, *rows = csv.reader(f)
     assert header == ["x", "y", "z", "residual", "valid"]
-    # the residual column holds numpy scalar reprs ("np.float64(...)"),
-    # which no CSV reader parses; residuals.json checks the residuals
-    got = np.array([[float(r[0]), float(r[1]), float(r[2]), int(r[4])] for r in rows])
-    assert got.tobytes() == np.column_stack([np.array(want.points), want.valid]).tobytes()
+    got = np.array([[float(v) for v in r[:4]] + [int(r[4])] for r in rows])
+    assert got[:, :3].tobytes() == np.array(want.points).tobytes()
+    assert got[:, 3].tobytes() == want.residuals.tobytes()
+    assert got[:, 4].tobytes() == want.valid.astype(float).tobytes()
     stats = json.loads((out / "residuals.json").read_text())
     assert stats["median_residual"] == float(np.median(want.residuals))
     assert stats["valid_points"] == int(want.valid.sum())

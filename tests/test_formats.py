@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from dropstereo import DomainError, DropMask, HeightField
+from dropstereo import Correspondence, DomainError, DropMask, HeightField
 from dropstereo import formats
-from dropstereo.formats import (DetectParams, VolumeLoopParams, default_config,
+from dropstereo.formats import (DetectParams, PipelineConfig, VolumeLoopParams,
                                 read_config, read_correspondences, read_height_field, read_mask,
                                 read_pfm, read_pnm, write_config, write_correspondences,
                                 write_height_field, write_mask, write_pfm, write_pnm)
@@ -180,9 +180,9 @@ def test_height_field_reader_names_the_file(tmp_path):
 
 def test_config_defaults_round_trip(tmp_path):
     p = tmp_path / "cfg.json"
-    write_config(p, default_config())
+    write_config(p, PipelineConfig())
     cfg = read_config(p)
-    assert cfg == default_config()
+    assert cfg == PipelineConfig()
 
 
 def test_config_missing_n_water_names_field(tmp_path):
@@ -190,6 +190,20 @@ def test_config_missing_n_water_names_field(tmp_path):
     p.write_text(json.dumps({"optics": {"camera_z": 300.0}}))
     with pytest.raises(DomainError, match="n_water"):
         read_config(p)
+
+
+def test_config_missing_or_non_object_section_names_file_and_section(tmp_path):
+    p = tmp_path / "cfg.json"
+    optics = {"n_water": 1.33, "camera_z": 300.0}
+    for doc, section in (({"solver": {}}, "optics"),
+                         ({"optics": optics, "solver": [1]}, "solver"),
+                         ({"optics": optics, "detect": None}, "detect"),
+                         ({"optics": 3}, "optics")):
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DomainError) as exc:
+            read_config(p)
+        msg = str(exc.value)
+        assert f"'{section}'" in msg and "cfg.json" in msg, msg
 
 
 def test_config_unknown_keys_rejected(tmp_path):
@@ -311,13 +325,17 @@ def test_detect_params_validation():
 
 
 def test_correspondence_round_trip(tmp_path):
-    rows = [(0, 1.5, 2.25, 1, 3.0, 4.125, 0.875),
-            (0, 10.0, 20.0, 1, 11.5, 21.5, 1.0),
-            (1, 5.0, 6.0, 2, 7.0, 8.0, 0.0)]
+    records = [Correspondence(0, 1, (1.5, 2.25), (3.0, 4.125), 0.875),
+               Correspondence(0, 1, (10.0, 20.0), (11.5, 21.5), 1.0),
+               Correspondence(1, 2, (5.0, 6.0), (7.0, 8.0), 0.0)]
     p = tmp_path / "c.csv"
-    write_correspondences(p, rows)
+    write_correspondences(p, records)
     assert p.read_text().splitlines()[0] == "drop_a,i_a,j_a,drop_b,i_b,j_b,score"
-    assert read_correspondences(p) == rows
+    assert read_correspondences(p) == records
+    # a row carries no uv
+    with_uv = Correspondence(0, 1, (1.5, 2.25), (3.0, 4.125), 0.875, (0.1, 0.2), (0.3, 0.4))
+    write_correspondences(p, [with_uv])
+    assert read_correspondences(p) == records[:1]
 
 
 def test_correspondence_malformed_row_reports_line(tmp_path):

@@ -414,6 +414,19 @@ def test_dewarp_turned_grid_answers_unturned_uv(cap50, config, turn):
     assert np.percentile(err, 99) <= 2.0 * math.hypot(dw.du, dw.dv)
 
 
+@pytest.mark.parametrize("turn", [0.0, 0.7])
+def test_dewarp_source_table_covers_exactly_the_valid_cells(cap50, config, turn):
+    # every cell that received splat weight maps back to a warped pixel, and
+    # no other cell does: a match landing on a valid cell always has a source
+    mask, hf, _ = cap50
+    tf = trace_field(hf, config)
+    img = RasterGray(np.zeros(mask.membership.shape))
+    dw = dewarp_image(img, tf, 64, shared_uv_bounds([tf], turn), turn)
+    assert dw.valid.sum() > 1000 and not dw.valid.all()
+    assert (dw.source_ij[dw.valid] >= 0).all()
+    assert (dw.source_ij[~dw.valid] == -1).all()
+
+
 def test_dewarp_empty_drop_rejected(config):
     m = disk_mask(12)
     # all-dark surrogate: a plane so steep every pixel totally reflects
