@@ -131,6 +131,7 @@ def cmd_stereo(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for k, (hf, dm) in enumerate(zip(fields, result.depth_maps)):
         formats.write_pfm(out / f"depth_{k}.pfm", hf.mask.box.paste(dm, np.nan))
+    formats.write_correspondences(out / "correspondences.csv", result.correspondences)
     with open(out / "points.csv", "w") as f:
         f.write("x,y,z,residual,valid\n")
         for p, r, ok in zip(result.points, result.residuals.tolist(), result.valid.tolist()):

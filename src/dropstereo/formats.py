@@ -285,22 +285,24 @@ def write_config(path: str | Path, config: PipelineConfig) -> None:
 # Correspondences (CSV)
 # ---------------------------------------------------------------------------
 
-CORRESPONDENCE_HEADER = ["drop_a", "i_a", "j_a", "drop_b", "i_b", "j_b", "score"]
+CORRESPONDENCE_HEADER = ["drop_a", "i_a", "j_a", "u_a", "v_a",
+                         "drop_b", "i_b", "j_b", "u_b", "v_b", "score"]
 
 
 def write_correspondences(path: str | Path, correspondences: Iterable[Correspondence]) -> None:
-    """One row per record; a row carries no uv."""
+    """One row per record, each float as its repr, so a read gives the
+    records back exactly."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(CORRESPONDENCE_HEADER)
         for c in correspondences:
-            (ia, ja), (ib, jb) = c.pixel_a, c.pixel_b
-            writer.writerow([int(c.drop_a), repr(float(ia)), repr(float(ja)), int(c.drop_b),
-                             repr(float(ib)), repr(float(jb)), repr(float(c.score))])
+            side_a = [repr(float(x)) for x in (*c.pixel_a, *c.uv_a)]
+            side_b = [repr(float(x)) for x in (*c.pixel_b, *c.uv_b)]
+            writer.writerow([int(c.drop_a), *side_a, int(c.drop_b), *side_b, repr(float(c.score))])
 
 
 def read_correspondences(path: str | Path) -> list[Correspondence]:
-    """The records of a correspondence file, without uv."""
+    """The records of a correspondence file; pixels and angles must be finite."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         try:
@@ -313,15 +315,17 @@ def read_correspondences(path: str | Path) -> list[Correspondence]:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 7:
-                raise DomainError(f"{path}:{lineno}: expected 7 fields, got {len(row)}")
+            if len(row) != len(CORRESPONDENCE_HEADER):
+                raise DomainError(f"{path}:{lineno}: expected {len(CORRESPONDENCE_HEADER)} "
+                                  f"fields, got {len(row)}")
             try:
-                da, ia, ja = int(row[0]), float(row[1]), float(row[2])
-                db, ib, jb = int(row[3]), float(row[4]), float(row[5])
-                score = float(row[6])
+                da, db = int(row[0]), int(row[5])
+                ia, ja, ua, va, ib, jb, ub, vb, score = map(float, row[1:5] + row[6:])
             except ValueError as exc:
                 raise DomainError(f"{path}:{lineno}: {exc}") from exc
+            if not all(map(math.isfinite, (ia, ja, ua, va, ib, jb, ub, vb))):
+                raise DomainError(f"{path}:{lineno}: pixels and angles must be finite")
             if not 0.0 <= score <= 1.0:
                 raise DomainError(f"{path}:{lineno}: score {score} outside [0, 1]")
-            records.append(Correspondence(da, db, (ia, ja), (ib, jb), score))
+            records.append(Correspondence(da, db, (ia, ja), (ib, jb), score, (ua, va), (ub, vb)))
     return records

@@ -44,14 +44,13 @@ class BlockMatchParams:
 
 @dataclass(frozen=True)
 class Correspondence:
-    """A matched point pair; pixel positions are (i, j) on the two warped
-    drop images (the original image grid): whole raster pixels for matches
-    produced in-process, sub-pixel for file-loaded ones.
+    """A matched point pair, one ray on each of two drops.
 
-    Matches produced in-process also carry the angular coordinates of the
-    match (``uv_a``/``uv_b``), which give the outbound ray directions without
-    re-quantizing through the warped pixel grid; file-loaded correspondences
-    leave them unset.  A uv of None, or of NaN, means none.
+    ``pixel_a``/``pixel_b`` are (i, j) raster pixels on the image grid: the
+    traced surface point at each starts its ray, and each valid point's depth
+    lands there.  ``uv_a``/``uv_b`` are the matched angular coordinates,
+    which give the ray directions exactly: (u, v, 1) scaled to unit length.
+    ``score`` is the match's ZNCC score in [0, 1].
     """
 
     drop_a: int
@@ -59,8 +58,8 @@ class Correspondence:
     pixel_a: tuple[float, float]
     pixel_b: tuple[float, float]
     score: float
-    uv_a: tuple[float, float] | None = None
-    uv_b: tuple[float, float] | None = None
+    uv_a: tuple[float, float]
+    uv_b: tuple[float, float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,8 +322,7 @@ def block_match(dewarped_a: DewarpedImage, dewarped_b: DewarpedImage,
     ij_b = dewarped_b.source_ij[np.rint(rb).astype(int), np.rint(cb).astype(int)]
     uv_a = np.stack(dewarped_a.uv_of(ca, ra), axis=-1)
     uv_b = np.stack(dewarped_b.uv_of(cb, rb), axis=-1)
-    matches = [Correspondence(drop_a, drop_b, tuple(pa), tuple(pb), s,
-                              uv_a=tuple(ua), uv_b=tuple(ub))
+    matches = [Correspondence(drop_a, drop_b, tuple(pa), tuple(pb), s, tuple(ua), tuple(ub))
                for pa, pb, s, ua, ub in zip(ij_a.astype(float).tolist(),
                                             ij_b.astype(float).tolist(),
                                             np.minimum(score, 1.0).tolist(),
@@ -409,12 +407,12 @@ def depth_from_drops(image: RasterGray, drops: list[HeightField], config: Optica
     which the band search of ``match_grids`` relies on.  The dewarp
     resolution is the pixel density of the largest drop (about one input
     pixel per angular cell) so the matching windows stay free of splat
-    holes.  Matched warped pixels are traced back through their drops and
-    all matches are triangulated at once; a match whose pixel has no ray
-    (off its drop's box or in the dark band) or whose rays are near-parallel
-    is dropped.  Points whose residual exceeds ``_OUTLIER_FACTOR`` (3) times
-    the median are flagged invalid.  An empty list of correspondences raises
-    ``InsufficientMatches``.
+    holes.  A match's rays start at the traced surface points of its pixels
+    and run along its matched angles, and all matches are triangulated at
+    once; a match whose pixel has no ray (off its drop's box or in the dark
+    band) or whose rays are near-parallel is dropped.  Points whose residual
+    exceeds ``_OUTLIER_FACTOR`` (3) times the median are flagged invalid.  An
+    empty list of correspondences raises ``InsufficientMatches``.
     """
     if len(drops) < 2:
         raise DomainError("stereo needs at least two reconstructed drops")
@@ -447,22 +445,18 @@ def depth_from_drops(image: RasterGray, drops: list[HeightField], config: Optica
             raise InsufficientMatches(
                 f"only {len(correspondences)} correspondences across all drop pairs")
 
-    # (match, side) rows of (drop, i, j, u, v), side 0 = a, side 1 = b; u
-    # and v are NaN on a side without angular coordinates
-    none = (math.nan, math.nan)
-    table = np.array([((c.drop_a, *c.pixel_a, *(c.uv_a or none)),
-                       (c.drop_b, *c.pixel_b, *(c.uv_b or none))) for c in correspondences],
-                     dtype=float)
+    # (match, side) rows of (drop, i, j, u, v), side 0 = a, side 1 = b
+    table = np.array([((c.drop_a, *c.pixel_a, *c.uv_a), (c.drop_b, *c.pixel_b, *c.uv_b))
+                      for c in correspondences], dtype=float)
     n = len(table)
     ids = table[..., 0].astype(int)
     unknown = ids[(ids < 0) | (ids >= len(drops))]
     if unknown.size:
         raise DomainError(f"correspondence names unknown drop {unknown[0]}")
-    if not np.isfinite(table[..., 1:3]).all():
-        raise DomainError("correspondence pixels must be finite")
+    if not np.isfinite(table[..., 1:]).all():
+        raise DomainError("correspondence pixels and angles must be finite")
     ij = np.rint(table[..., 1:3]).astype(int)
     origins = np.zeros((n, 2, 3))
-    directions = np.zeros((n, 2, 3))
     has_ray = np.zeros((n, 2), dtype=bool)
     for drop_id, tf in enumerate(traces):
         rows, side = np.nonzero(ids == drop_id)
@@ -473,14 +467,9 @@ def depth_from_drops(image: RasterGray, drops: list[HeightField], config: Optica
         rows, side, i, j = rows[on], side[on], i[on], j[on]
         has_ray[rows, side] = True
         origins[rows, side] = tf.origins[i, j]
-        directions[rows, side] = tf.directions[i, j]
-    # the matched angular coordinates give the direction exactly, avoiding
-    # re-quantization through the warped pixel grid; a side without them
-    # keeps its traced direction
     u, v = table[..., 3], table[..., 4]
     inv = 1.0 / np.sqrt(u * u + v * v + 1.0)
-    directions = np.where(np.isnan(u)[..., None], directions,
-                          np.stack([u * inv, v * inv, inv], axis=-1))
+    directions = np.stack([u * inv, v * inv, inv], axis=-1)
 
     kept = np.flatnonzero(has_ray.all(axis=1))
     points, res, ok = _triangulate(origins[kept], directions[kept])

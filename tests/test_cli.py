@@ -20,6 +20,7 @@ def test_full_pipeline_emits_all_artifacts(pipeline_runs):
         assert (run["synth"] / f"depth_truth_{k}.pfm").is_file()
         assert (run["stereo"] / f"depth_{k}.pfm").is_file()
     assert (run["stereo"] / "points.csv").is_file()
+    assert (run["stereo"] / "correspondences.csv").is_file()
     assert (run["stereo"] / "residuals.json").is_file()
     assert run["rect"].is_file() and run["rect"].with_suffix(".json").is_file()
 
@@ -199,33 +200,45 @@ def _stereo_inputs(run, tmp_path):
 
 def test_stereo_correspondence_file_route(pipeline_runs, tmp_path):
     # the kept correspondences of an in-process run, written to a file: the
-    # command triangulates the rows it reads back, with the traced
-    # directions (a file row carries no angular coordinates)
+    # command triangulates the rows it reads back into the in-process result
     run, _ = pipeline_runs
     image, fields, optics, argv = _stereo_inputs(run, tmp_path)
     matched = depth_from_drops(image, fields, optics)
     corr = tmp_path / "corr.csv"
     formats.write_correspondences(corr, matched.correspondences)
+    assert formats.read_correspondences(corr) == list(matched.correspondences)
     out = tmp_path / "stereo"
     assert main(argv + ["--out", str(out), "--correspondences", str(corr)]) == 0
-    want = depth_from_drops(image, fields, optics,
-                            correspondences=formats.read_correspondences(corr))
-    assert len(want.points) == len(matched.points)
+    assert (out / "correspondences.csv").read_bytes() == corr.read_bytes()
     with open(out / "points.csv", newline="") as f:
         header, *rows = csv.reader(f)
     assert header == ["x", "y", "z", "residual", "valid"]
     got = np.array([[float(v) for v in r[:4]] + [int(r[4])] for r in rows])
-    assert got[:, :3].tobytes() == np.array(want.points).tobytes()
-    assert got[:, 3].tobytes() == want.residuals.tobytes()
-    assert got[:, 4].tobytes() == want.valid.astype(float).tobytes()
+    assert got[:, :3].tobytes() == np.array(matched.points).tobytes()
+    assert got[:, 3].tobytes() == matched.residuals.tobytes()
+    assert got[:, 4].tobytes() == matched.valid.astype(float).tobytes()
     stats = json.loads((out / "residuals.json").read_text())
-    assert stats["median_residual"] == float(np.median(want.residuals))
-    assert stats["valid_points"] == int(want.valid.sum())
-    for k, (hf, dm) in enumerate(zip(fields, want.depth_maps)):
+    assert stats["median_residual"] == float(np.median(matched.residuals))
+    assert stats["valid_points"] == int(matched.valid.sum())
+    for k, (hf, dm) in enumerate(zip(fields, matched.depth_maps)):
         got = formats.read_pfm(out / f"depth_{k}.pfm")
         assert np.isfinite(got).sum() >= 10
-        assert np.array_equal(got, hf.mask.box.paste(dm, np.nan).astype(np.float32),
-                              equal_nan=True)
+        assert got.tobytes() == hf.mask.box.paste(dm, np.nan).astype(np.float32).tobytes()
+
+
+def test_stereo_replays_its_correspondences_exactly(pipeline_runs, tmp_path):
+    # the pipeline's stereo run wrote the matches it triangulated; replaying
+    # that file writes every output again, byte for byte
+    run, _ = pipeline_runs
+    *_, argv = _stereo_inputs(run, tmp_path)
+    replay = tmp_path / "replay"
+    assert main(argv + ["--out", str(replay), "--correspondences",
+                        str(run["stereo"] / "correspondences.csv")]) == 0
+    names = ["correspondences.csv", "points.csv", "residuals.json"]
+    names += [f"depth_{k}.pfm" for k in range(len(run["drops"]))]
+    assert sorted(p.name for p in replay.iterdir()) == sorted(names)
+    for name in names:
+        assert (replay / name).read_bytes() == (run["stereo"] / name).read_bytes(), name
 
 
 def test_stereo_empty_correspondence_file_names_the_file(pipeline_runs, tmp_path, capsys):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dropstereo import (OpticalConfig, RasterGray, SolverParams, dark_band_mask, detect_drops,
-                        disk_mask, initial_volume, render_synthetic, solve_fixed_volume)
+from dropstereo import (RasterGray, SolverParams, dark_band_mask, detect_drops, disk_mask,
+                        initial_volume, render_synthetic, solve_fixed_volume)
 from dropstereo import formats
 from dropstereo.formats import DetectParams
 from dropstereo.raytrace import ScenePlane, SceneSpec

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dropstereo import Correspondence, DomainError, DropMask, HeightField
-from dropstereo import formats
 from dropstereo.formats import (DetectParams, PipelineConfig, VolumeLoopParams,
                                 read_config, read_correspondences, read_height_field, read_mask,
                                 read_pfm, read_pnm, write_config, write_correspondences,
@@ -324,36 +323,55 @@ def test_detect_params_validation():
 # --- correspondences -----------------------------------------------------------
 
 
+_HEADER = "drop_a,i_a,j_a,u_a,v_a,drop_b,i_b,j_b,u_b,v_b,score"
+
+
 def test_correspondence_round_trip(tmp_path):
-    records = [Correspondence(0, 1, (1.5, 2.25), (3.0, 4.125), 0.875),
-               Correspondence(0, 1, (10.0, 20.0), (11.5, 21.5), 1.0),
-               Correspondence(1, 2, (5.0, 6.0), (7.0, 8.0), 0.0)]
+    records = [Correspondence(0, 1, (1.5, 2.25), (3.0, 4.125), 0.875, (0.1, -0.2), (0.3, 0.4)),
+               Correspondence(0, 1, (10.0, 20.0), (11.5, 21.5), 1.0, (1 / 3, 2e-17), (-0.7, 0.0)),
+               Correspondence(1, 2, (5.0, 6.0), (7.0, 8.0), 0.0, (0.0, 0.0), (0.125, 0.5))]
     p = tmp_path / "c.csv"
     write_correspondences(p, records)
-    assert p.read_text().splitlines()[0] == "drop_a,i_a,j_a,drop_b,i_b,j_b,score"
+    assert p.read_text().splitlines()[0] == _HEADER
     assert read_correspondences(p) == records
-    # a row carries no uv
-    with_uv = Correspondence(0, 1, (1.5, 2.25), (3.0, 4.125), 0.875, (0.1, 0.2), (0.3, 0.4))
-    write_correspondences(p, [with_uv])
-    assert read_correspondences(p) == records[:1]
+    # a record has no default angles
+    with pytest.raises(TypeError):
+        Correspondence(0, 1, (1.0, 2.0), (3.0, 4.0), 0.9)
 
 
 def test_correspondence_malformed_row_reports_line(tmp_path):
     p = tmp_path / "c.csv"
-    p.write_text("drop_a,i_a,j_a,drop_b,i_b,j_b,score\n0,1,2,1,3\n")
-    with pytest.raises(DomainError, match=":2"):
+    p.write_text(f"{_HEADER}\n0,1,2,0.1,0.2,1,3,4,0.3\n")
+    with pytest.raises(DomainError, match="c.csv:2: expected 11 fields, got 9"):
         read_correspondences(p)
+
+
+@pytest.mark.parametrize("column", ["i_a", "j_a", "u_a", "v_a", "i_b", "j_b", "u_b", "v_b"])
+def test_correspondence_non_finite_pixel_or_angle_reports_line(tmp_path, column):
+    good = "0,1,2,0.1,0.2,1,3,4,0.3,0.4,0.9"
+    p = tmp_path / "c.csv"
+    for value in ("nan", "inf", "-inf"):
+        row = good.split(",")
+        row[_HEADER.split(",").index(column)] = value
+        p.write_text(f"{_HEADER}\n{good}\n{','.join(row)}\n")
+        with pytest.raises(DomainError, match="c.csv:3: pixels and angles must be finite"):
+            read_correspondences(p)
 
 
 def test_correspondence_score_range_enforced(tmp_path):
     p = tmp_path / "c.csv"
-    p.write_text("drop_a,i_a,j_a,drop_b,i_b,j_b,score\n0,1,2,1,3,4,1.5\n")
-    with pytest.raises(DomainError, match="score"):
-        read_correspondences(p)
+    for score in ("1.5", "-0.25", "nan"):
+        p.write_text(f"{_HEADER}\n0,1,2,0.1,0.2,1,3,4,0.3,0.4,{score}\n")
+        with pytest.raises(DomainError, match=f"c.csv:2: score {score} outside"):
+            read_correspondences(p)
 
 
 def test_correspondence_bad_header_rejected(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text("a,b\n")
     with pytest.raises(DomainError, match="header"):
+        read_correspondences(p)
+    # the seven-column layout without angles is not read
+    p.write_text("drop_a,i_a,j_a,drop_b,i_b,j_b,score\n0,1,2,1,3,4,0.5\n")
+    with pytest.raises(DomainError, match="c.csv: bad header"):
         read_correspondences(p)

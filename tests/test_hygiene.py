@@ -1,4 +1,5 @@
-"""Source hygiene: every module of the package uses every name it imports."""
+"""Source hygiene: every module of the package, and every test module, uses
+every name it imports."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,9 @@ import dropstereo
 
 _SRC = Path(dropstereo.__file__).parent
 _MODULES = sorted(p for p in _SRC.glob("*.py") if p.name != "__init__.py")
+# test_acceptance.py is held byte-identical to the acceptance contract, which
+# keeps its unused ``import pytest``
+_TESTS = sorted(p for p in Path(__file__).parent.glob("*.py") if p.name != "test_acceptance.py")
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -23,7 +27,7 @@ def _unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
-@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", _MODULES + _TESTS, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert _unused_imports(path.read_text()) == []
 

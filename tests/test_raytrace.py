@@ -14,7 +14,7 @@ from dropstereo.raytrace import (ScenePlane, SceneSpec, TraceField, _transmittan
 from dropstereo.volume_loop import _BAND_HALFWIDTH, band_ring
 from dropstereo.scenes import make_texture
 
-from conftest import cap_field, edge_deviation, zncc
+from conftest import cap_field, edge_deviation
 
 
 # --- independent two-interface oracle ----------------------------------------

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from dropstereo import (DepthResult, DomainError, EmptyOutput, HeightField, OpticalConfig,
-                        RasterGray, Vec3, compensate_illuminance, disk_mask, initial_volume,
-                        render_synthetic, rectify_drop)
+from dropstereo import (DepthResult, DomainError, EmptyOutput, HeightField, RasterGray, Vec3,
+                        compensate_illuminance, disk_mask, initial_volume, render_synthetic,
+                        rectify_drop)
 from dropstereo.raytrace import ScenePlane, SceneSpec, trace_field
 from dropstereo.scenes import make_texture
 

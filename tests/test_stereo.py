@@ -479,7 +479,7 @@ def test_depth_drop_off_the_image_grid_rejected(config, image_shape, drop_shapes
     # the file route alike; the error names the first drop that does not
     drops = [_cap_on(shape, (30, 30 + 60 * k)) for k, shape in enumerate(drop_shapes)]
     image = RasterGray(np.full(image_shape, 0.5))
-    corr = [Correspondence(0, 1, (30.0, 30.0), (30.0, 90.0), 1.0)]
+    corr = [Correspondence(0, 1, (30.0, 30.0), (30.0, 90.0), 1.0, (0.0, 0.0), (0.0, 0.0))]
     for correspondences in (None, corr):
         with pytest.raises(DomainError, match=named):
             depth_from_drops(image, drops, config, correspondences=correspondences)
@@ -605,14 +605,14 @@ def test_depth_on_a_photo_sized_raster_equals_the_small_scene(two_drop_scene, co
 
 
 def test_depth_file_correspondences_off_the_drop_box(two_drop_scene, config):
-    # file-loaded correspondences (no uv) may name raster pixels off a drop's
+    # correspondences read from a file may name raster pixels off a drop's
     # box: one row or column past each side, or raster index 0, whose
     # box-relative index would be negative.  Such pixels have no ray; the
     # result must be the one the good correspondences give alone.
     _, (m1, hf1), (m2, hf2), image = two_drop_scene
     drops = [hf1, hf2]
     matched = depth_from_drops(image, drops, config)
-    good = [replace(c, uv_a=None, uv_b=None) for c in matched.correspondences[:40]]
+    good = list(matched.correspondences[:40])
     bad = []
     for drop_id, m in enumerate((m1, m2)):
         i0, i1, j0, j1 = m.bbox()
@@ -657,7 +657,8 @@ def _scalar_triangulate(rays):
 
 
 def _loop_depth(drops, config, correspondences):
-    """Depth assembly one correspondence at a time: a match whose pixel is
+    """Depth assembly one correspondence at a time, each ray from its pixel's
+    traced surface point along its matched angles: a match whose pixel is
     off its drop's box or not transmitted, or whose rays are near-parallel,
     is skipped."""
     traces = [trace_field(hf, config) for hf in drops]
@@ -672,12 +673,9 @@ def _loop_depth(drops, config, correspondences):
                     or not tf.valid[i, j]:
                 rays = []
                 break
-            if uv is None:
-                d = tf.directions[i, j]
-            else:
-                # (u, v, 1) scaled to unit length in Python floats
-                n = math.sqrt(uv[0] * uv[0] + uv[1] * uv[1] + 1.0 * 1.0)
-                d = np.array([uv[0] * (1.0 / n), uv[1] * (1.0 / n), 1.0 * (1.0 / n)])
+            # (u, v, 1) scaled to unit length in Python floats
+            n = math.sqrt(uv[0] * uv[0] + uv[1] * uv[1] + 1.0 * 1.0)
+            d = np.array([uv[0] * (1.0 / n), uv[1] * (1.0 / n), 1.0 * (1.0 / n)])
             rays.append((tf.origins[i, j], d))
         if not rays:
             continue
@@ -717,7 +715,6 @@ def test_depth_equals_scalar_loop_on_matched_correspondences(two_drop_scene, con
     drops = [hf1, hf2]
     matched = depth_from_drops(image, drops, config)
     assert len(matched.correspondences) >= 100
-    assert all(c.uv_a is not None and c.uv_b is not None for c in matched.correspondences)
     _assert_same_depth(matched, _loop_depth(drops, config, matched.correspondences))
     # a pair whose directions differ by 1e-7 in u: the rays are near-parallel
     c = matched.correspondences[3]
@@ -729,12 +726,12 @@ def test_depth_equals_scalar_loop_on_matched_correspondences(two_drop_scene, con
 
 
 def test_depth_equals_scalar_loop_on_file_correspondences(two_drop_scene, config):
-    # file-loaded correspondences carry no uv, and may name pixels without a
-    # ray: off the drop's box or in the dark band
+    # correspondences read from a file may name pixels without a ray: off the
+    # drop's box or in the dark band
     _, (m1, hf1), (_, hf2), image = two_drop_scene
     drops = [hf1, hf2]
     matched = depth_from_drops(image, drops, config)
-    good = [replace(c, uv_a=None, uv_b=None) for c in matched.correspondences[:50]]
+    good = list(matched.correspondences[:50])
     tf = trace_field(hf1, config)
     di, dj = np.argwhere(tf.tir)[0] + (tf.box.i0, tf.box.j0)
     assert m1.membership[di, dj]
@@ -744,7 +741,7 @@ def test_depth_equals_scalar_loop_on_file_correspondences(two_drop_scene, config
     # itself (two identical rays)
     off_box = replace(c, pixel_a=(float(i0 - 2), c.pixel_a[1]))
     dark = replace(c, pixel_a=(float(di), float(dj)))
-    self_pair = replace(c, drop_b=c.drop_a, pixel_b=c.pixel_a)
+    self_pair = replace(c, drop_b=c.drop_a, pixel_b=c.pixel_a, uv_b=c.uv_a)
     assert c.drop_a == 0
     corr = good[:10] + [off_box] + good[10:20] + [dark] + good[20:30] + [self_pair] + good[30:]
     want = _loop_depth(drops, config, corr)
@@ -761,7 +758,9 @@ def test_depth_bad_correspondence_rejected(two_drop_scene, config):
     for bad, what in ((replace(c, drop_a=2), "unknown drop"),
                       (replace(c, drop_b=-1), "unknown drop"),
                       (replace(off_box, drop_b=5), "unknown drop"),
-                      (replace(c, pixel_b=(float("nan"), 3.0)), "finite")):
+                      (replace(c, pixel_b=(float("nan"), 3.0)), "pixels and angles"),
+                      (replace(c, uv_a=(0.1, float("inf"))), "pixels and angles"),
+                      (replace(off_box, uv_b=(float("nan"), 0.1)), "pixels and angles")):
         with pytest.raises(DomainError, match=what):
             depth_from_drops(image, [hf1, hf2], config,
                              correspondences=list(matched.correspondences) + [bad])
