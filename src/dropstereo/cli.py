@@ -126,6 +126,10 @@ def cmd_stereo(args) -> int:
         corr = formats.read_correspondences(args.correspondences)
         if not corr:
             raise DomainError(f"{args.correspondences}: no correspondences")
+        unknown = [k for c in corr for k in (c.drop_a, c.drop_b) if not 0 <= k < len(fields)]
+        if unknown:
+            raise DomainError(f"{args.correspondences}: correspondence names unknown drop "
+                              f"{unknown[0]}")
     result = depth_from_drops(image, fields, cfg.optics, correspondences=corr)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

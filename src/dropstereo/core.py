@@ -289,6 +289,9 @@ class MaskStencil:
     missing, and a weight of 1 (one neighbor) or 0 (none), so those cases are
     ``wt * (v[ip] - v[im])``.  Cells off the mask get values no member reads.
 
+    ``one_sided[axis]`` are the buffer cells of the members with exactly one
+    neighbor along ``axis``, where the masked difference is one-sided.
+
     ``gather``, ``scatter`` and ``diff`` keep the pixel-vector form of a field
     (``a[mask]``); ``pad`` puts a pixel vector in a buffer.
     """
@@ -304,6 +307,7 @@ class MaskStencil:
         self.members = idx + self.origin
         self.inside = self.pad(np.ones(idx.size))
         self._axes = []
+        self.one_sided = []
         p = np.pad(m, 1)
         for di, dj in ((1, 0), (0, 1)):
             # member neighbors only: no wrap across rows, nothing off the grid
@@ -315,6 +319,7 @@ class MaskStencil:
             ip = np.where(has_p[rim], cell + step, cell)
             im = np.where(has_m[rim], cell - step, cell)
             self._axes.append((step, cell, ip, im, (has_p | has_m)[rim].astype(float)))
+            self.one_sided.append(self.members[has_p ^ has_m])
 
     def cells(self, buf: np.ndarray) -> np.ndarray:
         """The (h, w) grid of a buffer, as a view."""

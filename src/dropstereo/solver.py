@@ -21,12 +21,12 @@ the sweeps is a limit of the jumps, so the fixed point stays the same.  The
 first sweeps after a jump run with little momentum and change less than a
 running sweep would, so the delta test waits half a cycle after each jump.
 
-A solve keeps its heights in one ``MaskStencil`` buffer of the drop's box
-(the box grid with a zero row above and below) and updates it in place; its
-work buffers are allocated once per solve and the contact ring is found
-once.  Sums that set the result's bytes keep their grouping: the volume
-restore and the energies sum the pixel vector (``z[mask]``), the per-sweep
-change sums the box grid.
+A solve keeps its heights in two ``MaskStencil`` buffers of the drop's box
+(the box grid with a zero row above and below), and each sweep writes the
+new heights over the older of the two; its work buffers are allocated once
+per solve and the contact ring is found once.  Sums that set the result's
+bytes keep their grouping: the volume restore and the energies sum the
+pixel vector (``z[mask]``), the per-sweep change sums the box grid.
 """
 
 from __future__ import annotations
@@ -134,32 +134,42 @@ def _energy(z: np.ndarray, stencil: MaskStencil, config: OpticalConfig,
     return e_t, e_g, e_t + e_g
 
 
-def _tension(z: np.ndarray, stencil: MaskStencil, interior: np.ndarray,
+def _tension(src: np.ndarray, z: np.ndarray, stencil: MaskStencil, interior: np.ndarray,
              moves: np.ndarray, work: np.ndarray) -> None:
-    """One explicit curvature-flow step descending the tension energy, in
-    place on the buffer ``z``: the cells where ``interior`` is 1 move and
-    every other cell ends at zero, so the ring left out of ``interior`` is
-    the pinned contact line.  ``interior`` must leave out that whole ring:
-    the divergence is the plain central one, which is right at every cell
-    off the ring (all its 4-neighbours are members) and is discarded on the
-    ring.  ``moves`` is ``interior * (0.5 * _TAU)``, the central difference's
-    halving and the step size in one factor; ``work`` holds four zeroed
-    buffers, which keep their padding at zero."""
-    gx, gy, den, flow = work
-    z *= interior
-    stencil.diff_into(z, 1, gx)
-    stencil.diff_into(z, 0, gy)
-    np.multiply(gx, gx, out=den)
-    den += 1.0
-    np.multiply(gy, gy, out=flow)
+    """One explicit curvature-flow step descending the tension energy, from
+    the buffer ``src`` into the buffer ``z``: the cells where ``interior`` is
+    1 move and every other cell ends at zero, so the ring left out of
+    ``interior`` is the pinned contact line.  ``interior`` must leave out
+    that whole ring: the divergence is the plain central one, which is right
+    at every cell off the ring (all its 4-neighbours are members) and is
+    discarded on the ring.  ``moves`` is ``interior * (0.5 * _TAU)``, the
+    central difference's halving and the step size in one factor; ``work``
+    holds four zeroed buffers, which keep their padding at zero.
+
+    The gradient is taken at twice its size: D and E are the unhalved
+    central differences, and the members with one neighbour along an axis,
+    all on the ring, are doubled, since with their own height at zero their
+    one-sided difference is twice the central one.  sqrt(4 + D^2 + E^2) is
+    then exactly twice the area element, so D and E over it are the bytes
+    of the halved gradient over the area element."""
+    d, e, den, flow = work
+    np.multiply(src, interior, out=z)
+    o, n, w = stencil.origin, stencil.mask.size, stencil.mask.shape[1]
+    np.subtract(z[o + 1 : o + 1 + n], z[o - 1 : o - 1 + n], out=d[o : o + n])
+    np.subtract(z[o + w : o + w + n], z[o - w : o - w + n], out=e[o : o + n])
+    rows, cols = stencil.one_sided
+    e[rows] *= 2.0
+    d[cols] *= 2.0
+    np.multiply(d, d, out=den)
+    den += 4.0
+    np.multiply(e, e, out=flow)
     den += flow
     np.sqrt(den, out=den)
-    gx /= den
-    gy /= den
-    o, n, w = stencil.origin, stencil.mask.size, stencil.mask.shape[1]
+    d /= den
+    e /= den
     cells = flow[o : o + n]
-    np.subtract(gx[o + 1 : o + 1 + n], gx[o - 1 : o - 1 + n], out=cells)
-    cells += np.subtract(gy[o + w : o + w + n], gy[o - w : o - w + n], out=den[o : o + n])
+    np.subtract(d[o + 1 : o + 1 + n], d[o - 1 : o - 1 + n], out=cells)
+    cells += np.subtract(e[o + w : o + w + n], e[o - w : o - w + n], out=den[o : o + n])
     flow *= moves
     z += flow
 
@@ -231,7 +241,11 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     extrapolation of the last ``_DEPTH + 2`` iterates, projected by the
     volume restore, and the previous change is zeroed; a jump that fails or
     is not finite is skipped.  The delta test does not stop the solve in the
-    ``_CYCLE // 2`` sweeps after a jump."""
+    ``_CYCLE // 2`` sweeps after a jump.
+
+    The result's contact ring is not zero: it holds the uniform shift of
+    the last volume restore, which the tension step pins back to zero at
+    the next sweep.  Zeroing it would break the exact volume."""
     if not (math.isfinite(target_volume) and target_volume > 0.0):
         raise DomainError("target volume must be finite and positive")
     b = mask.area
@@ -254,7 +268,7 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     interior = st.pad(~st.gather(mask.boundary()))
     moves = interior * (0.5 * _TAU)
     keep = interior * _MOMENTUM
-    prev = np.empty(st.size)
+    prev = np.empty(st.size)  # the heights before the sweep, then scratch
     step = np.zeros(st.size)  # the previous sweep's change
     work = np.zeros((4, st.size))
     tilt = st.pad(_tilt(st, config))
@@ -274,8 +288,8 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
                 _restore_volume(z, limit, target_volume, st)
                 step.fill(0.0)
                 settled = t + _CYCLE // 2
-        np.copyto(prev, z)
-        _tension(z, st, interior, moves, work)
+        z, prev = prev, z
+        _tension(prev, z, st, interior, moves, work)
         step *= keep
         step += tilt
         z += step

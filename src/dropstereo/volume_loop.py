@@ -9,21 +9,26 @@ too large.  Each update scales the volume by the relative brightness miss.
 The update can orbit its fixed point rather than settle, so the loop keeps
 one record per probe: its volume, its sampled brightness, its solved surface
 (on the drop's box), its solve report and the ``RingTooSmall`` its sample
-raised, if any.  Each solve after the first starts from the stored surface
-whose volume v_near is nearest the new target v (the earlier one on a tie),
-scaled by v / v_near: the start then holds the target volume with its
-contact line still at zero, and it is the exact answer in the small-slope
-limit, where the surface is proportional to its volume.  An unscaled start
-would leave the solve's first volume restore to add (v - v_near) / B to
-every pixel, a step at the pinned contact line that the sweeps must smooth
-away.  Only the first solve starts from the cylinder
-``init_mesh(mask, alpha_init)``.  The answer is the probe whose sample came
-closest to the target; if that probe showed no ring, the loop raises the
-``RingTooSmall`` its sample raised.
+raised, if any.  Only the first solve starts from the cylinder
+``init_mesh(mask, alpha_init)``.  Each later solve at volume v starts from a
+predictor along the family of solved surfaces z(V) (Allgower & Georg 1990):
+the Lagrange polynomial in volume through the up to three stored surfaces
+whose volumes are nearest v, where the zero surface at V = 0 counts as one,
+clamped at zero; the solve's volume restore absorbs what the clamp removes.
+With one stored probe the nodes are 0 and v1, so the start is that surface
+scaled by v / v1, exact in the small-slope limit, where the surface is
+proportional to its volume; with more, the quadratic also follows the
+surface's curvature in V, and on the ``volume`` benchmark the loops take
+25-33 % fewer sweeps than from the scaled nearest surface (D4 in
+``docs/DECISIONS.md``).  A re-probe of a stored volume starts from that
+surface itself.  The answer is the probe whose sample came closest to the
+target; if that probe showed no ring, the loop raises the ``RingTooSmall``
+its sample raised.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +113,26 @@ def volume_update(volume: float, sampled: float, target: float,
     return float(min(max(v, v_min), v_max))
 
 
+def _predicted_start(mask: DropMask, v: float,
+                     surfaces: list[tuple[float, HeightField]]) -> HeightField:
+    """The start of a probe at volume ``v``: the Lagrange polynomial in volume
+    through the three nodes of distinct volume nearest ``v`` (or fewer, where
+    fewer exist), clamped at zero.  The nodes are the zero surface at volume
+    0, then the solved ``(volume, surface)`` pairs in probe order; a volume
+    that repeats keeps its earliest surface, and the earlier node wins a
+    distance tie.  The terms are summed nearest first."""
+    nodes: dict[float, np.ndarray | None] = {0.0: None}
+    for volume, hf in surfaces:
+        nodes.setdefault(volume, hf.heights)
+    # sorted is stable and the dict keeps insertion order
+    near = sorted(nodes, key=lambda u: abs(u - v))[:3]
+    start = np.zeros(mask.inside.shape)
+    for a in near:
+        if nodes[a] is not None:  # the zero surface adds nothing
+            start += math.prod((v - b) / (a - b) for b in near if b != a) * nodes[a]
+    return HeightField(mask, np.maximum(start, 0.0, out=start))
+
+
 @dataclass(frozen=True)
 class VolumeLoopReport:
     outer_updates: int
@@ -148,9 +173,7 @@ def estimate_shape(image: RasterGray, mask: DropMask, config: OpticalConfig,
     v = lp.alpha_init * scale
     for _ in range(lp.max_outer_updates):
         if probes:
-            # min keeps the first of equal keys, so the earlier surface wins a tie
-            v_near, _, near, _, _ = min(probes, key=lambda p: abs(p[0] - v))
-            init = HeightField(mask, near.heights * (v / v_near))
+            init = _predicted_start(mask, v, [(p[0], p[2]) for p in probes])
         else:
             init = init_mesh(mask, lp.alpha_init)
         hf, rep = solve_fixed_volume(mask, v, sp, config, init=init)

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -252,6 +253,20 @@ def test_stereo_empty_correspondence_file_names_the_file(pipeline_runs, tmp_path
     # in-process, an empty list is too few matches
     with pytest.raises(InsufficientMatches, match="no correspondences"):
         depth_from_drops(image, fields, optics, correspondences=[])
+
+
+def test_stereo_correspondence_naming_an_unknown_drop_names_the_file(pipeline_runs, tmp_path,
+                                                                     capsys):
+    # a replayed row that names a drop ``--drops`` does not list fails with
+    # the file's name, as the reader's own errors do
+    run, _ = pipeline_runs
+    image, fields, optics, argv = _stereo_inputs(run, tmp_path)
+    row = depth_from_drops(image, fields, optics).correspondences[0]
+    corr = tmp_path / "corr.csv"
+    formats.write_correspondences(corr, [replace(row, drop_b=5)])
+    assert main(argv + ["--out", str(tmp_path / "stereo"), "--correspondences", str(corr)]) == 1
+    err = capsys.readouterr().err
+    assert f"{corr}: correspondence names unknown drop 5" in err, err
 
 
 def test_rectify_rejects_non_finite_plane_depth(tmp_path, capsys):

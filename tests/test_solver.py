@@ -42,9 +42,9 @@ def _buffer(st, grid):
 def _tension_once(st, z, interior):
     """The grid ``z`` after one ``_tension`` step, which moves the cells where
     the buffer ``interior`` is 1 (all off the contact ring)."""
-    buf = _buffer(st, z)
-    _tension(buf, st, interior, interior * (0.5 * _TAU), np.zeros((4, st.size)))
-    return st.cells(buf)
+    out = np.empty(st.size)
+    _tension(_buffer(st, z), out, st, interior, interior * (0.5 * _TAU), np.zeros((4, st.size)))
+    return st.cells(out)
 
 
 def _volume_restored(st, zm, target):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dropstereo import (DomainError, DropMask, OpticalConfig, RasterGray, RingTooSmall,
-                        SolverParams, disk_mask, initial_volume, render_synthetic,
+from dropstereo import (DomainError, DropMask, HeightField, OpticalConfig, RasterGray,
+                        RingTooSmall, SolverParams, disk_mask, initial_volume, render_synthetic,
                         sample_band_brightness, solve_fixed_volume, target_brightness,
                         volume_of, volume_update, estimate_shape)
 from dropstereo import volume_loop
@@ -228,15 +228,36 @@ def _recorded_loop(monkeypatch, image, mask, config, lp):
     return calls, rep
 
 
+def _lagrange_start(stored, v):
+    """The predicted start at volume ``v`` from the stored (volume, grid)
+    pairs, in probe order, as an independent loop: the nodes are the zero
+    grid at volume 0, then each pair whose volume is new; the three nodes
+    nearest ``v`` (the earlier on a tie) weigh in with their Lagrange
+    weights, nearest first, and the sum is clamped at zero."""
+    nodes = [(0.0, None)]
+    for volume, grid in stored:
+        if all(volume != u for u, _ in nodes):
+            nodes.append((volume, grid))
+    order = sorted(range(len(nodes)), key=lambda i: (abs(nodes[i][0] - v), i))[:3]
+    start = np.zeros_like(stored[0][1])
+    for a in order:
+        weight = 1.0
+        for b in order:
+            if b != a:
+                weight *= (v - nodes[b][0]) / (nodes[a][0] - nodes[b][0])
+        if nodes[a][1] is not None:
+            start += weight * nodes[a][1]
+    return np.maximum(start, 0.0)
+
+
 def _assert_nearest_surface_rule(calls, mask, lp):
     first_volume = lp.alpha_init * mask.area**1.5
     assert volume_of(calls[0][1]) == pytest.approx(first_volume, rel=1e-12)
     for k in range(1, len(calls)):
         target, init = calls[k][:2]
-        # the earliest of the visited probes nearest the target, scaled to it
-        nearest = min(range(k), key=lambda j: abs(calls[j][0] - target))
-        v_near, surface = calls[nearest][0], calls[nearest][2]
-        assert init.z.tobytes() == (surface.z * (target / v_near)).tobytes(), f"solve {k}"
+        want = _lagrange_start([(c[0], c[2].z) for c in calls[:k]], target)
+        assert init.z.tobytes() == want.tobytes(), f"solve {k}"
+        # no start of these loops is clamped, so each holds its target volume
         assert volume_of(init) == pytest.approx(target, rel=1e-9)
 
 
@@ -249,23 +270,36 @@ def test_estimate_shape_warm_starts_from_nearest_solved_surface(monkeypatch, sma
     assert all(n >= 1 for n in rep.solve_sweeps)
 
 
+def test_estimate_shape_second_probe_starts_from_the_first_scaled(monkeypatch,
+                                                                  small_drop_render, config):
+    # with one stored probe the nodes are the zero surface and that probe, so
+    # the line through them is the first surface scaled to the new volume
+    mask, image = small_drop_render
+    lp = VolumeLoopParams(alpha_init=0.20, max_outer_updates=2)
+    calls, _ = _recorded_loop(monkeypatch, image, mask, config, lp)
+    assert len(calls) == 2
+    scaled = calls[0][2].z * (calls[1][0] / calls[0][0])
+    assert calls[1][1].z.tobytes() == scaled.tobytes()
+
+
 def test_estimate_shape_warm_start_tie_takes_earlier_surface(monkeypatch, small_drop_render,
                                                              config):
-    # scripted probes v0, v0 + 256, v0 + 128: the third lies exactly 128 from
-    # both earlier ones (sums of a power of two stay exact at this size)
+    # scripted probes v0, v0 + 768, v0 + 256, v0 + 640, then v0 + 384: the
+    # nearest two lie 128 and 256 away, and the first two probes tie for
+    # third, both 384 away (sums of powers of two stay exact at this size)
     mask, image = small_drop_render
-    steps = iter((256.0, -128.0, 0.0))
+    steps = iter((768.0, -512.0, 384.0, -256.0, 0.0))
     monkeypatch.setattr(volume_loop, "volume_update",
                         lambda v, *args, **kwargs: v + next(steps))
-    lp = VolumeLoopParams(alpha_init=0.30, max_outer_updates=3)
+    lp = VolumeLoopParams(alpha_init=0.30, max_outer_updates=5)
     calls, rep = _recorded_loop(monkeypatch, image, mask, config, lp)
     v0 = calls[0][0]
-    assert [c[0] for c in calls[:3]] == [v0, v0 + 256.0, v0 + 128.0]
-    assert abs(calls[2][0] - calls[0][0]) == abs(calls[2][0] - calls[1][0])
+    assert [c[0] for c in calls] == [v0 + d for d in (0.0, 768.0, 256.0, 640.0, 384.0)]
+    assert abs(calls[4][0] - calls[0][0]) == abs(calls[4][0] - calls[1][0]) == 384.0
     _assert_nearest_surface_rule(calls, mask, lp)
-    # the scaled later surface is another start
-    later = calls[1][2].z * (calls[2][0] / calls[1][0])
-    assert calls[2][1].z.tobytes() != later.tobytes()
+    # the polynomial through the later of the tied probes is another start
+    later = _lagrange_start([(c[0], c[2].z) for c in calls[1:4]], calls[4][0])
+    assert calls[4][1].z.tobytes() != later.tobytes()
 
 
 def test_estimate_shape_reprobe_starts_from_its_own_solved_surface(monkeypatch,
@@ -295,7 +329,7 @@ def test_estimate_shape_stored_surfaces_keep_their_bytes(monkeypatch, small_drop
                                                         config):
     # every solve works in place on buffers of its own: the surface each probe
     # stored is, byte for byte, what its solve returned, whenever a later
-    # probe starts from it (scaled to its volume) or the loop answers with it
+    # probe starts from it (through the predictor) or the loop answers with it
     mask, image = small_drop_render
     seen = []
 
@@ -310,13 +344,74 @@ def test_estimate_shape_stored_surfaces_keep_their_bytes(monkeypatch, small_drop
     lp = VolumeLoopParams(alpha_init=0.20, max_outer_updates=4)
     hf, alpha, rep = estimate_shape(image, mask, config, SolverParams(max_iters=300), lp)
     assert len(seen) == rep.outer_updates >= 3
+    shape = mask.membership.shape
     for k in range(1, len(seen)):
-        nearest = min(range(k), key=lambda j: abs(seen[j][0] - seen[k][0]))
-        stored = np.frombuffer(seen[nearest][2]).reshape(mask.membership.shape)
-        scaled = stored * (seen[k][0] / seen[nearest][0])
-        assert seen[k][1].z.tobytes() == scaled.tobytes(), f"solve {k}"
+        stored = [(v, np.frombuffer(z).reshape(shape)) for v, _, z in seen[:k]]
+        assert seen[k][1].z.tobytes() == _lagrange_start(stored, seen[k][0]).tobytes(), \
+            f"solve {k}"
     chosen = min(range(len(seen)), key=lambda j: abs(rep.sampled_history[j] - rep.target))
     assert hf.z.tobytes() == seen[chosen][2]
+
+
+def test_predicted_start_is_exact_on_surfaces_quadratic_in_volume():
+    # the Lagrange polynomial through three nodes reproduces a quadratic in
+    # volume, z(V) = V A + V^2 B, which is zero at V = 0 like the zero node;
+    # from two stored surfaces on, three nodes exist
+    mask = disk_mask(20, shape=(50, 50), center=(25, 25))
+    rng = np.random.default_rng(3)
+    v0 = initial_volume(mask, 0.30)
+    a = rng.uniform(0.0, 10.0, mask.membership.shape) / v0
+    b = rng.uniform(0.0, 10.0, mask.membership.shape) / v0**2
+
+    def surface(v):
+        return np.where(mask.membership, v * a + v * v * b, 0.0)
+
+    volumes = [v0 * f for f in (1.0, 1.3, 0.8, 1.1, 0.9)]
+    stored = [(v, HeightField(mask, surface(v))) for v in volumes]
+    for k in range(2, len(volumes) + 1):
+        for v in (v0 * 0.5, v0 * 0.95, v0 * 1.05, v0 * 1.6):
+            start = volume_loop._predicted_start(mask, v, stored[:k])
+            want = surface(v)
+            assert np.abs(start.z - want).max() <= 1e-12 * want.max(), (k, v)
+
+
+def test_clamped_start_still_solves_to_the_exact_volume(config):
+    # a cell that falls with volume, extrapolated past the last probe, goes
+    # negative; the start clamps it, and the solve's volume restore puts back
+    # what the clamp removed
+    mask = disk_mask(12, shape=(40, 40), center=(20, 20))
+    v1 = initial_volume(mask, 0.20)
+    z1, _ = solve_fixed_volume(mask, v1, SolverParams(max_iters=400), config)
+    falling = z1.z.copy()
+    c = mask.membership.shape[0] // 2
+    falling[c - 2 : c + 3, c - 2 : c + 3] = 0.0
+    v2 = 2.0 * v1
+    z2 = HeightField(mask, falling * (v2 / volume_of(HeightField(mask, falling))))
+    v = 3.0 * v1
+    raw = _lagrange_start([(v1, z1.z), (v2, z2.z)], v)
+    start = volume_loop._predicted_start(mask, v, [(v1, z1), (v2, z2)])
+    assert start.z.tobytes() == raw.tobytes()
+    assert (start.z[c - 2 : c + 3, c - 2 : c + 3] == 0.0).all()
+    assert volume_of(start) > v  # the clamp added volume
+    hf, rep = solve_fixed_volume(mask, v, SolverParams(max_iters=200), config, init=start)
+    assert volume_of(hf) == pytest.approx(v, rel=1e-12)
+
+
+# total solve sweeps of estimate_shape on single_drop_render per start alpha,
+# as measured with the predicted starts (the scaled nearest-surface start
+# took 983, 1741 and 3641)
+SWEEP_BOUNDS = {0.20: 533, 0.30: 1055, 0.40: 3279}
+
+
+def test_estimate_shape_sweeps_stay_within_measured_counts(single_drop_render, config):
+    # a work-count guard: the total sweeps of the volume loop from three
+    # starts, bounded by what the predicted starts measured; a change that
+    # adds sweeps fails here without running the benchmark
+    scene, mask, hf_true, image = single_drop_render
+    for start, bound in SWEEP_BOUNDS.items():
+        _, _, rep = estimate_shape(image, mask, config,
+                                   loop_params=VolumeLoopParams(alpha_init=start))
+        assert sum(rep.solve_sweeps) <= bound, (start, rep.solve_sweeps)
 
 
 def test_estimate_shape_black_background_rejected_before_any_solve(monkeypatch):
