@@ -37,14 +37,22 @@ class DetectParams:
 
 
 def _solidity(component: np.ndarray) -> float:
-    """Pixel area over convex hull area (hull of the pixel squares)."""
-    ii, jj = np.nonzero(component)
-    area = ii.size
+    """Pixel area over convex hull area (hull of the pixel squares).
+
+    Only the squares of each row's first and last member can hold a hull
+    vertex, so the hull is built from the four corners of those two squares
+    per row: the same polygon as the hull of every pixel's corners.
+    """
+    area = int(np.count_nonzero(component))
     if area < 9:
         return 0.0
-    corners = np.concatenate([
-        np.stack([ii - 0.5, jj - 0.5], axis=1), np.stack([ii - 0.5, jj + 0.5], axis=1),
-        np.stack([ii + 0.5, jj - 0.5], axis=1), np.stack([ii + 0.5, jj + 0.5], axis=1)])
+    ii = np.nonzero(component.any(axis=1))[0]
+    rows = component[ii]
+    left = rows.argmax(axis=1) - 0.5
+    right = rows.shape[1] - rows[:, ::-1].argmax(axis=1) - 0.5
+    top, bottom = ii - 0.5, ii + 0.5
+    corners = np.stack([np.concatenate([top, bottom, top, bottom]),
+                        np.concatenate([left, left, right, right])], axis=1)
     try:
         hull_area = ConvexHull(corners).volume
     except QhullError:

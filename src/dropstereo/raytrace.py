@@ -22,6 +22,8 @@ from .errors import DomainError, EmptyOutput
 from .optics import fresnel_transmittance_arrays, incidence_directions, refract_arrays
 
 _MIN_FORWARD_Z = 1e-9
+# pixels per row block of the background render (at least one row a block)
+_BLOCK_PIXELS = 1 << 15
 
 
 class Ray(NamedTuple):
@@ -297,17 +299,29 @@ def dewarp_image(image: RasterGray, tf: TraceField, out_resolution: int,
 
 
 def _background(scene: SceneSpec, config: OpticalConfig) -> np.ndarray:
+    """The unblurred scene as the pinhole sees it through the bare plate: each
+    pixel reads the first plane whose x-range holds its hit.
+
+    Rows are rendered in blocks of about ``_BLOCK_PIXELS`` pixels, so the
+    coordinates and hits of a block are the only temporaries next to the one
+    output raster.  Every step is per pixel, so the blocks leave no seam.
+    """
     h, w = scene.height, scene.width
-    x, y = plate_coords(DropBox(0, h, 0, w, (h, w)), config)
     out = np.zeros((h, w))
-    todo = np.ones_like(out, dtype=bool)
-    for plane in scene.planes:
-        m = 1.0 + plane.depth / config.camera_z
-        hx, hy = x * m, y * m
-        sel = todo & plane.covers(hx)
-        if sel.any():
-            out[sel] = plane.sample(hx[sel], hy[sel], None)
-            todo &= ~sel
+    rows = max(1, _BLOCK_PIXELS // w)
+    for i0 in range(0, h, rows):
+        i1 = min(i0 + rows, h)
+        # the box keeps the raster's shape, so x and y are the raster's own
+        x, y = plate_coords(DropBox(i0, i1, 0, w, (h, w)), config)
+        block = out[i0:i1]
+        todo = np.ones(block.shape, dtype=bool)
+        for plane in scene.planes:
+            m = 1.0 + plane.depth / config.camera_z
+            hx, hy = x * m, y * m
+            sel = todo & plane.covers(hx)
+            if sel.any():
+                block[sel] = plane.sample(hx[sel], hy[sel], None)
+                todo &= ~sel
     return out
 
 
@@ -342,11 +356,14 @@ def render_synthetic(scene: SceneSpec, drops: list[tuple[DropMask, HeightField]]
     Non-drop pixels show the defocus-blurred background; transmitted drop
     pixels carry the scene radiance times the Fresnel transmittance of both
     interfaces; dark-band pixels carry only the ambient leak.
+
+    At any raster size the render holds about two rasters at its peak: the
+    background and its blur, then the blurred raster and the clipped one
+    that ``RasterGray`` keeps.  Each drop adds only arrays of its box.
     """
-    bg = _background(scene, config)
+    out = _background(scene, config)
     if scene.blur_radius > 0:
-        bg = ndimage.gaussian_filter(bg, scene.blur_radius, mode="nearest")
-    out = np.array(bg)
+        out = ndimage.gaussian_filter(out, scene.blur_radius, mode="nearest")
     for k, (_, hf) in enumerate(drops):
         hf.mask.box.require_grid((scene.height, scene.width), f"drop {k}")
         if float(hf.heights.max(initial=0.0)) >= min(p.depth for p in scene.planes):
@@ -360,7 +377,7 @@ def render_synthetic(scene: SceneSpec, drops: list[tuple[DropMask, HeightField]]
         drop = tf.box.crop(out)
         drop[wet & ~lit] = scene.ambient_leak
         drop[lit] = transmittance(tf, config, val)[lit]
-    return RasterGray(np.clip(out, 0.0, 1.0))
+    return RasterGray(out)
 
 
 def render_depth_truth(scene: SceneSpec, hf: HeightField,

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
-from dropstereo import (RasterGray, SolverParams, dark_band_mask, detect_drops, disk_mask,
-                        initial_volume, render_synthetic, solve_fixed_volume)
+from dropstereo import (RasterGray, SolverParams, blob_mask, dark_band_mask, detect_drops,
+                        disk_mask, initial_volume, render_synthetic, solve_fixed_volume)
 from dropstereo import formats
+from dropstereo.detect import _solidity
 from dropstereo.formats import DetectParams
 from dropstereo.raytrace import ScenePlane, SceneSpec
 from dropstereo.scenes import make_texture
@@ -140,3 +142,36 @@ def test_detect_flat_drop_keeps_edge_mask(config):
                                              high_percentile=95.0))
     assert len(found) == 1
     assert iou(found[0].membership, mask.membership) >= 0.85
+
+
+def _all_corner_solidity(component):
+    """Pixel area over the area of the hull of every pixel's four corners:
+    the reference for ``_solidity``'s per-row hull."""
+    ii, jj = np.nonzero(component)
+    if ii.size < 9:
+        return 0.0
+    corners = np.concatenate([np.stack([ii + di, jj + dj], axis=1)
+                              for di in (-0.5, 0.5) for dj in (-0.5, 0.5)])
+    return float(ii.size / ConvexHull(corners).volume)
+
+
+def _solidity_shapes():
+    for seed in range(1, 11):
+        for irregularity in (0.0, 0.05, 0.10, 0.15):
+            yield blob_mask(40, irregularity=irregularity, seed=seed).inside
+    ell = np.zeros((20, 20), dtype=bool)
+    ell[2:18, 2:6] = True
+    ell[14:18, 2:18] = True
+    yield ell
+    line = np.zeros((3, 30), dtype=bool)
+    line[1, 2:28] = True
+    yield line
+    yield line.T
+    yield np.ones((3, 3), dtype=bool)
+
+
+def test_solidity_equals_the_all_corner_hull():
+    shapes = list(_solidity_shapes())
+    for component in shapes:
+        assert _solidity(component) == _all_corner_solidity(component)
+    assert _solidity(shapes[-1]) == 1.0

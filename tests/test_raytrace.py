@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +11,13 @@ from dropstereo import (DomainError, EmptyOutput, HeightField, OpticalConfig, Ra
 from dropstereo.core import DropBox, MaskStencil, normal_field, plate_coords
 from dropstereo.optics import (critical_normal_z_field, equivalent_camera_depth,
                                fresnel_transmittance_arrays, normal_z_field, refract_arrays)
-from dropstereo.raytrace import (ScenePlane, SceneSpec, TraceField, _transmittance_from_cos_w,
-                                 shared_uv_bounds, trace_field, transmittance, uv_field)
+from dropstereo.raytrace import (_BLOCK_PIXELS, ScenePlane, SceneSpec, TraceField, _background,
+                                 _transmittance_from_cos_w, shared_uv_bounds, trace_field,
+                                 transmittance, uv_field)
 from dropstereo.volume_loop import _BAND_HALFWIDTH, band_ring
 from dropstereo.scenes import make_texture
 
-from conftest import cap_field, edge_deviation
+from conftest import cap_field, edge_deviation, embed_scene
 
 
 # --- independent two-interface oracle ----------------------------------------
@@ -519,3 +522,61 @@ def test_render_rejects_plane_in_front_of_drop(config):
                       planes=(ScenePlane(depth=5.0, texture=np.ones((4, 4))),))
     with pytest.raises(DomainError):
         render_synthetic(scene, [(mask, hf)], config)
+
+
+def _whole_raster_background(scene, config):
+    """The background as one whole-raster pass: the reference for the row
+    blocks of ``_background``."""
+    h, w = scene.height, scene.width
+    x, y = plate_coords(DropBox(0, h, 0, w, (h, w)), config)
+    out = np.zeros((h, w))
+    todo = np.ones_like(out, dtype=bool)
+    for plane in scene.planes:
+        m = 1.0 + plane.depth / config.camera_z
+        hx, hy = x * m, y * m
+        sel = todo & plane.covers(hx)
+        if sel.any():
+            out[sel] = plane.sample(hx[sel], hy[sel], None)
+            todo &= ~sel
+    return out
+
+
+@pytest.mark.parametrize("size", ["split", "wider_than_a_block", "one_row"])
+def test_background_blocks_leave_no_seam(two_plane_scene, config, size):
+    scene = two_plane_scene[0]
+    if size == "split":
+        # the last block is shorter than the others
+        assert scene.height % (_BLOCK_PIXELS // scene.width) != 0
+    elif size == "wider_than_a_block":
+        scene = replace(scene, width=_BLOCK_PIXELS + 3, height=3)
+    else:
+        scene = replace(scene, height=1)
+    got = _background(scene, config)
+    assert np.array_equal(got, _whole_raster_background(scene, config))
+
+
+def test_render_on_a_photo_sized_raster_peaks_at_two_rasters(two_drop_scene, config):
+    # the two-drop scene moved onto a 12 MP raster (3000 x 4000): the drop
+    # boxes and the small raster's area away from its blurred edge are the
+    # small render's bytes, and the render holds at most 2.5 rasters at once
+    # (the background and its blur, then the blurred and the clipped raster)
+    scene, (_, hf1), (_, hf2), image = two_drop_scene
+    di, dj = 1234, 2345
+    drops, big_config = embed_scene(image, [hf1, hf2], config, (di, dj))[1:]
+    big_scene = replace(scene, height=3000, width=4000)
+    tracemalloc.start()
+    try:
+        big = render_synthetic(big_scene, [(hf.mask, hf) for hf in drops], big_config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    raster_bytes = big.pixels.nbytes
+    assert peak <= 2.5 * raster_bytes, peak / raster_bytes
+    for hf, small in zip(drops, (hf1, hf2)):
+        assert np.array_equal(hf.mask.box.crop(big.pixels), small.mask.box.crop(image.pixels))
+    # scipy's Gaussian reaches int(4 sigma + 0.5) pixels; the small raster's
+    # 'nearest' edge differs from the big raster's scene within that reach
+    g = int(4.0 * scene.blur_radius + 0.5) + 1
+    h, w = image.pixels.shape
+    assert np.array_equal(big.pixels[di + g : di + h - g, dj + g : dj + w - g],
+                          image.pixels[g : h - g, g : w - g])
