@@ -17,7 +17,7 @@ import numpy as np
 from scipy import ndimage
 
 from .core import (N_AIR, DropBox, DropMask, HeightField, OpticalConfig, RasterGray, Vec3,
-                   normal_field, plate_coords, splat_bilinear)
+                   _frozen, normal_field, plate_coords, splat_bilinear)
 from .errors import DomainError, EmptyOutput
 from .optics import fresnel_transmittance_arrays, incidence_directions, refract_arrays
 
@@ -57,7 +57,7 @@ class ScenePlane:
                 raise DomainError(f"plane {name} must be finite and positive")
         if not all(x is None or math.isfinite(x) for x in (self.x_min, self.x_max)):
             raise DomainError("plane x_min and x_max must be finite or null")
-        object.__setattr__(self, "texture", np.clip(tex, 0.0, 1.0))
+        object.__setattr__(self, "texture", _frozen(np.clip(tex, 0.0, 1.0)))
 
     def covers(self, x: np.ndarray) -> np.ndarray:
         ok = np.ones(np.shape(x), dtype=bool)
@@ -185,26 +185,6 @@ def uv_field(tf: TraceField, turn: float = 0.0) -> tuple[np.ndarray, np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def shared_uv_bounds(traces: list[TraceField], turn: float
-                     ) -> tuple[float, float, float, float]:
-    """Robust angular window (u_min, u_max, v_min, v_max) covering every
-    drop's forward map: the 2nd/98th percentiles of each drop's (u, v), so
-    near-band grazing directions do not dominate the grid.  The window is
-    taken in the frame turned by ``turn`` (see ``uv_field``)."""
-    u_lo, u_hi, v_lo, v_hi = [], [], [], []
-    for k, tf in enumerate(traces):
-        u, v, valid = uv_field(tf, turn)
-        if not valid.any():
-            raise DomainError(f"drop {k} has no valid transmitted pixels")
-        lo, hi = np.percentile(u[valid], [2.0, 98.0])
-        u_lo.append(lo)
-        u_hi.append(hi)
-        lo, hi = np.percentile(v[valid], [2.0, 98.0])
-        v_lo.append(lo)
-        v_hi.append(hi)
-    return float(min(u_lo)), float(max(u_hi)), float(min(v_lo)), float(max(v_hi))
-
-
 @dataclass(frozen=True, eq=False)
 class DewarpedImage:
     """Drop imagery resampled on a regular angular grid.
@@ -212,8 +192,9 @@ class DewarpedImage:
     ``source_ij`` maps each output cell back to the warped input pixel whose
     angular coordinates landed nearest to the cell center, or the nearest
     such cell's pixel, on every ``valid`` cell, and -1 on every other cell;
-    it realizes the inverse of the one-to-one angular map.  The grid lies in the (u, v) frame turned by ``turn`` (see
-    ``uv_field``); ``u0``, ``v0``, ``du`` and ``dv`` are in that frame.
+    it realizes the inverse of the one-to-one angular map.  The grid lies in
+    the (u, v) frame turned by ``turn`` (see ``uv_field``); ``u0``, ``v0``,
+    ``du`` and ``dv`` are in that frame.
     """
 
     raster: RasterGray
@@ -233,64 +214,72 @@ class DewarpedImage:
         return c * u - s * v, s * u + c * v
 
 
-def dewarp_image(image: RasterGray, tf: TraceField, out_resolution: int,
-                 uv_bounds: tuple[float, float, float, float], turn: float) -> DewarpedImage:
-    """Resample the pixels of a traced drop onto a regular
+def dewarp_image(image: RasterGray, traces: list[TraceField], out_resolution: int,
+                 turn: float) -> list[DewarpedImage]:
+    """Resample the pixels of each traced drop onto one regular
     ``out_resolution`` × ``out_resolution`` (u, v) grid, in the frame turned
-    by ``turn`` (see ``uv_field``), by bilinear splatting.
+    by ``turn`` (see ``uv_field``), by bilinear splatting: one view per trace.
 
-    ``uv_bounds`` (u_min, u_max, v_min, v_max, in the turned frame) and
-    ``turn`` must be shared by all drops that will be matched against each
-    other (see ``shared_uv_bounds``).
+    The grid's window is the union of each drop's 2nd/98th percentiles of
+    turned u and v, so near-band grazing directions do not dominate it; the
+    views share the window, so they can be matched against each other.  A
+    drop of a handful of pixels may have none inside it (of two pixels that
+    differ in u, neither lies between their 2nd and 98th percentiles of u);
+    its view then has no valid cell.
     """
-    tf.box.require_grid(image.pixels.shape, "the traced drop")
     if out_resolution < 8:
         raise DomainError("output resolution must be at least 8")
-    u, v, valid = uv_field(tf, turn)
-    ii, jj = np.nonzero(valid)
-    if ii.size == 0:
-        raise EmptyOutput("no valid (non-dark, forward-going) drop pixels to dewarp")
-    uu, vv = u[ii, jj], v[ii, jj]
-    u_min, u_max, v_min, v_max = uv_bounds
+    if not traces:
+        raise DomainError("dewarp needs at least one traced drop")
+    samples = []
+    for k, tf in enumerate(traces):
+        tf.box.require_grid(image.pixels.shape, f"drop {k}")
+        u, v, valid = uv_field(tf, turn)
+        ii, jj = np.nonzero(valid)
+        if ii.size == 0:
+            raise EmptyOutput(f"drop {k} has no valid transmitted pixels to dewarp")
+        samples.append((ii + tf.box.i0, jj + tf.box.j0, u[ii, jj], v[ii, jj]))
+    # each drop's 2nd and 98th percentiles of (u, v), as (drop, low/high, u/v)
+    q = np.array([np.percentile([uu, vv], [2.0, 98.0], axis=1) for *_, uu, vv in samples])
+    u_min, v_min = q[:, 0].min(axis=0).tolist()
+    u_max, v_max = q[:, 1].max(axis=0).tolist()
     if not (u_max > u_min and v_max > v_min):
         raise EmptyOutput("degenerate angular extent")
 
     r = out_resolution
     du = (u_max - u_min) / (r - 1)
     dv = (v_max - v_min) / (r - 1)
-    pu = (uu - u_min) / du
-    pv = (vv - v_min) / dv
-    inside = (pu >= 0) & (pu <= r - 1) & (pv >= 0) & (pv <= r - 1)
-    pu, pv = pu[inside], pv[inside]
-    src_i, src_j = ii[inside] + tf.box.i0, jj[inside] + tf.box.j0
-    vals = image.pixels[src_i, src_j]
-    if pu.size == 0:
-        raise EmptyOutput("no drop pixels fall inside the angular window")
+    views = []
+    for src_i, src_j, uu, vv in samples:
+        pu = (uu - u_min) / du
+        pv = (vv - v_min) / dv
+        inside = (pu >= 0) & (pu <= r - 1) & (pv >= 0) & (pv <= r - 1)
+        pu, pv, src_i, src_j = pu[inside], pv[inside], src_i[inside], src_j[inside]
+        raster, valid_out = splat_bilinear(pv, pu, image.pixels[src_i, src_j], (r, r))
 
-    raster, valid_out = splat_bilinear(pv, pu, vals, (r, r))
-
-    # nearest-contributor table for mapping matches back to warped pixels
-    cell_r = np.clip(np.rint(pv).astype(int), 0, r - 1)
-    cell_c = np.clip(np.rint(pu).astype(int), 0, r - 1)
-    cell = cell_r * r + cell_c
-    dist = (pv - cell_r) ** 2 + (pu - cell_c) ** 2
-    order = np.lexsort((dist, cell))
-    cells, first = np.unique(cell[order], return_index=True)
-    sel = order[first]
-    source = np.full((r * r, 2), -1, dtype=int)
-    source[cells, 0] = src_i[sel]
-    source[cells, 1] = src_j[sel]
-    source = source.reshape(r, r, 2)
-    # spread to splat-covered cells lacking a direct contributor; some cell
-    # always has one, since the window holds at least one pixel
-    has = source[..., 0] >= 0
-    if (valid_out & ~has).any():
-        idx = ndimage.distance_transform_edt(~has, return_distances=False, return_indices=True)
-        source = source[idx[0], idx[1]]
-        source[~valid_out] = -1
-
-    return DewarpedImage(RasterGray(raster), valid_out, float(u_min), float(v_min),
-                         float(du), float(dv), source, float(turn))
+        # nearest-contributor table for mapping matches back to warped pixels
+        cell_r = np.clip(np.rint(pv).astype(int), 0, r - 1)
+        cell_c = np.clip(np.rint(pu).astype(int), 0, r - 1)
+        cell = cell_r * r + cell_c
+        dist = (pv - cell_r) ** 2 + (pu - cell_c) ** 2
+        order = np.lexsort((dist, cell))
+        cells, first = np.unique(cell[order], return_index=True)
+        sel = order[first]
+        source = np.full((r * r, 2), -1, dtype=int)
+        source[cells, 0] = src_i[sel]
+        source[cells, 1] = src_j[sel]
+        source = source.reshape(r, r, 2)
+        # spread to splat-covered cells lacking a direct contributor; a
+        # covered cell's splat came from a contributor, so one exists
+        has = source[..., 0] >= 0
+        if (valid_out & ~has).any():
+            idx = ndimage.distance_transform_edt(~has, return_distances=False,
+                                                 return_indices=True)
+            source = source[idx[0], idx[1]]
+            source[~valid_out] = -1
+        views.append(DewarpedImage(RasterGray(raster), valid_out, u_min, v_min, du, dv, source,
+                                   float(turn)))
+    return views
 
 
 # ---------------------------------------------------------------------------
@@ -298,30 +287,48 @@ def dewarp_image(image: RasterGray, tf: TraceField, out_resolution: int,
 # ---------------------------------------------------------------------------
 
 
+def _first_hits(planes: tuple[ScenePlane, ...], todo: np.ndarray,
+                hit) -> tuple[np.ndarray, np.ndarray]:
+    """The one first-hit rule of the scene: each pixel of ``todo`` reads the
+    first plane whose x-range holds its hit.  ``hit(plane)`` gives each
+    pixel's (x, y) on the plane and whether it hits it at all.  Returns
+    (value, index of the plane hit), 0 and -1 where no plane is hit."""
+    val = np.zeros(todo.shape)
+    # the smallest integer type that holds -1 and every plane index
+    which = np.full(todo.shape, -1, dtype=np.min_scalar_type(-len(planes)))
+    todo = todo.copy()
+    for k, plane in enumerate(planes):
+        x, y, ok = hit(plane)
+        sel = plane.covers(x)
+        sel &= todo & ok
+        if sel.any():
+            val[sel] = plane.sample(x[sel], y[sel], None)
+            which[sel] = k
+            todo &= ~sel
+    return val, which
+
+
 def _background(scene: SceneSpec, config: OpticalConfig) -> np.ndarray:
-    """The unblurred scene as the pinhole sees it through the bare plate: each
-    pixel reads the first plane whose x-range holds its hit.
+    """The unblurred scene as the pinhole sees it through the bare plate, by
+    the first-hit rule of ``_first_hits``.
 
     Rows are rendered in blocks of about ``_BLOCK_PIXELS`` pixels, so the
     coordinates and hits of a block are the only temporaries next to the one
     output raster.  Every step is per pixel, so the blocks leave no seam.
     """
     h, w = scene.height, scene.width
-    out = np.zeros((h, w))
+    out = np.empty((h, w))
     rows = max(1, _BLOCK_PIXELS // w)
     for i0 in range(0, h, rows):
         i1 = min(i0 + rows, h)
         # the box keeps the raster's shape, so x and y are the raster's own
         x, y = plate_coords(DropBox(i0, i1, 0, w, (h, w)), config)
-        block = out[i0:i1]
-        todo = np.ones(block.shape, dtype=bool)
-        for plane in scene.planes:
+
+        def magnified(plane):
             m = 1.0 + plane.depth / config.camera_z
-            hx, hy = x * m, y * m
-            sel = todo & plane.covers(hx)
-            if sel.any():
-                block[sel] = plane.sample(hx[sel], hy[sel], None)
-                todo &= ~sel
+            return x * m, y * m, True
+
+        out[i0:i1] = _first_hits(scene.planes, np.ones(x.shape, dtype=bool), magnified)[0]
     return out
 
 
@@ -335,18 +342,14 @@ def _plane_hits(origins: np.ndarray, directions: np.ndarray,
 def _scene_hits(scene: SceneSpec, tf: TraceField) -> tuple[np.ndarray, np.ndarray]:
     """Intersect traced rays with the scene: (value, depth); a ray that
     misses every plane reads value 0 and depth NaN."""
-    val = np.zeros(tf.valid.shape)
-    dep = np.full(tf.valid.shape, np.nan)
-    todo = tf.valid.copy()
+    def ahead(plane):
+        t, px, py = _plane_hits(tf.origins, tf.directions, plane.depth)
+        return px, py, t > 0
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        for plane in scene.planes:
-            t, px, py = _plane_hits(tf.origins, tf.directions, plane.depth)
-            sel = todo & (t > 0) & plane.covers(px)
-            if sel.any():
-                val[sel] = plane.sample(px[sel], py[sel], None)
-                dep[sel] = plane.depth
-                todo &= ~sel
-    return val, dep
+        val, which = _first_hits(scene.planes, tf.valid, ahead)
+    # index -1 reads the NaN appended after the planes' depths
+    return val, np.array([p.depth for p in scene.planes] + [np.nan])[which]
 
 
 def render_synthetic(scene: SceneSpec, drops: list[tuple[DropMask, HeightField]],

@@ -101,7 +101,7 @@ def init_mesh(mask: DropMask, alpha: float) -> HeightField:
 
 def volume_of(hf: HeightField) -> float:
     """Sum of heights over the mask (unit pixel area)."""
-    return float(hf.z.sum())
+    return float(hf.heights.sum())
 
 
 def energy_of(hf: HeightField, config: OpticalConfig) -> tuple[float, float, float]:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import HeightField, OpticalConfig, RasterGray, Vec3
 from .errors import DegenerateGeometry, DomainError, InsufficientMatches
-from .raytrace import (DewarpedImage, Ray, dewarp_image, shared_uv_bounds, trace_field)
+from .raytrace import DewarpedImage, Ray, dewarp_image, trace_field
 
 _COND_LIMIT = 1e8
 # residuals above this multiple of the median mark a point invalid
@@ -401,18 +401,19 @@ def depth_from_drops(image: RasterGray, drops: list[HeightField], config: Optica
     views rectified for that pair: the (u, v) frame is turned about the view
     axis so that the baseline between the drops' mean ray origins runs along
     u (a camera roll, exact because it keeps dz; Fusiello, Trucco & Verri
-    2000), and both drops are angular-dewarped in that frame on the window
-    that covers every drop.
-    A scene point's offset between the views then lies along the grid rows,
-    which the band search of ``match_grids`` relies on.  The dewarp
-    resolution is the pixel density of the largest drop (about one input
-    pixel per angular cell) so the matching windows stay free of splat
-    holes.  A match's rays start at the traced surface points of its pixels
-    and run along its matched angles, and all matches are triangulated at
-    once; a match whose pixel has no ray (off its drop's box or in the dark
-    band) or whose rays are near-parallel is dropped.  Points whose residual
-    exceeds ``_OUTLIER_FACTOR`` (3) times the median are flagged invalid.  An
-    empty list of correspondences raises ``InsufficientMatches``.
+    2000), and both drops are angular-dewarped in that frame by one
+    ``dewarp_image`` call, on the window of the two drops.  A scene point's
+    offset between the views then lies along the grid rows, which the band
+    search of ``match_grids`` relies on.  The dewarp resolution is the pixel
+    density of the larger drop of the pair (about one input pixel per
+    angular cell) so the matching windows stay free of splat holes.  A
+    pair's views and matches thus depend on its two drops alone.  A match's rays
+    start at the traced surface points of its pixels and run along its
+    matched angles, and all matches are triangulated at once; a match whose
+    pixel has no ray (off its drop's box or in the dark band) or whose rays
+    are near-parallel is dropped.  Points whose residual exceeds
+    ``_OUTLIER_FACTOR`` (3) times the median are flagged invalid.  An empty
+    list of correspondences raises ``InsufficientMatches``.
     """
     if len(drops) < 2:
         raise DomainError("stereo needs at least two reconstructed drops")
@@ -428,15 +429,13 @@ def depth_from_drops(image: RasterGray, drops: list[HeightField], config: Optica
             if not tf.valid.any():
                 raise DomainError(f"drop {k} has no valid transmitted pixels")
             centres.append(tf.origins[tf.valid, :2].mean(axis=0))
-        densest = max(int(hf.mask.area) for hf in drops)
-        resolution = int(np.clip(round(math.sqrt(densest)), 48, 256))
         correspondences = []
         for a, b in itertools.combinations(range(len(drops)), 2):
             dx, dy = centres[b] - centres[a]
             turn = math.atan2(dy, dx)
-            bounds = shared_uv_bounds(traces, turn)
-            view_a, view_b = (dewarp_image(image, traces[k], resolution, bounds, turn)
-                              for k in (a, b))
+            densest = max(drops[a].mask.area, drops[b].mask.area)
+            resolution = int(np.clip(round(math.sqrt(densest)), 48, 256))
+            view_a, view_b = dewarp_image(image, [traces[a], traces[b]], resolution, turn)
             try:
                 correspondences.extend(block_match(view_a, view_b, drop_a=a, drop_b=b))
             except InsufficientMatches:

@@ -1,9 +1,11 @@
 """What the benchmark uses of the program.  Its tracer (``bench/tracing.py``)
 rebinds every name in its ``ENTRY_POINTS`` when it installs, so each one must
 still exist in its module; a removed or renamed entry point breaks every
-traced benchmark run.  Its workloads (``bench/workloads.py``) read named
-fields off the results and compare raster-sized arrays."""
+traced benchmark run.  Its workloads (``bench/workloads.py``) import names
+from the package, read named fields off the results and compare raster-sized
+arrays."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -13,6 +15,7 @@ from pathlib import Path
 from dropstereo import OpticalConfig, SolverParams, disk_mask, initial_volume, solve_fixed_volume
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+WORKLOADS = TRACING.with_name("workloads.py")
 
 
 def _entry_points():
@@ -34,6 +37,25 @@ def test_every_traced_entry_point_resolves():
                 assert attr in vars(getattr(home, cls_name, object)), f"{layer}: {modname}.{qual}"
             else:
                 assert callable(getattr(home, qual, None)), f"{layer}: {modname}.{qual}"
+
+
+def test_every_name_the_workloads_import_resolves():
+    # a public name removed from the package fails here, not only inside a
+    # benchmark run; a name that is no attribute must be a submodule
+    imported = []
+    for node in ast.walk(ast.parse(WORKLOADS.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "dropstereo":
+            home = importlib.import_module(node.module)
+            for alias in node.names:
+                if not hasattr(home, alias.name):
+                    importlib.import_module(f"{node.module}.{alias.name}")
+                imported.append(f"{node.module}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "dropstereo":
+                    importlib.import_module(alias.name)
+                    imported.append(alias.name)
+    assert "dropstereo.render_synthetic" in imported
 
 
 # arguments that the tracer's probes (``_probe`` in bench/tracing.py) read by

@@ -12,7 +12,7 @@ from dropstereo import (DepthResult, DomainError, DropMask, HeightField, Optical
 from dropstereo.core import DropBox, MaskStencil, normal_field
 from dropstereo.masks import disk_mask
 from dropstereo.optics import critical_normal_z_field, incidence_directions, theta_cprime_field
-from dropstereo.raytrace import shared_uv_bounds, trace_field
+from dropstereo.raytrace import trace_field
 from dropstereo.volume_loop import band_ring
 
 from conftest import cap_field
@@ -255,7 +255,7 @@ def test_array_records_compare_by_identity_and_hash(config):
     image = RasterGray(np.full((30, 40), 0.5))
     plane = ScenePlane(depth=2000.0, texture=np.full((4, 4), 0.5))
     records = (image, m, hf, plane, tf,
-               dewarp_image(image, tf, 8, shared_uv_bounds([tf], 0.0), 0.0),
+               dewarp_image(image, [tf], 8, 0.0)[0],
                DepthResult((Vec3(0.0, 0.0, 1.0),), np.zeros(1), np.ones(1, dtype=bool),
                            (np.zeros((2, 2)),), ()),
                rectify_drop(image, hf, config, 2000.0))
@@ -279,7 +279,7 @@ def test_drop_off_the_image_grid_is_named_with_both_shapes(config, entry):
     # a call takes several drops, the first lies on the image and the
     # second is named.
     m, hf, tf = _cap((30, 40), (15.0, 20.0), config)
-    on_m, on_hf, _ = _cap((30, 50), (15.0, 20.0), config)
+    on_m, on_hf, on_tf = _cap((30, 50), (15.0, 20.0), config)
     image = RasterGray(np.full((30, 50), 0.5))
     scene = SceneSpec(width=50, height=30,
                       planes=(ScenePlane(depth=2000.0, texture=np.full((4, 4), 0.5)),))
@@ -290,8 +290,7 @@ def test_drop_off_the_image_grid_is_named_with_both_shapes(config, entry):
         "rectify_drop": (lambda: rectify_drop(image, hf, config, 2000.0), "the drop"),
         "compensate_illuminance": (lambda: compensate_illuminance(image, hf, config),
                                    "the drop"),
-        "dewarp_image": (lambda: dewarp_image(image, tf, 8, (-0.1, 0.1, -0.1, 0.1), 0.0),
-                         "the traced drop"),
+        "dewarp_image": (lambda: dewarp_image(image, [on_tf, tf], 8, 0.0), "drop 1"),
         "render_synthetic": (lambda: render_synthetic(scene, [(on_m, on_hf), (m, hf)], config),
                              "drop 1"),
         "depth_from_drops": (lambda: depth_from_drops(image, [on_hf, hf], config), "drop 1"),

@@ -12,8 +12,7 @@ from dropstereo.core import DropBox, MaskStencil, normal_field, plate_coords
 from dropstereo.optics import (critical_normal_z_field, equivalent_camera_depth,
                                fresnel_transmittance_arrays, normal_z_field, refract_arrays)
 from dropstereo.raytrace import (_BLOCK_PIXELS, ScenePlane, SceneSpec, TraceField, _background,
-                                 _transmittance_from_cos_w, shared_uv_bounds, trace_field,
-                                 transmittance, uv_field)
+                                 _transmittance_from_cos_w, trace_field, transmittance, uv_field)
 from dropstereo.volume_loop import _BAND_HALFWIDTH, band_ring
 from dropstereo.scenes import make_texture
 
@@ -316,11 +315,11 @@ def _uv(directions, valid=None):
     return u[0], v[0], valid_out[0]
 
 
-def test_shared_uv_bounds_names_a_drop_with_no_transmitted_pixels():
+def test_dewarp_names_a_drop_with_no_transmitted_pixels():
     lit = _row_trace([(0, 0, 1)] * 3)
     dark = _row_trace([(0, 0, 1)] * 3, [False] * 3)
-    with pytest.raises(DomainError, match="drop 1 has no valid transmitted pixels"):
-        shared_uv_bounds([lit, dark], 0.0)
+    with pytest.raises(EmptyOutput, match="drop 1 has no valid transmitted pixels"):
+        dewarp_image(RasterGray(np.zeros((1, 3))), [lit, dark], 8, 0.0)
 
 
 def test_angular_project_axis():
@@ -366,7 +365,7 @@ def test_dewarp_straightens_edge(single_drop_render, config):
     warped_dev = edge_deviation(img.pixels[i0:i1, j0:j1],
                                 mask.membership[i0:i1, j0:j1] & (hf.z[i0:i1, j0:j1] > 1.0))
     tf = trace_field(hf, config)
-    dw = dewarp_image(img, tf, 128, shared_uv_bounds([tf], 0.0), 0.0)
+    dw = dewarp_image(img, [tf], 128, 0.0)[0]
     dewarp_dev = edge_deviation(dw.raster.pixels, dw.valid)
     assert np.isfinite(warped_dev) and np.isfinite(dewarp_dev)
     assert dewarp_dev <= warped_dev / 5.0
@@ -403,7 +402,7 @@ def test_dewarp_turned_grid_answers_unturned_uv(cap50, config, turn):
     mask, hf, _ = cap50
     tf = trace_field(hf, config)
     img = RasterGray(np.zeros(mask.membership.shape))
-    dw = dewarp_image(img, tf, 64, shared_uv_bounds([tf], turn), turn)
+    dw = dewarp_image(img, [tf], 64, turn)[0]
     assert dw.turn == turn
     u, v, _ = uv_field(tf)
     rows, cols = np.nonzero(dw.valid & (dw.source_ij[..., 0] >= 0))
@@ -424,7 +423,7 @@ def test_dewarp_source_table_covers_exactly_the_valid_cells(cap50, config, turn)
     mask, hf, _ = cap50
     tf = trace_field(hf, config)
     img = RasterGray(np.zeros(mask.membership.shape))
-    dw = dewarp_image(img, tf, 64, shared_uv_bounds([tf], turn), turn)
+    dw = dewarp_image(img, [tf], 64, turn)[0]
     assert dw.valid.sum() > 1000 and not dw.valid.all()
     assert (dw.source_ij[dw.valid] >= 0).all()
     assert (dw.source_ij[~dw.valid] == -1).all()
@@ -439,7 +438,18 @@ def test_dewarp_empty_drop_rejected(config):
     tf = trace_field(hf, config)
     assert not tf.valid.any()
     with pytest.raises(EmptyOutput):
-        dewarp_image(img, tf, 64, (-1.0, 1.0, -1.0, 1.0), 0.0)
+        dewarp_image(img, [tf], 64, 0.0)
+    with pytest.raises(DomainError, match="at least one traced drop"):
+        dewarp_image(img, [], 64, 0.0)
+
+
+def test_dewarp_two_pixel_drop_has_an_empty_view():
+    # neither of two pixels lies between their own 2nd and 98th percentiles,
+    # so the drop's view has no valid cell; a pair with it finds no matches
+    # instead of stopping the whole stereo call
+    tiny = _row_trace([(0, 0, 1), (0.1, 0.2, 1)])
+    (view,) = dewarp_image(RasterGray(np.full((1, 2), 0.5)), [tiny], 8, 0.0)
+    assert not view.valid.any() and (view.source_ij == -1).all()
 
 
 # --- renderer --------------------------------------------------------------------
@@ -522,6 +532,17 @@ def test_render_rejects_plane_in_front_of_drop(config):
                       planes=(ScenePlane(depth=5.0, texture=np.ones((4, 4))),))
     with pytest.raises(DomainError):
         render_synthetic(scene, [(mask, hf)], config)
+
+
+def test_plane_texture_is_read_only():
+    # the plane keeps its own clipped copy of the texture, frozen like the
+    # arrays of every other record; the caller's array stays its own
+    tex = np.full((4, 4), 0.5)
+    plane = ScenePlane(depth=2000.0, texture=tex)
+    with pytest.raises(ValueError, match="read-only"):
+        plane.texture[0, 0] = 1.0
+    tex[0, 0] = 2.0
+    assert plane.texture[0, 0] == 0.5 and tex.flags.writeable
 
 
 def _whole_raster_background(scene, config):

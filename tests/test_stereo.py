@@ -568,6 +568,28 @@ def test_depth_fronto_parallel_plane_diagonal_pair(config):
     assert np.nanmedian(dm) == pytest.approx(median, rel=0.05)
 
 
+def test_pair_matches_do_not_depend_on_other_drops(config):
+    # a pair's views take their window and resolution from its two drops
+    # alone: a third, larger drop in the list leaves the pair's matches as
+    # they are.  The matches are compared, not ``valid``, whose outlier
+    # median runs over every pair.
+    shape = (300, 1000)
+    drops = []
+    for radius, centre in ((60, (150, 150)), (60, (150, 550)), (80, (150, 850))):
+        mask = disk_mask(radius, shape=shape, center=centre)
+        drops.append(HeightField(mask, cap_field(mask, initial_volume(mask, 0.30))))
+    tex = make_texture("noise", 1024, 2, seed=3, low=0.05, high=0.95)
+    scene = SceneSpec(width=shape[1], height=shape[0],
+                      planes=(ScenePlane(depth=2000.0, texture=tex, scale=16.0),))
+    image = render_synthetic(scene, [(hf.mask, hf) for hf in drops], config)
+    two = depth_from_drops(image, drops[:2], config)
+    three = depth_from_drops(image, drops, config)
+    pair = [c for c in three.correspondences if (c.drop_a, c.drop_b) == (0, 1)]
+    assert len(two.correspondences) >= 100
+    assert pair == list(two.correspondences)
+    assert len(three.correspondences) > len(pair)
+
+
 def test_depth_on_a_photo_sized_raster_equals_the_small_scene(two_drop_scene, config):
     # the two-drop scene at an offset on a 12 MP raster (3000 x 4000, a
     # phone photo) with the principal point moved along: every ray, match
