@@ -252,6 +252,15 @@ class DropBox:
         out[self.i0 : self.i1, self.j0 : self.j1] = a
         return out
 
+    def restate(self, a: np.ndarray, box: DropBox) -> np.ndarray:
+        """A box-sized array on the window ``box`` of the same raster, zero
+        where that window leaves this box; ``box.crop(self.paste(a))``
+        without the raster."""
+        top, left = max(self.i0 - box.i0, 0), max(self.j0 - box.j0, 0)
+        a = np.pad(a, ((top, max(box.i1 - self.i1, 0)), (left, max(box.j1 - self.j1, 0))))
+        i, j = box.i0 - self.i0 + top, box.j0 - self.j0 + left
+        return a[i : i + box.i1 - box.i0, j : j + box.j1 - box.j0]
+
     def require_grid(self, shape: tuple[int, int], what: str) -> None:
         """Raise a DomainError naming ``what`` unless the box's raster is
         the image grid ``shape``."""
@@ -260,103 +269,54 @@ class DropBox:
 
 
 # ---------------------------------------------------------------------------
-# Discrete differential operators on masked grids.
+# The masked gradient.
 #
 # Along each axis a pixel takes the central difference where both 4-neighbors
 # are members, the one-sided difference where only one is, and zero where it
 # is isolated along that axis.  No member's difference reads a value outside
 # the mask.
-#
-# A field on a drop's box lives in one flat buffer: the box grid in row-major
-# order, with one zero row above and below it and one spare cell at each
-# end.  A pixel's x-neighbors then sit at +-1 and its y-neighbors at +-w, so
-# the central difference of every pixel comes from two shifted slices.
 # ---------------------------------------------------------------------------
 
 
-class MaskStencil:
-    """Masked differencing on one mask grid, in the padded buffer layout.
+class MaskedGradient:
+    """The masked gradient (dz/dx, dz/dy) of fields on one mask grid, each
+    a grid that is zero off the mask.
 
-    A buffer has ``size`` cells; pixel [i, j] sits at ``origin + i * w + j``
-    and ``cells`` is the grid's (h, w) view of it.  ``members`` are the
-    buffer cells of the member pixels in row-major order (the order of
-    ``a[mask]``) and ``rows``/``cols`` their coordinates; ``inside`` is the
-    buffer holding 1 on the members and 0 elsewhere.
-
-    ``diff_into`` writes the central difference of every cell, then rewrites
-    the members that lack a neighbor along the axis, all on the rim, from a
-    precomputed list: the neighbor's cell, or the pixel's own where it is
-    missing, and a weight of 1 (one neighbor) or 0 (none), so those cases are
-    ``wt * (v[ip] - v[im])``.  Cells off the mask get values no member reads.
-
-    ``one_sided[axis]`` are the buffer cells of the members with exactly one
-    neighbor along ``axis``, where the masked difference is one-sided.
-
-    ``gather``, ``scatter`` and ``diff`` keep the pixel-vector form of a field
-    (``a[mask]``); ``pad`` puts a pixel vector in a buffer.
+    What depends on the mask alone is found once, when the gradient is
+    built: per axis, the members whose neighbor ahead or behind is a member,
+    and each pixel's weight, 0.5 with two such neighbors, 1 with one and 0
+    with none or off the mask.  A pixel's difference is its weight times
+    the neighbor ahead minus the neighbor behind, the pixel itself standing
+    in for a missing neighbor.  A call copies the members into a zero
+    buffer of the grid in row-major order with a zero row above and below
+    and a spare cell at each end, so that a pixel's neighbors sit at +-1
+    along x and +-w along y; the neighbor masks never select a cell across
+    a row end.
     """
 
-    def __init__(self, mask: np.ndarray):
-        m = np.asarray(mask, dtype=bool)
-        self.mask = m
-        h, w = m.shape
-        self.origin = w + 1
-        self.size = h * w + 2 * w + 2
-        idx = np.flatnonzero(m)
-        self.rows, self.cols = np.divmod(idx, w)
-        self.members = idx + self.origin
-        self.inside = self.pad(np.ones(idx.size))
-        self._axes = []
-        self.one_sided = []
-        p = np.pad(m, 1)
-        for di, dj in ((1, 0), (0, 1)):
-            # member neighbors only: no wrap across rows, nothing off the grid
-            has_p = p[1 + di : 1 + di + h, 1 + dj : 1 + dj + w][m]
-            has_m = p[1 - di : 1 - di + h, 1 - dj : 1 - dj + w][m]
-            rim = ~(has_p & has_m)
-            step = di * w + dj
-            cell = self.members[rim]
-            ip = np.where(has_p[rim], cell + step, cell)
-            im = np.where(has_m[rim], cell - step, cell)
-            self._axes.append((step, cell, ip, im, (has_p | has_m)[rim].astype(float)))
-            self.one_sided.append(self.members[has_p ^ has_m])
+    def __init__(self, inside: np.ndarray):
+        m = self.inside = np.asarray(inside, dtype=bool)
+        (h, w), p = m.shape, np.pad(m, 1)
+        self._neighbors = []
+        for di, dj in ((0, 1), (1, 0)):
+            ahead = (m & p[1 + di : 1 + di + h, 1 + dj : 1 + dj + w]).ravel()
+            behind = (m & p[1 - di : 1 - di + h, 1 - dj : 1 - dj + w]).ravel()
+            weight = np.where(ahead & behind, 0.5, (ahead | behind).astype(float))
+            self._neighbors.append((di * w + dj, ahead, behind, weight))
 
-    def cells(self, buf: np.ndarray) -> np.ndarray:
-        """The (h, w) grid of a buffer, as a view."""
-        n = self.mask.size
-        return buf[self.origin : self.origin + n].reshape(self.mask.shape)
-
-    def pad(self, v: np.ndarray) -> np.ndarray:
-        """A pixel vector in a new buffer, zero off the mask."""
-        buf = np.zeros(self.size)
-        buf[self.members] = v
-        return buf
-
-    def gather(self, a: np.ndarray) -> np.ndarray:
-        """The member pixels of a grid, as a vector."""
-        return a[self.mask]
-
-    def scatter(self, v: np.ndarray) -> np.ndarray:
-        """A pixel vector on the grid, zero outside the mask."""
-        out = np.zeros(self.mask.shape)
-        out[self.mask] = v
-        return out
-
-    def diff_into(self, buf: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-        """Masked difference of the buffer ``buf`` along ``axis``, written
-        into the grid cells of the buffer ``out`` (which must not be ``buf``);
-        returns ``out``."""
-        step, cell, ip, im, wt = self._axes[axis]
-        o, n = self.origin, self.mask.size
-        d = out[o : o + n]
-        np.subtract(buf[o + step : o + step + n], buf[o - step : o - step + n], out=d)
-        d *= 0.5
-        out[cell] = wt * (buf[ip] - buf[im])
-        return out
-
-    def diff(self, v: np.ndarray, axis: int) -> np.ndarray:
-        """Masked difference of the pixel vector ``v`` along ``axis``."""
-        return self.diff_into(self.pad(v), axis, np.zeros(self.size)).take(self.members)
+    def __call__(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(dz/dx, dz/dy) of the grid ``z``, read on the members only."""
+        (h, w), n = self.inside.shape, self.inside.size
+        o, buf = w + 1, np.zeros(n + 2 * w + 2)
+        v = buf[o : o + n]
+        np.copyto(v.reshape(h, w), z, where=self.inside)
+        out = []
+        for s, ahead, behind, weight in self._neighbors:
+            d = np.where(ahead, buf[o + s : o + s + n], v)
+            d -= np.where(behind, buf[o - s : o - s + n], v)
+            d *= weight
+            out.append(d.reshape(h, w))
+        return tuple(out)
 
 
 def normal_field(hf: HeightField) -> np.ndarray:
@@ -367,10 +327,8 @@ def normal_field(hf: HeightField) -> np.ndarray:
     outward: N' = (-dz/dx, -dz/dy, 1).  N_z is unaffected by that choice.
     Entries outside the mask are zero.
     """
-    mask, z = hf.mask.inside, hf.heights
-    st = MaskStencil(mask)
-    v = st.pad(st.gather(z))
-    gx, gy = (st.cells(st.diff_into(v, axis, np.zeros(st.size))) for axis in (1, 0))
+    mask = hf.mask.inside
+    gx, gy = MaskedGradient(mask)(hf.heights)
     norm = np.sqrt(1.0 + gx * gx + gy * gy)
     n = np.stack([-gx / norm, -gy / norm, 1.0 / norm], axis=-1)
     n[~mask] = 0.0

@@ -112,7 +112,7 @@ def detect_drops(image: RasterGray, params: DetectParams | None = None) -> list[
     # hysteresis: the weak edges 8-connected to a strong one
     edges = ndimage.binary_propagation(mag >= hi, structure=_EIGHT, mask=mag >= lo)
 
-    disk = disk_mask(_CLOSING_RADIUS, (2 * _CLOSING_RADIUS + 1,) * 2).membership
+    disk = disk_mask(_CLOSING_RADIUS, (2 * _CLOSING_RADIUS + 1,) * 2).inside
     edges = ndimage.binary_closing(edges, structure=disk, iterations=1)
     filled = ndimage.binary_fill_holes(edges)
 

@@ -96,11 +96,13 @@ def write_pnm(path: str | Path, image: np.ndarray) -> None:
         raise DomainError("image must be (H, W) or (H, W, 3)")
     if not np.isfinite(img).all():
         raise DomainError("image must be finite")
-    data = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
+    # scale, round and clip in one buffer rather than three
+    data = img * 255.0
+    np.clip(np.rint(data, out=data), 0, 255, out=data)
     h, w = img.shape[:2]
     with open(path, "wb") as f:
         f.write(magic + b"\n%d %d\n255\n" % (w, h))
-        f.write(data.tobytes())
+        f.write(data.astype(np.uint8))
 
 
 def write_mask(path: str | Path, mask: DropMask) -> None:
@@ -156,12 +158,14 @@ def write_pfm(path: str | Path, values: np.ndarray) -> None:
     h, w = arr.shape
     with open(path, "wb") as f:
         f.write(b"Pf\n%d %d\n-1.0\n" % (w, h))
-        f.write(np.flipud(arr).astype("<f4").tobytes())
+        # row by row, bottom row first, so the payload is never copied
+        f.writelines(np.flipud(arr.astype("<f4", copy=False)))
 
 
 def write_height_field(path: str | Path, hf: HeightField) -> None:
     """Height field as PFM with NaN marking non-member pixels."""
-    write_pfm(path, np.where(hf.mask.membership, hf.z, np.nan))
+    payload = np.where(hf.mask.inside, hf.heights, np.nan).astype(np.float32)
+    write_pfm(path, hf.mask.box.paste(payload, fill=np.nan))
 
 
 def read_height_field(path: str | Path) -> HeightField:

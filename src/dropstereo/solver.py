@@ -23,10 +23,11 @@ running sweep would, so the delta test waits half a cycle after each jump.
 
 A solve keeps its heights in two ``MaskStencil`` buffers of the drop's box
 (the box grid with a zero row above and below), and each sweep writes the
-new heights over the older of the two; its work buffers are allocated once
-per solve and the contact ring is found once.  Sums that set the result's
-bytes keep their grouping: the volume restore and the energies sum the
-pixel vector (``z[mask]``), the per-sweep change sums the box grid.
+new heights over the older of the two; its work buffers, the contact ring,
+and the gradient and plate coordinates of the energy samples are found once
+per solve.  Sums that set the result's bytes keep their grouping: the
+volume restore and the energies sum the pixel vector (``z[mask]``), the
+per-sweep change sums the box grid.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DropBox, DropMask, HeightField, MaskStencil, OpticalConfig
+from .core import DropMask, HeightField, MaskedGradient, OpticalConfig, plate_coords
 from .errors import DomainError
 
 # sweeps between the energy samples of a solve's history
@@ -112,26 +113,65 @@ def energy_of(hf: HeightField, config: OpticalConfig) -> tuple[float, float, flo
     z*(x cos_x + y cos_y) + z^2/2 * cos_z per pixel.  Pixel coordinates are
     taken relative to the principal point.
     """
-    st = MaskStencil(hf.mask.inside)
-    return _energy(st.pad(st.gather(hf.heights)), st, config, hf.mask.box)
+    return _energy(hf.mask, config)(hf.heights)
 
 
-def _energy(z: np.ndarray, stencil: MaskStencil, config: OpticalConfig,
-            box: DropBox) -> tuple[float, float, float]:
-    """``energy_of`` on the buffer ``z`` of the stencil's mask, which covers
-    ``box``; plate coordinates come from raster indices, as in
-    ``plate_coords``.  The sums run over the pixel vectors."""
-    gx, gy = (stencil.diff_into(z, axis, np.zeros(stencil.size)).take(stencil.members)
-              for axis in (1, 0))
-    e_t = float(np.sqrt(1.0 + gx * gx + gy * gy).sum())
-
-    cx, cy = config.resolve_principal_point(box.shape)
-    x, y = stencil.cols + box.j0 - cx, stencil.rows + box.i0 - cy
+def _energy(mask: DropMask, config: OpticalConfig):
+    """``energy_of`` as a function of a grid of heights on the box of
+    ``mask``, with the gradient and the members' plate coordinates built
+    once.  The sums run over the pixel vectors (``a[mask]``)."""
+    inside, gradient = mask.inside, MaskedGradient(mask.inside)
     gcx, gcy, gcz = config.gravity_cosines
-    z = z.take(stencil.members)
-    col = z * (x * gcx + y * gcy) + 0.5 * z * z * gcz
-    e_g = config.gravity_weight * float(col.sum())
-    return e_t, e_g, e_t + e_g
+    x, y = plate_coords(mask.box, config)
+    lever = (x * gcx + y * gcy)[inside]
+
+    def energy(z: np.ndarray) -> tuple[float, float, float]:
+        gx, gy = (g[inside] for g in gradient(z))
+        e_t = float(np.sqrt(1.0 + gx * gx + gy * gy).sum())
+        z = z[inside]
+        e_g = config.gravity_weight * float((z * lever + 0.5 * z * z * gcz).sum())
+        return e_t, e_g, e_t + e_g
+
+    return energy
+
+
+class MaskStencil:
+    """The solve's buffer layout on one mask grid.
+
+    A buffer has ``size`` cells: the grid in row-major order, with one zero
+    row above and below it and one spare cell at each end, so a pixel's
+    x-neighbors sit at +-1 and its y-neighbors at +-w.  Pixel [i, j] sits at
+    ``origin + i * w + j`` and ``cells`` is the grid's (h, w) view of a
+    buffer.  ``members`` are the buffer cells of the member pixels in
+    row-major order (the order of ``a[mask]``) and ``rows``/``cols`` their
+    coordinates; ``inside`` is the buffer holding 1 on the members and 0
+    elsewhere; ``pad`` puts a pixel vector in a new buffer.
+    ``one_sided[axis]`` are the buffer cells of the members with exactly one
+    member neighbor along ``axis``.
+    """
+
+    def __init__(self, mask: np.ndarray):
+        m = np.asarray(mask, dtype=bool)
+        h, w = self.shape = m.shape
+        self.origin, self.size = w + 1, h * w + 2 * w + 2
+        idx = np.flatnonzero(m)
+        self.rows, self.cols = np.divmod(idx, w)
+        self.members = idx + self.origin
+        self.inside = self.pad(np.ones(idx.size))
+        p = np.pad(m, 1)
+        self.one_sided = [self.members[(p[1 + di : 1 + di + h, 1 + dj : 1 + dj + w]
+                                        ^ p[1 - di : 1 - di + h, 1 - dj : 1 - dj + w])[m]]
+                          for di, dj in ((1, 0), (0, 1))]
+
+    def cells(self, buf: np.ndarray) -> np.ndarray:
+        """The (h, w) grid of a buffer, as a view."""
+        return buf[self.origin : self.size - self.origin].reshape(self.shape)
+
+    def pad(self, v: np.ndarray) -> np.ndarray:
+        """A pixel vector in a new buffer, zero off the mask."""
+        buf = np.zeros(self.size)
+        buf[self.members] = v
+        return buf
 
 
 def _tension(src: np.ndarray, z: np.ndarray, stencil: MaskStencil, interior: np.ndarray,
@@ -154,7 +194,7 @@ def _tension(src: np.ndarray, z: np.ndarray, stencil: MaskStencil, interior: np.
     of the halved gradient over the area element."""
     d, e, den, flow = work
     np.multiply(src, interior, out=z)
-    o, n, w = stencil.origin, stencil.mask.size, stencil.mask.shape[1]
+    o, n, w = stencil.origin, stencil.size - 2 * stencil.origin, stencil.shape[1]
     np.subtract(z[o + 1 : o + 1 + n], z[o - 1 : o - 1 + n], out=d[o : o + n])
     np.subtract(z[o + w : o + w + n], z[o - w : o - w + n], out=e[o : o + n])
     rows, cols = stencil.one_sided
@@ -258,14 +298,15 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
 
     # the sweeps only touch the mask; run them on the drop's box, where the
     # state and every work array are buffers, allocated once per solve; the
-    # start is the init's heights, restated on this mask when the init's mask
-    # has another box, or the cylinder of ``init_mesh``
+    # start is the init's heights, copied from the init's box to this mask's
+    # box, or the cylinder of ``init_mesh``
     st = MaskStencil(mask.inside)
     if init is None:
         z = st.pad(np.full(b, target_volume / b**1.5 * math.sqrt(b)))
     else:
-        z = st.pad(st.gather((init if init.mask.box == box else HeightField(mask, init.z)).heights))
-    interior = st.pad(~st.gather(mask.boundary()))
+        z = st.pad(init.mask.box.restate(init.heights, box)[mask.inside])
+    interior = st.pad(~mask.boundary()[mask.inside])
+    energy = _energy(mask, config)
     moves = interior * (0.5 * _TAU)
     keep = interior * _MOMENTUM
     prev = np.empty(st.size)  # the heights before the sweep, then scratch
@@ -305,12 +346,12 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
         if slot >= 0:
             z.take(st.members, out=iterates[slot])
         if t % _ENERGY_EVERY == 0:
-            history.append((iterations, _energy(z, st, config, box)[2]))
+            history.append((iterations, energy(st.cells(z))[2]))
         if delta < threshold and t >= settled:
             converged = True
             break
 
-    e_t, e_g, e = _energy(z, st, config, box)
+    e_t, e_g, e = energy(st.cells(z))
     history.append((iterations, e))
     report = SolveReport(iterations, e_t, e_g, e, delta, converged, tuple(history))
     return HeightField(mask, st.cells(z)), report

@@ -6,10 +6,11 @@ import pytest
 
 from dropstereo import (DepthResult, DomainError, DropMask, HeightField, OpticalConfig,
                         RasterGray, ScenePlane, SceneSpec, SolverParams, Vec3, VolumeLoopParams,
-                        compensate_illuminance, dark_band_mask, depth_from_drops, dewarp_image,
-                        estimate_shape, initial_volume, rectify_drop, render_synthetic,
-                        sample_band_brightness, solve_fixed_volume, target_brightness)
-from dropstereo.core import DropBox, MaskStencil, normal_field
+                        compensate_illuminance, dark_band_mask, depth_from_drops, detect_drops,
+                        dewarp_image, estimate_shape, init_mesh, initial_volume, rectify_drop,
+                        render_synthetic, sample_band_brightness, solve_fixed_volume,
+                        target_brightness)
+from dropstereo.core import DropBox, MaskedGradient, normal_field
 from dropstereo.masks import disk_mask
 from dropstereo.optics import critical_normal_z_field, incidence_directions, theta_cprime_field
 from dropstereo.raytrace import trace_field
@@ -233,13 +234,42 @@ def test_drop_stages_read_no_raster_view(monkeypatch, two_drop_scene, config):
     rectify_drop(image, hf1, config, 2000.0)
     estimate_shape(image, m1, config, SolverParams(max_iters=50),
                    VolumeLoopParams(max_outer_updates=2))
+    detect_drops(image)
+    # a start on a shifted box of the same raster, reaching past m1's box on
+    # two sides and leaving part of it uncovered
+    shifted = init_mesh(disk_mask(50, shape=m1.box.shape, center=(170.0, 185.0)), 0.3)
+    b, s = m1.box, shifted.mask.box
+    assert s.i0 > b.i0 and s.i1 > b.i1 and s.j0 > b.j0 and s.j1 > b.j1
+    v, sp = initial_volume(m1, 0.3), SolverParams(max_iters=60)
+    moved, report = solve_fixed_volume(m1, v, sp, config, init=shifted)
     assert reads == []
-    # the count sees a read
-    assert m1.membership.any() and hf1.z.any()
-    assert reads == ["membership", "z"]
+    # the count sees a read; the raster route restates the start by reading
+    # its raster view, to the same bytes
+    restated = HeightField(m1, shifted.z)
+    assert m1.membership.any()
+    assert reads == ["z", "membership"]
+    want, report_want = solve_fixed_volume(m1, v, sp, config, init=restated)
+    assert moved.heights.tobytes() == want.heights.tobytes() and report == report_want
 
 
 # --- records and the image grid ---------------------------------------------
+
+
+def test_restate_is_the_raster_route_without_the_raster():
+    # windows of one 20 x 30 raster that overlap, nest, touch the raster's
+    # edges or lie apart: the box-to-box copy equals pasting on the raster
+    # and cropping, byte for byte
+    rng = np.random.default_rng(4)
+
+    def window():
+        i0, j0 = int(rng.integers(0, 20)), int(rng.integers(0, 30))
+        return DropBox(i0, int(rng.integers(i0 + 1, 21)), j0, int(rng.integers(j0 + 1, 31)),
+                       (20, 30))
+
+    for _ in range(300):
+        src, dst = window(), window()
+        a = rng.uniform(0.5, 2.0, (src.i1 - src.i0, src.j1 - src.j0))
+        assert src.restate(a, dst).tobytes() == dst.crop(src.paste(a)).tobytes()
 
 
 def _cap(shape, center, config):
@@ -372,9 +402,9 @@ def test_convex_dome_normals_tilt_outward():
 
 
 def _diff(m, a, axis):
-    """MaskStencil.diff of a grid, scattered back: zero off the mask."""
-    st = MaskStencil(m)
-    return st.scatter(st.diff(st.gather(a), axis))
+    """The masked difference of a grid along ``axis`` (1 is x), zero off the
+    mask."""
+    return MaskedGradient(m)(a)[1 - axis]
 
 
 def test_gradient_of_constant_is_zero():
@@ -397,9 +427,9 @@ def test_laplacian_of_quadratic_bowl():
     # oracle: div(grad((x^2+y^2)/2)) = 2 exactly
     m = square_mask(16).membership
     ii, jj = np.mgrid[0 : m.shape[0], 0 : m.shape[1]]
-    st = MaskStencil(m)
-    v = st.gather(((ii - 10.0) ** 2 + (jj - 10.0) ** 2) / 2.0)
-    lap = st.scatter(st.diff(st.diff(v, 1), 1) + st.diff(st.diff(v, 0), 0))
+    grad = MaskedGradient(m)
+    gx, gy = grad(((ii - 10.0) ** 2 + (jj - 10.0) ** 2) / 2.0)
+    lap = grad(gx)[0] + grad(gy)[1]
     # interior: two pixels clear of the mask rim so every stencil is central
     from scipy import ndimage
 
@@ -412,13 +442,14 @@ def test_operators_are_linear():
     # individual results; raw stencils allow sign-indefinite combinations
     rng = np.random.default_rng(3)
     m = disk_mask(8)
-    st = MaskStencil(m.membership)
-    z1 = rng.uniform(0, 4, m.area)
-    z2 = rng.uniform(0, 4, m.area)
+    grad = MaskedGradient(m.membership)
+    z1 = rng.uniform(0, 4, m.membership.shape)
+    z2 = rng.uniform(0, 4, m.membership.shape)
     a, b = 2.25, -1.5
 
     def lap_raw(v):
-        return st.diff(st.diff(v, 1), 1) + st.diff(st.diff(v, 0), 0)
+        gx, gy = grad(v)
+        return grad(gx)[0] + grad(gy)[1]
 
     combined = lap_raw(a * z1 + b * z2)
     separate = a * lap_raw(z1) + b * lap_raw(z2)

@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dropstereo import Correspondence, DomainError, DropMask, HeightField
+from dropstereo import Correspondence, DomainError, DropMask, HeightField, disk_mask
 from dropstereo.formats import (DetectParams, PipelineConfig, VolumeLoopParams,
                                 read_config, read_correspondences, read_height_field, read_mask,
                                 read_pfm, read_pnm, write_config, write_correspondences,
@@ -172,6 +173,33 @@ def test_height_field_reader_names_the_file(tmp_path):
     write_pfm(p, z)
     with pytest.raises(DomainError, match=r"h\.pfm: mask must be a single 4-connected"):
         read_height_field(p)
+
+
+def test_drop_writers_on_a_large_raster_peak_below_their_old_copies(tmp_path):
+    # one r=58 drop on a 1500 x 2000 raster: the mask PGM scales, rounds and
+    # clips in one float buffer (at most 2.2 float rasters, 2.125 measured),
+    # and the height PFM pastes a float32 payload built on the box and
+    # writes it with no further copy (at most 0.6, 0.503 measured); the
+    # bytes are those of the format written from the raster views
+    shape = (1500, 2000)
+    m = disk_mask(58, shape=shape, center=(600.0, 1200.0))
+    hf = HeightField(m, np.where(m.inside, np.linspace(0.5, 9.0, m.inside.size).reshape(
+        m.inside.shape), 0.0))
+    raster_bytes = 8 * shape[0] * shape[1]
+    for write, record, name in ((write_mask, m, "m.pgm"), (write_height_field, hf, "h.pfm")):
+        tracemalloc.start()
+        try:
+            write(tmp_path / name, record)
+            peak = tracemalloc.get_traced_memory()[1] / raster_bytes
+        finally:
+            tracemalloc.stop()
+        assert peak <= (2.2 if name == "m.pgm" else 0.6), (name, peak)
+    header = b"P5\n%d %d\n255\n" % (shape[1], shape[0])
+    assert (tmp_path / "m.pgm").read_bytes() == \
+        header + (m.membership * 255).astype(np.uint8).tobytes()
+    payload = np.where(m.membership, hf.z, np.nan).astype("<f4")
+    assert (tmp_path / "h.pfm").read_bytes() == \
+        b"Pf\n%d %d\n-1.0\n" % (shape[1], shape[0]) + np.flipud(payload).tobytes()
 
 
 # --- config -------------------------------------------------------------------

@@ -7,9 +7,9 @@ from scipy import integrate, ndimage
 from dropstereo import (DomainError, DropMask, HeightField, OpticalConfig, SolveReport,
                         SolverParams, disk_mask, energy_of, init_mesh, initial_volume,
                         solve_fixed_volume, volume_of)
-from dropstereo.core import MaskStencil
+from dropstereo.core import MaskedGradient
 from dropstereo.masks import blob_mask
-from dropstereo.solver import _MOMENTUM, _TAU, _restore_volume, _tension, _tilt
+from dropstereo.solver import _MOMENTUM, _TAU, MaskStencil, _restore_volume, _tension, _tilt
 
 from conftest import cap_field
 from test_core import _oracle_masks, _shifted_oracle
@@ -36,7 +36,12 @@ def _rim(mask):
 
 def _buffer(st, grid):
     """The member pixels of a grid in a new buffer of ``st``, zero elsewhere."""
-    return st.pad(st.gather(grid))
+    return st.pad(grid[st.rows, st.cols])
+
+
+def _grid(st, v):
+    """The pixel vector ``v`` on the grid of ``st``, zero off the mask."""
+    return st.cells(st.pad(v))
 
 
 def _tension_once(st, z, interior):
@@ -177,12 +182,11 @@ def test_planar_patch_normalised_gradient_has_zero_divergence():
     # rim included, where the differences are one-sided
     m = square_mask(9)
     ii, jj = np.mgrid[0 : m.height, 0 : m.width]
-    st = MaskStencil(m.membership)
+    grad = MaskedGradient(m.membership)
     for plane in (1.0 + 0.3 * jj, 2.0 - 0.7 * ii + 0.2 * jj):
-        z = st.gather(plane)
-        gx, gy = st.diff(z, 1), st.diff(z, 0)
+        gx, gy = grad(plane)
         den = np.sqrt(1.0 + gx * gx + gy * gy)
-        div = st.diff(gx / den, 1) + st.diff(gy / den, 0)
+        div = grad(gx / den)[0] + grad(gy / den)[1]
         assert np.abs(div).max() <= 1e-12
 
 
@@ -218,7 +222,7 @@ def test_gravity_antisymmetric_about_centroid():
     m = square_mask(11, pad=0)
     cfg = OpticalConfig(gravity_cosines=(1.0, 0.0, 0.0), gravity_weight=1e-3)
     st = MaskStencil(m.membership)
-    delta = st.scatter(_tilt(st, cfg))
+    delta = _grid(st, _tilt(st, cfg))
     xg = 5.0
     cols = np.arange(11)
     gained = delta[5, cols > xg]
@@ -232,7 +236,7 @@ def test_gravity_step_matches_manual_five_by_five():
     tau, g_w = _TAU, 1e-2
     cfg = OpticalConfig(gravity_cosines=(0.6, 0.8, 0.0), gravity_weight=g_w)
     st = MaskStencil(m.membership)
-    out = st.scatter(_tilt(st, cfg))
+    out = _grid(st, _tilt(st, cfg))
     # oracle: evaluate the plane by hand about the centre (2, 2)
     for i in range(5):
         for j in range(5):
@@ -248,7 +252,7 @@ def test_gravity_tilts_symmetric_dome_downhill():
     hf = HeightField(m, dome)
     cfg = OpticalConfig(gravity_cosines=(0.5, 0.0, np.sqrt(0.75)), gravity_weight=1e-3)
     st = MaskStencil(m.membership)
-    out = HeightField(m, _volume_restored(st, st.gather(hf.z) + _tilt(st, cfg), volume_of(hf)))
+    out = HeightField(m, _volume_restored(st, hf.z[m.membership] + _tilt(st, cfg), volume_of(hf)))
 
     def mass_centroid_x(f):
         iis, jjs = np.nonzero(f.mask.membership)
@@ -280,7 +284,7 @@ def test_volume_step_restores_after_tension_and_gravity():
     target = initial_volume(m, 0.3)
     hf = init_mesh(m, 0.3)
     st = MaskStencil(m.membership)
-    z = st.gather(_tension_once(st, hf.z, _buffer(st, m.membership & ~_rim(m))))
+    z = _tension_once(st, hf.z, _buffer(st, m.membership & ~_rim(m)))[m.membership]
     out = HeightField(m, _volume_restored(st, z + _tilt(st, cfg), target))
     assert volume_of(out) == pytest.approx(target, rel=1e-9)
 
@@ -325,9 +329,7 @@ def test_energy_matches_quadrature_oracle():
     e_t, e_g, e = energy_of(hf, cfg)
     # oracle: per-pixel numeric quadrature of the column potential plus an
     # independent area-element sum
-    st = MaskStencil(m.membership)
-    v = st.gather(hf.z)
-    gx, gy = st.scatter(st.diff(v, 1)), st.scatter(st.diff(v, 0))
+    gx, gy = MaskedGradient(m.membership)(hf.z)
     e_t_oracle = sum(
         np.sqrt(1 + gx[i, j] ** 2 + gy[i, j] ** 2)
         for i in range(m.height) for j in range(m.width) if m.membership[i, j])
