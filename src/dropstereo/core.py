@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -140,11 +141,15 @@ class DropMask:
     def width(self) -> int:
         return self.box.shape[1]
 
+    @cached_property
+    def stencil(self) -> MaskStencil:
+        """The buffer layout of the drop's box, built on the first read."""
+        return MaskStencil(self.inside)
+
     def boundary(self) -> np.ndarray:
         """Member pixels with at least one 4-neighbor outside the region, on
-        the drop's box."""
-        m = self.inside
-        return m & ~ndimage.binary_erosion(m, structure=_FOUR_CONNECTED, border_value=0)
+        the drop's box (the contact ring), read-only."""
+        return self.stencil.ring
 
     def bbox(self) -> tuple[int, int, int, int]:
         """(i0, i1, j0, j1) half-open bounds of the member pixels."""
@@ -269,54 +274,89 @@ class DropBox:
 
 
 # ---------------------------------------------------------------------------
-# The masked gradient.
+# The layout of a drop's box.
 #
-# Along each axis a pixel takes the central difference where both 4-neighbors
-# are members, the one-sided difference where only one is, and zero where it
-# is isolated along that axis.  No member's difference reads a value outside
-# the mask.
+# Along each axis a member takes the central difference where both
+# 4-neighbors are members, the one-sided difference where only one is, and
+# zero where it is isolated along that axis.  No member's difference reads a
+# value outside the mask.
 # ---------------------------------------------------------------------------
 
 
-class MaskedGradient:
-    """The masked gradient (dz/dx, dz/dy) of fields on one mask grid, each
-    a grid that is zero off the mask.
+class MaskStencil:
+    """The buffer layout of one mask grid, built once per mask as
+    ``DropMask.stencil``: the solve's buffers, the masked gradient and the
+    contact ring all read it.
 
-    What depends on the mask alone is found once, when the gradient is
-    built: per axis, the members whose neighbor ahead or behind is a member,
-    and each pixel's weight, 0.5 with two such neighbors, 1 with one and 0
-    with none or off the mask.  A pixel's difference is its weight times
-    the neighbor ahead minus the neighbor behind, the pixel itself standing
-    in for a missing neighbor.  A call copies the members into a zero
-    buffer of the grid in row-major order with a zero row above and below
-    and a spare cell at each end, so that a pixel's neighbors sit at +-1
-    along x and +-w along y; the neighbor masks never select a cell across
-    a row end.
+    A buffer holds the grid's rows, ``stride`` cells apart, between a zero
+    row above and below, with a spare cell at each end: pixel [i, j] sits at
+    ``origin + i * stride + j`` of ``size`` cells, so its x-neighbors sit at
+    +-1 and its y-neighbors at +-stride.  The stride is the grid's width,
+    plus one zero cell after each row where members lie in both the first
+    and the last column, so that no member's neighbor is read across a row
+    end.  ``cells`` is the grid's (h, w) view of a buffer and ``pad`` puts a
+    pixel vector in a new buffer.  ``inside`` is the membership,
+    ``members`` the cells of the member pixels in row-major order (the
+    order of ``a[inside]``) and ``ones`` the buffer holding 1 on them.
+    ``one_sided[axis]`` (0 is y) holds the cells of the members with
+    exactly one member neighbor along the axis and each one's side: -2
+    where that neighbor is ahead, +2 where it is behind.  ``ring`` marks the
+    members with a 4-neighbor off the mask.
     """
 
     def __init__(self, inside: np.ndarray):
         m = self.inside = np.asarray(inside, dtype=bool)
-        (h, w), p = m.shape, np.pad(m, 1)
-        self._neighbors = []
-        for di, dj in ((0, 1), (1, 0)):
-            ahead = (m & p[1 + di : 1 + di + h, 1 + dj : 1 + dj + w]).ravel()
-            behind = (m & p[1 - di : 1 - di + h, 1 - dj : 1 - dj + w]).ravel()
-            weight = np.where(ahead & behind, 0.5, (ahead | behind).astype(float))
-            self._neighbors.append((di * w + dj, ahead, behind, weight))
+        h, w = self.shape = m.shape
+        s = self.stride = w + bool(w and m[:, 0].any() and m[:, -1].any())
+        self.origin, self.size = s + 1, (h + 2) * s + 2
+        ii, jj = np.nonzero(m)
+        self.members = self.origin + ii * s + jj
+        self.ones = self.pad(np.ones(ii.size))
+        p = np.pad(m, 1)
+        self.ring = _frozen(m & ~(p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2] & p[1:-1, 2:]))
+        self.one_sided = []
+        for k in (s, 1):
+            ahead, behind = self.ones[self.members + k] > 0.0, self.ones[self.members - k] > 0.0
+            one = ahead ^ behind
+            self.one_sided.append((self.members[one], np.where(ahead[one], -2.0, 2.0)))
 
-    def __call__(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(dz/dx, dz/dy) of the grid ``z``, read on the members only."""
-        (h, w), n = self.inside.shape, self.inside.size
-        o, buf = w + 1, np.zeros(n + 2 * w + 2)
-        v = buf[o : o + n]
-        np.copyto(v.reshape(h, w), z, where=self.inside)
-        out = []
-        for s, ahead, behind, weight in self._neighbors:
-            d = np.where(ahead, buf[o + s : o + s + n], v)
-            d -= np.where(behind, buf[o - s : o - s + n], v)
-            d *= weight
-            out.append(d.reshape(h, w))
-        return tuple(out)
+    def cells(self, buf: np.ndarray) -> np.ndarray:
+        """The (h, w) grid of a buffer, as a view."""
+        h, w = self.shape
+        return buf[self.origin : self.size - self.origin].reshape(h, -1)[:, :w]
+
+    def pad(self, v: np.ndarray) -> np.ndarray:
+        """A pixel vector in a new buffer, zero off the mask."""
+        buf = np.zeros(self.size)
+        buf[self.members] = v
+        return buf
+
+    def differences(self, z: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> None:
+        """Twice the masked differences of the buffer ``z`` along x and y, in
+        the buffers ``dx`` and ``dy``, where each one-sided member's own
+        height is zero: the unhalved central differences, doubled on the
+        members with one neighbor along the axis, since their one-sided
+        difference is then twice the central one."""
+        o, n, s = self.origin, self.size - 2 * self.origin, self.stride
+        np.subtract(z[o + 1 : o + 1 + n], z[o - 1 : o - 1 + n], out=dx[o : o + n])
+        np.subtract(z[o + s : o + s + n], z[o - s : o - s + n], out=dy[o : o + n])
+        (rows, _), (cols, _) = self.one_sided
+        dy[rows] *= 2.0
+        dx[cols] *= 2.0
+
+    def gradient(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(dz/dx, dz/dy) of the grid ``z``, read on the members only, as
+        grids that are zero off the mask: the doubled differences, plus
+        -2z on the members whose one neighbor is ahead and +2z on those
+        whose one neighbor is behind, halved."""
+        buf, dx, dy = np.zeros(self.size), np.empty(self.size), np.empty(self.size)
+        np.copyto(self.cells(buf), z, where=self.inside)
+        self.differences(buf, dx, dy)
+        out = np.zeros(self.shape), np.zeros(self.shape)
+        for d, g, (one, side) in zip((dx, dy), out, self.one_sided[::-1]):
+            d[one] += side * buf[one]
+            np.multiply(self.cells(d), 0.5, out=g, where=self.inside)
+        return out
 
 
 def normal_field(hf: HeightField) -> np.ndarray:
@@ -328,7 +368,7 @@ def normal_field(hf: HeightField) -> np.ndarray:
     Entries outside the mask are zero.
     """
     mask = hf.mask.inside
-    gx, gy = MaskedGradient(mask)(hf.heights)
+    gx, gy = hf.mask.stencil.gradient(hf.heights)
     norm = np.sqrt(1.0 + gx * gx + gy * gy)
     n = np.stack([-gx / norm, -gy / norm, 1.0 / norm], axis=-1)
     n[~mask] = 0.0

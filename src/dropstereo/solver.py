@@ -21,13 +21,17 @@ the sweeps is a limit of the jumps, so the fixed point stays the same.  The
 first sweeps after a jump run with little momentum and change less than a
 running sweep would, so the delta test waits half a cycle after each jump.
 
-A solve keeps its heights in two ``MaskStencil`` buffers of the drop's box
-(the box grid with a zero row above and below), and each sweep writes the
-new heights over the older of the two; its work buffers, the contact ring,
-and the gradient and plate coordinates of the energy samples are found once
-per solve.  Sums that set the result's bytes keep their grouping: the
-volume restore and the energies sum the pixel vector (``z[mask]``), the
-per-sweep change sums the box grid.
+A solve keeps its heights in two buffers of the mask's one layout,
+``DropMask.stencil`` (the box grid with a zero row above and below), and
+each sweep writes the new heights over the older of the two.  The sweep's
+gradient is the stencil's doubled difference, the energy samples read the
+stencil's gradient and the pin reads its ring through
+``DropMask.boundary``; the stencil is built once per mask, so every solve
+on a mask, its energy samples and the normals of its surfaces share it.  The
+work buffers and the members' plate coordinates are found once per solve.
+Sums that set the result's bytes keep their grouping: the volume restore
+and the energies sum the pixel vector (``z[mask]``), the per-sweep change
+sums the box grid.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DropMask, HeightField, MaskedGradient, OpticalConfig, plate_coords
+from .core import DropMask, HeightField, MaskStencil, OpticalConfig, plate_coords
 from .errors import DomainError
 
 # sweeps between the energy samples of a solve's history
@@ -120,7 +124,7 @@ def _energy(mask: DropMask, config: OpticalConfig):
     """``energy_of`` as a function of a grid of heights on the box of
     ``mask``, with the gradient and the members' plate coordinates built
     once.  The sums run over the pixel vectors (``a[mask]``)."""
-    inside, gradient = mask.inside, MaskedGradient(mask.inside)
+    inside, gradient = mask.inside, mask.stencil.gradient
     gcx, gcy, gcz = config.gravity_cosines
     x, y = plate_coords(mask.box, config)
     lever = (x * gcx + y * gcy)[inside]
@@ -135,45 +139,6 @@ def _energy(mask: DropMask, config: OpticalConfig):
     return energy
 
 
-class MaskStencil:
-    """The solve's buffer layout on one mask grid.
-
-    A buffer has ``size`` cells: the grid in row-major order, with one zero
-    row above and below it and one spare cell at each end, so a pixel's
-    x-neighbors sit at +-1 and its y-neighbors at +-w.  Pixel [i, j] sits at
-    ``origin + i * w + j`` and ``cells`` is the grid's (h, w) view of a
-    buffer.  ``members`` are the buffer cells of the member pixels in
-    row-major order (the order of ``a[mask]``) and ``rows``/``cols`` their
-    coordinates; ``inside`` is the buffer holding 1 on the members and 0
-    elsewhere; ``pad`` puts a pixel vector in a new buffer.
-    ``one_sided[axis]`` are the buffer cells of the members with exactly one
-    member neighbor along ``axis``.
-    """
-
-    def __init__(self, mask: np.ndarray):
-        m = np.asarray(mask, dtype=bool)
-        h, w = self.shape = m.shape
-        self.origin, self.size = w + 1, h * w + 2 * w + 2
-        idx = np.flatnonzero(m)
-        self.rows, self.cols = np.divmod(idx, w)
-        self.members = idx + self.origin
-        self.inside = self.pad(np.ones(idx.size))
-        p = np.pad(m, 1)
-        self.one_sided = [self.members[(p[1 + di : 1 + di + h, 1 + dj : 1 + dj + w]
-                                        ^ p[1 - di : 1 - di + h, 1 - dj : 1 - dj + w])[m]]
-                          for di, dj in ((1, 0), (0, 1))]
-
-    def cells(self, buf: np.ndarray) -> np.ndarray:
-        """The (h, w) grid of a buffer, as a view."""
-        return buf[self.origin : self.size - self.origin].reshape(self.shape)
-
-    def pad(self, v: np.ndarray) -> np.ndarray:
-        """A pixel vector in a new buffer, zero off the mask."""
-        buf = np.zeros(self.size)
-        buf[self.members] = v
-        return buf
-
-
 def _tension(src: np.ndarray, z: np.ndarray, stencil: MaskStencil, interior: np.ndarray,
              moves: np.ndarray, work: np.ndarray) -> None:
     """One explicit curvature-flow step descending the tension energy, from
@@ -186,20 +151,14 @@ def _tension(src: np.ndarray, z: np.ndarray, stencil: MaskStencil, interior: np.
     central difference's halving and the step size in one factor; ``work``
     holds four zeroed buffers, which keep their padding at zero.
 
-    The gradient is taken at twice its size: D and E are the unhalved
-    central differences, and the members with one neighbour along an axis,
-    all on the ring, are doubled, since with their own height at zero their
-    one-sided difference is twice the central one.  sqrt(4 + D^2 + E^2) is
-    then exactly twice the area element, so D and E over it are the bytes
-    of the halved gradient over the area element."""
+    The gradient is the stencil's ``differences``, taken at twice its size:
+    the members with one neighbour along an axis all lie on the ring, whose
+    heights are zero here, so D and E are twice the masked gradient.
+    sqrt(4 + D^2 + E^2) is then exactly twice the area element, so D and E
+    over it are the bytes of the halved gradient over the area element."""
     d, e, den, flow = work
     np.multiply(src, interior, out=z)
-    o, n, w = stencil.origin, stencil.size - 2 * stencil.origin, stencil.shape[1]
-    np.subtract(z[o + 1 : o + 1 + n], z[o - 1 : o - 1 + n], out=d[o : o + n])
-    np.subtract(z[o + w : o + w + n], z[o - w : o - w + n], out=e[o : o + n])
-    rows, cols = stencil.one_sided
-    e[rows] *= 2.0
-    d[cols] *= 2.0
+    stencil.differences(z, d, e)
     np.multiply(d, d, out=den)
     den += 4.0
     np.multiply(e, e, out=flow)
@@ -207,9 +166,10 @@ def _tension(src: np.ndarray, z: np.ndarray, stencil: MaskStencil, interior: np.
     np.sqrt(den, out=den)
     d /= den
     e /= den
+    o, n, s = stencil.origin, stencil.size - 2 * stencil.origin, stencil.stride
     cells = flow[o : o + n]
     np.subtract(d[o + 1 : o + 1 + n], d[o - 1 : o - 1 + n], out=cells)
-    cells += np.subtract(e[o + w : o + w + n], e[o - w : o - w + n], out=den[o : o + n])
+    cells += np.subtract(e[o + s : o + s + n], e[o - s : o - s + n], out=den[o : o + n])
     flow *= moves
     z += flow
 
@@ -219,7 +179,7 @@ def _tilt(stencil: MaskStencil, config: OpticalConfig) -> np.ndarray:
     at the mask's pixel mean, rising along the in-plane gravity components,
     so that it moves mass downhill (along +cosines)."""
     gcx, gcy, _ = config.gravity_cosines
-    ii, jj = stencil.rows, stencil.cols
+    ii, jj = np.nonzero(stencil.inside)
     return _TAU * config.gravity_weight * ((ii - ii.mean()) * gcy + (jj - jj.mean()) * gcx)
 
 
@@ -239,7 +199,7 @@ def _restore_volume(z: np.ndarray, zm: np.ndarray, target_volume: float,
     # rounding is monotone, so this is the smallest of zm + shift
     if zm.min() + shift >= 0.0:
         z += shift
-        z *= stencil.inside
+        z *= stencil.ones
         return
     zm = np.maximum(zm + shift, 0.0)
     zm += (target_volume - zm.sum()) / b
@@ -297,10 +257,10 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
                           f"the mask on {box.shape}")
 
     # the sweeps only touch the mask; run them on the drop's box, where the
-    # state and every work array are buffers, allocated once per solve; the
-    # start is the init's heights, copied from the init's box to this mask's
-    # box, or the cylinder of ``init_mesh``
-    st = MaskStencil(mask.inside)
+    # state and every work array are buffers of the mask's stencil,
+    # allocated once per solve; the start is the init's heights, copied from
+    # the init's box to this mask's box, or the cylinder of ``init_mesh``
+    st = mask.stencil
     if init is None:
         z = st.pad(np.full(b, target_volume / b**1.5 * math.sqrt(b)))
     else:
@@ -309,7 +269,8 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
     energy = _energy(mask, config)
     moves = interior * (0.5 * _TAU)
     keep = interior * _MOMENTUM
-    prev = np.empty(st.size)  # the heights before the sweep, then scratch
+    prev = np.empty(st.size)  # the heights before the sweep
+    change = np.empty(st.shape)  # |step| on the box grid
     step = np.zeros(st.size)  # the previous sweep's change
     work = np.zeros((4, st.size))
     tilt = st.pad(_tilt(st, config))
@@ -339,9 +300,10 @@ def solve_fixed_volume(mask: DropMask, target_volume: float, params: SolverParam
         _restore_volume(z, z.take(st.members), target_volume, st)
         iterations = t + 1
         np.subtract(z, prev, out=step)
-        # summed over the box grid, zeros off the mask included: the pixel
-        # vector's own sum groups the additions differently
-        delta = float(np.abs(st.cells(step), out=st.cells(prev)).sum())
+        # summed over a contiguous box grid, zeros off the mask included:
+        # the pixel vector's own sum, or one over a strided view of the
+        # buffer, groups the additions differently
+        delta = float(np.abs(st.cells(step), out=change).sum())
         slot = t % _CYCLE - _CYCLE + len(iterates)
         if slot >= 0:
             z.take(st.members, out=iterates[slot])

@@ -12,7 +12,8 @@ import inspect
 import typing
 from pathlib import Path
 
-from dropstereo import OpticalConfig, SolverParams, disk_mask, initial_volume, solve_fixed_volume
+from dropstereo import (DropMask, OpticalConfig, SolverParams, disk_mask, initial_volume,
+                        solve_fixed_volume)
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 WORKLOADS = TRACING.with_name("workloads.py")
@@ -137,3 +138,15 @@ def test_workload_masks_and_heights_are_raster_sized():
     hf, _ = solve_fixed_volume(m, initial_volume(m, 0.3), SolverParams(max_iters=5),
                                OpticalConfig())
     assert m.membership.shape == hf.z.shape == (40, 60)
+
+
+def test_the_solve_reads_its_ring_through_boundary(monkeypatch):
+    # the benchmark's self-test expects core.boundary_calls > 0 on pipeline
+    # and volume, counted on DropMask.boundary; a solve that read the ring
+    # straight off the mask's stencil would fail only there
+    calls = []
+    boundary = DropMask.boundary
+    monkeypatch.setattr(DropMask, "boundary", lambda self: calls.append(self) or boundary(self))
+    m = disk_mask(6)
+    solve_fixed_volume(m, initial_volume(m, 0.3), SolverParams(max_iters=5), OpticalConfig())
+    assert calls and all(c is m for c in calls)

@@ -4,13 +4,13 @@ import re
 import numpy as np
 import pytest
 
-from dropstereo import (DepthResult, DomainError, DropMask, HeightField, OpticalConfig,
-                        RasterGray, ScenePlane, SceneSpec, SolverParams, Vec3, VolumeLoopParams,
-                        compensate_illuminance, dark_band_mask, depth_from_drops, detect_drops,
-                        dewarp_image, estimate_shape, init_mesh, initial_volume, rectify_drop,
-                        render_synthetic, sample_band_brightness, solve_fixed_volume,
-                        target_brightness)
-from dropstereo.core import DropBox, MaskedGradient, normal_field
+from dropstereo import (DepthResult, DetectParams, DomainError, DropMask, HeightField,
+                        OpticalConfig, RasterGray, ScenePlane, SceneSpec, SolverParams, Vec3,
+                        VolumeLoopParams, compensate_illuminance, dark_band_mask,
+                        depth_from_drops, detect_drops, dewarp_image, estimate_shape, init_mesh,
+                        initial_volume, rectify_drop, render_synthetic, sample_band_brightness,
+                        solve_fixed_volume, target_brightness)
+from dropstereo.core import DropBox, MaskStencil, normal_field
 from dropstereo.masks import disk_mask
 from dropstereo.optics import critical_normal_z_field, incidence_directions, theta_cprime_field
 from dropstereo.raytrace import trace_field
@@ -130,6 +130,36 @@ def test_mask_boundary_plus_interior_partition():
     assert b.any() and i.any()
 
 
+def _ring_masks():
+    # a disk, an irregular blob, a blob cut by two raster edges, a 3 x 9 bar
+    # filling its raster, one pixel and an empty mask
+    from dropstereo.masks import blob_mask
+
+    pixel = np.zeros((5, 5), dtype=bool)
+    pixel[2, 3] = True
+    return [disk_mask(12), blob_mask(14, seed=2),
+            blob_mask(14, shape=(30, 40), center=(3.0, 36.0), seed=1),
+            DropMask(np.ones((3, 9), dtype=bool)), DropMask(pixel),
+            DropMask(np.zeros((6, 6), dtype=bool))]
+
+
+def test_boundary_is_the_erosion_ring():
+    # the ring is read off the stencil; the reference is the 4-connected
+    # erosion it replaced, with the raster's outside counting as off the mask
+    from scipy import ndimage
+
+    four = ndimage.generate_binary_structure(2, 1)
+    for m in _ring_masks():
+        want = m.inside & ~ndimage.binary_erosion(m.inside, four, border_value=0)
+        ring = m.boundary()
+        assert ring.dtype == bool and ring.shape == m.inside.shape
+        assert ring.tobytes() == want.tobytes()
+        full = m.membership
+        assert np.array_equal(m.box.paste(ring),
+                              full & ~ndimage.binary_erosion(full, four, border_value=0))
+        assert not ring.flags.writeable and m.boundary() is ring
+
+
 def test_height_field_zeroes_non_members_and_rejects_negatives():
     m = square_mask(4)
     z = np.ones(m.membership.shape)
@@ -219,6 +249,13 @@ def test_drop_arrays_are_box_sized_on_a_photo_sized_raster(config):
         del view
 
 
+def _iou(a, b):
+    """Intersection over union of two masks of one raster, read on their
+    boxes."""
+    both = np.count_nonzero(a.box.restate(a.inside, b.box) & b.inside)
+    return both / (a.area + b.area - both)
+
+
 def test_drop_stages_read_no_raster_view(monkeypatch, two_drop_scene, config):
     # the raster views serve the file writers and readers outside the
     # package; the stages of a drop read only its box, so a photo-sized
@@ -234,7 +271,12 @@ def test_drop_stages_read_no_raster_view(monkeypatch, two_drop_scene, config):
     rectify_drop(image, hf1, config, 2000.0)
     estimate_shape(image, m1, config, SolverParams(max_iters=50),
                    VolumeLoopParams(max_outer_updates=2))
-    detect_drops(image)
+    # the default minimum diameter, 300 px, is above these r=60 drops, and
+    # the default percentiles find one of the two; these find both
+    found = detect_drops(image, DetectParams(85.0, 95.0, 80.0))
+    assert len(found) == 2
+    for m in (m1, m2):
+        assert max(_iou(d, m) for d in found) >= 0.999
     # a start on a shifted box of the same raster, reaching past m1's box on
     # two sides and leaving part of it uncovered
     shifted = init_mesh(disk_mask(50, shape=m1.box.shape, center=(170.0, 185.0)), 0.3)
@@ -404,7 +446,7 @@ def test_convex_dome_normals_tilt_outward():
 def _diff(m, a, axis):
     """The masked difference of a grid along ``axis`` (1 is x), zero off the
     mask."""
-    return MaskedGradient(m)(a)[1 - axis]
+    return MaskStencil(m).gradient(a)[1 - axis]
 
 
 def test_gradient_of_constant_is_zero():
@@ -425,9 +467,9 @@ def test_gradient_of_plane_is_unit_x():
 
 def test_laplacian_of_quadratic_bowl():
     # oracle: div(grad((x^2+y^2)/2)) = 2 exactly
-    m = square_mask(16).membership
-    ii, jj = np.mgrid[0 : m.shape[0], 0 : m.shape[1]]
-    grad = MaskedGradient(m)
+    mask = square_mask(16)
+    m, box, grad = mask.inside, mask.box, mask.stencil.gradient
+    ii, jj = np.mgrid[box.i0 : box.i1, box.j0 : box.j1]
     gx, gy = grad(((ii - 10.0) ** 2 + (jj - 10.0) ** 2) / 2.0)
     lap = grad(gx)[0] + grad(gy)[1]
     # interior: two pixels clear of the mask rim so every stencil is central
@@ -442,9 +484,9 @@ def test_operators_are_linear():
     # individual results; raw stencils allow sign-indefinite combinations
     rng = np.random.default_rng(3)
     m = disk_mask(8)
-    grad = MaskedGradient(m.membership)
-    z1 = rng.uniform(0, 4, m.membership.shape)
-    z2 = rng.uniform(0, 4, m.membership.shape)
+    grad = m.stencil.gradient
+    z1 = rng.uniform(0, 4, m.inside.shape)
+    z2 = rng.uniform(0, 4, m.inside.shape)
     a, b = 2.25, -1.5
 
     def lap_raw(v):
@@ -492,6 +534,47 @@ def _oracle_masks():
     yield np.ones((5, 6), dtype=bool)
     yield np.array([[1, 1, 0, 1, 0, 1, 1, 1]], dtype=bool)
     yield np.array([[1], [0], [1], [1], [1], [0], [1]], dtype=bool)
+
+
+def _selected_gradient(m, z):
+    """The masked gradient by neighbour selection, with no buffer layout:
+    along each axis a pixel's neighbour ahead and behind, or the pixel itself
+    where that neighbour is no member, weighted 0.5 with two member
+    neighbours, 1 with one and 0 with none or off the mask."""
+    (h, w), p, zp = m.shape, np.pad(m, 1), np.pad(np.where(m, z, 0.0), 1)
+    v, out = zp[1:-1, 1:-1], []
+    for di, dj in ((0, 1), (1, 0)):
+        ahead = m & p[1 + di : 1 + di + h, 1 + dj : 1 + dj + w]
+        behind = m & p[1 - di : 1 - di + h, 1 - dj : 1 - dj + w]
+        d = np.where(ahead, zp[1 + di : 1 + di + h, 1 + dj : 1 + dj + w], v)
+        d -= np.where(behind, zp[1 - di : 1 - di + h, 1 - dj : 1 - dj + w], v)
+        d *= np.where(ahead & behind, 0.5, (ahead | behind).astype(float))
+        out.append(d)
+    return out
+
+
+def test_gradient_matches_neighbour_selection_bit_for_bit(config):
+    # heights that are not zero on the ring: a few sweeps of a solve (whose
+    # ring holds the last volume shift) and random fields, on masks cut by
+    # the raster's edges, a bar and a disk filling their raster (so members
+    # sit in both the first and the last column), and the oracle masks
+    rng = np.random.default_rng(12)
+    m = disk_mask(10, shape=(40, 50), center=(20.0, 24.0))
+    hf, _ = solve_fixed_volume(m, initial_volume(m, 0.3), SolverParams(max_iters=7), config)
+    assert hf.heights[m.boundary()].min() > 0.0
+    cases = [(m.stencil, hf.heights)]
+    edge = DropMask(disk_mask(12).membership[2:-2, 2:-2])
+    for mask in _ring_masks()[:4] + [edge]:
+        shape = mask.inside.shape
+        z = rng.choice([0.0, -0.0, 1.5], size=shape) + rng.normal(size=shape)
+        cases.append((mask.stencil, np.where(mask.inside, z, np.nan)))
+    for mask in _oracle_masks():
+        cases.append((MaskStencil(mask), np.where(mask, rng.normal(size=mask.shape), np.nan)))
+    for stencil, z in cases:
+        assert (z[stencil.ring] != 0.0).any()
+        got, want = stencil.gradient(z), _selected_gradient(stencil.inside, z)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 def test_stencil_matches_grid_shift_oracle_bit_for_bit():

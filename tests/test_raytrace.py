@@ -8,7 +8,7 @@ import pytest
 from dropstereo import (DomainError, EmptyOutput, HeightField, OpticalConfig, RasterGray,
                         SolverParams, dark_band_mask, dewarp_image, disk_mask,
                         initial_volume, render_synthetic, solve_fixed_volume)
-from dropstereo.core import DropBox, MaskedGradient, normal_field, plate_coords
+from dropstereo.core import DropBox, normal_field, plate_coords
 from dropstereo.optics import (critical_normal_z_field, equivalent_camera_depth,
                                fresnel_transmittance_arrays, normal_z_field, refract_arrays)
 from dropstereo.raytrace import (_BLOCK_PIXELS, ScenePlane, SceneSpec, TraceField, _background,
@@ -214,7 +214,7 @@ def _full_raster_trace(hf, config):
     d = np.stack([x, y, hf.z + equivalent_camera_depth(x * x + y * y, config)], axis=-1)
     r_i = d / np.linalg.norm(d, axis=-1, keepdims=True)
     theta_flat = np.arctan(np.hypot(x, y) / config.camera_z)
-    gx, gy = MaskedGradient(mask)(hf.z)
+    gx, gy = (hf.mask.box.paste(g) for g in hf.mask.stencil.gradient(hf.heights))
     norm = np.sqrt(1.0 + gx * gx + gy * gy)
     normals = np.where(mask[..., None], np.stack([-gx / norm, -gy / norm, 1.0 / norm], axis=-1),
                        0.0)

@@ -7,9 +7,9 @@ from scipy import integrate, ndimage
 from dropstereo import (DomainError, DropMask, HeightField, OpticalConfig, SolveReport,
                         SolverParams, disk_mask, energy_of, init_mesh, initial_volume,
                         solve_fixed_volume, volume_of)
-from dropstereo.core import MaskedGradient
+from dropstereo.core import MaskStencil
 from dropstereo.masks import blob_mask
-from dropstereo.solver import _MOMENTUM, _TAU, MaskStencil, _restore_volume, _tension, _tilt
+from dropstereo.solver import _MOMENTUM, _TAU, _restore_volume, _tension, _tilt
 
 from conftest import cap_field
 from test_core import _oracle_masks, _shifted_oracle
@@ -36,7 +36,7 @@ def _rim(mask):
 
 def _buffer(st, grid):
     """The member pixels of a grid in a new buffer of ``st``, zero elsewhere."""
-    return st.pad(grid[st.rows, st.cols])
+    return st.pad(grid[st.inside])
 
 
 def _grid(st, v):
@@ -181,8 +181,8 @@ def test_planar_patch_normalised_gradient_has_zero_divergence():
     # the divergence of its normalised gradient vanishes at every member,
     # rim included, where the differences are one-sided
     m = square_mask(9)
-    ii, jj = np.mgrid[0 : m.height, 0 : m.width]
-    grad = MaskedGradient(m.membership)
+    box, grad = m.box, m.stencil.gradient
+    ii, jj = np.mgrid[box.i0 : box.i1, box.j0 : box.j1]
     for plane in (1.0 + 0.3 * jj, 2.0 - 0.7 * ii + 0.2 * jj):
         gx, gy = grad(plane)
         den = np.sqrt(1.0 + gx * gx + gy * gy)
@@ -329,7 +329,7 @@ def test_energy_matches_quadrature_oracle():
     e_t, e_g, e = energy_of(hf, cfg)
     # oracle: per-pixel numeric quadrature of the column potential plus an
     # independent area-element sum
-    gx, gy = MaskedGradient(m.membership)(hf.z)
+    gx, gy = m.stencil.gradient(hf.heights)
     e_t_oracle = sum(
         np.sqrt(1 + gx[i, j] ** 2 + gy[i, j] ** 2)
         for i in range(m.height) for j in range(m.width) if m.membership[i, j])

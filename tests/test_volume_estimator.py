@@ -8,6 +8,7 @@ from dropstereo import (DomainError, DropMask, HeightField, OpticalConfig, Raste
                         sample_band_brightness, solve_fixed_volume, target_brightness,
                         volume_of, volume_update, estimate_shape)
 from dropstereo import volume_loop
+from dropstereo.core import MaskStencil
 from dropstereo.formats import VolumeLoopParams
 from dropstereo.raytrace import ScenePlane, SceneSpec
 from dropstereo.scenes import make_texture
@@ -162,6 +163,21 @@ def test_estimate_shape_contracts_from_both_sides(single_drop_render, config):
         lp = VolumeLoopParams(alpha_init=start)
         _, alpha_est, _ = estimate_shape(image, mask, config, loop_params=lp)
         assert abs(alpha_est - 0.30) < abs(start - 0.30)
+
+
+def test_estimate_shape_builds_one_stencil_per_mask(monkeypatch, single_drop_render, config):
+    # every solve, energy sample and band-ring sample of the loop reads the
+    # layout that the mask built on its first read
+    _, mask, _, image = single_drop_render
+    fresh = DropMask(mask.inside, at=mask.box)
+    built = []
+    init = MaskStencil.__init__
+    monkeypatch.setattr(MaskStencil, "__init__",
+                        lambda self, inside: built.append(self) or init(self, inside))
+    _, _, rep = estimate_shape(image, fresh, config, SolverParams(max_iters=120),
+                               VolumeLoopParams(max_outer_updates=3))
+    assert rep.outer_updates == 3 and len(rep.solve.energy_history) > 2
+    assert len(built) == 1 and built[0] is fresh.stencil
 
 
 def test_estimate_shape_deterministic(single_drop_render, config):
