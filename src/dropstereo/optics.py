@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import N_AIR, HeightField, OpticalConfig, normal_field, plate_coords
+from .core import N_AIR, HeightField, OpticalConfig, plate_coords
 from .errors import DomainError
 
 
@@ -152,5 +152,7 @@ def dark_band_mask(hf: HeightField, config: OpticalConfig) -> np.ndarray:
 
 
 def normal_z_field(hf: HeightField) -> np.ndarray:
-    """N_z per pixel of the drop's box, zero off the mask."""
-    return normal_field(hf)[..., 2]
+    """N_z per pixel of the drop's box, zero off the mask: the z component
+    of ``normal_field``, 1 / sqrt(1 + gx² + gy²), without the other two."""
+    gx, gy = hf.mask.stencil.gradient(hf.heights)
+    return np.where(hf.mask.inside, 1.0 / np.sqrt(1.0 + gx * gx + gy * gy), 0.0)

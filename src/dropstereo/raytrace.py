@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from .core import (N_AIR, DropBox, DropMask, HeightField, OpticalConfig, RasterGray, Vec3,
                    _frozen, normal_field, plate_coords, splat_bilinear)
@@ -189,12 +191,12 @@ def uv_field(tf: TraceField, turn: float = 0.0) -> tuple[np.ndarray, np.ndarray,
 class DewarpedImage:
     """Drop imagery resampled on a regular angular grid.
 
-    ``source_ij`` maps each output cell back to the warped input pixel whose
-    angular coordinates landed nearest to the cell center, or the nearest
-    such cell's pixel, on every ``valid`` cell, and -1 on every other cell;
-    it realizes the inverse of the one-to-one angular map.  The grid lies in
-    the (u, v) frame turned by ``turn`` (see ``uv_field``); ``u0``, ``v0``,
-    ``du`` and ``dv`` are in that frame.
+    The grid lies in the (u, v) frame turned by ``turn`` (see
+    ``uv_field``); ``u0``, ``v0``, ``du`` and ``dv`` are in that frame.
+    ``sample_rc`` holds the (row, column) grid position of every warped
+    pixel splatted onto the grid, and ``sample_ij`` that pixel's (i, j) on
+    the raster: together they are the one-to-one angular map, which
+    ``pixel_of`` inverts.
     """
 
     raster: RasterGray
@@ -203,8 +205,9 @@ class DewarpedImage:
     v0: float
     du: float
     dv: float
-    source_ij: np.ndarray  # (R, R, 2) int
-    turn: float = 0.0
+    turn: float
+    sample_rc: np.ndarray  # (n, 2) float
+    sample_ij: np.ndarray  # (n, 2) int
 
     def uv_of(self, pu: float, pv: float) -> tuple[float, float]:
         """Unturned angular coordinates of (column, row) positions on the
@@ -213,12 +216,26 @@ class DewarpedImage:
         c, s = math.cos(self.turn), math.sin(self.turn)
         return c * u - s * v, s * u + c * v
 
+    @cached_property
+    def _tree(self) -> cKDTree:
+        """k-d tree (Bentley 1975) of ``sample_rc``, built on the first
+        ``pixel_of``."""
+        return cKDTree(self.sample_rc)
+
+    def pixel_of(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """(n, 2) int raster pixels (i, j) of the samples nearest the grid
+        positions (rows[k], cols[k]), by distance in cells."""
+        return self.sample_ij[self._tree.query(np.column_stack([rows, cols]))[1]]
+
 
 def dewarp_image(image: RasterGray, traces: list[TraceField], out_resolution: int,
                  turn: float) -> list[DewarpedImage]:
     """Resample the pixels of each traced drop onto one regular
     ``out_resolution`` × ``out_resolution`` (u, v) grid, in the frame turned
     by ``turn`` (see ``uv_field``), by bilinear splatting: one view per trace.
+    Each view keeps the samples it splatted, their grid positions and their
+    raster pixels, so that ``DewarpedImage.pixel_of`` maps a grid position
+    back to the pixel of its nearest sample.
 
     The grid's window is the union of each drop's 2nd/98th percentiles of
     turned u and v, so near-band grazing directions do not dominate it; the
@@ -256,29 +273,9 @@ def dewarp_image(image: RasterGray, traces: list[TraceField], out_resolution: in
         inside = (pu >= 0) & (pu <= r - 1) & (pv >= 0) & (pv <= r - 1)
         pu, pv, src_i, src_j = pu[inside], pv[inside], src_i[inside], src_j[inside]
         raster, valid_out = splat_bilinear(pv, pu, image.pixels[src_i, src_j], (r, r))
-
-        # nearest-contributor table for mapping matches back to warped pixels
-        cell_r = np.clip(np.rint(pv).astype(int), 0, r - 1)
-        cell_c = np.clip(np.rint(pu).astype(int), 0, r - 1)
-        cell = cell_r * r + cell_c
-        dist = (pv - cell_r) ** 2 + (pu - cell_c) ** 2
-        order = np.lexsort((dist, cell))
-        cells, first = np.unique(cell[order], return_index=True)
-        sel = order[first]
-        source = np.full((r * r, 2), -1, dtype=int)
-        source[cells, 0] = src_i[sel]
-        source[cells, 1] = src_j[sel]
-        source = source.reshape(r, r, 2)
-        # spread to splat-covered cells lacking a direct contributor; a
-        # covered cell's splat came from a contributor, so one exists
-        has = source[..., 0] >= 0
-        if (valid_out & ~has).any():
-            idx = ndimage.distance_transform_edt(~has, return_distances=False,
-                                                 return_indices=True)
-            source = source[idx[0], idx[1]]
-            source[~valid_out] = -1
-        views.append(DewarpedImage(RasterGray(raster), valid_out, u_min, v_min, du, dv, source,
-                                   float(turn)))
+        views.append(DewarpedImage(RasterGray(raster), valid_out, u_min, v_min, du, dv,
+                                   float(turn), np.column_stack([pv, pu]),
+                                   np.column_stack([src_i, src_j])))
     return views
 
 

@@ -313,13 +313,13 @@ def block_match(dewarped_a: DewarpedImage, dewarped_b: DewarpedImage,
                 params: BlockMatchParams | None = None, drop_a: int = 0,
                 drop_b: int = 1) -> list[Correspondence]:
     """Correspondences between two drop views: matches run on the angular
-    grids and map back to warped pixels through the forward-map table."""
+    grids, and each side's pixel is that of the view's sample nearest the
+    match (``DewarpedImage.pixel_of``)."""
     p = params or BlockMatchParams()
     ra, ca, rb, cb, score = match_grids(dewarped_a.raster.pixels, dewarped_a.valid,
                                         dewarped_b.raster.pixels, dewarped_b.valid, p).T
-    # a match lands on a valid cell, and every valid cell has a source pixel
-    ij_a = dewarped_a.source_ij[np.rint(ra).astype(int), np.rint(ca).astype(int)]
-    ij_b = dewarped_b.source_ij[np.rint(rb).astype(int), np.rint(cb).astype(int)]
+    ij_a = dewarped_a.pixel_of(ra, ca)
+    ij_b = dewarped_b.pixel_of(rb, cb)
     uv_a = np.stack(dewarped_a.uv_of(ca, ra), axis=-1)
     uv_b = np.stack(dewarped_b.uv_of(cb, rb), axis=-1)
     matches = [Correspondence(drop_a, drop_b, tuple(pa), tuple(pb), s, tuple(ua), tuple(ub))

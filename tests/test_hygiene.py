@@ -1,8 +1,10 @@
 """Source hygiene: every module of the package, and every test module, uses
-every name it imports, and every private module-level name of the package
-is referenced by some module of the package."""
+every name it imports, every private module-level name of the package is
+referenced by some module of the package, and the package depends on
+nothing but the standard library, numpy and scipy."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +78,31 @@ def test_dead_private_helper_is_caught():
                     "def _dead():\n    return _used(_LIMIT)\n",
                "b": "from .a import _used\n\nclass _Gone:\n    pass\n\nprint(_used(1))\n"}
     assert _dead_private_names(sources) == ["a._X", "a._dead", "b._Gone"]
+
+
+# the package's only third-party dependencies, as pyproject.toml declares
+_DEPENDENCIES = frozenset(sys.stdlib_module_names) | {"numpy", "scipy", "dropstereo"}
+
+
+def _foreign_imports(source: str) -> list[str]:
+    """Top-level packages that ``source`` imports from outside the standard
+    library, numpy, scipy and the package itself."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return sorted(names - _DEPENDENCIES)
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_the_declared_dependencies(path):
+    assert _foreign_imports(path.read_text()) == []
+
+
+def test_foreign_import_is_caught():
+    source = ("from __future__ import annotations\nimport os.path, yaml.loader\n"
+              "import numpy as np\nfrom scipy.spatial import cKDTree\nfrom .core import DropBox\n"
+              "from dropstereo.errors import DomainError\nfrom pandas import DataFrame\n")
+    assert _foreign_imports(source) == ["pandas", "yaml"]

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from dropstereo import (DomainError, HeightField, OpticalConfig, SolverParams,
-                        band_transmittance_linear, critical_normal_z, dark_band_mask,
-                        disk_mask, fresnel_transmittance, initial_volume, solve_fixed_volume)
+                        band_transmittance_linear, blob_mask, critical_normal_z, dark_band_mask,
+                        disk_mask, fresnel_transmittance, initial_volume, normal_field,
+                        solve_fixed_volume)
 from dropstereo.optics import (equivalent_camera_depth, fresnel_transmittance_arrays,
-                               refract_arrays)
+                               normal_z_field, refract_arrays)
+
+from conftest import cap_field
 
 N_A, N_W = 1.0, 4.0 / 3.0
 
@@ -240,3 +243,18 @@ def test_dark_band_grows_with_volume(config):
                                    SolverParams(max_iters=2500), config)
         counts.append(int(dark_band_mask(hf, config).sum()))
     assert counts[1] > counts[0]
+
+
+@pytest.mark.parametrize("make_mask", [
+    lambda: disk_mask(58),
+    lambda: blob_mask(58, seed=1),
+    lambda: blob_mask(40, shape=(60, 90), center=(12.0, 45.0), seed=2),
+], ids=["disk", "blob", "blob_cut_by_edge"])
+def test_normal_z_field_is_the_z_of_normal_field(make_mask):
+    # N_z from the gradient alone, bit for bit the z component of the whole
+    # normal field, zero off the mask
+    m = make_mask()
+    hf = HeightField(m, cap_field(m, initial_volume(m, 0.3)))
+    n_z = normal_z_field(hf)
+    assert n_z.tobytes() == normal_field(hf)[..., 2].tobytes()
+    assert (n_z[~m.inside] == 0.0).all() and (n_z[m.inside] > 0.0).all()

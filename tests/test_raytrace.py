@@ -395,36 +395,59 @@ def test_dewarp_jacobian_sign_constant(cap50, config):
 
 @pytest.mark.parametrize("turn", [0.0, 0.7, -math.pi / 2])
 def test_dewarp_turned_grid_answers_unturned_uv(cap50, config, turn):
-    # a turned grid cell maps back to its nearest source pixel, and uv_of
-    # answers that pixel's own unturned (u, v) to within a cell diagonal
+    # a turned grid cell maps back to the pixel of its nearest sample, and
+    # uv_of answers that pixel's own unturned (u, v) to within a cell diagonal
     mask, hf, _ = cap50
     tf = trace_field(hf, config)
     img = RasterGray(np.zeros(mask.membership.shape))
     dw = dewarp_image(img, [tf], 64, turn)[0]
     assert dw.turn == turn
     u, v, _ = uv_field(tf)
-    rows, cols = np.nonzero(dw.valid & (dw.source_ij[..., 0] >= 0))
+    rows, cols = np.nonzero(dw.valid)
     assert rows.size > 1000
-    src = dw.source_ij[rows, cols] - (tf.box.i0, tf.box.j0)
+    src = dw.pixel_of(rows, cols) - (tf.box.i0, tf.box.j0)
     got = np.array([dw.uv_of(c, r) for r, c in zip(rows, cols)])
     err = np.hypot(got[:, 0] - u[src[:, 0], src[:, 1]], got[:, 1] - v[src[:, 0], src[:, 1]])
-    # the cell is the nearest with a contributor; a few cells take theirs
-    # from a neighbour
     assert np.median(err) <= 0.5 * math.hypot(dw.du, dw.dv)
     assert np.percentile(err, 99) <= 2.0 * math.hypot(dw.du, dw.dv)
 
 
 @pytest.mark.parametrize("turn", [0.0, 0.7])
-def test_dewarp_source_table_covers_exactly_the_valid_cells(cap50, config, turn):
-    # every cell that received splat weight maps back to a warped pixel, and
-    # no other cell does: a match landing on a valid cell always has a source
+def test_dewarp_samples_lie_on_valid_cells(cap50, config, turn):
+    # every sample splats weight onto the cell it rounds to, so it lies on a
+    # valid cell; every sample, and so every pixel that pixel_of answers, is
+    # a transmitted pixel of the trace
     mask, hf, _ = cap50
     tf = trace_field(hf, config)
     img = RasterGray(np.zeros(mask.membership.shape))
     dw = dewarp_image(img, [tf], 64, turn)[0]
     assert dw.valid.sum() > 1000 and not dw.valid.all()
-    assert (dw.source_ij[dw.valid] >= 0).all()
-    assert (dw.source_ij[~dw.valid] == -1).all()
+    cell = np.rint(dw.sample_rc).astype(int)
+    assert dw.valid[cell[:, 0], cell[:, 1]].all()
+    offset = (tf.box.i0, tf.box.j0)
+    src = dw.sample_ij - offset
+    assert tf.valid[src[:, 0], src[:, 1]].all()
+    rows, cols = np.nonzero(dw.valid)
+    src = dw.pixel_of(rows, cols) - offset
+    assert tf.valid[src[:, 0], src[:, 1]].all()
+
+
+@pytest.mark.parametrize("turn", [0.0, 0.7, -math.pi / 2])
+def test_dewarp_pixel_of_is_the_nearest_sample(two_drop_scene, config, turn):
+    # pixel_of against a brute-force argmin over each view's samples, on
+    # every fourth valid cell and on random positions over the grid
+    _, (m1, hf1), (_, hf2), image = two_drop_scene
+    traces = [trace_field(hf1, config), trace_field(hf2, config)]
+    views = dewarp_image(image, traces, round(math.sqrt(m1.area)), turn)
+    rng = np.random.default_rng(0)
+    for view in views:
+        r = view.valid.shape[0]
+        pos = np.concatenate([np.argwhere(view.valid)[::4], rng.uniform(-1.0, r, (500, 2))])
+        nearest = np.concatenate([
+            ((chunk[:, None] - view.sample_rc) ** 2).sum(axis=-1).argmin(axis=1)
+            for chunk in np.array_split(pos, len(pos) // 256 + 1)])
+        assert len(pos) > 2000
+        assert np.array_equal(view.pixel_of(pos[:, 0], pos[:, 1]), view.sample_ij[nearest])
 
 
 def test_dewarp_empty_drop_rejected(config):
@@ -447,7 +470,8 @@ def test_dewarp_two_pixel_drop_has_an_empty_view():
     # instead of stopping the whole stereo call
     tiny = _row_trace([(0, 0, 1), (0.1, 0.2, 1)])
     (view,) = dewarp_image(RasterGray(np.full((1, 2), 0.5)), [tiny], 8, 0.0)
-    assert not view.valid.any() and (view.source_ij == -1).all()
+    assert not view.valid.any() and view.sample_ij.shape == (0, 2)
+    assert view.pixel_of(np.empty(0), np.empty(0)).shape == (0, 2)
 
 
 # --- renderer --------------------------------------------------------------------

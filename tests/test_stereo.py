@@ -10,7 +10,8 @@ from dropstereo import (DegenerateGeometry, DomainError, HeightField, Insufficie
                         RasterGray, SolverParams, Vec3, block_match, depth_from_drops,
                         disk_mask, initial_volume, render_synthetic, solve_fixed_volume,
                         triangulate)
-from dropstereo.raytrace import DewarpedImage, Ray, ScenePlane, SceneSpec, trace_field
+from dropstereo.raytrace import (DewarpedImage, Ray, ScenePlane, SceneSpec, dewarp_image,
+                                 trace_field)
 from dropstereo.rectify import rectify_drop
 from dropstereo.stereo import (_BAND_ROWS, _LR_TOL, _ZNCC_MIN, BlockMatchParams, Correspondence,
                                _global_shift, _subpixel, _window_stats, _window_sums,
@@ -32,11 +33,12 @@ def _noise_image(shape, seed=0):
 
 def _view(img):
     """A raster as a dewarped view whose angular grid is its pixel grid:
-    (u, v) = (column, row), and every cell maps back to itself."""
-    h, w = img.pixels.shape
-    ii, jj = np.mgrid[0:h, 0:w]
-    return DewarpedImage(img, np.ones((h, w), dtype=bool), 0.0, 0.0, 1.0, 1.0,
-                         np.stack([ii, jj], axis=-1))
+    (u, v) = (column, row), with one sample on every cell, from that cell's
+    own pixel.  A match half-way between two cells (``_subpixel`` clips at
+    +-0.5) may take either cell's pixel."""
+    every = np.ones(img.pixels.shape, dtype=bool)
+    cells = np.argwhere(every)
+    return DewarpedImage(img, every, 0.0, 0.0, 1.0, 1.0, 0.0, cells.astype(float), cells)
 
 
 def test_block_match_identity():
@@ -61,12 +63,42 @@ def test_block_match_recovers_constant_shift():
     assert np.abs(dv).max() <= 0.5
     dj = np.array([m.pixel_b[1] - m.pixel_a[1] for m in matches])
     assert np.abs(dj - 5.0).max() <= 1.0
+    # each pixel is a nearest cell of its match, half-way ties included
+    for m in matches:
+        assert np.abs(np.subtract(m.pixel_a, m.uv_a[::-1])).max() <= 0.5
+        assert np.abs(np.subtract(m.pixel_b, m.uv_b[::-1])).max() <= 0.5
 
 
 def test_block_match_textureless_rejected():
     flat = _view(RasterGray(np.full((64, 64), 0.5)))
     with pytest.raises(InsufficientMatches):
         block_match(flat, flat)
+
+
+def test_block_match_pixels_sit_at_their_matches(two_drop_scene, config):
+    # each side's pixel is a transmitted pixel of its drop, whose own sample
+    # lies within a cell of the match on the view's grid (0.90 cells at the
+    # most on this pair)
+    _, (m1, hf1), (_, hf2), image = two_drop_scene
+    traces = [trace_field(hf1, config), trace_field(hf2, config)]
+    c0, c1 = (tf.origins[tf.valid, :2].mean(axis=0) for tf in traces)
+    turn = math.atan2(c1[1] - c0[1], c1[0] - c0[0])
+    views = dewarp_image(image, traces, round(math.sqrt(m1.area)), turn)
+    matches = block_match(*views)
+    assert len(matches) >= 100
+    c, s = math.cos(turn), math.sin(turn)
+    for side, (view, tf) in enumerate(zip(views, traces)):
+        pixels = np.array([(m.pixel_a, m.pixel_b)[side] for m in matches], dtype=int)
+        i, j = (pixels - (tf.box.i0, tf.box.j0)).T
+        assert ((0 <= i) & (i < tf.valid.shape[0]) & (0 <= j) & (j < tf.valid.shape[1])).all()
+        assert tf.valid[i, j].all()
+        # each pixel's own sample, and the match's (row, column) on the grid
+        index = {p: k for k, p in enumerate(map(tuple, view.sample_ij.tolist()))}
+        own = view.sample_rc[[index[p] for p in map(tuple, pixels.tolist())]]
+        u, v = np.array([(m.uv_a, m.uv_b)[side] for m in matches]).T
+        at = np.column_stack([(c * v - s * u - view.v0) / view.dv,
+                              (c * u + s * v - view.u0) / view.du])
+        assert np.hypot(*(own - at).T).max() <= 1.0
 
 
 def _oracle_zncc_scores(patch, region, region_ok):
